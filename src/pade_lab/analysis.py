@@ -16,12 +16,24 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pade_core
-from .errors import ClassificationError, ConvergenceError, ShapeError, SizeError
+from .errors import (
+    ClassificationError,
+    ConvergenceError,
+    ShapeError,
+    SingularBlockError,
+    SizeError,
+)
 from .error_bounds import SolverParams, make_params
-from .pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
+from .pade_core import (
+    OdeProblem,
+    is_hermitian_nsd,
+    pade_coefficients,
+    pade_propagator,
+    reference_expm,
+)
 from .system_builder import (
+    SCHEMES,
     BlockSystem,
-    alternating_signs,
     build_pade_system,
     classical_reference_trajectory,
 )
@@ -64,6 +76,14 @@ def spectral_norm(matrix, method: str = "auto", tol: float = 1e-10, seed: int = 
     raise ConvergenceError("power iteration did not converge in 10000 iterations")
 
 
+def _largest_eigenvalue(op, v0) -> float:
+    """Top eigenvalue of a Hermitian operator by Lanczos, to relative 1e-12."""
+    try:
+        return spla.eigsh(op, k=1, which="LA", v0=v0, tol=1e-12, return_eigenvectors=False)[0]
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
+
+
 def extreme_singular_values(matrix, seed: int = 0) -> tuple[float, float]:
     """(sigma_max, sigma_min) of a sparse or dense operator.
 
@@ -81,28 +101,21 @@ def extreme_singular_values(matrix, seed: int = 0) -> tuple[float, float]:
 
         top_op = spla.LinearOperator(
             (dim, dim), matvec=lambda x: csr.conj().T @ (csr @ x), dtype=complex)
-        top = spla.eigsh(top_op, k=1, which="LA", v0=v0, tol=1e-12,
-                         return_eigenvectors=False)
-        lu = spla.splu(matrix.tocsc())
+        top = _largest_eigenvalue(top_op, v0)
+        try:
+            lu = spla.splu(matrix.tocsc())
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularBlockError(f"sparse LU failed: {exc}") from exc
         inv_op = spla.LinearOperator(
             (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
             dtype=complex)
-        bottom = spla.eigsh(inv_op, k=1, which="LA", v0=v0, tol=1e-12,
-                            return_eigenvectors=False)
-        return float(np.sqrt(top[0])), float(1.0 / np.sqrt(bottom[0]))
+        bottom = _largest_eigenvalue(inv_op, v0)
+        return float(np.sqrt(top)), float(1.0 / np.sqrt(bottom))
     dense = np.asarray(matrix, dtype=complex)
     if dense.shape[0] > DENSE_SVD_CAP:
         raise SizeError(f"dense SVD capped at {DENSE_SVD_CAP}")
     svals = np.linalg.svd(dense, compute_uv=False)
     return float(svals[0]), float(svals[-1])
-
-
-def is_hermitian_nsd(matrix_a, tol: float = 1e-10) -> bool:
-    if not pade_core.is_hermitian(matrix_a):
-        return False
-    w = np.linalg.eigvalsh(np.asarray(matrix_a, dtype=complex))
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w.max() <= tol * scale)
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -145,26 +158,6 @@ def l_norm_bound(k: int, h: float, norm_a: float) -> float:
 
 # ------------------------------------------------------------- W inverse ---
 
-def _dense_w_block(matrix_a, step: float, order: int) -> np.ndarray:
-    n = matrix_a.shape[0]
-    eye = np.eye(n)
-    ah = np.asarray(matrix_a, dtype=complex) * step
-    k = order
-    beta = pade_coefficients(k, k).beta_floats
-    s = 1.0 / math.sqrt(k + 1)
-    w = np.zeros((n * (k + 1), n * (k + 1)), dtype=complex)
-
-    def blk(i, j):
-        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-
-    for j in range(k + 1):
-        w[blk(0, j)] = s * eye
-    for i in range(1, k + 1):
-        w[blk(i, i - 1)] = eye
-        w[blk(i, i)] = beta[k - i] * ah
-    return w
-
-
 def explicit_w_inverse(matrix_a, step: float, order: int) -> np.ndarray:
     """Closed-form blocks of the one-step inverse: powers of -Ah, coefficient
     ratios, and a single denominator inverse as prefactor."""
@@ -179,10 +172,7 @@ def explicit_w_inverse(matrix_a, step: float, order: int) -> np.ndarray:
     den = sum(d[j] * powers[j] for j in range(k + 1))
     lu = sla.lu_factor(den)
     out = np.zeros((n * (k + 1), n * (k + 1)), dtype=complex)
-
-    def blk(i, j):
-        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-
+    blocks = out.reshape(k + 1, n, k + 1, n)
     root = math.sqrt(k + 1)
     for r in range(1, k + 2):
         lam = k + 1 - r
@@ -195,7 +185,7 @@ def explicit_w_inverse(matrix_a, step: float, order: int) -> np.ndarray:
                     b = (d[lam] / d[t]) * sum(d[j] * powers[j + lam - t] for j in range(t))
                 else:
                     b = -(d[lam] / d[t]) * sum(d[j] * powers[j + lam - t] for j in range(t, k + 1))
-            out[blk(r - 1, s - 1)] = sla.lu_solve(lu, b)
+            blocks[r - 1, :, s - 1] = sla.lu_solve(lu, b)
     return out
 
 
@@ -212,17 +202,11 @@ def taylor_inverse_growth(matrix_a, step: float, order: int) -> tuple[float, flo
     a = np.asarray(matrix_a, dtype=complex)
     if not pade_core.is_hermitian(a):
         raise ClassificationError("growth bound derived for Hermitian input")
-    n = a.shape[0]
     k = order
     nah = float(np.linalg.norm(a * step, 2))
     bound = math.sqrt(sum(nah ** (2 * j) / math.factorial(j) ** 2 for j in range(k + 1)))
-    eye = np.eye(n)
-    m = np.zeros((n * (k + 1), n * (k + 1)), dtype=complex)
-    for i in range(k + 1):
-        m[i * n:(i + 1) * n, i * n:(i + 1) * n] = eye
-        if i >= 1:
-            m[i * n:(i + 1) * n, (i - 1) * n:i * n] = -a * step / i
-    measured = float(np.linalg.norm(np.linalg.inv(m), 2))
+    w = SCHEMES["taylor"](k).one_step(a * step)
+    measured = float(np.linalg.norm(np.linalg.inv(w), 2))
     return bound, measured
 
 
@@ -291,11 +275,10 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     else:
         raise ClassificationError(f"unknown case {case!r}")
 
-    w = _dense_w_block(a, h, k)
-    winv = np.linalg.inv(w)
+    rec = SCHEMES["pade"](k)
+    winv = np.linalg.inv(rec.one_step(a * h))
     measured_w = float(np.linalg.norm(winv, 2))
-    signs = alternating_signs(k)
-    row = np.kron(signs, np.eye(n))
+    row = np.kron(rec.signs, np.eye(n))
     measured_row = float(np.linalg.norm(row @ winv, 2))
 
     problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
-from .pade_core import pade_coefficients
-from .system_builder import alternating_signs
+from .system_builder import SCHEMES
 
 QUBIT_BUDGET = 12
 
@@ -210,12 +209,6 @@ def _qubits_for(value: int, what: str) -> int:
     return q
 
 
-def identity_encoding(n_qubits: int) -> BlockEncodingUnitary:
-    dim = 2**n_qubits
-    spec = CircuitSpec(registers=(Register("n", n_qubits, False),))
-    return BlockEncodingUnitary(np.eye(dim, dtype=complex), 1.0, 0, dim, spec)
-
-
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:
     """(1,1)-encoding of the zero matrix: an X on the ancilla moves everything out."""
     spec = CircuitSpec(registers=(Register("a", 1, True), Register("n", n_qubits, False)),
@@ -346,42 +339,25 @@ def compose(kind: str, parts, weights=None, target_alpha: float | None = None) -
 
 # ----------------------------------------------- figure-level constructions ---
 
-def _beta_diagonal(k: int) -> np.ndarray:
-    """Diagonal of the coefficient-ratio selector: 0, beta_k, ..., beta_1."""
-    beta = pade_coefficients(k, k).beta_floats
-    return np.concatenate([[0.0], beta[::-1]])
-
-
-def shift_flag_target(size: int, sign: float = 1.0) -> np.ndarray:
-    """Sub-diagonal shift with zero wraparound entry (the flagged increment)."""
-    out = np.zeros((size, size))
-    for j in range(size - 1):
-        out[j + 1, j] = sign
-    return out
-
-
-def first_row_uniform(k1: int, signed: bool = False) -> np.ndarray:
-    """Row block: uniform (or alternating-sign) first row over k+1 columns."""
-    out = np.zeros((k1, k1))
-    if signed:
-        out[0] = alternating_signs(k1 - 1) / math.sqrt(k1)
-    else:
-        out[0] = 1.0 / math.sqrt(k1)
-    return out
-
-
 def primitive_targets(order: int, steps: int) -> dict[str, np.ndarray]:
-    """Dense targets of the seven primitive encodings, for verification."""
+    """Dense targets of the seven primitive encodings, for verification.
+
+    m1 (shift), m2 (summation row) and m3 (ratio diagonal) split the
+    rational scheme's one-step patterns; m6 is its coupling row.
+    """
     k, m = order, steps
     k1 = k + 1
     p = m * k1
+    rec = SCHEMES["pade"](k)
+    signed_row = np.zeros((k1, k1))
+    signed_row[0] = rec.coupling
     return {
-        "m1": shift_flag_target(k1),
-        "m2": first_row_uniform(k1),
-        "m3": np.diag(_beta_diagonal(k)),
-        "m4": shift_flag_target(p, sign=-1.0),
+        "m1": np.tril(rec.s1, -1),
+        "m2": np.triu(rec.s1),
+        "m3": rec.b1,
+        "m4": np.diag(-np.ones(p - 1), -1),
         "m5": np.diag([1.0 / math.sqrt(k1)] + [1.0] * (p - 1)),
-        "m6": first_row_uniform(k1, signed=True),
+        "m6": signed_row,
         "m7": np.diag([1.0] * m + [0.0] * m),
     }
 
@@ -426,7 +402,7 @@ def primitive_encodings(order: int, steps: int, a_encoding: BlockEncodingUnitary
                *[GateOp("H", (q,)) for q in kw],
                GateOp("X", (flag,), tuple((q, 0) for q in kw))]),
         1.0, 1, k + 1)
-    diag = _beta_diagonal(k)
+    diag = np.diag(SCHEMES["pade"](k).b1)
     out["m3"] = _enc_from_spec(
         _spec([Register("flag", 1, True), Register("k", kq, False)],
               [GateOp("UCRY", (flag,), angles=tuple(2.0 * math.acos(v) for v in diag),
@@ -498,7 +474,7 @@ def _emit_one_step_branch(g, w1, w2, flag, dw, kw, nw, k, base, scale_rot):
         g(GateOp("H", (q,), c_m2))
     g(GateOp("X", (flag,), c_m2 + tuple((q, 0) for q in kw)))
     c_m3 = base + ((w1, 1),)
-    diag = _beta_diagonal(k)
+    diag = np.diag(SCHEMES["pade"](k).b1)
     g(GateOp("UCRY", (flag,), c_m3, angles=tuple(2.0 * math.acos(v) for v in diag),
              selector=tuple(kw)))
     g(GateOp("OPAQUE", tuple(dw + nw), c_m3, label="U_A"))

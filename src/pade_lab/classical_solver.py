@@ -19,7 +19,7 @@ from .errors import (
     SizeError,
     SolveResidualError,
 )
-from .system_builder import BlockSystem, alternating_signs
+from .system_builder import SCHEMES, BlockSystem, Scheme
 
 DENSE_DIM_CAP = 4096
 
@@ -42,12 +42,9 @@ class SolutionBundle:
     residual: float
 
     def step_iterates(self) -> np.ndarray:
-        """Terminal iterate of every step: signed sum (rational scheme) or plain sum."""
-        m, width, _ = self.z_blocks.shape
-        if self.scheme == "pade":
-            signs = np.array([(-1.0) ** j for j in range(width)])
-            return np.einsum("j,sjn->sn", signs, self.z_blocks)
-        return self.z_blocks.sum(axis=1)
+        """Output iterate of every step: the scheme's signed readout sum of its z blocks."""
+        rec = SCHEMES[self.scheme](self.z_blocks.shape[1] - 1)
+        return rec.output(rec.stacked(self.z_blocks))
 
 
 def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[float, float]:
@@ -59,14 +56,9 @@ def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[fl
     return np.sqrt(c2), padding * term / c2
 
 
-def _full_vector(z_blocks: np.ndarray, terminal: np.ndarray, padding: int, scheme: str) -> np.ndarray:
-    m, width, n = z_blocks.shape
-    parts = []
-    for s in range(m):
-        stacked = z_blocks[s, ::-1] if scheme == "pade" else z_blocks[s]
-        parts.append(stacked.reshape(width * n))
-    parts.append(np.tile(terminal, padding))
-    return np.concatenate(parts)
+def _full_vector(z_blocks: np.ndarray, terminal: np.ndarray, padding: int,
+                 rec: Scheme) -> np.ndarray:
+    return np.concatenate([rec.stacked(z_blocks).ravel(), np.tile(terminal, padding)])
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True,
@@ -97,31 +89,22 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True,
             f"diagonal block pivot ratio {pivots.min() / max(pivots.max(), 1e-300):.2e}",
             step_index=1)
 
-    signs = alternating_signs(k)
-    s15 = 1.0 / np.sqrt(width)
+    rec = SCHEMES[system.scheme](k)
     z_blocks = np.empty((m, width, n), dtype=complex)
     rhs = system.rhs
     prev_stack = None
     for step in range(m):
         block_rhs = rhs[step * width * n:(step + 1) * width * n].copy()
         if step > 0:
-            if system.scheme == "pade":
-                coupling = s15 * np.einsum("j,jn->n", signs, prev_stack)
-            else:
-                coupling = -prev_stack.sum(axis=0)
-            block_rhs[:n] -= coupling
+            block_rhs[:n] -= rec.couple * rec.signed_sum(prev_stack)
         sol = sla.lu_solve(lu, block_rhs)
         if not np.isfinite(sol).all():
             raise SingularBlockError("non-finite step solution", step_index=step + 1)
         prev_stack = sol.reshape(width, n)
-        # stack order is z_k..z_0 for the rational scheme, z_0..z_k otherwise
-        z_blocks[step] = prev_stack[::-1] if system.scheme == "pade" else prev_stack
-    if system.scheme == "pade":
-        terminal = -np.einsum("j,jn->n", signs, prev_stack)
-    else:
-        terminal = prev_stack.sum(axis=0)
+        z_blocks[step] = rec.stacked(prev_stack)
+    terminal = rec.output(prev_stack)
 
-    full = _full_vector(z_blocks, terminal, p, system.scheme)
+    full = _full_vector(z_blocks, terminal, p, rec)
     residual = float(np.linalg.norm(system.matrix @ full - rhs))
     rhs_norm = float(np.linalg.norm(rhs))
     if check_residual and residual > residual_tol * max(rhs_norm, 1e-300):
@@ -151,11 +134,8 @@ def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBun
     """Interpret a raw solution vector of the full system as a SolutionBundle."""
     lay = system.layout
     n, m, k, p = lay.n, lay.m, lay.k, lay.p
-    width = k + 1
-    z = np.empty((m, width, n), dtype=complex)
-    for s in range(m):
-        stack = solution[s * width * n:(s + 1) * width * n].reshape(width, n)
-        z[s] = stack[::-1] if system.scheme == "pade" else stack
+    rec = SCHEMES[system.scheme](k)
+    z = rec.stacked(solution[:m * (k + 1) * n].reshape(m, k + 1, n)).astype(complex)
     terminal = solution[lay.terminal_row() * n:(lay.terminal_row() + 1) * n]
     residual = float(np.linalg.norm(system.matrix @ solution - system.rhs))
     norm_c, p_succ = _norms(z, terminal, p)
@@ -178,15 +158,3 @@ def state_distance(u, v) -> float:
     if nu == 0 or nv == 0:
         raise DegenerateTargetError("cannot normalize a zero vector")
     return float(np.linalg.norm(u / nu - v / nv))
-
-
-def normalized_distance_bound(alpha: float, beta: float) -> float:
-    """Distance bound 2*beta/alpha for ||u|| >= alpha and ||u - v|| <= beta."""
-    if alpha <= 0:
-        raise DegenerateTargetError("alpha must be positive")
-    return 2.0 * beta / alpha
-
-
-def amplitude_lower_bound(alpha: float, delta: float) -> float:
-    """Surviving amplitude lower bound alpha - delta after a delta-perturbation."""
-    return alpha - delta

@@ -186,7 +186,6 @@ def _cmd_verify_bounds(args, stdout):
 
 
 def _cmd_circuit_verify(args, stdout):
-    from .analysis import _dense_w_block
     from .circuit_sim import (
         build_b_encoding,
         build_coupling_encoding,
@@ -196,6 +195,7 @@ def _cmd_circuit_verify(args, stdout):
         primitive_targets,
     )
     from .pade_core import OdeProblem
+    from .system_builder import SCHEMES
 
     n = args.n
     nq = int(math.log2(n)) if n > 1 else 0
@@ -227,7 +227,7 @@ def _cmd_circuit_verify(args, stdout):
     prim_targets = primitive_targets(k, m)
     for name, stage in primitive_encodings(k, m).items():
         show(name, stage, prim_targets[name])
-    show("w", build_w_encoding(enc, args.h, k), _dense_w_block(a, args.h, k))
+    show("w", build_w_encoding(enc, args.h, k), SCHEMES["pade"](k).one_step(a * args.h))
     show("b", build_b_encoding(k, m, scale), prim_targets["m4"] + prim_targets["m5"])
     show("coupling", build_coupling_encoding(k, m, scale), coupling_target(k, m))
 

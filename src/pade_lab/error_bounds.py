@@ -282,7 +282,7 @@ def select_parameters(problem, eps: float, strategy: str = "unit-step",
     else:
         if order is None:
             raise StrategyError("fixed-order strategy needs an explicit order")
-        if not _is_hermitian_nsd(a):
+        if not pade_core.is_hermitian_nsd(a):
             raise StrategyError("fixed-order strategy requires Hermitian negative semi-definite A")
         k = int(order)
         theta = theta_max(k, delta)
@@ -290,11 +290,3 @@ def select_parameters(problem, eps: float, strategy: str = "unit-step",
     h = t_final / m
     return SolverParams(steps=m, order=k, padding=padding_rule(m, h),
                         step_size=h, scheme="pade", delta=delta)
-
-
-def _is_hermitian_nsd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    if not pade_core.is_hermitian(a):
-        return False
-    w = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w.max() <= tol * scale)

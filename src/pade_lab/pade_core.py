@@ -196,6 +196,15 @@ def is_hermitian(matrix_a, tol: float = HERMITIAN_TOL) -> bool:
     return np.abs(a - a.conj().T).max() <= tol * scale
 
 
+def is_hermitian_nsd(matrix_a, tol: float = 1e-10) -> bool:
+    """Hermitian with every eigenvalue at most tol * max(1, max |eigenvalue|)."""
+    if not is_hermitian(matrix_a):
+        return False
+    w = np.linalg.eigvalsh(_as_square(matrix_a))
+    scale = max(1.0, float(np.abs(w).max()))
+    return bool(w.max() <= tol * scale)
+
+
 _TAYLOR_ORDER = 30
 _SCALE_TARGET = 0.25
 

@@ -4,13 +4,15 @@ Two rival encodings of the m-step propagation are built over the same block
 layout: the rational one couples each step through an upper-Hessenberg block
 with a summation row, the polynomial (truncated-series) one through a lower
 bidiagonal block.  Both append p trailing copies of the terminal state behind
-an identity-bidiagonal chain.
+an identity-bidiagonal chain.  Each scheme is a ``Scheme`` record in
+``SCHEMES``; one assembler expands it, and the solver, the analysis blocks and
+the circuit targets read the same record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,124 +77,154 @@ class BlockSystem:
         return self.matrix.toarray()
 
 
-class _BlockCoo:
-    """Coordinate assembly grouped by block row."""
-
-    def __init__(self, layout: BlockLayout):
-        self.layout = layout
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add(self, block_row: int, block_col: int, block: np.ndarray):
-        n = self.layout.n
-        if block.shape != (n, n):
-            raise ConsistencyError("block has wrong shape")
-        r, c = np.nonzero(block)
-        self.rows.append(r + block_row * n)
-        self.cols.append(c + block_col * n)
-        self.vals.append(block[r, c])
-
-    def to_csr(self) -> sp.csr_matrix:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals).astype(complex)
-        d = self.layout.dim
-        return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
-
-
 def alternating_signs(k: int) -> np.ndarray:
     """Signs (-1)^{k+1}, (-1)^k, ..., -1 along the stacked step positions."""
     return np.array([(-1.0) ** (k + 1 - j) for j in range(k + 1)])
 
 
-def _check(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockLayout:
+@dataclass(frozen=True)
+class Scheme:
+    """Block structure of one scheme at order k: L = S (x) I_n + B (x) (A h).
+
+    ``s1`` and ``b1`` are the (k+1)x(k+1) scalar patterns of one step's
+    I_n part and A h part, in stack order; ``reverse`` stacks a step as
+    z_k, ..., z_0 instead of z_0, ..., z_k.  The first row of every later
+    step, and the terminal row, couple to the previous step through
+    ``couple * signs``; the terminal diagonal is ``row_scale``, and p - 1
+    padding rows copy the terminal state.  x0 enters the first row times
+    ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
+    """
+
+    s1: np.ndarray
+    b1: np.ndarray
+    signs: np.ndarray
+    couple: float
+    row_scale: float
+    b_row: int
+    b_coef: float
+    reverse: bool
+
+    def __post_init__(self):
+        if abs(self.couple) != abs(self.row_scale):
+            raise ConsistencyError("the terminal row must read the step output with sign +-1")
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """The inter-step coupling row, over the previous step's stack positions."""
+        return self.couple * self.signs
+
+    @property
+    def readout(self) -> float:
+        """Factor r with step output r * sum_j signs_j z_j, from the terminal row."""
+        return -self.couple / self.row_scale
+
+    def signed_sum(self, stack: np.ndarray) -> np.ndarray:
+        """sum_j signs_j z_j over the stack axis -2.
+
+        An all-plus row is a plain sum: numpy's add reduction and einsum
+        round a contiguous sum (n = 1) differently.
+        """
+        if (self.signs > 0).all():
+            return stack.sum(axis=-2)
+        return np.einsum("j,...jn->...n", self.signs, stack)
+
+    def output(self, stack: np.ndarray) -> np.ndarray:
+        """Step output readout * sum_j signs_j z_j, with the +-1 readout as an exact sign."""
+        total = self.signed_sum(stack)
+        return -total if self.readout < 0 else total
+
+    def stacked(self, blocks: np.ndarray) -> np.ndarray:
+        """Swap subscript and stack order along axis -2 (its own inverse)."""
+        return blocks[..., ::-1, :] if self.reverse else blocks
+
+    def one_step(self, ah: np.ndarray) -> np.ndarray:
+        """Dense one-step block W = S1 (x) I_n + B1 (x) (A h)."""
+        return np.kron(self.s1, np.eye(ah.shape[0])) + np.kron(self.b1, ah)
+
+
+def _pade_scheme(k: int) -> Scheme:
+    """Upper-Hessenberg step: a 1/sqrt(k+1) summation row, identity shifts
+    below it and beta_{k-i+1} A h on the diagonal of row i."""
+    coeffs = pade_core.pade_coefficients(k, k)
+    s = 1.0 / np.sqrt(k + 1)
+    s1 = np.eye(k + 1, k=-1)
+    s1[0] = s
+    b1 = np.diag(np.concatenate([[0.0], coeffs.beta_floats[::-1]]))
+    return Scheme(s1, b1, alternating_signs(k), couple=s, row_scale=s,
+                  b_row=k, b_coef=-float(coeffs.den_coeffs[1]), reverse=True)
+
+
+def _taylor_scheme(k: int) -> Scheme:
+    """Lower-bidiagonal step: identity diagonal, -(A h)/i below it."""
+    b1 = np.zeros((k + 1, k + 1))
+    i = np.arange(1, k + 1)
+    # numpy divides a complex by a real through its reciprocal, so this
+    # coefficient reproduces -(A h)/i bit for bit
+    b1[i, i - 1] = -1.0 / i
+    return Scheme(np.eye(k + 1), b1, np.ones(k + 1), couple=-1.0, row_scale=1.0,
+                  b_row=1, b_coef=1.0, reverse=False)
+
+
+#: Scheme name -> record factory of the order k.
+SCHEMES = {"pade": _pade_scheme, "taylor": _taylor_scheme}
+
+
+def _kron_triplets(rows, cols, vals, block: np.ndarray):
+    """Coordinates of the scalar triplets (rows, cols, vals) tensored with block.
+
+    Products that underflow drop out, as the zeros of block do.
+    """
+    n = block.shape[0]
+    br, bc = np.nonzero(block)
+    vals = (vals[:, None] * block[br, bc]).ravel()
+    keep = vals != 0
+    return ((rows[:, None] * n + br).ravel()[keep], (cols[:, None] * n + bc).ravel()[keep],
+            vals[keep])
+
+
+def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSystem:
+    """Expand the scheme record into L = S (x) I_n + B (x) (A h) and its rhs."""
     if params.scheme != scheme:
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
-    return BlockLayout(n=problem.dim, m=params.steps, k=params.order,
-                       p=params.padding, h=params.step_size)
+    lay = BlockLayout(n=problem.dim, m=params.steps, k=params.order,
+                      p=params.padding, h=params.step_size)
+    n, m, k, p, h = lay.n, lay.m, lay.k, lay.p, lay.h
+    rec = SCHEMES[scheme](k)
+    width = k + 1
+    starts = np.arange(m) * width
+    term = lay.terminal_row()
+
+    # S: one-step patterns, the coupling rows of steps 2..m and of the
+    # terminal row, the terminal diagonal and the padding chain
+    sr, sc = np.nonzero(rec.s1)
+    pad = np.arange(term + 1, term + p)
+    s_rows = [(starts[:, None] + sr).ravel(), np.repeat(starts + width, width), [term], pad, pad]
+    s_cols = [(starts[:, None] + sc).ravel(), (starts[:, None] + np.arange(width)).ravel(),
+              [term], pad - 1, pad]
+    s_vals = [np.tile(rec.s1[sr, sc], m), np.tile(rec.coupling, m), [rec.row_scale],
+              -np.ones(p - 1), np.ones(p - 1)]
+    br, bc = np.nonzero(rec.b1)
+    ir, ic, iv = _kron_triplets(*map(np.concatenate, (s_rows, s_cols, s_vals)), np.eye(n))
+    ar, ac, av = _kron_triplets((starts[:, None] + br).ravel(), (starts[:, None] + bc).ravel(),
+                                np.tile(rec.b1[br, bc], m), problem.matrix_a * h)
+    matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),
+                            (np.concatenate([ir, ar]), np.concatenate([ic, ac]))),
+                           shape=(lay.dim, lay.dim)).tocsr()
+
+    rhs = np.zeros(lay.dim, dtype=complex)
+    rhs[:n] = rec.row_scale * problem.vec_x0
+    rhs.reshape(-1, n)[starts + rec.b_row] = rec.b_coef * h * problem.vec_b
+    return BlockSystem(scheme, matrix, rhs, lay, rec.row_scale)
 
 
 def build_pade_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:
-    """Assemble the rational-scheme system and right-hand side.
-
-    Within one step the unknowns are stacked top-down as z_k, ..., z_0; the
-    first (summation) and terminal rows carry the 1/sqrt(k+1) scaling, the
-    inter-step coupling places the alternating-sign row into the next step's
-    summation row.
-    """
-    lay = _check(problem, params, "pade")
-    n, m, k, p, h = lay.n, lay.m, lay.k, lay.p, lay.h
-    eye = np.eye(n)
-    ah = problem.matrix_a * h
-    coeffs = pade_core.pade_coefficients(k, k)
-    beta = coeffs.beta_floats  # beta[j] = beta_{j+1}
-    s = 1.0 / np.sqrt(k + 1)
-    signs = alternating_signs(k)
-    width = k + 1
-
-    asm = _BlockCoo(lay)
-    for step in range(m):
-        off = step * width
-        for j in range(width):
-            asm.add(off, off + j, s * eye)
-        for i in range(1, width):
-            asm.add(off + i, off + i - 1, eye)
-            asm.add(off + i, off + i, beta[k - i] * ah)
-        if step > 0:
-            prev = (step - 1) * width
-            for j in range(width):
-                asm.add(off, prev + j, s * signs[j] * eye)
-    term = lay.terminal_row()
-    for j in range(width):
-        asm.add(term, (m - 1) * width + j, s * signs[j] * eye)
-    asm.add(term, term, s * eye)
-    for u in range(1, p):
-        asm.add(term + u, term + u - 1, -eye)
-        asm.add(term + u, term + u, eye)
-
-    rhs = np.zeros(lay.dim, dtype=complex)
-    rhs[:n] = s * problem.vec_x0
-    tail = -float(coeffs.den_coeffs[1]) * h * problem.vec_b
-    for step in range(m):
-        row = step * width + k
-        rhs[row * n:(row + 1) * n] = tail
-    return BlockSystem("pade", asm.to_csr(), rhs, lay, s)
+    """Assemble the rational-scheme system and right-hand side (``SCHEMES["pade"]``)."""
+    return _assemble(problem, params, "pade")
 
 
 def build_taylor_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:
-    """Assemble the truncated-series system: lower-bidiagonal steps, -Ah/j blocks."""
-    lay = _check(problem, params, "taylor")
-    n, m, k, p, h = lay.n, lay.m, lay.k, lay.p, lay.h
-    eye = np.eye(n)
-    ah = problem.matrix_a * h
-    width = k + 1
-
-    asm = _BlockCoo(lay)
-    for step in range(m):
-        off = step * width
-        for i in range(width):
-            asm.add(off + i, off + i, eye)
-            if i >= 1:
-                asm.add(off + i, off + i - 1, -ah / i)
-        if step > 0:
-            prev = (step - 1) * width
-            for j in range(width):
-                asm.add(off, prev + j, -eye)
-    term = lay.terminal_row()
-    for j in range(width):
-        asm.add(term, (m - 1) * width + j, -eye)
-    asm.add(term, term, eye)
-    for u in range(1, p):
-        asm.add(term + u, term + u - 1, -eye)
-        asm.add(term + u, term + u, eye)
-
-    rhs = np.zeros(lay.dim, dtype=complex)
-    rhs[:n] = problem.vec_x0
-    for step in range(m):
-        row = step * width + 1
-        rhs[row * n:(row + 1) * n] = h * problem.vec_b
-    return BlockSystem("taylor", asm.to_csr(), rhs, lay, 1.0)
+    """Assemble the truncated-series system and right-hand side (``SCHEMES["taylor"]``)."""
+    return _assemble(problem, params, "taylor")
 
 
 def build_unreduced_pair(problem: OdeProblem, params: SolverParams,
@@ -203,35 +235,31 @@ def build_unreduced_pair(problem: OdeProblem, params: SolverParams,
     output.  Exists only to check the sign-parity identity between the two
     halves; the production encoding eliminates the forward half.
     """
-    lay = _check(problem, params, "pade")
-    n, k, h = lay.n, lay.k, lay.h
+    if params.scheme != "pade":
+        raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants 'pade'")
+    n, k, h = problem.dim, params.order, params.step_size
     eye = np.eye(n)
     ah = problem.matrix_a * h
+    rec = SCHEMES["pade"](k)
     coeffs = pade_core.pade_coefficients(k, k)
     beta = coeffs.beta_floats
     rows = 2 * k + 2
     mat = np.zeros((rows * n, rows * n), dtype=complex)
-
-    def blk(i, j):
-        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-
-    for j in range(k + 1):
-        mat[blk(0, j)] = eye
-    for i in range(1, k + 1):
-        mat[blk(i, i - 1)] = eye
-        mat[blk(i, i)] = beta[k - i] * ah
+    # backward half: the one-step block with an unscaled summation row
+    unscaled = rec.s1.copy()
+    unscaled[0] = 1.0
+    mat[:(k + 1) * n, :(k + 1) * n] = replace(rec, s1=unscaled).one_step(ah)
+    blocks = mat.reshape(rows, n, rows, n)
     for j in range(1, k + 1):
         # forward half: alpha_j = beta_j for equal orders
-        mat[blk(k + j, k + j - 1 if j > 1 else k)] = -beta[j - 1] * ah
-        mat[blk(k + j, k + j)] = eye
-    last = rows - 1
-    for j in range(k, 2 * k + 1):
-        mat[blk(last, j)] = -eye
-    mat[blk(last, last)] = eye
+        blocks[k + j, :, k + j - 1 if j > 1 else k] = -beta[j - 1] * ah
+        blocks[k + j, :, k + j] = eye
+    blocks[rows - 1, :, k:2 * k + 1] = -eye[:, None, :]
+    blocks[rows - 1, :, rows - 1] = eye
 
     rhs = np.zeros(rows * n, dtype=complex)
     rhs[:n] = prev_state
-    rhs[k * n:(k + 1) * n] = -float(coeffs.den_coeffs[1]) * h * problem.vec_b
+    rhs[k * n:(k + 1) * n] = rec.b_coef * h * problem.vec_b
     rhs[(k + 1) * n:(k + 2) * n] = float(coeffs.num_coeffs[1]) * h * problem.vec_b
     return mat, rhs
 

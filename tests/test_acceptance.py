@@ -351,7 +351,8 @@ def test_c10_experiment1_reproduction():
           and pade_star < taylor_star and kappa_ok)
     report(10, ok, f"pade m*={pade_star} (<=20, spectral {pade_ref}), "
                    f"taylor m*={taylor_star} (spectral {taylor_ref}), "
-                   f"kappa within bound for all m: {kappa_ok}")
+                   f"kappa within bound for all m: {kappa_ok} "
+                   f"(worst margin bound - kappa {worst_margin:.3e})")
     assert pade_star <= 20
     assert pade_star == pade_ref
     assert taylor_star == taylor_ref

@@ -15,10 +15,20 @@ from pade_lab.analysis import (
     transient_growth,
     w_inverse_bound,
 )
-from pade_lab.errors import ClassificationError, ConvergenceError, SizeError
+from pade_lab.errors import (
+    ClassificationError,
+    ConvergenceError,
+    SingularBlockError,
+    SizeError,
+)
 from pade_lab.error_bounds import make_params, theta_max
 from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator
-from pade_lab.system_builder import alternating_signs, build_pade_system, build_taylor_system
+from pade_lab.system_builder import (
+    SCHEMES,
+    alternating_signs,
+    build_pade_system,
+    build_taylor_system,
+)
 
 from conftest import random_contraction, random_hermitian_nsd
 
@@ -63,6 +73,27 @@ class TestSpectralNorm:
         svals = np.linalg.svd(system.dense(), compute_uv=False)
         assert smax == pytest.approx(svals[0], rel=1e-8)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
+
+    def test_exactly_singular_lu_is_typed(self):
+        # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): splu finds an exactly
+        # singular factor of the 615-dimensional system
+        a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5), horizon=30.0)
+        system = build_taylor_system(problem, make_params(12, 9, 1, 30.0, "taylor"))
+        with pytest.raises(SingularBlockError):
+            extreme_singular_values(system.matrix)
+
+    def test_lanczos_no_convergence_is_typed(self, rng, monkeypatch):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
+        with pytest.raises(ConvergenceError):
+            extreme_singular_values(sp.csr_matrix(dense))
 
 
 class TestInverseNormBounds:
@@ -133,27 +164,21 @@ class TestTaylorGrowth:
 
 class TestExplicitInverse:
     def test_zero_matrix(self):
-        from pade_lab.analysis import _dense_w_block
-
-        w = _dense_w_block(np.zeros((2, 2)), 1.0, 1)
+        w = SCHEMES["pade"](1).one_step(np.zeros((2, 2)))
         winv = explicit_w_inverse(np.zeros((2, 2)), 1.0, 1)
         assert np.linalg.norm(w @ winv - np.eye(4), 2) <= 1e-15
 
     def test_scalar_vs_dense(self):
-        from pade_lab.analysis import _dense_w_block
-
         a = np.array([[-1.0]])
         winv = explicit_w_inverse(a, 1.0, 2)
-        dense = np.linalg.inv(_dense_w_block(a, 1.0, 2))
+        dense = np.linalg.inv(SCHEMES["pade"](2).one_step(a))
         assert np.linalg.norm(winv - dense, 2) <= 1e-12
 
     def test_random_vs_dense(self, rng):
-        from pade_lab.analysis import _dense_w_block
-
         for k in (1, 3, 5):
             a = random_contraction(rng, 3, norm=1.4)
             winv = explicit_w_inverse(a, 0.9, k)
-            dense = np.linalg.inv(_dense_w_block(a, 0.9, k))
+            dense = np.linalg.inv(SCHEMES["pade"](k).one_step(a * 0.9))
             assert np.linalg.norm(winv - dense, 2) <= 1e-10 * np.linalg.norm(dense, 2)
 
     def test_signed_contraction_is_propagator(self, rng):

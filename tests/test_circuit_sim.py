@@ -15,7 +15,6 @@ from pade_lab.circuit_sim import (
     build_l_encoding,
     compose,
     hermitian_encoding,
-    identity_encoding,
     primitive_encodings,
     primitive_targets,
     realize_dense,
@@ -33,6 +32,12 @@ def random_hermitian_unit(seed, n=2, shrink=1.3):
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (raw + raw.conj().T) / 2
     return a / (shrink * np.linalg.norm(a, 2))
+
+
+def identity_encoding(n_qubits):
+    dim = 2**n_qubits
+    return BlockEncodingUnitary(np.eye(dim, dtype=complex), 1.0, 0, dim,
+                                CircuitSpec(registers=(Register("n", n_qubits, False),)))
 
 
 def build_target(a, h, m, k):
@@ -174,14 +179,14 @@ class TestRotationConstants:
 
 class TestStageEncodings:
     def test_one_step_stage(self):
-        from pade_lab.analysis import _dense_w_block
         from pade_lab.circuit_sim import build_w_encoding
+        from pade_lab.system_builder import SCHEMES
 
         a = random_hermitian_unit(11)
         enc = hermitian_encoding(a, alpha=1.0)
         stage = build_w_encoding(enc, 1.0, 3)
         assert stage.alpha == 3.0 and stage.ancillas == enc.ancillas + 3
-        residual, ok = verify_block_encoding(stage, _dense_w_block(a, 1.0, 3), 1e-12)
+        residual, ok = verify_block_encoding(stage, SCHEMES["pade"](3).one_step(a * 1.0), 1e-12)
         assert ok, residual
         assert stage.unitarity_defect() <= 1e-12
 

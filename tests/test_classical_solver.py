@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from pade_lab.classical_solver import (
     SolutionBundle,
-    amplitude_lower_bound,
     bundle_from_vector,
-    normalized_distance_bound,
     solve_block_forward,
     solve_dense,
     state_distance,
@@ -220,7 +218,5 @@ class TestStateDistance:
         beta = np.linalg.norm(u - v)
         if np.linalg.norm(v) == 0:
             return
-        assert state_distance(u, v) <= normalized_distance_bound(alpha, beta) + 1e-12
-
-    def test_amplitude_bound(self):
-        assert amplitude_lower_bound(0.8, 0.3) == pytest.approx(0.5)
+        # ||u|| >= alpha and ||u - v|| <= beta bound the normalized distance by 2 beta/alpha
+        assert state_distance(u, v) <= 2.0 * beta / alpha + 1e-12

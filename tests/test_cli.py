@@ -130,6 +130,16 @@ class TestSweepCommands:
         assert lines[0] == "scheme,T,m,k,p,rel_error,kappa,p_succ"
         assert {line.split(",")[0] for line in lines[1:]} == {"pade", "taylor"}
 
+    def test_sweep_m_singular_system_exits_1(self, tmp_path):
+        # the Taylor system at m = 12 has an exactly singular sparse LU
+        a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
+        path = tmp_path / "tri.json"
+        save_problem(OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5),
+                                horizon=30.0), path)
+        code, _ = run(["sweep-m", "--problem", str(path), "--k", "9", "--eps", "1e-10",
+                       "--m-min", "12", "--m-max", "12"])
+        assert code == EXIT_USAGE
+
     def test_random_suite_small(self):
         code, out = run(["random-suite", "--seeds", "2", "--dims", "3",
                          "--t-grid", "1,2", "--eps", "1e-6", "--k", "5"])

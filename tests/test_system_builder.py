@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pade_lab.classical_solver import solve_dense
 from pade_lab.errors import ConsistencyError, DegenerateTargetError
 from pade_lab.error_bounds import make_params
-from pade_lab.pade_core import OdeProblem, pade_propagator, reference_expm
+from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
 from pade_lab.system_builder import (
     build_pade_system,
     build_taylor_system,
@@ -27,6 +30,80 @@ def small_problem(n=2, horizon=1.0, a=None, b=None, x0=None):
     b = np.ones(n) if b is None else b
     x0 = np.arange(1.0, n + 1) if x0 is None else x0
     return OdeProblem(matrix_a=a, vec_b=b, vec_x0=x0, horizon=horizon)
+
+
+def reference_system(problem, params):
+    """Dense block-loop assembly written straight from the block definitions."""
+    n, m, k, p, h = problem.dim, params.steps, params.order, params.padding, params.step_size
+    eye, ah = np.eye(n), problem.matrix_a * h
+    width, term = k + 1, m * (k + 1)
+    dim = n * (term + p)
+    mat = np.zeros((dim, dim), dtype=complex)
+    rhs = np.zeros(dim, dtype=complex)
+
+    def put(i, j, block):
+        mat[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+
+    if params.scheme == "pade":
+        coeffs = pade_coefficients(k, k)
+        beta = coeffs.beta_floats
+        s = 1.0 / np.sqrt(k + 1)
+        coupling = [s * (-1.0) ** (k + 1 - j) for j in range(width)]
+        for step in range(m):
+            off = step * width
+            for j in range(width):
+                put(off, off + j, s * eye)
+            for i in range(1, width):
+                put(off + i, off + i - 1, eye)
+                put(off + i, off + i, beta[k - i] * ah)
+            rhs[(off + k) * n:(off + k + 1) * n] = -float(coeffs.den_coeffs[1]) * h * problem.vec_b
+        put(term, term, s * eye)
+        rhs[:n] = s * problem.vec_x0
+    else:
+        coupling = [-1.0] * width
+        for step in range(m):
+            off = step * width
+            for i in range(width):
+                put(off + i, off + i, eye)
+                if i >= 1:
+                    put(off + i, off + i - 1, -ah / i)
+            rhs[(off + 1) * n:(off + 2) * n] = h * problem.vec_b
+        put(term, term, eye)
+        rhs[:n] = problem.vec_x0
+    for step in range(1, m + 1):  # step m couples into the terminal row
+        for j in range(width):
+            put(step * width, (step - 1) * width + j, coupling[j] * eye)
+    for u in range(1, p):
+        put(term + u, term + u - 1, -eye)
+        put(term + u, term + u, eye)
+    return mat, rhs
+
+
+@given(n=st.integers(1, 4), m=st.integers(1, 5), k=st.integers(1, 11), p=st.integers(1, 4),
+       scheme=st.sampled_from(["pade", "taylor"]),
+       kind=st.sampled_from(["real", "complex", "zero_row", "zero"]),
+       seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.05, 60.0))
+@settings(max_examples=150, deadline=None)
+def test_assembler_matches_block_loop_reference(n, m, k, p, scheme, kind, seed, horizon):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if kind != "real":
+        a = a + 1j * rng.normal(size=(n, n))
+    if kind == "zero_row":
+        a[rng.integers(n)] = 0.0
+    if kind == "zero":
+        a = np.zeros((n, n))
+    problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n) + 1j * rng.normal(size=n),
+                         vec_x0=rng.normal(size=n), horizon=horizon)
+    params = make_params(m, k, p, horizon, scheme)
+    builder = build_pade_system if scheme == "pade" else build_taylor_system
+    system = builder(problem, params)
+    dense, rhs = reference_system(problem, params)
+    want = sp.csr_matrix(dense)
+    assert np.array_equal(system.matrix.indptr, want.indptr)
+    assert np.array_equal(system.matrix.indices, want.indices)
+    assert np.array_equal(system.matrix.data, want.data)
+    assert np.array_equal(system.rhs, rhs)
 
 
 class TestPadeAssembly:
