@@ -62,9 +62,10 @@ def spectral_norm(matrix, method: str = "auto", tol: float = 1e-10, seed: int = 
     rng = np.random.default_rng(seed)
     v = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
     v /= np.linalg.norm(v)
+    m_adj = m.conj().T
     prev = 0.0
     for _ in range(_POWER_MAXITER):
-        w = m.conj().T @ (m @ v)
+        w = m_adj @ (m @ v)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
@@ -84,6 +85,15 @@ def _largest_eigenvalue(op, v0) -> float:
         raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
 
 
+def _largest_gram_eigenvalue(csr, v0) -> float:
+    """Top eigenvalue of M^H M by Lanczos.  The adjoint is built once, here,
+    so that it is freed before the caller factorizes M."""
+    dim = csr.shape[1]
+    adj = csr.conj().T.tocsr()
+    op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=complex)
+    return _largest_eigenvalue(op, v0)
+
+
 def extreme_singular_values(matrix, seed: int = 0) -> tuple[float, float]:
     """(sigma_max, sigma_min) of a sparse or dense operator.
 
@@ -98,10 +108,7 @@ def extreme_singular_values(matrix, seed: int = 0) -> tuple[float, float]:
         csr = matrix.tocsr()
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-
-        top_op = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: csr.conj().T @ (csr @ x), dtype=complex)
-        top = _largest_eigenvalue(top_op, v0)
+        top = _largest_gram_eigenvalue(csr, v0)
         try:
             lu = spla.splu(matrix.tocsc())
         except RuntimeError as exc:  # "Factor is exactly singular"

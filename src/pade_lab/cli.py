@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, error_bounds, experiments
 from .circuit_sim import (
+    UNITARITY_TOL,
     build_l_encoding,
     hermitian_encoding,
     verify_block_encoding,
@@ -201,6 +202,10 @@ def _cmd_circuit_verify(args, stdout):
     nq = int(math.log2(n)) if n > 1 else 0
     if 2**nq != n:
         raise UsageError("--n must be a power of two")
+    if args.m < 1 or args.k1 < 2:
+        raise UsageError("--m must be positive and --k1 at least 2")
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise UsageError("--h must be positive and finite")
     if args.random_a is not None:
         rng = np.random.default_rng(args.random_a)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -221,7 +226,7 @@ def _cmd_circuit_verify(args, stdout):
         residual, _ = verify_block_encoding(stage, target, 1e-10)
         defect = stage.unitarity_defect()
         worst_res, worst_unit = max(worst_res, residual), max(worst_unit, defect)
-        print(f"stage={name} residual={residual:.3e} unitarity={defect:.3e} "
+        print(f"stage={name} residual={residual:.3e} unitarity<={defect:.3e} "
               f"alpha={stage.alpha:.6g} ancillas={stage.ancillas}", file=stdout)
 
     prim_targets = primitive_targets(k, m)
@@ -238,7 +243,7 @@ def _cmd_circuit_verify(args, stdout):
     full = build_l_encoding(enc, args.h, m, k)
     show("L", full, target)
     print(f"final alpha={full.alpha:.6g} ancillas={full.ancillas}", file=stdout)
-    return EXIT_OK if (worst_res <= 1e-10 and worst_unit <= 1e-12) else EXIT_VIOLATION
+    return EXIT_OK if (worst_res <= 1e-10 and worst_unit <= UNITARITY_TOL) else EXIT_VIOLATION
 
 
 def _cmd_sweep_m(args, stdout):
@@ -278,8 +283,7 @@ def _add_system_flags(sub):
     sub.add_argument("--p", type=int, default=1)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pade-lab")
+def _add_global_flags(parser):
     parser.add_argument("--out", default=None,
                         help="output directory for artifacts (PADE_LAB_OUT overrides); "
                              "without it results go to stdout")
@@ -287,6 +291,11 @@ def build_parser() -> _Parser:
                         help="force writing artifacts into the output directory")
     parser.add_argument("--config", default=None, help="key=value preset file")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="pade-lab")
+    _add_global_flags(parser)
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("coeffs")
@@ -354,23 +363,28 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Inject key=value presets from --config before the explicit flags."""
-    if "--config" not in argv:
+    """Inject key=value presets from --config right after the subcommand,
+    before its explicit flags, so that command-line values win."""
+    # the global flags are parsed as the full parser parses them, so a flag's
+    # value (``--out DIR``) is never taken for the subcommand
+    pre = _Parser(prog="pade-lab", add_help=False)
+    _add_global_flags(pre)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None or not known.rest:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
     presets: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(known.config).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise UsageError(f"{known.config}:{number}: expected key=value, got {line!r}")
         presets += [f"--{key.strip()}", value.strip()]
-    # subcommand stays first among positionals; presets come right after it
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-") and tok != path:
-            return argv[: i + 1] + presets + argv[i + 1 :]
-    return argv + presets
+    split = len(argv) - len(known.rest) + 1
+    return argv[:split] + presets + argv[split:]
 
 
 def run_cli(argv=None, stdout=None) -> int:

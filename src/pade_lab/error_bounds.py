@@ -165,8 +165,8 @@ def theta_max(order: int, delta: float) -> float:
     Bracket [0, k+2], 60 fixed iterations (absolute error far below the 1e-4
     contract); the table values stay well below k.
     """
-    if delta <= 0:
-        raise BoundsError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BoundsError(f"delta must be positive and finite, got {delta}")
     k = int(order)
     if k < 1:
         raise InfeasibilityError("order must be >= 1 (order 0 has f/theta -> 1)")
@@ -225,7 +225,7 @@ class SolverParams:
         if self.scheme not in ("pade", "taylor"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.steps < 1 or self.order < 1 or self.padding < 1:
-            raise ValueError("steps, order and padding must be >= 1")
+            raise BoundsError("steps, order and padding must be >= 1")
 
     @property
     def horizon(self) -> float:
@@ -235,6 +235,8 @@ class SolverParams:
 def make_params(steps: int, order: int, padding: int, horizon: float,
                 scheme: str = "pade", delta: float = 0.0) -> SolverParams:
     """SolverParams with step_size = horizon/steps (m*h = T by construction)."""
+    if int(steps) < 1:
+        raise BoundsError(f"steps must be >= 1, got {steps}")
     return SolverParams(steps=int(steps), order=int(order), padding=int(padding),
                         step_size=horizon / int(steps), scheme=scheme, delta=delta)
 

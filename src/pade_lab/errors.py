@@ -92,5 +92,9 @@ class SearchError(PadeLabError):
     """A parameter search exhausted its cap without success."""
 
 
+class ProblemFormatError(PadeLabError):
+    """A problem document is not valid JSON, lacks a field or holds a malformed one."""
+
+
 class UsageError(PadeLabError):
     """Malformed command-line invocation."""

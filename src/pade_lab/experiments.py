@@ -13,7 +13,7 @@ import numpy as np
 
 from .analysis import extreme_singular_values
 from .classical_solver import solve_block_forward
-from .errors import DegenerateTargetError, SearchError
+from .errors import BoundsError, DegenerateTargetError, SearchError
 from .error_bounds import make_params
 from .pade_core import OdeProblem
 from .system_builder import (
@@ -96,9 +96,16 @@ def _solve_rel_error(problem: OdeProblem, scheme: str, m: int, k: int, p: int):
     return float(err), bundle, system
 
 
+def _check_eps(eps: float):
+    # rel_error < eps never holds for eps <= 0 or NaN: the search would run to its cap
+    if not eps > 0:
+        raise BoundsError(f"eps must be positive, got {eps}")
+
+
 def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
                    padding: int = 1, m_cap: int = M_SEARCH_CAP) -> int:
     """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
+    _check_eps(eps)
     def ok(m: int) -> bool:
         err, _, _ = _solve_rel_error(problem, scheme, m, order, padding)
         return err < eps
@@ -121,6 +128,7 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
 def find_min_order(problem: OdeProblem, scheme: str, eps: float,
                    k_cap: int = K_SEARCH_CAP) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
+    _check_eps(eps)
     for k in range(1, k_cap + 1):
         err, _, _ = _solve_rel_error(problem, scheme, 1, k, 1)
         if err < eps:
@@ -186,6 +194,8 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int,
     error and success probability; per-row condition numbers are skipped at
     suite scale and can be recomputed via the analyze subcommand.
     """
+    if not seeds or not horizons:
+        raise SearchError("empty seed or horizon list")
     t0 = time.perf_counter()
     report = SweepReport()
     ones = np.ones(dims)

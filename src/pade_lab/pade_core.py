@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -117,6 +118,13 @@ def pade_coefficients(p: int, q: int) -> PadeCoefficients:
     for name, v in (("p", p), ("q", q)):
         if not isinstance(v, (int, np.integer)) or v < 0 or v > MAX_ORDER:
             raise OrderRangeError(f"order {name}={v} outside [0, {MAX_ORDER}]")
+    return _exact_pade_coefficients(int(p), int(q))
+
+
+# The range check above bounds the keys to (MAX_ORDER + 1)**2 pairs, and the
+# frozen record holds only tuples, so one shared instance per pair is safe.
+@lru_cache(maxsize=None)
+def _exact_pade_coefficients(p: int, q: int) -> PadeCoefficients:
     num = tuple(
         Fraction(factorial(p + q - j) * factorial(p), factorial(p + q) * factorial(j) * factorial(p - j))
         for j in range(p + 1)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pade_core
-from .errors import ConsistencyError, DegenerateTargetError, ShapeError
+from .errors import ConsistencyError, DegenerateTargetError, ProblemFormatError, ShapeError
 from .error_bounds import SolverParams
 from .pade_core import OdeProblem, reference_expm
 
@@ -332,18 +332,28 @@ def _from_entry(e) -> complex:
 
 
 def problem_from_json(doc: dict) -> OdeProblem:
-    n = int(doc["n"])
-    a = np.array([[_from_entry(e) for e in row] for row in doc["a"]], dtype=complex)
-    b = np.array([_from_entry(e) for e in doc["b"]], dtype=complex)
-    x0 = np.array([_from_entry(e) for e in doc["x0"]], dtype=complex)
+    try:
+        n = int(doc["n"])
+        a = np.array([[_from_entry(e) for e in row] for row in doc["a"]], dtype=complex)
+        b = np.array([_from_entry(e) for e in doc["b"]], dtype=complex)
+        x0 = np.array([_from_entry(e) for e in doc["x0"]], dtype=complex)
+        horizon = float(doc["T"])
+    except KeyError as exc:
+        raise ProblemFormatError(f"problem document lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"malformed problem document: {exc}") from exc
     if a.shape != (n, n):
         raise ShapeError(f"matrix shape {a.shape} disagrees with n={n}")
-    return OdeProblem(matrix_a=a, vec_b=b, vec_x0=x0, horizon=float(doc["T"]))
+    return OdeProblem(matrix_a=a, vec_b=b, vec_x0=x0, horizon=horizon)
 
 
 def load_problem(path) -> OdeProblem:
     with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ProblemFormatError(f"{path}: not a JSON problem document: {exc}") from exc
+    return problem_from_json(doc)
 
 
 def save_problem(problem: OdeProblem, path):

@@ -6,6 +6,7 @@ import pytest
 from pade_lab.circuit_sim import (
     THETA_1,
     THETA_2,
+    UNITARITY_TOL,
     ZETA,
     BlockEncodingUnitary,
     CircuitSpec,
@@ -71,6 +72,57 @@ class TestGateMachinery:
         spec = CircuitSpec(registers=(Register("big", 13, False),))
         with pytest.raises(SizeError):
             realize_dense(spec)
+
+
+def random_stage(seed, nq):
+    """Seeded gate list over nq wires: H, X, controlled RY and one UCRY."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(3 * nq):
+        wire = int(rng.integers(nq))
+        kind = rng.choice(["H", "X", "RY"])
+        others = [w for w in range(nq) if w != wire]
+        controls = ((int(rng.choice(others)), int(rng.integers(2))),) if others else ()
+        gates.append(GateOp(str(kind), (wire,), controls=controls,
+                            angle=float(rng.uniform(0, 2 * math.pi)) if kind == "RY" else None))
+    if nq > 1:
+        gates.append(GateOp("UCRY", (0,), angles=tuple(rng.uniform(0, 2 * math.pi, 2)),
+                            selector=(nq - 1,)))
+    return CircuitSpec(registers=(Register("n", nq, False),), gates=gates)
+
+
+def svd_defect(u):
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+
+
+class TestUnitarityCertificate:
+    @pytest.mark.parametrize("nq", [1, 3, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounds_svd_norm_with_same_verdict(self, seed, nq):
+        u = realize_dense(random_stage(seed, nq))
+        rng = np.random.default_rng(100 + seed)
+        noise = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+        noise /= np.linalg.norm(noise, 2)
+        for scale in (0.0, 1e-15, 1e-14, 1e-13, 4e-13, 1e-12, 1e-11):
+            enc = BlockEncodingUnitary(u + scale * noise, 1.0, 0, 2**nq)
+            exact = svd_defect(enc.unitary)
+            defect = enc.unitarity_defect()
+            assert defect >= exact * (1.0 - 4 * np.finfo(float).eps)
+            assert (defect <= UNITARITY_TOL) == (exact <= UNITARITY_TOL)
+            if defect > UNITARITY_TOL:
+                assert defect == exact
+
+    @pytest.mark.parametrize("eps,passes", [(0.9e-12, True), (2e-12, False)])
+    def test_frobenius_miss_falls_back_to_exact_norm(self, eps, passes):
+        u = np.diag(np.full(16, math.sqrt(1.0 + eps))).astype(complex)
+        enc = BlockEncodingUnitary(u, 1.0, 0, 16)
+        frobenius = np.linalg.norm(u.conj().T @ u - np.eye(16))
+        assert frobenius == pytest.approx(4 * eps, rel=1e-3)
+        assert frobenius > UNITARITY_TOL
+        defect = enc.unitarity_defect()
+        assert defect == svd_defect(u)
+        assert defect == pytest.approx(eps, rel=1e-3)
+        assert (defect <= UNITARITY_TOL) is passes
 
 
 class TestPrimitives:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pade_lab.cli import EXIT_OK, EXIT_USAGE, run_cli
 from pade_lab.pade_core import OdeProblem
@@ -161,3 +163,138 @@ class TestConfig:
         code, out = run(["--config", str(cfg), "theta-table", "--kmax", "6"])
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 3
+
+
+class TestBadInput:
+    """Inputs that once escaped run_cli with a traceback or a wrong message."""
+
+    def test_config_without_file(self):
+        code, _ = run(["theta-table", "--config"])
+        assert code == EXIT_USAGE
+        code, _ = run(["--config"])
+        assert code == EXIT_USAGE
+
+    def test_config_after_out_value(self, tmp_path):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text("kmin=5\nkmax=5\n")
+        out_dir = tmp_path / "o"
+        code, _ = run(["--out", str(out_dir), "--config", str(cfg), "theta-table"])
+        assert code == EXIT_OK
+        assert (out_dir / "theta_table.csv").read_text().splitlines()[1:] == ["5,1.4944"]
+
+    def test_config_line_without_value(self, tmp_path, capsys):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text("kmin\n")
+        code, _ = run(["--config", str(cfg), "theta-table"])
+        assert code == EXIT_USAGE
+        assert "expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "a", "b", "x0", "T"])
+    def test_problem_without_key(self, problem_file, key, capsys):
+        doc = json.loads(problem_file.read_text())
+        del doc[key]
+        problem_file.write_text(json.dumps(doc))
+        code, _ = run(["solve", "--problem", str(problem_file), "--m", "1", "--k", "3"])
+        assert code == EXIT_USAGE
+        assert f"lacks the key '{key}'" in capsys.readouterr().err
+
+    def test_truncated_problem(self, problem_file, capsys):
+        text = problem_file.read_text()
+        problem_file.write_text(text[: len(text) // 2])
+        code, _ = run(["solve", "--problem", str(problem_file), "--m", "1", "--k", "3"])
+        assert code == EXIT_USAGE
+        assert "not a JSON problem document" in capsys.readouterr().err
+
+    def test_zero_steps(self, problem_file, capsys):
+        code, _ = run(["solve", "--problem", str(problem_file), "--m", "0", "--k", "3"])
+        assert code == EXIT_USAGE
+        assert "steps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--k1", "1"), ("--h", "nan"),
+                                            ("--h", "1e400"), ("--h", "0")])
+    def test_circuit_verify_bad_step(self, flag, value, capsys):
+        code, _ = run(["circuit-verify", "--n", "1", "--m", "1", "--k1", "2", flag, value])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    def test_empty_random_suite(self, capsys):
+        code, _ = run(["random-suite", "--seeds", "0", "--dims", "2", "--t-grid", "1"])
+        assert code == EXIT_USAGE
+        assert "empty seed" in capsys.readouterr().err
+
+    def test_delta_nan(self, capsys):
+        code, _ = run(["theta-table", "--delta", "nan", "--kmin", "5", "--kmax", "5"])
+        assert code == EXIT_USAGE
+        assert "delta must be positive and finite" in capsys.readouterr().err
+
+
+# Each subcommand's flags, and flags that keep a run with otherwise valid
+# defaults small; the drawn tokens come after them and win.
+_FLAGS = {
+    "coeffs": ["--k", "--p", "--q"],
+    "theta-table": ["--delta", "--kmin", "--kmax"],
+    "build": ["--problem", "--scheme", "--m", "--k", "--p", "--name"],
+    "solve": ["--problem", "--scheme", "--m", "--k", "--p"],
+    "analyze": ["--problem", "--scheme", "--m", "--k", "--p", "--dim-cap"],
+    "verify-bounds": ["--suite", "--seeds"],
+    "circuit-verify": ["--n", "--m", "--k1", "--h", "--random-a"],
+    "sweep-m": ["--problem", "--k", "--eps", "--m-min", "--m-max", "--p", "--no-kappa"],
+    "sweep-k": ["--problem", "--eps"],
+    "random-suite": ["--seeds", "--dims", "--t-grid", "--eps", "--k"],
+}
+_SMALL = {
+    "theta-table": ["--kmin", "5", "--kmax", "6"],
+    "verify-bounds": ["--seeds", "1"],
+    "circuit-verify": ["--n", "1", "--m", "1", "--k1", "2"],
+    "sweep-m": ["--m-max", "2"],
+    "random-suite": ["--seeds", "1", "--dims", "2", "--t-grid", "1", "--k", "3"],
+}
+_VALUES = ["0", "-1", "1", "nan", "1e400", "x", ""]
+_FILES = ["ok.json", "no_t.json", "truncated.json", "missing.json", "good.cfg", "bad.cfg",
+          "missing.cfg"]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    problem = OdeProblem(matrix_a=-np.eye(2), vec_b=np.ones(2), vec_x0=np.ones(2),
+                         horizon=1.0)
+    save_problem(problem, root / "ok.json")
+    text = (root / "ok.json").read_text()
+    (root / "truncated.json").write_text(text[: len(text) // 2])
+    doc = json.loads(text)
+    del doc["T"]
+    (root / "no_t.json").write_text(json.dumps(doc))
+    (root / "good.cfg").write_text("kmin=5\nkmax=5\n")
+    (root / "bad.cfg").write_text("kmin\n")
+    return root
+
+
+@st.composite
+def argvs(draw, root):
+    values = st.sampled_from(_VALUES + [str(root / name) for name in _FILES])
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(["--out", "--config", "--seed", "--write"]),
+                              max_size=2)):
+        argv += [flag] if flag == "--write" else [flag, draw(values)]
+    command = draw(st.sampled_from(sorted(_FLAGS) + [None]))
+    if command is not None:
+        argv += [command] + _SMALL.get(command, [])
+        flags = st.sampled_from(_FLAGS[command] + ["--config", "--out"])
+        for flag, value, with_value in draw(st.lists(st.tuples(flags, values, st.booleans()),
+                                                     max_size=5)):
+            argv += [flag, value] if with_value else [flag]
+    return argv
+
+
+class TestArgvProperty:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_argv_never_escapes(self, data, argv_files, monkeypatch, capsys):
+        monkeypatch.delenv("PADE_LAB_OUT", raising=False)
+        monkeypatch.chdir(argv_files)
+        argv = data.draw(argvs(argv_files))
+        code, _ = run(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
