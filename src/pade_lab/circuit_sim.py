@@ -11,6 +11,7 @@ normalization.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ UNITARITY_TOL = 1e-12
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_FIXED_GATES = {"H": _H, "X": _X, "Z": _Z, "NEGZ": -_Z}
 
 
 def ry_matrix(angle: float) -> np.ndarray:
@@ -138,14 +140,8 @@ def realize_dense(spec: CircuitSpec) -> np.ndarray:
         raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
     op = np.eye(2**nq, dtype=complex)
     for g in spec.gates:
-        if g.kind == "H":
-            op = _apply(op, _H, g.targets, nq, g.controls)
-        elif g.kind == "X":
-            op = _apply(op, _X, g.targets, nq, g.controls)
-        elif g.kind == "Z":
-            op = _apply(op, _Z, g.targets, nq, g.controls)
-        elif g.kind == "NEGZ":
-            op = _apply(op, -_Z, g.targets, nq, g.controls)
+        if g.kind in _FIXED_GATES:
+            op = _apply(op, _FIXED_GATES[g.kind], g.targets, nq, g.controls)
         elif g.kind == "RY":
             op = _apply(op, ry_matrix(g.angle), g.targets, nq, g.controls)
         elif g.kind == "ADD":
@@ -225,11 +221,15 @@ def _qubits_for(value: int, what: str) -> int:
     return q
 
 
+def _encode(spec: CircuitSpec, alpha: float, target_dim: int) -> BlockEncodingUnitary:
+    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim, spec)
+
+
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:
     """(1,1)-encoding of the zero matrix: an X on the ancilla moves everything out."""
     spec = CircuitSpec(registers=(Register("a", 1, True), Register("n", n_qubits, False)),
                        gates=[GateOp("X", (0,))])
-    return BlockEncodingUnitary(realize_dense(spec), 1.0, 1, 2**n_qubits, spec)
+    return _encode(spec, 1.0, 2**n_qubits)
 
 
 def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUnitary:
@@ -378,76 +378,99 @@ def primitive_targets(order: int, steps: int) -> dict[str, np.ndarray]:
     }
 
 
-def _spec(regs, gates, opaques=None) -> CircuitSpec:
-    return CircuitSpec(registers=tuple(regs), gates=list(gates), opaques=opaques or {})
+# One gate emitter per primitive block appends its gates under the extra
+# controls ``c``: () for the standalone encodings, the combination controls in
+# the stages.  The block is projected on |0> of ``flag``.
+
+def _emit_m1(g, flag, kw, k, c=()):
+    """Shift: flag the last slot, whose wrap-around leaves the block, then increment."""
+    g(GateOp("X", (flag,), c + tuple((q, 1) for q in kw)))
+    g(GateOp("ADD", tuple(kw), c))
 
 
-def _enc_from_spec(spec: CircuitSpec, alpha: float, ancillas: int, target_dim: int):
-    return BlockEncodingUnitary(realize_dense(spec), alpha, ancillas, target_dim, spec)
+def _emit_m2(g, flag, kw, k, c=()):
+    """Summation row: a uniform superposition kept only on the first slot."""
+    g(GateOp("X", (flag,), c))
+    for q in kw:
+        g(GateOp("H", (q,), c))
+    g(GateOp("X", (flag,), c + tuple((q, 0) for q in kw)))
 
 
-def primitive_encodings(order: int, steps: int, a_encoding: BlockEncodingUnitary | None = None,
-                        step_h: float = 1.0) -> dict[str, BlockEncodingUnitary]:
-    """Standalone (1,1)-encodings of the seven primitive blocks.
+def _emit_m3(g, flag, kw, k, c=()):
+    """Ratio diagonal: one rotation per slot, cos(angle/2) the diagonal entry."""
+    diag = np.diag(SCHEMES["pade"](k).b1)
+    g(GateOp("UCRY", (flag,), c, angles=tuple(2.0 * math.acos(v) for v in diag),
+             selector=tuple(kw)))
 
-    Register sizes must be powers of two.  ``a_encoding``/``step_h`` only
-    gate the preconditions here; the coupling into the matrix itself happens
-    in :func:`build_l_encoding`.
-    """
+
+def _emit_m4(g, flag, pw, k, c=()):
+    """Negated shift of the padding chain."""
+    g(GateOp("X", (flag,), c + tuple((q, 1) for q in pw)))
+    g(GateOp("NEGZ", (flag,), c))
+    g(GateOp("ADD", tuple(pw), c))
+
+
+def _emit_m5(g, flag, pw, k, c=()):
+    """Padding diagonal: 1/sqrt(k+1) on the first slot, 1 elsewhere."""
+    theta0 = 2.0 * math.acos(1.0 / math.sqrt(k + 1))
+    g(GateOp("RY", (flag,), c + tuple((q, 0) for q in pw), angle=theta0))
+
+
+def _emit_m6(g, flag, kw, k, c=()):
+    """Coupling row: the summation row with alternating signs."""
+    g(GateOp("X", (flag,), c))
+    for q in kw:
+        g(GateOp("H", (q,), c))
+    g(GateOp("X", (kw[-1],), c))
+    g(GateOp("X", (flag,), c + tuple((q, 0) for q in kw)))
+
+
+def _emit_m7(g, flag, sw, k, c=()):
+    """First-half selector: keeps the slots whose top wire is clear."""
+    g(GateOp("X", (flag,), c + ((sw[0], 1),)))
+
+
+#: Primitive name -> (register it acts on, gate emitter).
+_PRIMITIVES = {
+    "m1": ("k", _emit_m1), "m2": ("k", _emit_m2), "m3": ("k", _emit_m3),
+    "m4": ("p", _emit_m4), "m5": ("p", _emit_m5), "m6": ("k", _emit_m6),
+    "m7": ("s", _emit_m7),
+}
+
+#: Register order of every stage; the first six are ancillas.
+_LAYOUT = ("lcu", "scale", "w1", "w2", "flag", "d", "top", "m", "k", "n")
+
+
+class _Stage:
+    """A stage circuit over ``_LAYOUT`` registers, each of width 0 left out
+    (its ``wires`` entry is empty); a scale wire joins when ``scale > 1`` and
+    carries :meth:`scale_rot`."""
+
+    def __init__(self, scale: float = 1.0, opaques=None, **widths):
+        widths["scale"] = int(scale > 1.0)
+        regs = [Register(r, widths[r], r in _LAYOUT[:6]) for r in _LAYOUT if widths.get(r)]
+        self.spec = CircuitSpec(registers=tuple(regs), opaques=opaques or {})
+        self.g, self.scale = self.spec.gates.append, scale
+        self.wires = defaultdict(list, {r.name: self.spec.wires(r.name) for r in regs})
+
+    def scale_rot(self, controls):
+        """Rotation that divides the branch under ``controls`` by ``scale``."""
+        if self.scale > 1.0:
+            phi = 2.0 * math.acos(1.0 / self.scale)
+            self.g(GateOp("RY", (self.wires["scale"][0],), tuple(controls), angle=phi))
+
+
+def primitive_encodings(order: int, steps: int) -> dict[str, BlockEncodingUnitary]:
+    """Standalone (1,1)-encodings of the seven primitive blocks (power-of-two sizes)."""
     k, m = int(order), int(steps)
     kq = _qubits_for(k + 1, "k+1")
     mq = _qubits_for(m, "m")
-    if step_h <= 0:
-        raise LayoutError("step size must be positive")
-    if a_encoding is not None:
-        # a valid encoding always dominates its block: ||projection|| <= 1
-        if np.linalg.norm(a_encoding.projection, 2) > 1.0 + 1e-12:
-            raise CompositionError("a_encoding normalization below its encoded block")
+    widths = {"k": kq, "p": mq + kq, "s": 1 + mq}
     out: dict[str, BlockEncodingUnitary] = {}
-
-    flag, reg0 = 0, 1
-    kw = list(range(reg0, reg0 + kq))
-    out["m1"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("k", kq, False)],
-              [GateOp("X", (flag,), tuple((q, 1) for q in kw)),
-               GateOp("ADD", tuple(kw))]),
-        1.0, 1, k + 1)
-    out["m2"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("k", kq, False)],
-              [GateOp("X", (flag,)),
-               *[GateOp("H", (q,)) for q in kw],
-               GateOp("X", (flag,), tuple((q, 0) for q in kw))]),
-        1.0, 1, k + 1)
-    diag = np.diag(SCHEMES["pade"](k).b1)
-    out["m3"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("k", kq, False)],
-              [GateOp("UCRY", (flag,), angles=tuple(2.0 * math.acos(v) for v in diag),
-                      selector=tuple(kw))]),
-        1.0, 1, k + 1)
-    pw = list(range(reg0, reg0 + mq + kq))
-    out["m4"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("p", mq + kq, False)],
-              [GateOp("X", (flag,), tuple((q, 1) for q in pw)),
-               GateOp("NEGZ", (flag,)),
-               GateOp("ADD", tuple(pw))]),
-        1.0, 1, m * (k + 1))
-    theta0 = 2.0 * math.acos(1.0 / math.sqrt(k + 1))
-    out["m5"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("p", mq + kq, False)],
-              [GateOp("RY", (flag,), tuple((q, 0) for q in pw), angle=theta0)]),
-        1.0, 1, m * (k + 1))
-    out["m6"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("k", kq, False)],
-              [GateOp("X", (flag,)),
-               *[GateOp("H", (q,)) for q in kw],
-               GateOp("X", (kw[-1],)),
-               GateOp("X", (flag,), tuple((q, 0) for q in kw))]),
-        1.0, 1, k + 1)
-    sw = list(range(reg0, reg0 + 1 + mq))
-    out["m7"] = _enc_from_spec(
-        _spec([Register("flag", 1, True), Register("s", 1 + mq, False)],
-              [GateOp("X", (flag,), ((sw[0], 1),))]),
-        1.0, 1, 2 * m)
+    for name, (reg, emit) in _PRIMITIVES.items():
+        spec = CircuitSpec(registers=(Register("flag", 1, True), Register(reg, widths[reg], False)))
+        emit(spec.gates.append, 0, spec.wires(reg), k)
+        out[name] = _encode(spec, 1.0, 2 ** widths[reg])
     return out
 
 
@@ -465,103 +488,52 @@ def _normalized_a(a_encoding: BlockEncodingUnitary, step_h: float):
     above it the surrounding stages must carry the residual factor `scale`.
     """
     alpha_h = a_encoding.alpha * step_h
-    ua = a_encoding.unitary
-    width = a_encoding.ancillas
+    ua, width = a_encoding.unitary, a_encoding.ancillas
     if alpha_h < 1.0 - 1e-12:
-        ua = np.kron(ry_matrix(2.0 * math.acos(alpha_h)), ua)
-        return ua, width + 1, 1.0
-    if alpha_h > 1.0 + 1e-12:
-        return ua, width, alpha_h
-    return ua, width, 1.0
+        return np.kron(ry_matrix(2.0 * math.acos(alpha_h)), ua), width + 1, 1.0
+    return ua, width, alpha_h if alpha_h > 1.0 + 1e-12 else 1.0
 
 
-def _emit_one_step_branch(g, w1, w2, flag, dw, kw, nw, k, base, scale_rot):
+def _one_step_branch(st: _Stage, k: int, base):
     """Three-term combination for one step block: shift, summation row, ratios*A."""
-    g(GateOp("Z", (w1,), base))
-    g(GateOp("RY", (w1,), base, angle=ZETA))
-    g(GateOp("H", (w2,), base))
-    scale_rot(base + ((w1, 0),))  # the two A-free terms carry 1/(alpha h)
-    c_m1 = base + ((w1, 0), (w2, 0))
-    g(GateOp("X", (flag,), c_m1 + tuple((q, 1) for q in kw)))
-    g(GateOp("ADD", tuple(kw), c_m1))
-    c_m2 = base + ((w1, 0), (w2, 1))
-    g(GateOp("X", (flag,), c_m2))
-    for q in kw:
-        g(GateOp("H", (q,), c_m2))
-    g(GateOp("X", (flag,), c_m2 + tuple((q, 0) for q in kw)))
-    c_m3 = base + ((w1, 1),)
-    diag = np.diag(SCHEMES["pade"](k).b1)
-    g(GateOp("UCRY", (flag,), c_m3, angles=tuple(2.0 * math.acos(v) for v in diag),
-             selector=tuple(kw)))
-    g(GateOp("OPAQUE", tuple(dw + nw), c_m3, label="U_A"))
-    g(GateOp("Z", (w1,), base))
-    g(GateOp("RY", (w1,), base, angle=ZETA))
-    g(GateOp("H", (w2,), base))
+    w1, w2, flag = (st.wires[r][0] for r in ("w1", "w2", "flag"))
+    kw = st.wires["k"]
+    prepare = (GateOp("Z", (w1,), base), GateOp("RY", (w1,), base, angle=ZETA),
+               GateOp("H", (w2,), base))
+    for op in prepare:
+        st.g(op)
+    st.scale_rot(base + ((w1, 0),))  # the two A-free terms carry 1/(alpha h)
+    _emit_m1(st.g, flag, kw, k, base + ((w1, 0), (w2, 0)))
+    _emit_m2(st.g, flag, kw, k, base + ((w1, 0), (w2, 1)))
+    _emit_m3(st.g, flag, kw, k, base + ((w1, 1),))
+    st.g(GateOp("OPAQUE", tuple(st.wires["d"] + st.wires["n"]), base + ((w1, 1),), label="U_A"))
+    for op in prepare:
+        st.g(op)
 
 
-def _emit_padding_branch(g, w1, w2, flag, pw, k, base, scale_rot):
+def _padding_branch(st: _Stage, k: int, base):
     """Two-term combination for the padding chain, raised from 2 to 3."""
-    scale_rot(base)
-    g(GateOp("RY", (w1,), base, angle=THETA_1))
-    g(GateOp("H", (w2,), base))
-    c_m5 = base + ((w2, 0),)
-    theta0 = 2.0 * math.acos(1.0 / math.sqrt(k + 1))
-    g(GateOp("RY", (flag,), c_m5 + tuple((q, 0) for q in pw), angle=theta0))
-    c_m4 = base + ((w2, 1),)
-    g(GateOp("X", (flag,), c_m4 + tuple((q, 1) for q in pw)))
-    g(GateOp("NEGZ", (flag,), c_m4))
-    g(GateOp("ADD", tuple(pw), c_m4))
-    g(GateOp("H", (w2,), base))
+    w1, w2, flag = (st.wires[r][0] for r in ("w1", "w2", "flag"))
+    pw = st.wires["m"] + st.wires["k"]
+    st.scale_rot(base)
+    st.g(GateOp("RY", (w1,), base, angle=THETA_1))
+    st.g(GateOp("H", (w2,), base))
+    _emit_m5(st.g, flag, pw, k, base + ((w2, 0),))
+    _emit_m4(st.g, flag, pw, k, base + ((w2, 1),))
+    st.g(GateOp("H", (w2,), base))
 
 
-def _emit_coupling_branch(g, w1, flag, top, mw, kw, base, scale_rot):
+def _coupling_branch(st: _Stage, k: int, base):
     """Step coupling: select the first half and the signed row, then increment.
 
     The selection must run before the cyclic increment; the reversed order
     would park a spurious coupling block in the wrap-around corner.
     """
-    scale_rot(base)
-    g(GateOp("X", (w1,), base + ((top, 1),)))
-    g(GateOp("X", (flag,), base))
-    for q in kw[:-1]:
-        g(GateOp("H", (q,), base))
-    g(GateOp("H", (kw[-1],), base))
-    g(GateOp("X", (kw[-1],), base))
-    g(GateOp("X", (flag,), base + tuple((q, 0) for q in kw)))
-    g(GateOp("ADD", tuple([top] + mw), base))
-
-
-def _stage_spec(a_width: int, mq: int, kq: int, nq_n: int, scale: float,
-                with_top: bool, with_w2: bool = True, opaques=None):
-    regs = []
-    if scale > 1.0:
-        regs.append(Register("scale", 1, True))
-    regs.append(Register("w1", 1, True))
-    if with_w2:
-        regs.append(Register("w2", 1, True))
-    regs.append(Register("flag", 1, True))
-    if a_width:
-        regs.append(Register("d", a_width, True))
-    if with_top:
-        regs.append(Register("top", 1, False))
-    if mq:
-        regs.append(Register("m", mq, False))
-    regs.append(Register("k", kq, False))
-    if nq_n:
-        regs.append(Register("n", nq_n, False))
-    return CircuitSpec(registers=tuple(regs), opaques=opaques or {})
-
-
-def _scale_rot_fn(spec: CircuitSpec, scale: float):
-    if scale <= 1.0:
-        return lambda controls: None
-    qs = spec.wires("scale")[0]
-    phi = 2.0 * math.acos(1.0 / scale)
-
-    def rot(controls):
-        spec.gates.append(GateOp("RY", (qs,), tuple(controls), angle=phi))
-
-    return rot
+    sw = st.wires["top"] + st.wires["m"]
+    st.scale_rot(base)
+    _emit_m7(st.g, st.wires["w1"][0], sw, k, base)
+    _emit_m6(st.g, st.wires["flag"][0], st.wires["k"], k, base)
+    st.g(GateOp("ADD", tuple(sw), base))
 
 
 def build_w_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
@@ -571,14 +543,9 @@ def build_w_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     kq = _qubits_for(k + 1, "k+1")
     nq_n = _qubits_for(a_encoding.target_dim, "n")
     ua, a_width, scale = _normalized_a(a_encoding, step_h)
-    spec = _stage_spec(a_width, 0, kq, nq_n, scale, with_top=False, opaques={"U_A": ua})
-    w1, w2, flag = spec.wires("w1")[0], spec.wires("w2")[0], spec.wires("flag")[0]
-    dw = spec.wires("d") if a_width else []
-    kw, nw = spec.wires("k"), spec.wires("n") if nq_n else []
-    _emit_one_step_branch(spec.gates.append, w1, w2, flag, dw, kw, nw, k, (),
-                          _scale_rot_fn(spec, scale))
-    return BlockEncodingUnitary(realize_dense(spec), 3.0 * scale, spec.ancilla_qubits,
-                                (k + 1) * a_encoding.target_dim, spec)
+    st = _Stage(scale, {"U_A": ua}, w1=1, w2=1, flag=1, d=a_width, k=kq, n=nq_n)
+    _one_step_branch(st, k, ())
+    return _encode(st.spec, 3.0 * scale, (k + 1) * a_encoding.target_dim)
 
 
 def build_b_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodingUnitary:
@@ -586,13 +553,9 @@ def build_b_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodin
     k, m = int(order), int(steps)
     kq = _qubits_for(k + 1, "k+1")
     mq = _qubits_for(m, "m")
-    spec = _stage_spec(0, mq, kq, 0, scale, with_top=False)
-    w1, w2, flag = spec.wires("w1")[0], spec.wires("w2")[0], spec.wires("flag")[0]
-    pw = (spec.wires("m") if mq else []) + spec.wires("k")
-    _emit_padding_branch(spec.gates.append, w1, w2, flag, pw, k, (),
-                         _scale_rot_fn(spec, scale))
-    return BlockEncodingUnitary(realize_dense(spec), 3.0 * scale, spec.ancilla_qubits,
-                                m * (k + 1), spec)
+    st = _Stage(scale, w1=1, w2=1, flag=1, m=mq, k=kq)
+    _padding_branch(st, k, ())
+    return _encode(st.spec, 3.0 * scale, m * (k + 1))
 
 
 def build_coupling_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodingUnitary:
@@ -600,14 +563,9 @@ def build_coupling_encoding(order: int, steps: int, scale: float = 1.0) -> Block
     k, m = int(order), int(steps)
     kq = _qubits_for(k + 1, "k+1")
     mq = _qubits_for(m, "m")
-    spec = _stage_spec(0, mq, kq, 0, scale, with_top=True, with_w2=False)
-    w1, flag = spec.wires("w1")[0], spec.wires("flag")[0]
-    top = spec.wires("top")[0]
-    mw = spec.wires("m") if mq else []
-    _emit_coupling_branch(spec.gates.append, w1, flag, top, mw, spec.wires("k"), (),
-                          _scale_rot_fn(spec, scale))
-    return BlockEncodingUnitary(realize_dense(spec), scale, spec.ancilla_qubits,
-                                2 * m * (k + 1), spec)
+    st = _Stage(scale, w1=1, flag=1, top=1, m=mq, k=kq)
+    _coupling_branch(st, k, ())
+    return _encode(st.spec, scale, 2 * m * (k + 1))
 
 
 def coupling_target(order: int, steps: int) -> np.ndarray:
@@ -633,36 +591,14 @@ def build_l_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     sys_dim = a_encoding.target_dim
     nq_n = _qubits_for(sys_dim, "n")
     ua, a_width, scale = _normalized_a(a_encoding, step_h)
-
-    regs = [Register("lcu", 1, True)]
-    if scale > 1.0:
-        regs.append(Register("scale", 1, True))
-    regs += [Register("w1", 1, True), Register("w2", 1, True), Register("flag", 1, True)]
-    if a_width:
-        regs.append(Register("d", a_width, True))
-    regs += [Register("top", 1, False), Register("m", mq, False),
-             Register("k", kq, False), Register("n", nq_n, False)]
-    spec = CircuitSpec(registers=tuple(regs), opaques={"U_A": ua})
-    if spec.total_qubits > QUBIT_BUDGET:
-        raise SizeError(f"{spec.total_qubits} qubits exceed the desk budget {QUBIT_BUDGET}")
-
-    lcu = spec.wires("lcu")[0]
-    w1, w2, flag = spec.wires("w1")[0], spec.wires("w2")[0], spec.wires("flag")[0]
-    dw = spec.wires("d") if a_width else []
-    top = spec.wires("top")[0]
-    mw, kw = spec.wires("m"), spec.wires("k")
-    nw = spec.wires("n") if nq_n else []
-    g = spec.gates.append
-    scale_rot = _scale_rot_fn(spec, scale)
-
-    g(GateOp("Z", (lcu,)))
-    g(GateOp("RY", (lcu,), angle=THETA_2))
-    _emit_one_step_branch(g, w1, w2, flag, dw, kw, nw, k, ((lcu, 0), (top, 0)), scale_rot)
-    _emit_padding_branch(g, w1, w2, flag, mw + kw, k, ((lcu, 0), (top, 1)), scale_rot)
-    _emit_coupling_branch(g, w1, flag, top, mw, kw, ((lcu, 1),), scale_rot)
-    g(GateOp("Z", (lcu,)))
-    g(GateOp("RY", (lcu,), angle=THETA_2))
-
-    ancillas = spec.ancilla_qubits
-    return BlockEncodingUnitary(realize_dense(spec), 4.0 * scale, ancillas,
-                                2 * m * (k + 1) * sys_dim, spec)
+    st = _Stage(scale, {"U_A": ua}, lcu=1, w1=1, w2=1, flag=1, d=a_width,
+                top=1, m=mq, k=kq, n=nq_n)
+    lcu, top = st.wires["lcu"][0], st.wires["top"][0]
+    st.g(GateOp("Z", (lcu,)))
+    st.g(GateOp("RY", (lcu,), angle=THETA_2))
+    _one_step_branch(st, k, ((lcu, 0), (top, 0)))
+    _padding_branch(st, k, ((lcu, 0), (top, 1)))
+    _coupling_branch(st, k, ((lcu, 1),))
+    st.g(GateOp("Z", (lcu,)))
+    st.g(GateOp("RY", (lcu,), angle=THETA_2))
+    return _encode(st.spec, 4.0 * scale, 2 * m * (k + 1) * sys_dim)

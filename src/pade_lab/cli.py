@@ -206,6 +206,8 @@ def _cmd_circuit_verify(args, stdout):
         raise UsageError("--m must be positive and --k1 at least 2")
     if not (math.isfinite(args.h) and args.h > 0):
         raise UsageError("--h must be positive and finite")
+    if args.random_a is not None and args.random_a < 0:
+        raise UsageError("--random-a must be a non-negative seed")
     if args.random_a is not None:
         rng = np.random.default_rng(args.random_a)
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -263,7 +265,13 @@ def _cmd_sweep_k(args, stdout):
 
 
 def _cmd_random_suite(args, stdout):
-    horizons = [float(t) for t in args.t_grid.split(",")]
+    if args.dims < 1:
+        raise UsageError("--dims must be at least 1")
+    try:
+        horizons = [float(t) for t in args.t_grid.split(",")]
+    except ValueError:
+        raise UsageError("--t-grid must be comma-separated numbers, "
+                         f"got {args.t_grid!r}") from None
     report = experiments.random_suite_m_star(
         args.dims, range(args.seed, args.seed + args.seeds), horizons,
         args.eps, args.k)

@@ -6,14 +6,13 @@ invocations reproduce bit-identical reports.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import extreme_singular_values
 from .classical_solver import solve_block_forward
-from .errors import BoundsError, DegenerateTargetError, SearchError
+from .errors import BoundsError, DegenerateTargetError, SearchError, SingularBlockError
 from .error_bounds import make_params
 from .pade_core import OdeProblem
 from .system_builder import (
@@ -51,17 +50,9 @@ CSV_HEADER = "scheme,T,m,k,p,rel_error,kappa,p_succ"
 class SweepReport:
     rows: list[SweepRow] = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [r.csv() for r in self.rows]) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [r.__dict__ for r in self.rows],
-            "aggregate": self.aggregate,
-            "metadata": self.metadata,
-        }
 
 
 def random_stable_matrix(dim: int, seed: int, unit_norm: bool = False) -> np.ndarray:
@@ -139,39 +130,39 @@ def find_min_order(problem: OdeProblem, scheme: str, eps: float,
 def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
             padding: int = 1, schemes=("pade", "taylor"),
             with_kappa: bool = True) -> SweepReport:
-    """Relative error, condition number and success probability over a step grid."""
+    """Relative error, condition number and success probability over a step grid.
+
+    kappa is NaN without ``with_kappa`` and for an exactly singular system.
+    """
     m_list = sorted(set(int(m) for m in m_range))
     if not m_list:
         raise SearchError("empty step range")
-    t0 = time.perf_counter()
     report = SweepReport()
     m_star: dict[str, int | None] = {}
     for scheme in schemes:
         best = None
         for m in m_list:
             err, bundle, system = _solve_rel_error(problem, scheme, m, order, padding)
+            kappa = float("nan")
             if with_kappa:
-                smax, smin = extreme_singular_values(system.matrix)
-                kappa = smax / smin
-            else:
-                kappa = float("nan")
+                try:
+                    smax, smin = extreme_singular_values(system.matrix)
+                except SingularBlockError:
+                    pass  # an exactly singular system has no finite kappa
+                else:
+                    kappa = smax / smin
             report.rows.append(SweepRow(scheme, problem.horizon, m, order, padding,
                                         err, kappa, bundle.p_succ))
             if best is None and err < eps:
                 best = m
         m_star[scheme] = best
     report.aggregate = {"m_star": m_star}
-    report.metadata = {
-        "eps": eps, "order": order, "padding": padding,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
     return report
 
 
 def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor"),
             k_cap: int = K_SEARCH_CAP) -> SweepReport:
     """Smallest adequate order per scheme at m = p = 1, with its condition number."""
-    t0 = time.perf_counter()
     report = SweepReport()
     k_star: dict[str, int] = {}
     for scheme in schemes:
@@ -182,7 +173,6 @@ def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor"),
                                     err, smax / smin, bundle.p_succ))
         k_star[scheme] = k
     report.aggregate = {"k_star": k_star}
-    report.metadata = {"eps": eps, "wall_time_s": round(time.perf_counter() - t0, 3)}
     return report
 
 
@@ -196,7 +186,6 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int,
     """
     if not seeds or not horizons:
         raise SearchError("empty seed or horizon list")
-    t0 = time.perf_counter()
     report = SweepReport()
     ones = np.ones(dims)
     means: dict[str, dict[float, float]] = {"pade": {}, "taylor": {}}
@@ -217,6 +206,4 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int,
             means[scheme][horizon] = float(arr.mean())
             stds[scheme][horizon] = float(arr.std())
     report.aggregate = {"mean_m_star": means, "std_m_star": stds}
-    report.metadata = {"seeds": list(seeds), "eps": eps, "order": order,
-                       "wall_time_s": round(time.perf_counter() - t0, 3)}
     return report

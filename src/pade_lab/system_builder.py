@@ -18,7 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pade_core
-from .errors import ConsistencyError, DegenerateTargetError, ProblemFormatError, ShapeError
+from .errors import (
+    ConsistencyError,
+    DegenerateTargetError,
+    OrderRangeError,
+    ProblemFormatError,
+    ShapeError,
+)
 from .error_bounds import SolverParams
 from .pade_core import OdeProblem, reference_expm
 
@@ -145,6 +151,9 @@ class Scheme:
 def _pade_scheme(k: int) -> Scheme:
     """Upper-Hessenberg step: a 1/sqrt(k+1) summation row, identity shifts
     below it and beta_{k-i+1} A h on the diagonal of row i."""
+    if k < 1:
+        # the rhs placement reads the denominator coefficient d_1
+        raise OrderRangeError(f"the Padé scheme needs order k >= 1, got {k}")
     coeffs = pade_core.pade_coefficients(k, k)
     s = 1.0 / np.sqrt(k + 1)
     s1 = np.eye(k + 1, k=-1)

@@ -126,7 +126,7 @@ class TestUnitarityCertificate:
 
 
 class TestPrimitives:
-    @pytest.mark.parametrize("k,m", [(1, 2), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("k,m", [(1, 2), (3, 2), (3, 4), (7, 4)])
     def test_all_targets(self, k, m):
         encs = primitive_encodings(k, m)
         targets = primitive_targets(k, m)
@@ -236,31 +236,37 @@ class TestStageEncodings:
 
         a = random_hermitian_unit(11)
         enc = hermitian_encoding(a, alpha=1.0)
-        stage = build_w_encoding(enc, 1.0, 3)
-        assert stage.alpha == 3.0 and stage.ancillas == enc.ancillas + 3
-        residual, ok = verify_block_encoding(stage, SCHEMES["pade"](3).one_step(a * 1.0), 1e-12)
-        assert ok, residual
-        assert stage.unitarity_defect() <= 1e-12
+        for k in (3, 7):
+            stage = build_w_encoding(enc, 1.0, k)
+            assert stage.alpha == 3.0 and stage.ancillas == enc.ancillas + 3
+            residual, ok = verify_block_encoding(stage, SCHEMES["pade"](k).one_step(a * 1.0),
+                                                 1e-12)
+            assert ok, residual
+            assert stage.unitarity_defect() <= 1e-12
 
     def test_padding_stage(self):
         from pade_lab.circuit_sim import build_b_encoding, primitive_targets
 
-        stage = build_b_encoding(3, 2)
-        assert stage.alpha == 3.0 and stage.ancillas == 3
         targets = primitive_targets(3, 2)
-        residual, ok = verify_block_encoding(stage, targets["m4"] + targets["m5"], 1e-12)
-        assert ok, residual
+        # a scale above 1 adds the scale wire and multiplies the normalization
+        for scale, ancillas in ((1.0, 3), (2.5, 4)):
+            stage = build_b_encoding(3, 2, scale)
+            assert stage.alpha == 3.0 * scale and stage.ancillas == ancillas
+            residual, ok = verify_block_encoding(stage, targets["m4"] + targets["m5"], 1e-12)
+            assert ok, residual
+            assert stage.unitarity_defect() <= 1e-12
 
     def test_coupling_stage(self):
         from pade_lab.circuit_sim import build_coupling_encoding, coupling_target
         from pade_lab.system_builder import alternating_signs
 
-        for k, m in ((1, 2), (3, 2), (3, 1)):
-            stage = build_coupling_encoding(k, m)
-            assert stage.alpha == 1.0 and stage.ancillas == 2
+        for k, m, scale in ((1, 2, 1.0), (3, 2, 1.0), (3, 1, 1.0), (3, 2, 2.5)):
+            stage = build_coupling_encoding(k, m, scale)
+            assert stage.alpha == scale and stage.ancillas == (2 if scale == 1.0 else 3)
             target = coupling_target(k, m)
             residual, ok = verify_block_encoding(stage, target, 1e-12)
             assert ok, residual
+            assert stage.unitarity_defect() <= 1e-12
             # target shape sanity: signed row enters the slot below each of
             # the first m slots, nothing else
             width = k + 1

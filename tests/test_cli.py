@@ -132,15 +132,19 @@ class TestSweepCommands:
         assert lines[0] == "scheme,T,m,k,p,rel_error,kappa,p_succ"
         assert {line.split(",")[0] for line in lines[1:]} == {"pade", "taylor"}
 
-    def test_sweep_m_singular_system_exits_1(self, tmp_path):
+    def test_sweep_m_singular_system_reports_nan_kappa(self, tmp_path):
         # the Taylor system at m = 12 has an exactly singular sparse LU
         a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
         path = tmp_path / "tri.json"
         save_problem(OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5),
                                 horizon=30.0), path)
-        code, _ = run(["sweep-m", "--problem", str(path), "--k", "9", "--eps", "1e-10",
-                       "--m-min", "12", "--m-max", "12"])
-        assert code == EXIT_USAGE
+        code, out = run(["sweep-m", "--problem", str(path), "--k", "9", "--eps", "1e-10",
+                         "--m-min", "12", "--m-max", "12"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        kappa = {row[0]: float(row[6]) for row in rows}
+        assert len(rows) == 2 and set(kappa) == {"pade", "taylor"}
+        assert np.isfinite(kappa["pade"]) and np.isnan(kappa["taylor"])
 
     def test_random_suite_small(self):
         code, out = run(["random-suite", "--seeds", "2", "--dims", "3",
@@ -216,6 +220,17 @@ class TestBadInput:
         code, _ = run(["circuit-verify", "--n", "1", "--m", "1", "--k1", "2", flag, value])
         assert code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["random-suite", "--seeds", "1", "--dims", "-1", "--t-grid", "1"], "--dims"),
+        (["random-suite", "--seeds", "1", "--dims", "2", "--t-grid", "1,x"], "--t-grid"),
+        (["circuit-verify", "--n", "1", "--m", "1", "--k1", "2", "--random-a", "-1"],
+         "--random-a"),
+    ], ids=["dims", "t-grid", "random-a"])
+    def test_bad_value_names_its_flag(self, argv, flag, capsys):
+        code, _ = run(argv)
+        assert code == EXIT_USAGE
+        assert f"usage error: {flag}" in capsys.readouterr().err
 
     def test_empty_random_suite(self, capsys):
         code, _ = run(["random-suite", "--seeds", "0", "--dims", "2", "--t-grid", "1"])

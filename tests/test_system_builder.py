@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pade_lab.classical_solver import solve_dense
-from pade_lab.errors import ConsistencyError, DegenerateTargetError
+from pade_lab.circuit_sim import primitive_targets
+from pade_lab.errors import ConsistencyError, DegenerateTargetError, OrderRangeError
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
 from pade_lab.system_builder import (
+    SCHEMES,
     build_pade_system,
     build_taylor_system,
     build_unreduced_pair,
@@ -169,6 +171,13 @@ class TestPadeAssembly:
     def test_scheme_mismatch(self):
         with pytest.raises(ConsistencyError):
             build_pade_system(small_problem(), make_params(1, 1, 1, 1.0, "taylor"))
+
+    def test_order_zero_is_typed(self):
+        # the record's rhs coefficient is d_1, which order 0 lacks
+        with pytest.raises(OrderRangeError):
+            SCHEMES["pade"](0)
+        with pytest.raises(OrderRangeError):
+            primitive_targets(0, 1)
 
 
 class TestTaylorAssembly:
