@@ -40,7 +40,6 @@ from .classical_solver import (
     solve_block_forward,
     solve_dense,
     state_distance,
-    success_probability,
 )
 from .analysis import (
     AnalysisReport,
@@ -48,14 +47,12 @@ from .analysis import (
     explicit_w_inverse,
     inverse_norm_bounds,
     propagator_drift,
-    spectral_norm,
     taylor_inverse_growth,
 )
 from .circuit_sim import (
     BlockEncodingUnitary,
     CircuitSpec,
     build_l_encoding,
-    compose,
     hermitian_encoding,
     primitive_encodings,
     verify_block_encoding,

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pade_core
 from .errors import (
     ClassificationError,
     ConvergenceError,
-    ShapeError,
     SingularBlockError,
     SizeError,
 )
@@ -39,42 +37,10 @@ from .system_builder import (
 )
 
 DENSE_SVD_CAP = 4096
-_POWER_MAXITER = 10_000
-
-
-def spectral_norm(matrix, method: str = "auto", tol: float = 1e-10, seed: int = 0) -> float:
-    """2-norm, by dense SVD at small size or power iteration on M^H M.
-
-    ``method`` is one of auto | svd | power.  The power iteration starts from
-    a seeded vector and must converge within 10k iterations.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise ShapeError("expected a matrix")
-    if not np.isfinite(m).all():
-        raise ShapeError("entries must be finite")
-    if method == "auto":
-        method = "svd" if max(m.shape) <= 512 else "power"
-    if method == "svd":
-        return float(np.linalg.norm(m, 2))
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
-    v /= np.linalg.norm(v)
-    m_adj = m.conj().T
-    prev = 0.0
-    for _ in range(_POWER_MAXITER):
-        w = m_adj @ (m @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        sigma = math.sqrt(lam)
-        if abs(sigma - prev) <= tol * max(sigma, 1e-300):
-            return sigma
-        prev = sigma
-    raise ConvergenceError("power iteration did not converge in 10000 iterations")
+#: Seed of the Lanczos start vector, shared by the sigma_max and sigma_min runs.
+LANCZOS_SEED = 0
+#: Points per step at which transient_growth samples ||exp(A t)||_2.
+GROWTH_REFINE = 10
 
 
 def _largest_eigenvalue(op, v0) -> float:
@@ -94,35 +60,42 @@ def _largest_gram_eigenvalue(csr, v0) -> float:
     return _largest_eigenvalue(op, v0)
 
 
-def extreme_singular_values(matrix, seed: int = 0) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of a sparse or dense operator.
+def _factorize(matrix):
+    """Sparse LU of M.  When the default column ordering and partial pivoting
+    stop on an exactly zero pivot, refactor in the natural order with diagonal
+    pivots: L is block lower triangular, so its own order eliminates block by
+    block.  Only a matrix that fails both is singular."""
+    csc = matrix.tocsc()
+    try:
+        return spla.splu(csc)
+    except RuntimeError:  # "Factor is exactly singular"
+        pass
+    try:
+        return spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise SingularBlockError(f"sparse LU failed in both orderings: {exc}") from exc
+
+
+def extreme_singular_values(matrix) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of a sparse operator.
 
     Dense SVD up to 512; above it, Lanczos on M^H M for the top and on the
     factorized inverse for the bottom.
     """
-    if sp.issparse(matrix):
-        dim = matrix.shape[0]
-        if dim <= 512:
-            svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
-            return float(svals[0]), float(svals[-1])
-        csr = matrix.tocsr()
-        rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        top = _largest_gram_eigenvalue(csr, v0)
-        try:
-            lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise SingularBlockError(f"sparse LU failed: {exc}") from exc
-        inv_op = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
-            dtype=complex)
-        bottom = _largest_eigenvalue(inv_op, v0)
-        return float(np.sqrt(top)), float(1.0 / np.sqrt(bottom))
-    dense = np.asarray(matrix, dtype=complex)
-    if dense.shape[0] > DENSE_SVD_CAP:
-        raise SizeError(f"dense SVD capped at {DENSE_SVD_CAP}")
-    svals = np.linalg.svd(dense, compute_uv=False)
-    return float(svals[0]), float(svals[-1])
+    dim = matrix.shape[0]
+    if dim <= 512:
+        svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
+        return float(svals[0]), float(svals[-1])
+    csr = matrix.tocsr()
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    top = _largest_gram_eigenvalue(csr, v0)
+    lu = _factorize(matrix)
+    inv_op = spla.LinearOperator(
+        (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
+        dtype=complex)
+    bottom = _largest_eigenvalue(inv_op, v0)
+    return float(np.sqrt(top)), float(1.0 / np.sqrt(bottom))
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -316,10 +289,10 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     )
 
 
-def transient_growth(matrix_a, horizon: float, steps: int, refine: int = 10) -> float:
+def transient_growth(matrix_a, horizon: float, steps: int) -> float:
     """max over the refined step grid of ||exp(A t)||_2."""
     a = np.asarray(matrix_a, dtype=complex)
-    ts = np.linspace(0.0, horizon, steps * refine + 1)
+    ts = np.linspace(0.0, horizon, steps * GROWTH_REFINE + 1)
     if pade_core.is_hermitian(a):
         w = np.linalg.eigvalsh(a)
         return float(max(np.exp(w.max() * t) for t in ts))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
+from .pade_core import is_hermitian
 from .system_builder import SCHEMES
 
 QUBIT_BUDGET = 12
@@ -238,7 +239,7 @@ def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUni
     n = a.shape[0]
     if a.shape != (n, n) or n & (n - 1):
         raise ShapeError("need a square matrix of power-of-two dimension")
-    if np.abs(a - a.conj().T).max() > 1e-12 * max(np.abs(a).max(), 1e-300):
+    if not is_hermitian(a):
         raise CompositionError("matrix must be Hermitian")
     norm = float(np.linalg.norm(a, 2)) if n > 0 else 0.0
     if alpha is None:
@@ -254,103 +255,6 @@ def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUni
                        gates=[GateOp("OPAQUE", tuple(range(nq + 1)), label="U_A")],
                        opaques={"U_A": u})
     return BlockEncodingUnitary(u, float(alpha), 1, n, spec)
-
-
-# ------------------------------------------------------------- combinators ---
-
-def _embed_unitary(u: np.ndarray, wires: list[int], nq: int) -> np.ndarray:
-    return _apply(np.eye(2**nq, dtype=complex), u, wires, nq)
-
-
-def _prepare_column(weights: np.ndarray) -> np.ndarray:
-    """Any real unitary whose first column is sqrt(weights/alpha) (Householder)."""
-    c = np.sqrt(weights / weights.sum())
-    e0 = np.zeros_like(c)
-    e0[0] = 1.0
-    v = e0 - c
-    nv = np.linalg.norm(v)
-    if nv < 1e-15:
-        return np.eye(len(c))
-    v /= nv
-    return np.eye(len(c)) - 2.0 * np.outer(v, v)
-
-
-def compose(kind: str, parts, weights=None, target_alpha: float | None = None) -> BlockEncodingUnitary:
-    """Combine block encodings: lcu | product | tensor | adjust.
-
-    The declared (alpha, ancillas) pair follows the combination rules exactly:
-    lcu sums the weights, product and tensor multiply normalizations and add
-    ancilla counts, adjust raises the normalization by one extra rotation
-    ancilla.
-    """
-    if kind == "adjust":
-        (enc,) = parts
-        if target_alpha is None or target_alpha <= enc.alpha:
-            raise CompositionError("adjust needs target_alpha > alpha")
-        rot = ry_matrix(2.0 * math.acos(enc.alpha / target_alpha))
-        u = np.kron(rot, enc.unitary)
-        return BlockEncodingUnitary(u, float(target_alpha), enc.ancillas + 1, enc.target_dim)
-
-    if kind == "product":
-        enc_a, enc_b = parts
-        if enc_a.target_dim != enc_b.target_dim:
-            raise CompositionError("product parts must share the system dimension")
-        sys_q = _qubits_for(enc_a.target_dim, "system dim")
-        nq = enc_a.ancillas + enc_b.ancillas + sys_q
-        if nq > QUBIT_BUDGET:
-            raise SizeError("product exceeds the qubit budget")
-        wa = list(range(enc_a.ancillas)) + list(range(enc_a.ancillas + enc_b.ancillas, nq))
-        wb = list(range(enc_a.ancillas, nq))
-        u = _embed_unitary(enc_a.unitary, wa, nq) @ _embed_unitary(enc_b.unitary, wb, nq)
-        return BlockEncodingUnitary(u, enc_a.alpha * enc_b.alpha,
-                                    enc_a.ancillas + enc_b.ancillas, enc_a.target_dim)
-
-    if kind == "tensor":
-        enc_a, enc_b = parts
-        qa = _qubits_for(enc_a.target_dim, "left dim")
-        qb = _qubits_for(enc_b.target_dim, "right dim")
-        nq = enc_a.ancillas + enc_b.ancillas + qa + qb
-        if nq > QUBIT_BUDGET:
-            raise SizeError("tensor exceeds the qubit budget")
-        wa = list(range(enc_a.ancillas)) + \
-            list(range(enc_a.ancillas + enc_b.ancillas, enc_a.ancillas + enc_b.ancillas + qa))
-        wb = list(range(enc_a.ancillas, enc_a.ancillas + enc_b.ancillas)) + \
-            list(range(nq - qb, nq))
-        u = _embed_unitary(enc_a.unitary, wa, nq) @ _embed_unitary(enc_b.unitary, wb, nq)
-        return BlockEncodingUnitary(u, enc_a.alpha * enc_b.alpha,
-                                    enc_a.ancillas + enc_b.ancillas,
-                                    enc_a.target_dim * enc_b.target_dim)
-
-    if kind == "lcu":
-        parts = list(parts)
-        if weights is None or len(weights) != len(parts):
-            raise CompositionError("lcu needs one positive weight per part")
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise CompositionError("lcu weights must be positive")
-        dims = {p.target_dim for p in parts}
-        if len(dims) != 1:
-            raise CompositionError("lcu parts must share the system dimension")
-        sys_dim = dims.pop()
-        sys_q = _qubits_for(sys_dim, "system dim")
-        anc = max(p.ancillas for p in parts)
-        sel_q = max(1, math.ceil(math.log2(len(parts))))
-        nq = sel_q + anc + sys_q
-        if nq > QUBIT_BUDGET:
-            raise SizeError("lcu exceeds the qubit budget")
-        padded = np.zeros(2**sel_q)
-        padded[: len(w)] = w
-        prep = _prepare_column(padded)
-        sel_wires = list(range(sel_q))
-        u = _embed_unitary(prep, sel_wires, nq)
-        for i, part in enumerate(parts):
-            bits = tuple((sel_wires[b], (i >> (sel_q - 1 - b)) & 1) for b in range(sel_q))
-            wires = list(range(sel_q + anc - part.ancillas, nq))
-            u = _apply(u, part.unitary, wires, nq, bits)
-        u = _apply(u, prep.T, sel_wires, nq)
-        return BlockEncodingUnitary(u, float(w.sum()), sel_q + anc, sys_dim)
-
-    raise CompositionError(f"unknown composition kind {kind!r}")
 
 
 # ----------------------------------------------- figure-level constructions ---

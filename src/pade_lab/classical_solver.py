@@ -22,6 +22,9 @@ from .errors import (
 from .system_builder import SCHEMES, BlockSystem, Scheme
 
 DENSE_DIM_CAP = 4096
+#: Residual gates, relative to ||rhs||, of the structured solver and the dense oracle.
+FORWARD_RESIDUAL_TOL = 1e-10
+DENSE_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,12 @@ def _full_vector(z_blocks: np.ndarray, terminal: np.ndarray, padding: int,
     return np.concatenate([rec.stacked(z_blocks).ravel(), np.tile(terminal, padding)])
 
 
-def solve_block_forward(system: BlockSystem, check_residual: bool = True,
-                        residual_tol: float = 1e-10) -> SolutionBundle:
+def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
     """Forward substitution over block rows with a single diagonal-block LU.
 
     The residual against the assembled sparse operator is always computed
     and recorded; with ``check_residual`` it must stay within
-    ``residual_tol * ||rhs||`` (meaningful for reasonably conditioned
+    ``FORWARD_RESIDUAL_TOL * ||rhs||`` (meaningful for reasonably conditioned
     systems; sweeps over unstable regimes may disable the gate).
     """
     lay = system.layout
@@ -107,15 +109,14 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True,
     full = _full_vector(z_blocks, terminal, p, rec)
     residual = float(np.linalg.norm(system.matrix @ full - rhs))
     rhs_norm = float(np.linalg.norm(rhs))
-    if check_residual and residual > residual_tol * max(rhs_norm, 1e-300):
-        raise SolveResidualError(
-            f"forward-substitution residual {residual:.3e} exceeds {residual_tol:.1e}*||rhs||")
+    if check_residual and residual > FORWARD_RESIDUAL_TOL * max(rhs_norm, 1e-300):
+        raise SolveResidualError(f"forward-substitution residual {residual:.3e} exceeds "
+                                 f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
     norm_c, p_succ = _norms(z_blocks, terminal, p)
     return SolutionBundle(system.scheme, z_blocks, terminal, p, norm_c, p_succ, residual)
 
 
-def solve_dense(system: BlockSystem, check_residual: bool = True,
-                residual_tol: float = 1e-12) -> np.ndarray:
+def solve_dense(system: BlockSystem) -> np.ndarray:
     """Ground-truth oracle: partial-pivoted LU on the densified matrix."""
     lay = system.layout
     if lay.dim > DENSE_DIM_CAP:
@@ -125,7 +126,7 @@ def solve_dense(system: BlockSystem, check_residual: bool = True,
     sol = sla.lu_solve(lu, system.rhs)
     sol += sla.lu_solve(lu, system.rhs - dense @ sol)
     residual = float(np.linalg.norm(dense @ sol - system.rhs))
-    if check_residual and residual > residual_tol * max(float(np.linalg.norm(system.rhs)), 1e-300):
+    if residual > DENSE_RESIDUAL_TOL * max(float(np.linalg.norm(system.rhs)), 1e-300):
         raise SolveResidualError(f"dense residual {residual:.3e} exceeds contract")
     return sol
 
@@ -140,14 +141,6 @@ def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBun
     residual = float(np.linalg.norm(system.matrix @ solution - system.rhs))
     norm_c, p_succ = _norms(z, terminal, p)
     return SolutionBundle(system.scheme, z, terminal, p, norm_c, p_succ, residual)
-
-
-def success_probability(bundle: SolutionBundle) -> float:
-    """p ||terminal||^2 / (sum ||z||^2 + p ||terminal||^2), straight from the bundle."""
-    if bundle.norm_c <= 0:
-        raise DegenerateTargetError("zero normalization")
-    term = float(np.sum(np.abs(bundle.terminal) ** 2))
-    return bundle.padding_count * term / bundle.norm_c**2
 
 
 def state_distance(u, v) -> float:

@@ -94,7 +94,7 @@ def _check_eps(eps: float):
 
 
 def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
-                   padding: int = 1, m_cap: int = M_SEARCH_CAP) -> int:
+                   padding: int = 1) -> int:
     """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
     _check_eps(eps)
     def ok(m: int) -> bool:
@@ -104,8 +104,8 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
     hi = 1
     while not ok(hi):
         hi *= 2
-        if hi > m_cap:
-            raise SearchError(f"no m <= {m_cap} reaches eps={eps} for {scheme}")
+        if hi > M_SEARCH_CAP:
+            raise SearchError(f"no m <= {M_SEARCH_CAP} reaches eps={eps} for {scheme}")
     lo = hi // 2  # lo fails (or hi == 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -116,15 +116,14 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
     return hi
 
 
-def find_min_order(problem: OdeProblem, scheme: str, eps: float,
-                   k_cap: int = K_SEARCH_CAP) -> int:
+def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
     _check_eps(eps)
-    for k in range(1, k_cap + 1):
+    for k in range(1, K_SEARCH_CAP + 1):
         err, _, _ = _solve_rel_error(problem, scheme, 1, k, 1)
         if err < eps:
             return k
-    raise SearchError(f"no order <= {k_cap} reaches eps={eps} for {scheme}")
+    raise SearchError(f"no order <= {K_SEARCH_CAP} reaches eps={eps} for {scheme}")
 
 
 def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
@@ -160,13 +159,12 @@ def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
     return report
 
 
-def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor"),
-            k_cap: int = K_SEARCH_CAP) -> SweepReport:
+def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor")) -> SweepReport:
     """Smallest adequate order per scheme at m = p = 1, with its condition number."""
     report = SweepReport()
     k_star: dict[str, int] = {}
     for scheme in schemes:
-        k = find_min_order(problem, scheme, eps, k_cap)
+        k = find_min_order(problem, scheme, eps)
         err, bundle, system = _solve_rel_error(problem, scheme, 1, k, 1)
         smax, smin = extreme_singular_values(system.matrix)
         report.rows.append(SweepRow(scheme, problem.horizon, 1, k, 1,

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pade_lab import analysis
 from pade_lab.analysis import (
     condition_report,
     explicit_w_inverse,
     extreme_singular_values,
     inverse_norm_bounds,
     propagator_drift,
-    spectral_norm,
     taylor_inverse_growth,
     transient_growth,
     w_inverse_bound,
@@ -34,25 +32,6 @@ from conftest import random_contraction, random_hermitian_nsd
 
 
 class TestSpectralNorm:
-    def test_identity(self):
-        assert spectral_norm(np.eye(8)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0, abs=1e-12)
-
-    def test_power_matches_svd(self, rng):
-        for _ in range(4):
-            m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-            got = spectral_norm(m, method="power")
-            want = spectral_norm(m, method="svd")
-            assert got == pytest.approx(want, rel=1e-8)
-
-    def test_convergence_error(self, rng, monkeypatch):
-        monkeypatch.setattr(analysis, "_POWER_MAXITER", 1)
-        m = rng.normal(size=(30, 30))
-        with pytest.raises(ConvergenceError):
-            spectral_norm(m, method="power")
-
     def test_extreme_singular_values_oracle(self, rng):
         import scipy.sparse as sp
 
@@ -74,14 +53,28 @@ class TestSpectralNorm:
         assert smax == pytest.approx(svals[0], rel=1e-8)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
 
-    def test_exactly_singular_lu_is_typed(self):
-        # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): splu finds an exactly
-        # singular factor of the 615-dimensional system
+    def test_exactly_singular_lu_is_typed(self, rng):
+        # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): the 605-dimensional
+        # system is unit lower triangular, yet splu's default ordering calls it
+        # exactly singular; the natural-order retry factors it.  Its inverse
+        # holds the propagator T_9(A h)^12, so 1/sigma_min >= max_i |T_9(lam_i h)|^12
+        # over the closed-form spectrum lam_j = -2 + 2 cos(j pi / 6).
+        import scipy.sparse as sp
+
         a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5), horizon=30.0)
         system = build_taylor_system(problem, make_params(12, 9, 1, 30.0, "taylor"))
+        _, smin = extreme_singular_values(system.matrix)
+        h = 30.0 / 12
+        floor = max(abs(sum((lam * h) ** j / math.factorial(j) for j in range(10))) ** 12
+                    for lam in (-2.0 + 2.0 * math.cos(j * math.pi / 6) for j in range(1, 6)))
+        assert floor > 1e34
+        assert 1.0 / smin >= floor
+        # a zero column is singular in every ordering
+        dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
+        dense[:, 17] = 0.0
         with pytest.raises(SingularBlockError):
-            extreme_singular_values(system.matrix)
+            extreme_singular_values(sp.csr_matrix(dense))
 
     def test_lanczos_no_convergence_is_typed(self, rng, monkeypatch):
         import scipy.sparse as sp

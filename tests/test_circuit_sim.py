@@ -14,7 +14,6 @@ from pade_lab.circuit_sim import (
     Register,
     add_matrix,
     build_l_encoding,
-    compose,
     hermitian_encoding,
     primitive_encodings,
     primitive_targets,
@@ -161,67 +160,6 @@ class TestPrimitives:
             primitive_encodings(3, 3)  # m = 3
 
 
-class TestCompose:
-    def test_adjust_scales_projection(self):
-        enc = compose("adjust", [identity_encoding(1)], target_alpha=2.0)
-        assert enc.alpha == 2.0 and enc.ancillas == 1
-        assert np.allclose(enc.projection, np.eye(2) / 2, atol=1e-14)
-
-    def test_adjust_requires_growth(self):
-        with pytest.raises(CompositionError):
-            compose("adjust", [identity_encoding(1)], target_alpha=0.5)
-
-    def test_lcu_three_terms(self):
-        # unit-weight combination of the three one-step factors: alpha = 3
-        encs = primitive_encodings(3, 2)
-        targets = primitive_targets(3, 2)
-        combined = compose("lcu", [encs["m1"], encs["m2"], encs["m3"]],
-                           weights=[1.0, 1.0, 1.0])
-        assert combined.alpha == 3.0
-        assert combined.ancillas == 3  # 2 selector wires + 1 shared flag
-        want = targets["m1"] + targets["m2"] + targets["m3"]
-        residual, ok = verify_block_encoding(combined, want, 1e-12)
-        assert ok, residual
-        assert combined.unitarity_defect() <= 1e-12
-
-    def test_lcu_rejects_bad_weights(self):
-        encs = primitive_encodings(1, 2)
-        with pytest.raises(CompositionError):
-            compose("lcu", [encs["m1"], encs["m2"]], weights=[1.0, -1.0])
-
-    def test_tensor(self):
-        encs = primitive_encodings(1, 2)
-        targets = primitive_targets(1, 2)
-        tensored = compose("tensor", [encs["m1"], encs["m3"]])
-        assert tensored.alpha == 1.0 and tensored.ancillas == 2
-        want = np.kron(targets["m1"], targets["m3"])
-        residual, ok = verify_block_encoding(tensored, want, 1e-13)
-        assert ok, residual
-
-    def test_product(self):
-        encs = primitive_encodings(3, 1)
-        targets = primitive_targets(3, 1)
-        prod = compose("product", [encs["m5"], encs["m4"]])
-        assert prod.alpha == 1.0 and prod.ancillas == 2
-        residual, ok = verify_block_encoding(prod, targets["m5"] @ targets["m4"], 1e-13)
-        assert ok, residual
-
-    def test_dimension_mismatch(self):
-        a = primitive_encodings(1, 2)["m1"]
-        b = primitive_encodings(3, 2)["m1"]
-        with pytest.raises(CompositionError):
-            compose("product", [a, b])
-
-    def test_declared_arithmetic_exact(self):
-        encs = primitive_encodings(1, 2)
-        lcu = compose("lcu", [encs["m1"], encs["m2"]], weights=[2.0, 1.0])
-        assert lcu.alpha == 3.0
-        prod = compose("product", [encs["m1"], encs["m2"]])
-        assert prod.alpha == 1.0 and prod.ancillas == 2
-        adj = compose("adjust", [encs["m1"]], target_alpha=4.0)
-        assert adj.alpha == 4.0 and adj.ancillas == 2
-
-
 class TestRotationConstants:
     def test_fixed_angles(self):
         assert math.cos(ZETA / 2) == pytest.approx(math.sqrt(6) / 3, abs=1e-15)
@@ -308,6 +246,14 @@ class TestFullEncoding:
         assert full.ancillas == enc.ancillas + 5
         residual, ok = verify_block_encoding(full, target, 1e-10)
         assert ok, residual
+
+    def test_hermitian_encoding_checks_its_input(self):
+        a = random_hermitian_unit(5)
+        a[0, 1] += 1e-9  # above the relative 1e-12 Hermitian test
+        with pytest.raises(CompositionError):
+            hermitian_encoding(a)
+        with pytest.raises(CompositionError):
+            hermitian_encoding(random_hermitian_unit(5), alpha=0.5)  # ||A|| = 1/1.3
 
     def test_wrong_alpha_residual(self):
         enc = identity_encoding(2)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from pade_lab.classical_solver import (
     SolutionBundle,
+    _norms,
     bundle_from_vector,
     solve_block_forward,
     solve_dense,
     state_distance,
-    success_probability,
 )
 from pade_lab.errors import DegenerateTargetError, SingularBlockError, SizeError
 from pade_lab.error_bounds import make_params, padding_rule
@@ -145,27 +145,24 @@ class TestSuccessProbability:
     def synthetic(z_scale, terminal, padding):
         m, width, n = 1, 2, len(terminal)
         z = np.full((m, width, n), z_scale, dtype=complex)
-        total = float(np.sum(np.abs(z) ** 2))
-        term = float(np.sum(np.abs(terminal) ** 2))
-        c2 = total + padding * term
-        return SolutionBundle("pade", z, np.asarray(terminal, dtype=complex),
-                              padding, math.sqrt(c2), padding * term / c2, 0.0)
+        terminal = np.asarray(terminal, dtype=complex)
+        norm_c, p_succ = _norms(z, terminal, padding)
+        return SolutionBundle("pade", z, terminal, padding, norm_c, p_succ, 0.0)
 
     def test_all_z_zero(self):
         bundle = self.synthetic(0.0, [1.0, 0.0], 3)
-        assert success_probability(bundle) == pytest.approx(1.0, abs=1e-15)
+        assert bundle.p_succ == pytest.approx(1.0, abs=1e-15)
 
     def test_balanced_half(self):
         # total z mass 2 equals p ||terminal||^2 = 2
         bundle = self.synthetic(1.0, [1.0], 2)
-        assert success_probability(bundle) == pytest.approx(0.5, abs=1e-15)
+        assert bundle.p_succ == pytest.approx(0.5, abs=1e-15)
 
     def test_definition_consistency(self, rng):
         a = random_hermitian_nsd(rng, 3)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=1.0)
         bundle = solve_block_forward(build_pade_system(problem, make_params(2, 3, 4, 1.0, "pade")))
         raw = bundle.padding_count * np.sum(np.abs(bundle.terminal) ** 2) / bundle.norm_c**2
-        assert success_probability(bundle) == pytest.approx(raw, abs=1e-14)
         assert bundle.p_succ == pytest.approx(raw, abs=1e-14)
 
     def test_norm_invariant(self, rng):

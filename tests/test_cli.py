@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pade_lab import experiments
 from pade_lab.cli import EXIT_OK, EXIT_USAGE, run_cli
+from pade_lab.errors import SingularBlockError
 from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import save_problem
 
@@ -132,19 +134,32 @@ class TestSweepCommands:
         assert lines[0] == "scheme,T,m,k,p,rel_error,kappa,p_succ"
         assert {line.split(",")[0] for line in lines[1:]} == {"pade", "taylor"}
 
-    def test_sweep_m_singular_system_reports_nan_kappa(self, tmp_path):
-        # the Taylor system at m = 12 has an exactly singular sparse LU
+    def test_sweep_m_singular_system_reports_nan_kappa(self, tmp_path, monkeypatch):
+        # splu's default ordering calls the Taylor system at m = 12 exactly
+        # singular; the natural-order retry gives it a finite kappa
         a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
         path = tmp_path / "tri.json"
         save_problem(OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5),
                                 horizon=30.0), path)
-        code, out = run(["sweep-m", "--problem", str(path), "--k", "9", "--eps", "1e-10",
-                         "--m-min", "12", "--m-max", "12"])
-        assert code == EXIT_OK
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        kappa = {row[0]: float(row[6]) for row in rows}
-        assert len(rows) == 2 and set(kappa) == {"pade", "taylor"}
-        assert np.isfinite(kappa["pade"]) and np.isnan(kappa["taylor"])
+        argv = ["sweep-m", "--problem", str(path), "--k", "9", "--eps", "1e-10",
+                "--m-min", "12", "--m-max", "12"]
+
+        def kappas():
+            code, out = run(argv)
+            assert code == EXIT_OK
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            assert len(rows) == 2
+            return {row[0]: float(row[6]) for row in rows}
+
+        kappa = kappas()
+        assert set(kappa) == {"pade", "taylor"} and all(map(np.isfinite, kappa.values()))
+
+        # a system singular in every ordering writes nan and the sweep goes on
+        def singular(matrix):
+            raise SingularBlockError("sparse LU failed in both orderings")
+
+        monkeypatch.setattr(experiments, "extreme_singular_values", singular)
+        assert all(map(np.isnan, kappas().values()))
 
     def test_random_suite_small(self):
         code, out = run(["random-suite", "--seeds", "2", "--dims", "3",

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from pade_lab import experiments
+from pade_lab.errors import SearchError
 from pade_lab.experiments import (
+    find_min_order,
     find_min_steps,
     random_stable_matrix,
     random_suite_m_star,
@@ -67,6 +70,15 @@ class TestSweeps:
         assert _solve_rel_error(problem, "pade", m_star, 9, 1)[0] < 1e-10
         if m_star > 1:
             assert _solve_rel_error(problem, "pade", m_star - 1, 9, 1)[0] >= 1e-10
+
+    def test_searches_stop_at_their_caps(self, monkeypatch):
+        problem = stable_problem(seed=3, horizon=4.0)
+        monkeypatch.setattr(experiments, "M_SEARCH_CAP", 4)
+        monkeypatch.setattr(experiments, "K_SEARCH_CAP", 2)
+        with pytest.raises(SearchError, match="no m <= 4 "):
+            find_min_steps(problem, "taylor", 3, 1e-10)
+        with pytest.raises(SearchError, match="no order <= 2 "):
+            find_min_order(problem, "pade", 1e-10)
 
     def test_sweep_k_trend_sample(self):
         problem = stable_problem(seed=5, horizon=1.0, unit_norm=True)
