@@ -1,8 +1,9 @@
 """Spectral quantities, every bound as a checkable inequality, and reports.
 
-Measured norms are ground truth (dense SVD at desk scale, Lanczos with a
-sparse factorization above it), never estimates, because the point is to
-compare them against the closed-form bounds.
+Measured norms are ground truth (for normal A the singular values of the n
+scalar slices S + lam_i h B of L, otherwise dense SVD at desk scale and
+Lanczos with a sparse factorization above it), never estimates, because the
+point is to compare them against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pade_core
@@ -34,30 +36,50 @@ from .system_builder import (
     BlockSystem,
     build_pade_system,
     classical_reference_trajectory,
+    scalar_patterns,
 )
 
-DENSE_SVD_CAP = 4096
+#: Largest system dimension that ``condition_report`` measures unless asked.
+CONDITION_DIM_CAP = 4096
+#: A counts as normal when ||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2
+#: (docs/DECISIONS.md bounds the error this admits).
+NORMALITY_TOL = 1e-12
+#: Largest scalar-slice dimension measured by dense LAPACK on the stack of
+#: slices; larger slices take Lanczos one by one.
+SLICE_DENSE_CAP = 128
+#: Lanczos basis size for the top of a slice's Gram matrix, whose leading
+#: eigenvalues cluster as m grows; at k = 9, m = 13..120 it needs about half
+#: the matvecs of ARPACK's default basis of 20.
+SLICE_NCV = 40
 #: Seed of the Lanczos start vector, shared by the sigma_max and sigma_min runs.
 LANCZOS_SEED = 0
 #: Points per step at which transient_growth samples ||exp(A t)||_2.
 GROWTH_REFINE = 10
 
 
-def _largest_eigenvalue(op, v0) -> float:
+def _largest_eigenvalue(op, v0, ncv=None) -> float:
     """Top eigenvalue of a Hermitian operator by Lanczos, to relative 1e-12."""
     try:
-        return spla.eigsh(op, k=1, which="LA", v0=v0, tol=1e-12, return_eigenvectors=False)[0]
+        return spla.eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, tol=1e-12,
+                          return_eigenvectors=False)[0]
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
 
 
-def _largest_gram_eigenvalue(csr, v0) -> float:
+def _lanczos_start(dim: int, complex_: bool) -> np.ndarray:
+    """The seeded Lanczos start vector, complex for a complex operator."""
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v0 = rng.normal(size=dim)
+    return v0 + 1j * rng.normal(size=dim) if complex_ else v0
+
+
+def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
     """Top eigenvalue of M^H M by Lanczos.  The adjoint is built once, here,
     so that it is freed before the caller factorizes M."""
     dim = csr.shape[1]
     adj = csr.conj().T.tocsr()
-    op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=complex)
-    return _largest_eigenvalue(op, v0)
+    op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=v0.dtype)
+    return _largest_eigenvalue(op, v0, ncv)
 
 
 def _factorize(matrix):
@@ -76,8 +98,18 @@ def _factorize(matrix):
         raise SingularBlockError(f"sparse LU failed in both orderings: {exc}") from exc
 
 
-def extreme_singular_values(matrix) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of a sparse operator.
+def _largest_inverse_gram_eigenvalue(matrix, v0) -> float:
+    """Top eigenvalue of M^-H M^-1 by Lanczos on the sparse LU of M."""
+    dim = matrix.shape[0]
+    lu = _factorize(matrix)
+    inv_op = spla.LinearOperator(
+        (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
+        dtype=v0.dtype)
+    return _largest_eigenvalue(inv_op, v0)
+
+
+def _operator_singular_values(matrix) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of any sparse operator.
 
     Dense SVD up to 512; above it, Lanczos on M^H M for the top and on the
     factorized inverse for the bottom.
@@ -87,15 +119,64 @@ def extreme_singular_values(matrix) -> tuple[float, float]:
         svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
         return float(svals[0]), float(svals[-1])
     csr = matrix.tocsr()
-    rng = np.random.default_rng(LANCZOS_SEED)
-    v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v0 = _lanczos_start(dim, complex_=True)
     top = _largest_gram_eigenvalue(csr, v0)
-    lu = _factorize(matrix)
-    inv_op = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
-        dtype=complex)
-    bottom = _largest_eigenvalue(inv_op, v0)
+    bottom = _largest_inverse_gram_eigenvalue(matrix, v0)
     return float(np.sqrt(top)), float(1.0 / np.sqrt(bottom))
+
+
+def _is_normal(a: np.ndarray) -> bool:
+    """||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2."""
+    adj = a.conj().T
+    scale = float(np.linalg.norm(a)) ** 2
+    return bool(np.linalg.norm(a @ adj - adj @ a) <= NORMALITY_TOL * scale)
+
+
+def _slice_singular_values(system: BlockSystem, lam: np.ndarray,
+                           hermitian: bool) -> tuple[float, float]:
+    """(sigma_max, sigma_min) over the scalar systems M(lam_i) = S + lam_i h B.
+
+    sigma_max is convex in lam, so for real lam only the two end slices are
+    measured.  sigma_min is 1/||M^-1||_2, never the last singular value of M,
+    which floors at eps sigma_max.
+    """
+    lay = system.layout
+    d = lay.block_rows
+    lam = np.unique(lam)
+    ends = lam[[0, -1]] if hermitian else lam
+    patterns = scalar_patterns(SCHEMES[system.scheme](lay.k), lay)
+    if d <= SLICE_DENSE_CAP:
+        s, b = np.zeros((2, d, d))
+        for mat, (rows, cols, vals) in zip((s, b), patterns):
+            np.add.at(mat, (rows, cols), vals)
+        smax = np.linalg.svd(s + (ends * lay.h)[:, None, None] * b, compute_uv=False)[:, 0].max()
+        try:
+            inv = np.linalg.inv(s + (lam * lay.h)[:, None, None] * b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBlockError(f"a scalar slice is singular: {exc}") from exc
+        inv_norm = np.linalg.svd(inv, compute_uv=False)[:, 0].max()
+        return float(smax), float(1.0 / inv_norm)
+    s, b = (sp.csr_matrix((vals, (rows, cols)), shape=(d, d)) for rows, cols, vals in patterns)
+    v0 = _lanczos_start(d, complex_=not hermitian)
+    smax_sq = max(_largest_gram_eigenvalue(s + (x * lay.h) * b, v0, SLICE_NCV) for x in ends)
+    inv_sq = max(_largest_inverse_gram_eigenvalue(s + (x * lay.h) * b, v0) for x in lam)
+    return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
+
+
+def extreme_singular_values(system: BlockSystem, problem: OdeProblem) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of the assembled system L of ``problem``.
+
+    For normal A = V Lam V^H, (I (x) V)^H L (I (x) V) is the direct sum of the
+    scalar systems S + lam_i h B, so the singular values of L are those of
+    its n slices, which are measured instead.  Any other A takes the operator
+    path on ``system.matrix``.
+    """
+    a = np.asarray(problem.matrix_a, dtype=complex)
+    if not _is_normal(a):
+        return _operator_singular_values(system.matrix)
+    if pade_core.is_hermitian(a):
+        return _slice_singular_values(system, np.linalg.eigvalsh(a), hermitian=True)
+    return _slice_singular_values(system, np.linalg.eigvals(a), hermitian=False)
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -264,7 +345,7 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
                          horizon=params.horizon)
     system = build_pade_system(problem, params)
-    smax, smin = extreme_singular_values(system.matrix)
+    smax, smin = extreme_singular_values(system, problem)
     norm_l, norm_l_inv = smax, 1.0 / smin
 
     b_w = w_inverse_bound(k, case)
@@ -300,7 +381,7 @@ def transient_growth(matrix_a, horizon: float, steps: int) -> float:
 
 
 def condition_report(system: BlockSystem, problem: OdeProblem,
-                     dim_cap: int = DENSE_SVD_CAP) -> AnalysisReport:
+                     dim_cap: int = CONDITION_DIM_CAP) -> AnalysisReport:
     """Measured condition number of an assembled system plus every applicable bound.
 
     ``dim_cap`` guards the exact inverse-norm computation; raise it explicitly
@@ -309,7 +390,7 @@ def condition_report(system: BlockSystem, problem: OdeProblem,
     lay = system.layout
     if lay.dim > dim_cap:
         raise SizeError(f"condition report capped at dimension {dim_cap}, got {lay.dim}")
-    smax, smin = extreme_singular_values(system.matrix)
+    smax, smin = extreme_singular_values(system, problem)
     norm_l, norm_l_inv = smax, 1.0 / smin
     kappa = norm_l * norm_l_inv
     a = problem.matrix_a

@@ -329,7 +329,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("analyze")
     _add_system_flags(s)
-    s.add_argument("--dim-cap", type=int, default=4096)
+    s.add_argument("--dim-cap", type=int, default=analysis.CONDITION_DIM_CAP)
     s.set_defaults(func=_cmd_analyze)
 
     s = subs.add_parser("verify-bounds")

@@ -145,7 +145,7 @@ def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
             kappa = float("nan")
             if with_kappa:
                 try:
-                    smax, smin = extreme_singular_values(system.matrix)
+                    smax, smin = extreme_singular_values(system, problem)
                 except SingularBlockError:
                     pass  # an exactly singular system has no finite kappa
                 else:
@@ -166,7 +166,7 @@ def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor")) -> Swee
     for scheme in schemes:
         k = find_min_order(problem, scheme, eps)
         err, bundle, system = _solve_rel_error(problem, scheme, 1, k, 1)
-        smax, smin = extreme_singular_values(system.matrix)
+        smax, smin = extreme_singular_values(system, problem)
         report.rows.append(SweepRow(scheme, problem.horizon, 1, k, 1,
                                     err, smax / smin, bundle.p_succ))
         k_star[scheme] = k

@@ -191,20 +191,19 @@ def _kron_triplets(rows, cols, vals, block: np.ndarray):
             vals[keep])
 
 
-def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSystem:
-    """Expand the scheme record into L = S (x) I_n + B (x) (A h) and its rhs."""
-    if params.scheme != scheme:
-        raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
-    lay = BlockLayout(n=problem.dim, m=params.steps, k=params.order,
-                      p=params.padding, h=params.step_size)
-    n, m, k, p, h = lay.n, lay.m, lay.k, lay.p, lay.h
-    rec = SCHEMES[scheme](k)
+def scalar_patterns(rec: Scheme, lay: BlockLayout):
+    """The scalar patterns S and B of L = S (x) I_n + B (x) (A h), as
+    (rows, cols, vals) triplets over the m(k+1)+p block rows of ``lay``.
+
+    S holds the one-step patterns, the coupling rows of steps 2..m and of the
+    terminal row, the terminal diagonal and the padding chain; B holds the
+    one-step A h patterns.  For A = [[lam]] they are L itself, so
+    S + lam h B is the scalar system of one eigenvalue.
+    """
+    m, k, p = lay.m, lay.k, lay.p
     width = k + 1
     starts = np.arange(m) * width
     term = lay.terminal_row()
-
-    # S: one-step patterns, the coupling rows of steps 2..m and of the
-    # terminal row, the terminal diagonal and the padding chain
     sr, sc = np.nonzero(rec.s1)
     pad = np.arange(term + 1, term + p)
     s_rows = [(starts[:, None] + sr).ravel(), np.repeat(starts + width, width), [term], pad, pad]
@@ -213,9 +212,23 @@ def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSy
     s_vals = [np.tile(rec.s1[sr, sc], m), np.tile(rec.coupling, m), [rec.row_scale],
               -np.ones(p - 1), np.ones(p - 1)]
     br, bc = np.nonzero(rec.b1)
-    ir, ic, iv = _kron_triplets(*map(np.concatenate, (s_rows, s_cols, s_vals)), np.eye(n))
-    ar, ac, av = _kron_triplets((starts[:, None] + br).ravel(), (starts[:, None] + bc).ravel(),
-                                np.tile(rec.b1[br, bc], m), problem.matrix_a * h)
+    b_pattern = ((starts[:, None] + br).ravel(), (starts[:, None] + bc).ravel(),
+                 np.tile(rec.b1[br, bc], m))
+    return tuple(map(np.concatenate, (s_rows, s_cols, s_vals))), b_pattern
+
+
+def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSystem:
+    """Expand the scheme record into L = S (x) I_n + B (x) (A h) and its rhs."""
+    if params.scheme != scheme:
+        raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
+    lay = BlockLayout(n=problem.dim, m=params.steps, k=params.order,
+                      p=params.padding, h=params.step_size)
+    n, m, k, h = lay.n, lay.m, lay.k, lay.h
+    rec = SCHEMES[scheme](k)
+    starts = np.arange(m) * (k + 1)
+    s_pattern, b_pattern = scalar_patterns(rec, lay)
+    ir, ic, iv = _kron_triplets(*s_pattern, np.eye(n))
+    ar, ac, av = _kron_triplets(*b_pattern, problem.matrix_a * h)
     matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),
                             (np.concatenate([ir, ar]), np.concatenate([ic, ac]))),
                            shape=(lay.dim, lay.dim)).tocsr()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pade_lab.analysis import (
+    SLICE_DENSE_CAP,
+    _operator_singular_values,
     condition_report,
     explicit_w_inverse,
     extreme_singular_values,
@@ -20,6 +22,7 @@ from pade_lab.errors import (
     SizeError,
 )
 from pade_lab.error_bounds import make_params, theta_max
+from pade_lab.experiments import random_stable_matrix
 from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator
 from pade_lab.system_builder import (
     SCHEMES,
@@ -31,50 +34,127 @@ from pade_lab.system_builder import (
 from conftest import random_contraction, random_hermitian_nsd
 
 
+def _tridiag_problem(seed=0):
+    """tridiag(1, -2, 1) of size 5 over T = 30; seed s > 0 conjugates it by the
+    seeded random unitary of the condition-sweep benchmark."""
+    a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
+    b = np.ones(5, dtype=complex)
+    x0 = np.ones(5, dtype=complex)
+    if seed:
+        rng = np.random.default_rng([1, seed])
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        a, b, x0 = q @ a @ q.conj().T, q @ b, q @ x0
+    return OdeProblem(matrix_a=a, vec_b=b, vec_x0=x0, horizon=30.0)
+
+
+def _taylor_floor(m):
+    """max_i |T_9(lam_i h)|^m over the closed-form spectrum -2 + 2 cos(j pi / 6)
+    of tridiag(1, -2, 1), h = 30 / m.  The last block row of L^-1 holds the
+    propagator T_9(A h)^m, so 1/sigma_min of the Taylor system is at least this."""
+    h = 30.0 / m
+    return max(abs(sum((lam * h) ** j / math.factorial(j) for j in range(10))) ** m
+               for lam in (-2.0 + 2.0 * math.cos(j * math.pi / 6) for j in range(1, 6)))
+
+
+_BUILD = {"pade": build_pade_system, "taylor": build_taylor_system}
+
+
 class TestSpectralNorm:
     def test_extreme_singular_values_oracle(self, rng):
         import scipy.sparse as sp
 
         dense = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
-        smax, smin = extreme_singular_values(sp.csr_matrix(dense))
+        smax, smin = _operator_singular_values(sp.csr_matrix(dense))
         svals = np.linalg.svd(dense, compute_uv=False)
         assert smax == pytest.approx(svals[0], rel=1e-10)
         assert smin == pytest.approx(svals[-1], rel=1e-10)
 
     def test_extreme_singular_values_lanczos(self, rng):
-        import scipy.sparse as sp
-
         a = random_hermitian_nsd(rng, 2)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(2), vec_x0=np.ones(2), horizon=8.0)
         system = build_pade_system(problem, make_params(32, 9, 4, 8.0, "pade"))
-        assert system.layout.dim > 512
-        smax, smin = extreme_singular_values(system.matrix)
+        assert system.layout.block_rows > SLICE_DENSE_CAP
+        smax, smin = extreme_singular_values(system, problem)
         svals = np.linalg.svd(system.dense(), compute_uv=False)
         assert smax == pytest.approx(svals[0], rel=1e-8)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_slices_match_operator_path_on_sweep_grid(self, seed):
+        problem = _tridiag_problem(seed)
+        for scheme in ("pade", "taylor"):
+            for m in (5, 12, 19, 33, 47, 58, 65, 117):
+                system = _BUILD[scheme](problem, make_params(m, 9, 1, 30.0, scheme))
+                smax, smin = _operator_singular_values(system.matrix)
+                if smax / smin >= 1e12:
+                    continue
+                got_max, got_min = extreme_singular_values(system, problem)
+                assert got_max / got_min == pytest.approx(smax / smin, rel=1e-8), (scheme, m)
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    @pytest.mark.parametrize("m", [3, 14])
+    def test_normal_complex_spectrum_matches_dense_svd(self, rng, scheme, m):
+        # a unitary similarity of a complex diagonal: normal, not Hermitian;
+        # m = 14 takes the Lanczos path on complex slices
+        lam = np.array([-1.0 + 2.0j, -0.5 - 1.0j, -2.0 + 0.3j])
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        a = (q * lam) @ q.conj().T
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=2.0)
+        system = _BUILD[scheme](problem, make_params(m, 9, 1, 2.0, scheme))
+        assert (system.layout.block_rows > SLICE_DENSE_CAP) == (m == 14)
+        smax, smin = extreme_singular_values(system, problem)
+        svals = np.linalg.svd(system.dense(), compute_uv=False)
+        assert smax == pytest.approx(svals[0], rel=1e-10)
+        assert smin == pytest.approx(svals[-1], rel=1e-8)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_non_normal_takes_the_operator_path(self, m):
+        a = random_stable_matrix(4, 7)
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=5.0)
+        system = build_pade_system(problem, make_params(m, 9, 1, 5.0, "pade"))
+        assert (system.layout.dim > 512) == (m == 16)
+        assert extreme_singular_values(system, problem) == _operator_singular_values(system.matrix)
+
+    def test_taylor_floor_at_m5(self):
+        # dim 255: the operator path would take its dense SVD, whose last
+        # singular value floors at eps sigma_max (1/sigma_min = 1.07e17)
+        problem = _tridiag_problem()
+        system = build_taylor_system(problem, make_params(5, 9, 1, 30.0, "taylor"))
+        assert system.layout.dim == 255
+        _, smin = extreme_singular_values(system, problem)
+        floor = _taylor_floor(5)
+        assert floor > 1e32
+        assert 1.0 / smin >= floor
+
     def test_exactly_singular_lu_is_typed(self, rng):
         # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): the 605-dimensional
         # system is unit lower triangular, yet splu's default ordering calls it
-        # exactly singular; the natural-order retry factors it.  Its inverse
-        # holds the propagator T_9(A h)^12, so 1/sigma_min >= max_i |T_9(lam_i h)|^12
-        # over the closed-form spectrum lam_j = -2 + 2 cos(j pi / 6).
+        # exactly singular; the natural-order retry factors it.
         import scipy.sparse as sp
 
-        a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
-        problem = OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5), horizon=30.0)
+        problem = _tridiag_problem()
         system = build_taylor_system(problem, make_params(12, 9, 1, 30.0, "taylor"))
-        _, smin = extreme_singular_values(system.matrix)
-        h = 30.0 / 12
-        floor = max(abs(sum((lam * h) ** j / math.factorial(j) for j in range(10))) ** 12
-                    for lam in (-2.0 + 2.0 * math.cos(j * math.pi / 6) for j in range(1, 6)))
+        _, smin = extreme_singular_values(system, problem)
+        floor = _taylor_floor(12)
         assert floor > 1e34
+        assert 1.0 / smin >= floor
+        _, smin = _operator_singular_values(system.matrix)
         assert 1.0 / smin >= floor
         # a zero column is singular in every ordering
         dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
         dense[:, 17] = 0.0
         with pytest.raises(SingularBlockError):
-            extreme_singular_values(sp.csr_matrix(dense))
+            _operator_singular_values(sp.csr_matrix(dense))
+
+    @pytest.mark.parametrize("m", [1, 70])
+    def test_singular_slice_is_typed(self, m):
+        # the [1/1] Padé step 1 - x/2 vanishes at x = A h = 2: that slice is
+        # exactly singular, in the dense (m = 1) and the Lanczos (m = 70) range
+        problem = OdeProblem(matrix_a=np.array([[-1.0, 0.0], [0.0, 2.0 * m]]),
+                             vec_b=np.ones(2), vec_x0=np.ones(2), horizon=1.0)
+        system = build_pade_system(problem, make_params(m, 1, 1, 1.0, "pade"))
+        with pytest.raises(SingularBlockError):
+            extreme_singular_values(system, problem)
 
     def test_lanczos_no_convergence_is_typed(self, rng, monkeypatch):
         import scipy.sparse as sp
@@ -86,7 +166,11 @@ class TestSpectralNorm:
         monkeypatch.setattr(spla, "eigsh", stalled)
         dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
         with pytest.raises(ConvergenceError):
-            extreme_singular_values(sp.csr_matrix(dense))
+            _operator_singular_values(sp.csr_matrix(dense))
+        problem = _tridiag_problem()
+        system = build_pade_system(problem, make_params(19, 9, 1, 30.0, "pade"))
+        with pytest.raises(ConvergenceError):
+            extreme_singular_values(system, problem)
 
 
 class TestInverseNormBounds:

@@ -155,7 +155,7 @@ class TestSweepCommands:
         assert set(kappa) == {"pade", "taylor"} and all(map(np.isfinite, kappa.values()))
 
         # a system singular in every ordering writes nan and the sweep goes on
-        def singular(matrix):
+        def singular(*args):
             raise SingularBlockError("sparse LU failed in both orderings")
 
         monkeypatch.setattr(experiments, "extreme_singular_values", singular)
