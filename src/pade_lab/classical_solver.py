@@ -1,8 +1,10 @@
 """Exact solvers for the block systems and the solution-quality quantities.
 
 ``solve_block_forward`` walks the block-lower-triangular structure one step at
-a time, factoring the (identical) diagonal block once.  ``solve_dense`` is the
-deliberately-naive oracle the structured path is tested against.
+a time, factoring the (identical) diagonal block once; ``march_terminal`` runs
+the same march from the one-step block alone, without assembling L.
+``solve_dense`` is the deliberately-naive oracle the structured path is tested
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .errors import (
     SizeError,
     SolveResidualError,
 )
-from .system_builder import SCHEMES, BlockSystem, Scheme
+from .error_bounds import SolverParams
+from .pade_core import OdeProblem
+from .system_builder import SCHEMES, BlockLayout, BlockSystem, Scheme, block_layout, build_rhs
 
 DENSE_DIM_CAP = 4096
 #: Residual gates, relative to ||rhs||, of the structured solver and the dense oracle.
@@ -59,9 +63,64 @@ def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[fl
     return np.sqrt(c2), padding * term / c2
 
 
-def _full_vector(z_blocks: np.ndarray, terminal: np.ndarray, padding: int,
-                 rec: Scheme) -> np.ndarray:
-    return np.concatenate([rec.stacked(z_blocks).ravel(), np.tile(terminal, padding)])
+def _factor_step_block(block: np.ndarray):
+    """LU factors (lu, piv) of the one-step block every step of L shares.
+
+    Extreme step norms produce wildly scaled yet nonsingular pivots, so only
+    an essentially exact zero pivot flags singularity; near-singular damage
+    is caught by the march's non-finite check and the residual gate.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(block)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise SingularBlockError(f"diagonal block is singular: {exc}", step_index=1) from exc
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= 1e-20 * max(pivots.max(), 1e-300):
+        raise SingularBlockError(
+            f"diagonal block pivot ratio {pivots.min() / max(pivots.max(), 1e-300):.2e}",
+            step_index=1)
+    return lu, piv
+
+
+def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme, lay: BlockLayout) -> np.ndarray:
+    """Forward substitution over the m step rows of L: the (m, k+1, n) step stacks.
+
+    ``step_block`` (the diagonal block of L) is factored once; each step
+    solves with it after its first row subtracts the coupling to the previous
+    stack.  A singular block raises ``SingularBlockError`` at step 1, and an
+    overflow at the first step whose solution is not finite.
+    """
+    lu, piv = _factor_step_block(step_block)
+    n, m, width = lay.n, lay.m, lay.step_width
+    blocks = rhs[:m * width * n].reshape(m, width * n)
+    stacks = np.empty((m, width * n), dtype=complex)
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu, blocks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(m):
+            block = blocks[step].copy()
+            if step > 0:
+                block[:n] -= rec.couple * rec.signed_sum(stacks[step - 1].reshape(width, n))
+            stacks[step] = getrs(lu, piv, block, overwrite_b=True)[0]
+    finite = np.isfinite(stacks).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise SingularBlockError(f"non-finite solution at step {step} of {m}", step_index=step)
+    return stacks.reshape(m, width, n)
+
+
+def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
+    """Terminal state of the scheme's m steps, without assembling L.
+
+    Factors W = S1 (x) I_n + B1 (x) (A h), the diagonal block of L, and
+    marches the rhs through it: bit for bit the ``terminal`` of
+    ``solve_block_forward`` on the assembled system.
+    """
+    lay = block_layout(problem, params)
+    rec = SCHEMES[params.scheme](lay.k)
+    stacks = _march(rec.one_step(problem.matrix_a * lay.h), build_rhs(rec, lay, problem), rec, lay)
+    return rec.output(stacks[-1])
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
@@ -73,40 +132,14 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     systems; sweeps over unstable regimes may disable the gate).
     """
     lay = system.layout
-    n, m, k, p, h = lay.n, lay.m, lay.k, lay.p, lay.h
-    width = k + 1
-    diag = system.matrix[: n * width, : n * width].toarray()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(diag)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularBlockError(f"diagonal block is singular: {exc}", step_index=1) from exc
-    # extreme step norms produce wildly scaled yet nonsingular pivots, so only
-    # an essentially exact zero flags singularity here; near-singular damage
-    # is caught by the non-finite and residual gates downstream
-    pivots = np.abs(np.diag(lu[0]))
-    if pivots.min() <= 1e-20 * max(pivots.max(), 1e-300):
-        raise SingularBlockError(
-            f"diagonal block pivot ratio {pivots.min() / max(pivots.max(), 1e-300):.2e}",
-            step_index=1)
+    n, width, p = lay.n, lay.step_width, lay.p
+    rec = SCHEMES[system.scheme](lay.k)
+    stacks = _march(system.matrix[: n * width, : n * width].toarray(), system.rhs, rec, lay)
+    z_blocks = rec.stacked(stacks)
+    terminal = rec.output(stacks[-1])
 
-    rec = SCHEMES[system.scheme](k)
-    z_blocks = np.empty((m, width, n), dtype=complex)
+    full = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
     rhs = system.rhs
-    prev_stack = None
-    for step in range(m):
-        block_rhs = rhs[step * width * n:(step + 1) * width * n].copy()
-        if step > 0:
-            block_rhs[:n] -= rec.couple * rec.signed_sum(prev_stack)
-        sol = sla.lu_solve(lu, block_rhs)
-        if not np.isfinite(sol).all():
-            raise SingularBlockError("non-finite step solution", step_index=step + 1)
-        prev_stack = sol.reshape(width, n)
-        z_blocks[step] = rec.stacked(prev_stack)
-    terminal = rec.output(prev_stack)
-
-    full = _full_vector(z_blocks, terminal, p, rec)
     residual = float(np.linalg.norm(system.matrix @ full - rhs))
     rhs_norm = float(np.linalg.norm(rhs))
     if check_residual and residual > FORWARD_RESIDUAL_TOL * max(rhs_norm, 1e-300):

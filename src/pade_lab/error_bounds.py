@@ -22,6 +22,7 @@ from .errors import (
     ConsistencyError,
     DivergenceError,
     InfeasibilityError,
+    SchemeError,
     StrategyError,
 )
 
@@ -223,7 +224,7 @@ class SolverParams:
 
     def __post_init__(self):
         if self.scheme not in ("pade", "taylor"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise SchemeError(f"unknown scheme {self.scheme!r}")
         if self.steps < 1 or self.order < 1 or self.padding < 1:
             raise BoundsError("steps, order and padding must be >= 1")
 

@@ -64,6 +64,10 @@ class SingularBlockError(PadeLabError):
         self.step_index = step_index
 
 
+class SchemeError(PadeLabError):
+    """A discretization scheme other than "pade" and "taylor"."""
+
+
 class SizeError(PadeLabError):
     """Problem dimension exceeds the supported desk-scale cap."""
 

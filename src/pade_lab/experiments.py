@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import extreme_singular_values
-from .classical_solver import solve_block_forward
+from .classical_solver import march_terminal, solve_block_forward
 from .errors import BoundsError, DegenerateTargetError, SearchError, SingularBlockError
 from .error_bounds import make_params
 from .pade_core import OdeProblem
@@ -75,16 +75,30 @@ def random_stable_matrix(dim: int, seed: int, unit_norm: bool = False) -> np.nda
     return a
 
 
-def _solve_rel_error(problem: OdeProblem, scheme: str, m: int, k: int, p: int):
-    """(rel_error, bundle, system) for one configuration."""
-    params = make_params(m, k, p, problem.horizon, scheme)
-    system = _BUILDERS[scheme](problem, params)
-    bundle = solve_block_forward(system, check_residual=False)
+def _rel_error(problem: OdeProblem, params, terminal: np.ndarray) -> float:
+    """Relative distance of ``terminal`` from the exact state x(T)."""
     traj = classical_reference_trajectory(problem, params)
     if traj.degenerate:
         raise DegenerateTargetError("reference terminal state has zero norm")
-    err = np.linalg.norm(bundle.terminal - traj.states[-1]) / traj.terminal_norm
-    return float(err), bundle, system
+    return float(np.linalg.norm(terminal - traj.states[-1]) / traj.terminal_norm)
+
+
+def _solve_rel_error(problem: OdeProblem, scheme: str, m: int, k: int, p: int):
+    """(rel_error, bundle, system) for one configuration, from the assembled system."""
+    params = make_params(m, k, p, problem.horizon, scheme)
+    system = _BUILDERS[scheme](problem, params)
+    bundle = solve_block_forward(system, check_residual=False)
+    return _rel_error(problem, params, bundle.terminal), bundle, system
+
+
+def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, p: int, eps: float) -> bool:
+    """Search probe: does the terminal state at (m, k) reach eps?
+
+    Marches the one-step block instead of assembling L; the terminal state is
+    bit-identical to the assembled solve's, so every search result is too.
+    """
+    params = make_params(m, k, p, problem.horizon, scheme)
+    return _rel_error(problem, params, march_terminal(problem, params)) < eps
 
 
 def _check_eps(eps: float):
@@ -98,8 +112,7 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
     """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
     _check_eps(eps)
     def ok(m: int) -> bool:
-        err, _, _ = _solve_rel_error(problem, scheme, m, order, padding)
-        return err < eps
+        return _reaches(problem, scheme, m, order, padding, eps)
 
     hi = 1
     while not ok(hi):
@@ -120,8 +133,7 @@ def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
     _check_eps(eps)
     for k in range(1, K_SEARCH_CAP + 1):
-        err, _, _ = _solve_rel_error(problem, scheme, 1, k, 1)
-        if err < eps:
+        if _reaches(problem, scheme, 1, k, 1, eps):
             return k
     raise SearchError(f"no order <= {K_SEARCH_CAP} reaches eps={eps} for {scheme}")
 

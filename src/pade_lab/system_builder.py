@@ -217,26 +217,36 @@ def scalar_patterns(rec: Scheme, lay: BlockLayout):
     return tuple(map(np.concatenate, (s_rows, s_cols, s_vals))), b_pattern
 
 
+def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
+    """The block geometry of ``problem`` discretized by ``params``."""
+    return BlockLayout(n=problem.dim, m=params.steps, k=params.order,
+                       p=params.padding, h=params.step_size)
+
+
+def build_rhs(rec: Scheme, lay: BlockLayout, problem: OdeProblem) -> np.ndarray:
+    """Right-hand side of L: ``row_scale * x0`` in the first row and
+    ``b_coef * h * b`` in row ``b_row`` of every step."""
+    n = lay.n
+    rhs = np.zeros(lay.dim, dtype=complex)
+    rhs[:n] = rec.row_scale * problem.vec_x0
+    rhs.reshape(-1, n)[np.arange(lay.m) * lay.step_width + rec.b_row] = \
+        rec.b_coef * lay.h * problem.vec_b
+    return rhs
+
+
 def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSystem:
     """Expand the scheme record into L = S (x) I_n + B (x) (A h) and its rhs."""
     if params.scheme != scheme:
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
-    lay = BlockLayout(n=problem.dim, m=params.steps, k=params.order,
-                      p=params.padding, h=params.step_size)
-    n, m, k, h = lay.n, lay.m, lay.k, lay.h
-    rec = SCHEMES[scheme](k)
-    starts = np.arange(m) * (k + 1)
+    lay = block_layout(problem, params)
+    rec = SCHEMES[scheme](lay.k)
     s_pattern, b_pattern = scalar_patterns(rec, lay)
-    ir, ic, iv = _kron_triplets(*s_pattern, np.eye(n))
-    ar, ac, av = _kron_triplets(*b_pattern, problem.matrix_a * h)
+    ir, ic, iv = _kron_triplets(*s_pattern, np.eye(lay.n))
+    ar, ac, av = _kron_triplets(*b_pattern, problem.matrix_a * lay.h)
     matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),
                             (np.concatenate([ir, ar]), np.concatenate([ic, ac]))),
                            shape=(lay.dim, lay.dim)).tocsr()
-
-    rhs = np.zeros(lay.dim, dtype=complex)
-    rhs[:n] = rec.row_scale * problem.vec_x0
-    rhs.reshape(-1, n)[starts + rec.b_row] = rec.b_coef * h * problem.vec_b
-    return BlockSystem(scheme, matrix, rhs, lay, rec.row_scale)
+    return BlockSystem(scheme, matrix, build_rhs(rec, lay, problem), lay, rec.row_scale)
 
 
 def build_pade_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:

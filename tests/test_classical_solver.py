@@ -1,20 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pade_lab.classical_solver import (
     SolutionBundle,
     _norms,
     bundle_from_vector,
+    march_terminal,
     solve_block_forward,
     solve_dense,
     state_distance,
 )
-from pade_lab.errors import DegenerateTargetError, SingularBlockError, SizeError
+from pade_lab.errors import DegenerateTargetError, PadeLabError, SingularBlockError, SizeError
 from pade_lab.error_bounds import make_params, padding_rule
 from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import (
@@ -112,6 +114,71 @@ class TestForwardSolve:
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=1.0)
         bundle = solve_block_forward(build_pade_system(problem, make_params(2, 3, 2, 1.0, "pade")))
         assert bundle.residual <= 1e-12
+
+
+def _outcome(solve):
+    """Terminal bytes, or the type and step index of the typed error."""
+    try:
+        return solve().tobytes()
+    except PadeLabError as exc:
+        return type(exc), getattr(exc, "step_index", None)
+
+
+class TestMarchTerminal:
+    """The search probe's march from the one-step block against the assembled solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 40), k=st.integers(1, 11),
+           p=st.integers(1, 3), scheme=st.sampled_from(["pade", "taylor"]),
+           kind=st.sampled_from(["real", "complex", "tiny"]),
+           scale=st.floats(0.01, 20.0), horizon=st.floats(0.05, 40.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=1, k=1, p=1, scheme="pade", kind="singular", scale=2.0, horizon=1.0,
+             seed=0)
+    def test_matches_assembled_solve(self, n, m, k, p, scheme, kind, scale, horizon, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(n, n))
+        elif kind == "tiny":
+            # products with A h underflow to subnormals and to zero
+            a = a * 10.0 ** rng.uniform(-325.0, -300.0, size=(n, n))
+        elif kind == "singular":
+            a = np.eye(n)  # the [1/1] Padé step is singular at A h = 2
+        a = a * scale
+        problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n) * rng.integers(0, 2),
+                             vec_x0=rng.normal(size=n), horizon=horizon)
+        params = make_params(m, k, p, horizon, scheme)
+        assembled = _outcome(lambda: solve_block_forward(
+            BUILDERS[scheme](problem, params), check_residual=False).terminal)
+        probe = _outcome(lambda: march_terminal(problem, params))
+        assert probe == assembled
+        if kind == "singular":
+            assert probe == (SingularBlockError, 1)
+
+    def test_overflow_names_the_first_non_finite_step(self):
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=300.0)
+        params = make_params(300, 9, 1, 300.0, "pade")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularBlockError) as info:
+                solve_block_forward(build_pade_system(problem, params), check_residual=False)
+            step = info.value.step_index
+            with pytest.raises(SingularBlockError) as info:
+                march_terminal(problem, params)
+            assert info.value.step_index == step
+            # h = 1 at every m = T: the march stops at m = step, not before
+            for m in (step - 1, step):
+                shorter = OdeProblem(matrix_a=problem.matrix_a, vec_b=problem.vec_b,
+                                     vec_x0=problem.vec_x0, horizon=float(m))
+                if m < step:
+                    march_terminal(shorter, make_params(m, 9, 1, m, "pade"))
+                else:
+                    with pytest.raises(SingularBlockError) as info:
+                        march_terminal(shorter, make_params(m, 9, 1, m, "pade"))
+                    assert info.value.step_index == step
+        assert 1 < step < 300
 
 
 class TestDenseOracle:

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,16 @@ class TestBadInput:
         code, _ = run(["random-suite", "--seeds", "0", "--dims", "2", "--t-grid", "1"])
         assert code == EXIT_USAGE
         assert "empty seed" in capsys.readouterr().err
+
+    def test_overflowing_steps_are_typed(self, tmp_path, capsys):
+        path = tmp_path / "growth.json"
+        path.write_text('{"n":1,"a":[[30]],"b":[0],"x0":[1],"T":300}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape run_cli
+            code, _ = run(["solve", "--problem", str(path), "--scheme", "pade",
+                           "--m", "300", "--k", "9"])
+        assert code == EXIT_USAGE
+        assert "error: non-finite solution at step " in capsys.readouterr().err
 
     def test_delta_nan(self, capsys):
         code, _ = run(["theta-table", "--delta", "nan", "--kmin", "5", "--kmax", "5"])

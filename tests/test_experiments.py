@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pade_lab import experiments
-from pade_lab.errors import SearchError
+from pade_lab.errors import PadeLabError, SchemeError, SearchError, SingularBlockError
 from pade_lab.experiments import (
     find_min_order,
     find_min_steps,
@@ -64,12 +64,41 @@ class TestSweeps:
 
     def test_find_min_steps_boundary(self):
         problem = stable_problem(seed=3, horizon=4.0)
-        m_star = find_min_steps(problem, "pade", 9, 1e-10)
         from pade_lab.experiments import _solve_rel_error
 
-        assert _solve_rel_error(problem, "pade", m_star, 9, 1)[0] < 1e-10
-        if m_star > 1:
-            assert _solve_rel_error(problem, "pade", m_star - 1, 9, 1)[0] >= 1e-10
+        for scheme in ("pade", "taylor"):
+            m_star = find_min_steps(problem, scheme, 9, 1e-10)
+            assert _solve_rel_error(problem, scheme, m_star, 9, 1)[0] < 1e-10
+            if m_star > 1:
+                assert _solve_rel_error(problem, scheme, m_star - 1, 9, 1)[0] >= 1e-10
+
+    def test_searches_never_assemble(self, monkeypatch):
+        # the probes march the one-step block; assembling L is left to the
+        # rows a sweep reports
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search probe assembled the block system")
+
+        for scheme in ("pade", "taylor"):
+            monkeypatch.setitem(experiments._BUILDERS, scheme, refuse)
+        problem = stable_problem(seed=3, horizon=25.0)
+        assert find_min_steps(problem, "pade", 9, 1e-10) == 7
+        assert find_min_steps(problem, "taylor", 9, 1e-10) == 62
+        problem = stable_problem(seed=5, horizon=1.0, unit_norm=True)
+        assert find_min_order(problem, "pade", 1e-10) == 4
+        assert find_min_order(problem, "taylor", 1e-10) == 9
+
+    def test_unknown_scheme_is_typed(self):
+        with pytest.raises(SchemeError, match="unknown scheme 'rk4'") as info:
+            find_min_steps(stable_problem(), "rk4", 9, 1e-10)
+        assert isinstance(info.value, PadeLabError)
+
+    def test_overflowing_sweep_is_typed(self):
+        # [9/9] Padé of e^30 per step: the coupling row overflows long before m = 300
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=300.0)
+        with pytest.raises(SingularBlockError) as info:
+            sweep_m(problem, order=9, eps=1e-10, m_range=[300], with_kappa=False)
+        assert 1 < info.value.step_index < 300
 
     def test_searches_stop_at_their_caps(self, monkeypatch):
         problem = stable_problem(seed=3, horizon=4.0)
