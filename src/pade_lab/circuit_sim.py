@@ -25,6 +25,11 @@ QUBIT_BUDGET = 12
 #: Gate on ||U^H U - I||_2 that every realized stage must meet.
 UNITARITY_TOL = 1e-12
 
+#: Entries of one column block of ``realize_dense`` (2^19 complex, 8 MB) and
+#: of one row panel of the Gram matrix in ``unitarity_defect`` (4 MB).
+_BLOCK_ENTRIES = 2**19
+_PANEL_ENTRIES = 2**18
+
 
 # ------------------------------------------------------------------ gates ---
 
@@ -133,29 +138,56 @@ def _apply(op: np.ndarray, gate: np.ndarray, targets, nq: int, controls=()):
     return tensor.reshape(2**nq, cols)
 
 
-def realize_dense(spec: CircuitSpec) -> np.ndarray:
-    """Multiply the gate list into a dense unitary."""
-    spec.validate()
-    nq = spec.total_qubits
-    if nq > QUBIT_BUDGET:
-        raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
-    op = np.eye(2**nq, dtype=complex)
+def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
+    """(gate matrix, targets, controls) of every ``_apply`` the gate list
+    makes, a UCRY expanded into one controlled rotation per selector value."""
+    ops = []
     for g in spec.gates:
         if g.kind in _FIXED_GATES:
-            op = _apply(op, _FIXED_GATES[g.kind], g.targets, nq, g.controls)
+            ops.append((_FIXED_GATES[g.kind], g.targets, g.controls))
         elif g.kind == "RY":
-            op = _apply(op, ry_matrix(g.angle), g.targets, nq, g.controls)
+            ops.append((ry_matrix(g.angle), g.targets, g.controls))
         elif g.kind == "ADD":
-            op = _apply(op, add_matrix(len(g.targets)), g.targets, nq, g.controls)
+            ops.append((add_matrix(len(g.targets)), g.targets, g.controls))
         elif g.kind == "UCRY":
             w = len(g.selector)
             for j, ang in enumerate(g.angles):
                 bits = tuple((g.selector[i], (j >> (w - 1 - i)) & 1) for i in range(w))
-                op = _apply(op, ry_matrix(ang), g.targets, nq, g.controls + bits)
+                ops.append((ry_matrix(ang), g.targets, g.controls + bits))
         elif g.kind == "OPAQUE":
-            op = _apply(op, spec.opaques[g.label], g.targets, nq, g.controls)
+            ops.append((spec.opaques[g.label], g.targets, g.controls))
         else:
             raise LayoutError(f"unknown gate kind {g.kind!r}")
+    return ops
+
+
+def realize_dense(spec: CircuitSpec) -> np.ndarray:
+    """Multiply the gate list into a dense unitary, one block of columns at a time.
+
+    Gates only left-multiply, so columns c0:c1 of U are the gate list applied
+    to columns c0:c1 of the identity.  Each block of at most
+    ``_BLOCK_ENTRIES`` entries is realized on its own and copied into U; a U
+    that fits in one block is realized in one pass.
+    """
+    spec.validate()
+    nq = spec.total_qubits
+    if nq > QUBIT_BUDGET:
+        raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
+    ops = _dense_ops(spec)
+    dim = 2**nq
+    width = min(dim, _BLOCK_ENTRIES // dim)
+
+    def columns(c0: int) -> np.ndarray:
+        block = np.eye(dim, width, -c0, dtype=complex)
+        for gate, targets, controls in ops:
+            block = _apply(block, gate, targets, nq, controls)
+        return block
+
+    if width == dim:
+        return columns(0)
+    op = np.empty((dim, dim), dtype=complex)
+    for c0 in range(0, dim, width):
+        op[:, c0:c0 + width] = columns(c0)
     return op
 
 
@@ -196,13 +228,25 @@ class BlockEncodingUnitary:
         at or below the gate already proves the gate and is returned as is;
         otherwise the exact 2-norm is computed by SVD.  Either way
         ``defect <= UNITARITY_TOL`` gives the verdict of the exact 2-norm.
+
+        E = U^H U - I is Hermitian, so ||E||_F^2 is summed over its upper row
+        panels of ``_PANEL_ENTRIES`` entries: each panel's diagonal block
+        counts once and the blocks right of it twice, for their mirror images.
         """
         u = self.unitary
-        defect = u.conj().T @ u
-        defect[np.diag_indices_from(defect)] -= 1.0
-        frobenius = float(np.linalg.norm(defect))
+        rows = _PANEL_ENTRIES // u.shape[0]
+        square = 0.0
+        for i0 in range(0, u.shape[0], rows):
+            panel = u[:, i0:i0 + rows].conj().T @ u[:, i0:]
+            width = panel.shape[0]
+            panel[np.arange(width), np.arange(width)] -= 1.0
+            diag, rest = panel[:, :width], panel[:, width:]
+            square += np.vdot(diag, diag).real + 2.0 * np.vdot(rest, rest).real
+        frobenius = math.sqrt(square)
         if frobenius <= UNITARITY_TOL:
             return frobenius
+        defect = u.conj().T @ u
+        defect[np.diag_indices_from(defect)] -= 1.0
         return float(np.linalg.norm(defect, 2))
 
 

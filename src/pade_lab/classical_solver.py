@@ -84,13 +84,16 @@ def _factor_step_block(block: np.ndarray):
     return lu, piv
 
 
-def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme, lay: BlockLayout) -> np.ndarray:
-    """Forward substitution over the m step rows of L: the (m, k+1, n) step stacks.
+def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
+           lay: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Forward substitution over the m step rows of L: the (m, k+1, n) step
+    stacks and the terminal state, the last step's readout.
 
     ``step_block`` (the diagonal block of L) is factored once; each step
     solves with it after its first row subtracts the coupling to the previous
-    stack.  A singular block raises ``SingularBlockError`` at step 1, and an
-    overflow at the first step whose solution is not finite.
+    stack's signed sum.  A singular block raises ``SingularBlockError`` at
+    step 1, and an overflow at the first step whose solution or readout
+    ``rec.output`` is not finite.
     """
     lu, piv = _factor_step_block(step_block)
     n, m, width = lay.n, lay.m, lay.step_width
@@ -103,11 +106,19 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme, lay: BlockLayou
             if step > 0:
                 block[:n] -= rec.couple * rec.signed_sum(stacks[step - 1].reshape(width, n))
             stacks[step] = getrs(lu, piv, block, overwrite_b=True)[0]
-    finite = np.isfinite(stacks).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite)) + 1
-        raise SingularBlockError(f"non-finite solution at step {step} of {m}", step_index=step)
-    return stacks.reshape(m, width, n)
+        finite = np.isfinite(stacks).all(axis=1)
+        bad = m if finite.all() else int(np.argmin(finite))
+        # a non-finite readout makes the next step's rhs, hence its solution,
+        # non-finite: only the step before the first non-finite solution (or
+        # the last step) can have a finite solution but a non-finite readout
+        if bad > 0:
+            readout = rec.output(stacks[bad - 1].reshape(width, n))
+            if not np.isfinite(readout).all():
+                bad -= 1
+    if bad < m:
+        raise SingularBlockError(f"non-finite solution at step {bad + 1} of {m}",
+                                 step_index=bad + 1)
+    return stacks.reshape(m, width, n), readout
 
 
 def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
@@ -119,8 +130,8 @@ def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """
     lay = block_layout(problem, params)
     rec = SCHEMES[params.scheme](lay.k)
-    stacks = _march(rec.one_step(problem.matrix_a * lay.h), build_rhs(rec, lay, problem), rec, lay)
-    return rec.output(stacks[-1])
+    step_block = rec.one_step(problem.matrix_a * lay.h)
+    return _march(step_block, build_rhs(rec, lay, problem), rec, lay)[1]
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
@@ -134,9 +145,9 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     lay = system.layout
     n, width, p = lay.n, lay.step_width, lay.p
     rec = SCHEMES[system.scheme](lay.k)
-    stacks = _march(system.matrix[: n * width, : n * width].toarray(), system.rhs, rec, lay)
+    step_block = system.matrix[: n * width, : n * width].toarray()
+    stacks, terminal = _march(step_block, system.rhs, rec, lay)
     z_blocks = rec.stacked(stacks)
-    terminal = rec.output(stacks[-1])
 
     full = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
     rhs = system.rhs

@@ -21,6 +21,7 @@ from . import pade_core
 from .errors import (
     ConsistencyError,
     DegenerateTargetError,
+    MagnitudeError,
     OrderRangeError,
     ProblemFormatError,
     ShapeError,
@@ -320,6 +321,8 @@ def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) ->
     """States x(0), x(h), ..., x(mh) without ever forming A^{-1}.
 
     One extra generator column carries b, so singular A is handled uniformly.
+    A state or state norm that overflows raises ``MagnitudeError``, as an
+    overflowing exp(A h) does.
     """
     n, m, h = problem.dim, params.steps, params.step_size
     aug = np.zeros((n + 1, n + 1), dtype=complex)
@@ -329,10 +332,16 @@ def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) ->
     state = np.concatenate([problem.vec_x0, [1.0]])
     states = np.empty((m + 1, n), dtype=complex)
     states[0] = state[:n]
-    for i in range(1, m + 1):
-        state = prop @ state
-        states[i] = state[:n]
-    norms = np.linalg.norm(states, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, m + 1):
+            state = prop @ state
+            states[i] = state[:n]
+        norms = np.linalg.norm(states, axis=1)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise MagnitudeError(f"reference trajectory overflows at step {step} of {m} "
+                             f"(t = {step * h:.6g})")
     return TrajectoryReference(
         times=np.arange(m + 1) * h,
         states=states,

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from pade_lab.circuit_sim import (
+    _BLOCK_ENTRIES,
     THETA_1,
     THETA_2,
     UNITARITY_TOL,
@@ -94,8 +98,110 @@ def svd_defect(u):
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
 
 
+def kron_gate(nq, gate, targets, controls=()):
+    """2^nq x 2^nq operator of ``gate`` on ``targets`` (first target most
+    significant) under ``controls``, as a sum of Kronecker products of 2x2
+    factors: sum_ab gate[a, b] (x)_i |a_i><b_i| on the targets times the
+    control projector, plus the identity off that projector."""
+    unit = np.eye(2)
+    projector = {w: np.outer(unit[v], unit[v]) for w, v in controls}
+
+    def expand(factors):
+        out = sp.identity(1, format="csr")
+        for w in range(nq):
+            out = sp.kron(out, sp.csr_matrix(factors.get(w, unit)), format="csr")
+        return out
+
+    total = sp.identity(2**nq, format="csr") - expand(projector)
+    width = len(targets)
+    for a in range(2**width):
+        for b in range(2**width):
+            if gate[a, b] == 0:
+                continue
+            factors = dict(projector)
+            for i, w in enumerate(targets):
+                bit_a, bit_b = (a >> (width - 1 - i)) & 1, (b >> (width - 1 - i)) & 1
+                factors[w] = np.outer(unit[bit_a], unit[bit_b])
+            total = total + gate[a, b] * expand(factors)
+    return total
+
+
+def oracle_ry(angle):
+    return np.array([[math.cos(angle / 2), -math.sin(angle / 2)],
+                     [math.sin(angle / 2), math.cos(angle / 2)]])
+
+
+ORACLE_FIXED = {"H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+                "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1]),
+                "NEGZ": np.diag([-1, 1])}
+
+
+def oracle_matrix(g, opaques):
+    """Gate matrix of one GateOp over (selector wires +) target wires."""
+    if g.kind in ORACLE_FIXED:
+        return ORACLE_FIXED[g.kind]
+    if g.kind == "RY":
+        return oracle_ry(g.angle)
+    if g.kind == "ADD":
+        return np.roll(np.eye(2 ** len(g.targets)), 1, axis=0)
+    if g.kind == "UCRY":  # block diagonal over the selector value, selector most significant
+        return sla.block_diag(*[oracle_ry(t) for t in g.angles])
+    return opaques[g.label]
+
+
+def random_mixed_stage(seed, nq):
+    """Seeded gate list with every gate kind, controlled and not."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    opaques = {"V": np.linalg.qr(raw)[0]}
+    gates = []
+    for i in range(6 * nq):
+        kind = ["H", "X", "RY", "UCRY", "OPAQUE", "ADD", "Z", "NEGZ"][i % 8]
+        width = {"UCRY": 3, "OPAQUE": 2, "ADD": 3}.get(kind, 1)
+        wires = [int(w) for w in rng.permutation(nq)[:width + 2]]
+        used, spare = wires[:width], wires[width:]
+        controls = tuple((w, int(rng.integers(2))) for w in spare[:int(rng.integers(3))])
+        if kind == "UCRY":
+            gates.append(GateOp("UCRY", (used[2],), controls, selector=tuple(used[:2]),
+                                angles=tuple(rng.uniform(0, 2 * math.pi, 4))))
+        else:
+            gates.append(GateOp(kind, tuple(used), controls,
+                                angle=float(rng.uniform(0, 2 * math.pi)) if kind == "RY" else None,
+                                label="V" if kind == "OPAQUE" else None))
+    return CircuitSpec(registers=(Register("n", nq, False),), gates=gates, opaques=opaques)
+
+
+class TestRealizeBlocks:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_column_blocks_match_kron_oracle(self, seed):
+        nq = 10
+        assert 4**nq > _BLOCK_ENTRIES  # more than one column block
+        spec = random_mixed_stage(seed, nq)
+        want = np.eye(2**nq, dtype=complex)
+        for g in spec.gates:
+            wires = g.selector + g.targets
+            want = kron_gate(nq, oracle_matrix(g, spec.opaques), wires, g.controls) @ want
+        got = realize_dense(spec)
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_l_encoding_memory(self):
+        # the 11-qubit L of the C09 grid: n = 2, m = 2, k + 1 = 4, alpha h < 1
+        enc = hermitian_encoding(random_hermitian_unit(11))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            full = build_l_encoding(enc, 1.0, 2, 3)
+            assert full.unitarity_defect() <= UNITARITY_TOL
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.unitary.shape == (2**11, 2**11)
+        assert peak - start <= 1.5 * full.unitary.nbytes
+
+
 class TestUnitarityCertificate:
-    @pytest.mark.parametrize("nq", [1, 3, 5, 8])
+    # nq = 10 sums the Frobenius norm over several Gram panels
+    @pytest.mark.parametrize("nq", [1, 3, 5, 8, 10])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_svd_norm_with_same_verdict(self, seed, nq):
         u = realize_dense(random_stage(seed, nq))
@@ -110,6 +216,18 @@ class TestUnitarityCertificate:
             assert (defect <= UNITARITY_TOL) == (exact <= UNITARITY_TOL)
             if defect > UNITARITY_TOL:
                 assert defect == exact
+
+    @pytest.mark.parametrize("nq", [5, 10])
+    def test_panel_sum_is_frobenius_norm(self, nq):
+        # U = I + N: E = N + N^H + N^H N has entries in every Gram panel, above
+        # and below the diagonal, and a Frobenius norm under the gate
+        rng = np.random.default_rng(nq)
+        noise = rng.normal(size=(2**nq, 2**nq)) + 1j * rng.normal(size=(2**nq, 2**nq))
+        u = np.eye(2**nq) + 1e-13 * noise / np.linalg.norm(noise)
+        frobenius = np.linalg.norm(u.conj().T @ u - np.eye(2**nq))
+        assert 1e-13 < frobenius <= UNITARITY_TOL
+        defect = BlockEncodingUnitary(u, 1.0, 0, 2**nq).unitarity_defect()
+        assert defect == pytest.approx(frobenius, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("eps,passes", [(0.9e-12, True), (2e-12, False)])
     def test_frobenius_miss_falls_back_to_exact_norm(self, eps, passes):

@@ -180,6 +180,21 @@ class TestMarchTerminal:
                     assert info.value.step_index == step
         assert 1 < step < 300
 
+    def test_overflowing_readout_is_the_failing_step(self, capfd):
+        # at m = 122 every step solution is finite but the terminal readout is not
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=122.0)
+        params = make_params(122, 9, 1, 122.0, "pade")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularBlockError) as info:
+                solve_block_forward(build_pade_system(problem, params), check_residual=False)
+            assert info.value.step_index == 122
+            with pytest.raises(SingularBlockError) as info:
+                march_terminal(problem, params)
+            assert info.value.step_index == 122
+        assert capfd.readouterr().err == ""
+
 
 class TestDenseOracle:
     def test_identity_system(self):

@@ -263,6 +263,18 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert "error: non-finite solution at step " in capsys.readouterr().err
 
+    def test_overflowing_reference_is_typed(self, tmp_path, capfd):
+        path = tmp_path / "growth.json"
+        path.write_text('{"n":1,"a":[[30]],"b":[0],"x0":[1],"T":300}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(["solve", "--problem", str(path), "--scheme", "pade",
+                             "--m", "100", "--k", "9"])
+        assert code == EXIT_USAGE and out == ""
+        err = capfd.readouterr().err
+        assert "error: reference trajectory overflows at step " in err
+        assert "RuntimeWarning" not in err
+
     def test_delta_nan(self, capsys):
         code, _ = run(["theta-table", "--delta", "nan", "--kmin", "5", "--kmax", "5"])
         assert code == EXIT_USAGE

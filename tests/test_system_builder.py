@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 
 from pade_lab.classical_solver import solve_dense
 from pade_lab.circuit_sim import primitive_targets
-from pade_lab.errors import ConsistencyError, DegenerateTargetError, OrderRangeError
+from pade_lab.errors import (
+    ConsistencyError,
+    DegenerateTargetError,
+    MagnitudeError,
+    OrderRangeError,
+)
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
 from pade_lab.system_builder import (
@@ -292,6 +298,16 @@ class TestTrajectory:
         traj = classical_reference_trajectory(problem, make_params(2, 1, 1, 1.0, "pade"))
         # closed form: x(t) = [1 + 2t + t^2/2, 1 + t]
         assert np.allclose(traj.states[-1], [3.5, 2.0], atol=1e-12)
+
+    def test_overflow_is_typed(self, capfd):
+        # exp(30 * 3) is finite, its repeated products are not
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MagnitudeError, match="overflows at step"):
+                classical_reference_trajectory(problem, make_params(100, 9, 1, 300.0, "pade"))
+        assert capfd.readouterr().err == ""
 
 
 class TestExternalFormats:
