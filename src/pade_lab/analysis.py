@@ -1,9 +1,13 @@
 """Spectral quantities, every bound as a checkable inequality, and reports.
 
-Measured norms are ground truth (for normal A the singular values of the n
-scalar slices S + lam_i h B of L, otherwise dense SVD at desk scale and
-Lanczos with a sparse factorization above it), never estimates, because the
-point is to compare them against the closed-form bounds.
+Measured norms are ground truth, never estimates, because the point is to
+compare them against the closed-form bounds.  For normal A = V Lam V^H every
+measured quantity is one of the eigenvalues: the singular values of L are
+those of its n scalar slices S + lam_i h B, ||W^-1|| and the signed row come
+from the (k+1)-square slices S1 + lam_i h B1 of the one-step block, and the
+drift from the scalars exp(-lam_i h) R(lam_i h); nothing is assembled.  Any
+other A takes dense SVD at desk scale and Lanczos with a sparse factorization
+above it, on the assembled system.
 """
 
 from __future__ import annotations
@@ -20,19 +24,23 @@ from . import pade_core
 from .errors import (
     ClassificationError,
     ConvergenceError,
+    MagnitudeError,
     SingularBlockError,
+    SingularDenominatorError,
     SizeError,
 )
 from .error_bounds import SolverParams, make_params
 from .pade_core import (
     OdeProblem,
     is_hermitian_nsd,
+    is_nsd_spectrum,
     pade_coefficients,
     pade_propagator,
     reference_expm,
 )
 from .system_builder import (
     SCHEMES,
+    BlockLayout,
     BlockSystem,
     build_pade_system,
     classical_reference_trajectory,
@@ -132,19 +140,28 @@ def _is_normal(a: np.ndarray) -> bool:
     return bool(np.linalg.norm(a @ adj - adj @ a) <= NORMALITY_TOL * scale)
 
 
-def _slice_singular_values(system: BlockSystem, lam: np.ndarray,
+def _normal_spectrum(a: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """(eigenvalues, Hermitian flag) of a normal A; None for any other A."""
+    if not _is_normal(a):
+        return None
+    if pade_core.is_hermitian(a):
+        return np.linalg.eigvalsh(a), True
+    return np.linalg.eigvals(a), False
+
+
+def _slice_singular_values(scheme: str, lay: BlockLayout, lam: np.ndarray,
                            hermitian: bool) -> tuple[float, float]:
-    """(sigma_max, sigma_min) over the scalar systems M(lam_i) = S + lam_i h B.
+    """(sigma_max, sigma_min) over the scalar systems M(lam_i) = S + lam_i h B
+    of ``scheme`` on ``lay``.
 
     sigma_max is convex in lam, so for real lam only the two end slices are
     measured.  sigma_min is 1/||M^-1||_2, never the last singular value of M,
     which floors at eps sigma_max.
     """
-    lay = system.layout
     d = lay.block_rows
     lam = np.unique(lam)
     ends = lam[[0, -1]] if hermitian else lam
-    patterns = scalar_patterns(SCHEMES[system.scheme](lay.k), lay)
+    patterns = scalar_patterns(SCHEMES[scheme](lay.k), lay)
     if d <= SLICE_DENSE_CAP:
         s, b = np.zeros((2, d, d))
         for mat, (rows, cols, vals) in zip((s, b), patterns):
@@ -171,12 +188,10 @@ def extreme_singular_values(system: BlockSystem, problem: OdeProblem) -> tuple[f
     its n slices, which are measured instead.  Any other A takes the operator
     path on ``system.matrix``.
     """
-    a = np.asarray(problem.matrix_a, dtype=complex)
-    if not _is_normal(a):
+    spectrum = _normal_spectrum(np.asarray(problem.matrix_a, dtype=complex))
+    if spectrum is None:
         return _operator_singular_values(system.matrix)
-    if pade_core.is_hermitian(a):
-        return _slice_singular_values(system, np.linalg.eigvalsh(a), hermitian=True)
-    return _slice_singular_values(system, np.linalg.eigvals(a), hermitian=False)
+    return _slice_singular_values(system.scheme, system.layout, *spectrum)
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -278,19 +293,41 @@ class DriftReport:
     hypothesis_ok: bool
 
 
+def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.ndarray:
+    """max_j |1 - g_j^i| for i = 1..steps, g_j = exp(-lam_j h) N(lam_j h) / D(lam_j h):
+    the drift of a normal A, whose exp(-A h) R(A h) has the eigenvalues g_j."""
+    coeffs = pade_coefficients(order, order)
+    x = lam * step
+    num = np.polyval(coeffs.num_floats[::-1], x)
+    den = np.polyval(coeffs.den_floats[::-1], -x)
+    if not (np.isfinite(num).all() and np.isfinite(den).all() and den.all()):
+        raise SingularDenominatorError(
+            f"denominator of order {order} vanishes or overflows on the spectrum of A h",
+            cond_estimate=np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        back = np.exp(-x)
+        if not np.isfinite(back).all():
+            raise MagnitudeError(f"exp(-A h) overflows for max |lam h| = {np.abs(x).max():.3e}")
+        powers = np.cumprod(np.broadcast_to(back * num / den, (steps, x.size)), axis=0)
+        return np.abs(1.0 - powers).max(axis=1)
+
+
 def propagator_drift(matrix_a, step: float, order: int, steps: int) -> DriftReport:
     """max_i ||I - exp(-i A h) R^i(A h)||_2 and the <=1 hypothesis flag."""
     a = np.asarray(matrix_a, dtype=complex)
-    n = a.shape[0]
-    r = pade_propagator(a, step, order)
-    back = reference_expm(a, -step)
-    gmat = back @ r  # exp(-Ah) and R commute, both functions of A
-    eye = np.eye(n)
-    acc = np.eye(n, dtype=complex)
-    vals = np.empty(steps)
-    for i in range(steps):
-        acc = acc @ gmat
-        vals[i] = np.linalg.norm(eye - acc, 2)
+    spectrum = _normal_spectrum(a)
+    if spectrum is not None:
+        vals = _scalar_drift(spectrum[0], step, order, steps)
+    else:
+        r = pade_propagator(a, step, order)
+        back = reference_expm(a, -step)
+        gmat = back @ r  # exp(-Ah) and R commute, both functions of A
+        eye = np.eye(a.shape[0])
+        acc = np.eye(a.shape[0], dtype=complex)
+        vals = np.empty(steps)
+        for i in range(steps):
+            acc = acc @ gmat
+            vals[i] = np.linalg.norm(eye - acc, 2)
     dmax = float(vals.max())
     return DriftReport(drift_max=dmax, per_step=vals, hypothesis_ok=bool(dmax <= 1.0))
 
@@ -318,40 +355,67 @@ class AnalysisReport:
     satisfied: dict = field(default_factory=dict)
 
 
+def _slice_one_step_norms(rec, lam: np.ndarray, h: float) -> tuple[float, float]:
+    """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block W of a
+    normal A with eigenvalues ``lam``.
+
+    (I (x) V)^H W (I (x) V) is the direct sum of the slices
+    W(lam_i h) = S1 + lam_i h B1, and the signed row becomes the block
+    diagonal of the 1 x (k+1) rows signs W(lam_i h)^-1: both norms are the
+    largest over the slices.
+    """
+    x = np.unique(lam) * h
+    try:
+        winv = np.linalg.inv(rec.s1 + x[:, None, None] * rec.b1)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"a one-step slice is singular: {exc}") from exc
+    return (float(np.linalg.svd(winv, compute_uv=False)[:, 0].max()),
+            float(np.linalg.norm(rec.signs @ winv, axis=-1).max()))
+
+
 def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisReport:
     """Bounds and measured inverse norms for one step block and the full system.
 
     ``case`` must match the matrix: hermitian_nsd (checked through the
-    eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).
+    eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).  A normal A is
+    measured on its eigenvalues alone; L is assembled only for any other A.
     """
     a = np.asarray(matrix_a, dtype=complex)
     n = a.shape[0]
     k, m, p, h = params.order, params.steps, params.padding, params.step_size
+    spectrum = _normal_spectrum(a)
+    if spectrum is None:
+        norm_a, nah = float(np.linalg.norm(a, 2)), float(np.linalg.norm(a * h, 2))
+        nsd = is_hermitian_nsd(a)
+    else:
+        norm_a = float(np.abs(spectrum[0]).max())
+        nah = h * norm_a
+        nsd = spectrum[1] and is_nsd_spectrum(spectrum[0])
     if case == "hermitian_nsd":
-        if not is_hermitian_nsd(a):
+        if not nsd:
             raise ClassificationError("matrix is not Hermitian negative semi-definite")
     elif case == "unit_norm":
-        if np.linalg.norm(a * h, 2) > 1.0 + 1e-12:
+        if nah > 1.0 + 1e-12:
             raise ClassificationError("||A h||_2 exceeds 1")
     else:
         raise ClassificationError(f"unknown case {case!r}")
 
     rec = SCHEMES["pade"](k)
-    winv = np.linalg.inv(rec.one_step(a * h))
-    measured_w = float(np.linalg.norm(winv, 2))
-    row = np.kron(rec.signs, np.eye(n))
-    measured_row = float(np.linalg.norm(row @ winv, 2))
-
-    problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
-                         horizon=params.horizon)
-    system = build_pade_system(problem, params)
-    smax, smin = extreme_singular_values(system, problem)
+    if spectrum is None:
+        winv = np.linalg.inv(rec.one_step(a * h))
+        measured_w = float(np.linalg.norm(winv, 2))
+        measured_row = float(np.linalg.norm(np.kron(rec.signs, np.eye(n)) @ winv, 2))
+        problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
+                             horizon=params.horizon)
+        smax, smin = _operator_singular_values(build_pade_system(problem, params).matrix)
+    else:
+        measured_w, measured_row = _slice_one_step_norms(rec, spectrum[0], h)
+        smax, smin = _slice_singular_values("pade", BlockLayout(n, m, k, p, h), *spectrum)
     norm_l, norm_l_inv = smax, 1.0 / smin
 
     b_w = w_inverse_bound(k, case)
     b_row = signed_row_contraction_bound(k)
     b_linv = l_inverse_bound(m, p, k) if (case == "hermitian_nsd" and k >= 3) else None
-    nah = float(np.linalg.norm(a * h, 2))
     b_kappa = kappa_bound(m, p, k, nah) if (case == "hermitian_nsd" and k >= 3) else None
     sats = {"w_inv": measured_w <= b_w}
     if case == "hermitian_nsd":
@@ -363,7 +427,7 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     return AnalysisReport(
         norm_l=norm_l, norm_l_inv=norm_l_inv, kappa=norm_l * norm_l_inv,
         bound_l_inv=b_linv, bound_kappa=b_kappa,
-        bound_l_norm=l_norm_bound(k, h, float(np.linalg.norm(a, 2))),
+        bound_l_norm=l_norm_bound(k, h, norm_a),
         case=case, measured_w_inv=measured_w, bound_w_inv=b_w,
         measured_signed_row=measured_row, bound_signed_row=b_row,
         satisfied=sats,

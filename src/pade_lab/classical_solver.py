@@ -9,6 +9,7 @@ against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,13 +55,29 @@ class SolutionBundle:
         return rec.output(rec.stacked(self.z_blocks))
 
 
+def _pow2_scale(*arrays: np.ndarray) -> float:
+    """2**-e when the largest real or imaginary part in ``arrays`` has a
+    binary exponent e > 500, whose square could overflow; else 1.  Scaling by
+    a power of two is exact, so results that did not overflow are unchanged."""
+    big = max(max(float(np.abs(x.real).max()), float(np.abs(x.imag).max())) for x in arrays)
+    exponent = math.frexp(big)[1]
+    return math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
+
+
+def _norm(vec: np.ndarray) -> float:
+    """||vec||_2, squared only after ``_pow2_scale``."""
+    scale = _pow2_scale(vec)
+    return float(np.linalg.norm(vec * scale)) / scale
+
+
 def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[float, float]:
-    total_z = float(np.sum(np.abs(z_blocks) ** 2))
-    term = float(np.sum(np.abs(terminal) ** 2))
+    scale = _pow2_scale(z_blocks, terminal)
+    total_z = float(np.sum(np.abs(z_blocks * scale) ** 2))
+    term = float(np.sum(np.abs(terminal * scale) ** 2))
     c2 = total_z + padding * term
     if c2 <= 0.0:
         raise DegenerateTargetError("solution vector has zero norm")
-    return np.sqrt(c2), padding * term / c2
+    return np.sqrt(c2) / scale, padding * term / c2
 
 
 def _factor_step_block(block: np.ndarray):
@@ -151,8 +168,8 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
 
     full = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
     rhs = system.rhs
-    residual = float(np.linalg.norm(system.matrix @ full - rhs))
-    rhs_norm = float(np.linalg.norm(rhs))
+    residual = _norm(system.matrix @ full - rhs)
+    rhs_norm = _norm(rhs)
     if check_residual and residual > FORWARD_RESIDUAL_TOL * max(rhs_norm, 1e-300):
         raise SolveResidualError(f"forward-substitution residual {residual:.3e} exceeds "
                                  f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
@@ -182,7 +199,7 @@ def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBun
     rec = SCHEMES[system.scheme](k)
     z = rec.stacked(solution[:m * (k + 1) * n].reshape(m, k + 1, n)).astype(complex)
     terminal = solution[lay.terminal_row() * n:(lay.terminal_row() + 1) * n]
-    residual = float(np.linalg.norm(system.matrix @ solution - system.rhs))
+    residual = _norm(system.matrix @ solution - system.rhs)
     norm_c, p_succ = _norms(z, terminal, p)
     return SolutionBundle(system.scheme, z, terminal, p, norm_c, p_succ, residual)
 

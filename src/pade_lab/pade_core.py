@@ -204,13 +204,17 @@ def is_hermitian(matrix_a, tol: float = HERMITIAN_TOL) -> bool:
     return np.abs(a - a.conj().T).max() <= tol * scale
 
 
+def is_nsd_spectrum(eigenvalues, tol: float = 1e-10) -> bool:
+    """Every (real) eigenvalue at most tol * max(1, max |eigenvalue|)."""
+    scale = max(1.0, float(np.abs(eigenvalues).max()))
+    return bool(eigenvalues.max() <= tol * scale)
+
+
 def is_hermitian_nsd(matrix_a, tol: float = 1e-10) -> bool:
-    """Hermitian with every eigenvalue at most tol * max(1, max |eigenvalue|)."""
+    """Hermitian with a negative semi-definite spectrum (``is_nsd_spectrum``)."""
     if not is_hermitian(matrix_a):
         return False
-    w = np.linalg.eigvalsh(_as_square(matrix_a))
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w.max() <= tol * scale)
+    return is_nsd_spectrum(np.linalg.eigvalsh(_as_square(matrix_a)), tol)
 
 
 _TAYLOR_ORDER = 30

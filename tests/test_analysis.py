@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pade_lab import analysis
 from pade_lab.analysis import (
     SLICE_DENSE_CAP,
     _operator_singular_values,
@@ -19,11 +22,18 @@ from pade_lab.errors import (
     ClassificationError,
     ConvergenceError,
     SingularBlockError,
+    SingularDenominatorError,
     SizeError,
 )
 from pade_lab.error_bounds import make_params, theta_max
 from pade_lab.experiments import random_stable_matrix
-from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator
+from pade_lab.pade_core import (
+    OdeProblem,
+    eval_pade_parts,
+    pade_coefficients,
+    pade_propagator,
+    reference_expm,
+)
 from pade_lab.system_builder import (
     SCHEMES,
     alternating_signs,
@@ -210,6 +220,49 @@ class TestInverseNormBounds:
             rep = inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"), a, "unit_norm")
             assert rep.measured_w_inv <= rep.bound_w_inv
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(1, 15), scale=st.floats(1e-3, 50.0),
+           steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_eigenvalue_path_matches_dense_formulas(self, n, k, scale, steps, seed):
+        # the dense one-step inverse, signed row and propagator product are
+        # the oracle for the slice and scalar formulas of a normal A; the
+        # i-th power of exp(-A h) R(A h) has norm at most exp(i ||A h||).
+        # R = D^-1 N is solved without pade_propagator's residual gate, which
+        # rejects some of these denominators (cond(D) ~ 1e5) as singular.
+        a = random_hermitian_nsd(np.random.default_rng(seed), n)
+        norm_a = float(np.linalg.norm(a, 2))
+        h = scale / max(norm_a, 1e-9)
+        rep = inverse_norm_bounds(make_params(1, k, 1, h, "pade"), a, "hermitian_nsd")
+        rec = SCHEMES["pade"](k)
+        winv = np.linalg.inv(rec.one_step(a * h))
+        signed = np.kron(rec.signs, np.eye(n)) @ winv
+        assert rep.measured_w_inv == pytest.approx(np.linalg.norm(winv, 2), rel=1e-12, abs=0.0)
+        assert rep.measured_signed_row == pytest.approx(np.linalg.norm(signed, 2),
+                                                        rel=1e-12, abs=0.0)
+
+        num, den = eval_pade_parts(a * h, pade_coefficients(k, k))
+        gmat = reference_expm(a, -h) @ np.linalg.solve(den, num)
+        acc = np.eye(n, dtype=complex)
+        dense = []
+        for _ in range(steps):
+            acc = acc @ gmat
+            dense.append(np.linalg.norm(np.eye(n) - acc, 2))
+        drift = propagator_drift(a, h, k, steps).per_step
+        assert (np.abs(drift - dense) <= 1e-12 * np.exp(norm_a * h * np.arange(1, steps + 1))).all()
+
+    def test_normal_a_is_never_assembled(self, rng, monkeypatch):
+        def assembled(*args, **kwargs):
+            raise AssertionError("build_pade_system called for a normal A")
+
+        monkeypatch.setattr(analysis, "build_pade_system", assembled)
+        a = random_hermitian_nsd(rng, 5)
+        rep = inverse_norm_bounds(make_params(3, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
+        assert all(rep.satisfied.values())
+        # a non-normal A still measures the assembled system
+        with pytest.raises(AssertionError):
+            inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"),
+                                random_contraction(rng, 4, norm=1.0), "unit_norm")
+
     def test_case_mismatch(self, rng):
         a = random_contraction(rng, 3, norm=2.0)
         with pytest.raises(ClassificationError):
@@ -286,6 +339,11 @@ class TestDrift:
         m = 4
         report = propagator_drift(a, h, k, m)
         assert report.drift_max <= delta * np.linalg.norm(a, 2) * m * h
+
+    def test_vanishing_denominator_is_typed(self):
+        # the [1/1] denominator 1 - x/2 vanishes at x = A h = 2
+        with pytest.raises(SingularDenominatorError):
+            propagator_drift(np.array([[2.0]]), 1.0, 1, 3)
 
     def test_large_step_violates(self):
         report = propagator_drift(np.array([[-5.0]]), 1.0, 1, 3)

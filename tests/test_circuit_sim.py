@@ -234,11 +234,11 @@ class TestUnitarityCertificate:
         u = np.diag(np.full(16, math.sqrt(1.0 + eps))).astype(complex)
         enc = BlockEncodingUnitary(u, 1.0, 0, 16)
         frobenius = np.linalg.norm(u.conj().T @ u - np.eye(16))
-        assert frobenius == pytest.approx(4 * eps, rel=1e-3)
+        assert frobenius == pytest.approx(4 * eps, rel=1e-3, abs=0.0)
         assert frobenius > UNITARITY_TOL
         defect = enc.unitarity_defect()
         assert defect == svd_defect(u)
-        assert defect == pytest.approx(eps, rel=1e-3)
+        assert defect == pytest.approx(eps, rel=1e-3, abs=0.0)
         assert (defect <= UNITARITY_TOL) is passes
 
 

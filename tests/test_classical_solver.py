@@ -195,6 +195,26 @@ class TestMarchTerminal:
             assert info.value.step_index == 122
         assert capfd.readouterr().err == ""
 
+    def test_huge_finite_states_keep_finite_norms(self):
+        # at m = 121 every state is finite (up to about 2e306) but its square
+        # is not; the same march from x0 = 2^-600 stays far from overflow, and
+        # scaling by a power of two is exact, so both must agree bit for bit
+        def solve(x0):
+            problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                                 vec_x0=np.array([x0]), horizon=121.0)
+            system = build_pade_system(problem, make_params(121, 9, 1, 121.0, "pade"))
+            return solve_block_forward(system, check_residual=False)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, small = solve(1.0), solve(2.0 ** -600)
+        assert np.abs(big.terminal).max() > 1e306
+        assert np.isfinite([big.norm_c, big.p_succ, big.residual]).all()
+        assert big.norm_c == small.norm_c * 2.0 ** 600
+        assert big.residual == small.residual * 2.0 ** 600
+        assert big.p_succ == small.p_succ
+        assert 0.0 < big.p_succ <= 1.0
+
 
 class TestDenseOracle:
     def test_identity_system(self):
