@@ -6,8 +6,8 @@ measured quantity is one of the eigenvalues: the singular values of L are
 those of its n scalar slices S + lam_i h B, ||W^-1|| and the signed row come
 from the (k+1)-square slices S1 + lam_i h B1 of the one-step block, and the
 drift from the scalars exp(-lam_i h) R(lam_i h); nothing is assembled.  Any
-other A takes dense SVD at desk scale and Lanczos with a sparse factorization
-above it, on the assembled system.
+other A assembles L once and takes dense SVD at desk scale and Lanczos with a
+sparse factorization above it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ import scipy.sparse.linalg as spla
 from . import pade_core
 from .errors import (
     ClassificationError,
+    ConsistencyError,
     ConvergenceError,
     MagnitudeError,
     SingularBlockError,
     SingularDenominatorError,
     SizeError,
 )
-from .error_bounds import SolverParams, make_params
+from .error_bounds import SolverParams
 from .pade_core import (
     OdeProblem,
     is_hermitian_nsd,
@@ -39,10 +40,10 @@ from .pade_core import (
     reference_expm,
 )
 from .system_builder import (
+    BUILDERS,
     SCHEMES,
     BlockLayout,
-    BlockSystem,
-    build_pade_system,
+    block_layout,
     classical_reference_trajectory,
     scalar_patterns,
 )
@@ -180,18 +181,28 @@ def _slice_singular_values(scheme: str, lay: BlockLayout, lam: np.ndarray,
     return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
 
 
-def extreme_singular_values(system: BlockSystem, problem: OdeProblem) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of the assembled system L of ``problem``.
+def _l_singular_values(a: np.ndarray, params: SolverParams,
+                       spectrum: tuple[np.ndarray, bool] | None) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of L for A = ``a`` with ``_normal_spectrum``
+    ``spectrum``; L does not depend on b or x0, so it is assembled with zeros."""
+    n = a.shape[0]
+    if spectrum is None:
+        problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
+                             horizon=params.horizon)
+        return _operator_singular_values(BUILDERS[params.scheme](problem, params).matrix)
+    lay = BlockLayout(n, params.steps, params.order, params.padding, params.step_size)
+    return _slice_singular_values(params.scheme, lay, *spectrum)
+
+
+def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of the system L of ``problem`` discretized by ``params``.
 
     For normal A = V Lam V^H, (I (x) V)^H L (I (x) V) is the direct sum of the
     scalar systems S + lam_i h B, so the singular values of L are those of
-    its n slices, which are measured instead.  Any other A takes the operator
-    path on ``system.matrix``.
+    its n slices, which are measured and L is never assembled.  Any other A
+    assembles L once and takes the operator path.
     """
-    spectrum = _normal_spectrum(np.asarray(problem.matrix_a, dtype=complex))
-    if spectrum is None:
-        return _operator_singular_values(system.matrix)
-    return _slice_singular_values(system.scheme, system.layout, *spectrum)
+    return _l_singular_values(problem.matrix_a, params, _normal_spectrum(problem.matrix_a))
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -380,6 +391,8 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).  A normal A is
     measured on its eigenvalues alone; L is assembled only for any other A.
     """
+    if params.scheme != "pade":
+        raise ConsistencyError(f"the bounds are for the Padé system, got {params.scheme!r}")
     a = np.asarray(matrix_a, dtype=complex)
     n = a.shape[0]
     k, m, p, h = params.order, params.steps, params.padding, params.step_size
@@ -405,12 +418,9 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
         winv = np.linalg.inv(rec.one_step(a * h))
         measured_w = float(np.linalg.norm(winv, 2))
         measured_row = float(np.linalg.norm(np.kron(rec.signs, np.eye(n)) @ winv, 2))
-        problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
-                             horizon=params.horizon)
-        smax, smin = _operator_singular_values(build_pade_system(problem, params).matrix)
     else:
         measured_w, measured_row = _slice_one_step_norms(rec, spectrum[0], h)
-        smax, smin = _slice_singular_values("pade", BlockLayout(n, m, k, p, h), *spectrum)
+    smax, smin = _l_singular_values(a, params, spectrum)
     norm_l, norm_l_inv = smax, 1.0 / smin
 
     b_w = w_inverse_bound(k, case)
@@ -444,17 +454,17 @@ def transient_growth(matrix_a, horizon: float, steps: int) -> float:
     return float(max(np.linalg.norm(reference_expm(a, t), 2) for t in ts))
 
 
-def condition_report(system: BlockSystem, problem: OdeProblem,
+def condition_report(problem: OdeProblem, params: SolverParams,
                      dim_cap: int = CONDITION_DIM_CAP) -> AnalysisReport:
-    """Measured condition number of an assembled system plus every applicable bound.
+    """Measured condition number of the system L plus every applicable bound.
 
     ``dim_cap`` guards the exact inverse-norm computation; raise it explicitly
     for larger sweeps (the Lanczos path handles them fine).
     """
-    lay = system.layout
+    lay = block_layout(problem, params)
     if lay.dim > dim_cap:
         raise SizeError(f"condition report capped at dimension {dim_cap}, got {lay.dim}")
-    smax, smin = extreme_singular_values(system, problem)
+    smax, smin = extreme_singular_values(problem, params)
     norm_l, norm_l_inv = smax, 1.0 / smin
     kappa = norm_l * norm_l_inv
     a = problem.matrix_a
@@ -465,16 +475,15 @@ def condition_report(system: BlockSystem, problem: OdeProblem,
     hermitian_nsd = is_hermitian_nsd(a)
     case = "hermitian_nsd" if hermitian_nsd else ("unit_norm" if nah <= 1.0 + 1e-12 else None)
     b_linv = b_kappa = None
-    if system.scheme == "pade" and hermitian_nsd and k >= 3:
+    if params.scheme == "pade" and hermitian_nsd and k >= 3:
         b_linv = l_inverse_bound(m, p, k)
         b_kappa = kappa_bound(m, p, k, nah)
-    b_lnorm = l_norm_bound(k, h, na) if system.scheme == "pade" else None
+    b_lnorm = l_norm_bound(k, h, na) if params.scheme == "pade" else None
 
-    traj = classical_reference_trajectory(
-        problem, make_params(m, k, p, lay.h * m, system.scheme))
+    traj = classical_reference_trajectory(problem, params)
     g = traj.g(float(np.linalg.norm(problem.vec_b))) if not traj.degenerate else None
-    c_of_a = transient_growth(a, lay.h * m, m)
-    drift = propagator_drift(a, h, k, m).drift_max if system.scheme == "pade" else None
+    c_of_a = transient_growth(a, params.horizon, m)
+    drift = propagator_drift(a, h, k, m).drift_max if params.scheme == "pade" else None
 
     sats = {}
     if b_linv is not None:

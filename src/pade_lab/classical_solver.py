@@ -1,8 +1,8 @@
 """Exact solvers for the block systems and the solution-quality quantities.
 
 ``solve_block_forward`` walks the block-lower-triangular structure one step at
-a time, factoring the (identical) diagonal block once; ``march_terminal`` runs
-the same march from the one-step block alone, without assembling L.
+a time, factoring the (identical) diagonal block once; ``march_solution`` and
+``march_terminal`` run the same march without assembling L.
 ``solve_dense`` is the deliberately-naive oracle the structured path is tested
 against.
 """
@@ -38,7 +38,8 @@ class SolutionBundle:
 
     ``z_blocks[s, j]`` holds the auxiliary vector with subscript j of step
     s+1 (subscript order, not stack order).  ``norm_c`` is the global
-    normalization C with C^2 = sum ||z||^2 + p ||terminal||^2.
+    normalization C with C^2 = sum ||z||^2 + p ||terminal||^2.  ``residual``
+    is ||L z - rhs||_2, NaN when L was never assembled (``march_solution``).
     """
 
     scheme: str
@@ -138,17 +139,27 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
     return stacks.reshape(m, width, n), readout
 
 
-def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
-    """Terminal state of the scheme's m steps, without assembling L.
-
-    Factors W = S1 (x) I_n + B1 (x) (A h), the diagonal block of L, and
-    marches the rhs through it: bit for bit the ``terminal`` of
-    ``solve_block_forward`` on the assembled system.
-    """
+def _march_problem(problem: OdeProblem, params: SolverParams):
+    """(record, step stacks, terminal state) of the scheme's m steps, marched
+    through W = S1 (x) I_n + B1 (x) (A h), the diagonal block of L: bit for
+    bit the stacks and terminal state of ``solve_block_forward``."""
     lay = block_layout(problem, params)
     rec = SCHEMES[params.scheme](lay.k)
     step_block = rec.one_step(problem.matrix_a * lay.h)
-    return _march(step_block, build_rhs(rec, lay, problem), rec, lay)[1]
+    return (rec, *_march(step_block, build_rhs(rec, lay, problem), rec, lay))
+
+
+def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
+    """Terminal state of the scheme's m steps, without assembling L."""
+    return _march_problem(problem, params)[2]
+
+
+def march_solution(problem: OdeProblem, params: SolverParams) -> SolutionBundle:
+    """The ``solve_block_forward`` bundle without assembling L: the same bytes
+    in every field but ``residual``, which is NaN."""
+    rec, stacks, terminal = _march_problem(problem, params)
+    z, p = rec.stacked(stacks), params.padding
+    return SolutionBundle(params.scheme, z, terminal, p, *_norms(z, terminal, p), math.nan)
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
@@ -164,7 +175,6 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     rec = SCHEMES[system.scheme](lay.k)
     step_block = system.matrix[: n * width, : n * width].toarray()
     stacks, terminal = _march(step_block, system.rhs, rec, lay)
-    z_blocks = rec.stacked(stacks)
 
     full = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
     rhs = system.rhs
@@ -173,8 +183,8 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     if check_residual and residual > FORWARD_RESIDUAL_TOL * max(rhs_norm, 1e-300):
         raise SolveResidualError(f"forward-substitution residual {residual:.3e} exceeds "
                                  f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
-    norm_c, p_succ = _norms(z_blocks, terminal, p)
-    return SolutionBundle(system.scheme, z_blocks, terminal, p, norm_c, p_succ, residual)
+    z = rec.stacked(stacks)
+    return SolutionBundle(system.scheme, z, terminal, p, *_norms(z, terminal, p), residual)
 
 
 def solve_dense(system: BlockSystem) -> np.ndarray:
@@ -200,8 +210,7 @@ def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBun
     z = rec.stacked(solution[:m * (k + 1) * n].reshape(m, k + 1, n)).astype(complex)
     terminal = solution[lay.terminal_row() * n:(lay.terminal_row() + 1) * n]
     residual = _norm(system.matrix @ solution - system.rhs)
-    norm_c, p_succ = _norms(z, terminal, p)
-    return SolutionBundle(system.scheme, z, terminal, p, norm_c, p_succ, residual)
+    return SolutionBundle(system.scheme, z, terminal, p, *_norms(z, terminal, p), residual)
 
 
 def state_distance(u, v) -> float:

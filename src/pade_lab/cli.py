@@ -25,14 +25,15 @@ from .circuit_sim import (
     verify_block_encoding,
     zero_matrix_encoding,
 )
-from .classical_solver import solve_block_forward, state_distance
+from .classical_solver import march_solution, solve_block_forward, state_distance
 from .errors import PadeLabError, UsageError
 from .error_bounds import make_params
 from .experiments import random_stable_matrix
 from .pade_core import pade_coefficients
 from .system_builder import (
+    BUILDERS,
+    SCHEMES,
     build_pade_system,
-    build_taylor_system,
     classical_reference_trajectory,
     export_coordinate,
     load_problem,
@@ -72,11 +73,9 @@ def _emit(args, name: str, text: str, stream):
         stream.write(text)
 
 
-def _build_system(args):
+def _problem_params(args):
     problem = load_problem(args.problem)
-    params = make_params(args.m, args.k, args.p, problem.horizon, args.scheme)
-    builder = build_pade_system if args.scheme == "pade" else build_taylor_system
-    return problem, params, builder(problem, params)
+    return problem, make_params(args.m, args.k, args.p, problem.horizon, args.scheme)
 
 
 def _cmd_coeffs(args, stdout):
@@ -101,7 +100,7 @@ def _cmd_theta_table(args, stdout):
 
 
 def _cmd_build(args, stdout):
-    _, _, system = _build_system(args)
+    system = BUILDERS[args.scheme](*_problem_params(args))
     target = _out_dir(args) / (args.name or f"system_{args.scheme}.txt")
     export_coordinate(system, target)
     print(target, file=stdout)
@@ -109,8 +108,8 @@ def _cmd_build(args, stdout):
 
 
 def _cmd_solve(args, stdout):
-    problem, params, system = _build_system(args)
-    bundle = solve_block_forward(system, check_residual=False)
+    problem, params = _problem_params(args)
+    bundle = solve_block_forward(BUILDERS[args.scheme](problem, params), check_residual=False)
     traj = classical_reference_trajectory(problem, params)
     doc = {
         "terminal": [[float(z.real), float(z.imag)] for z in bundle.terminal],
@@ -125,10 +124,10 @@ def _cmd_solve(args, stdout):
 
 
 def _cmd_analyze(args, stdout):
-    problem, _, system = _build_system(args)
-    report = analysis.condition_report(system, problem, dim_cap=args.dim_cap)
+    problem, params = _problem_params(args)
+    report = analysis.condition_report(problem, params, dim_cap=args.dim_cap)
     doc = {k: v for k, v in report.__dict__.items() if not isinstance(v, dict)}
-    doc["p_succ"] = solve_block_forward(system, check_residual=False).p_succ
+    doc["p_succ"] = march_solution(problem, params).p_succ
     doc["satisfied"] = report.satisfied
     text = json.dumps(doc, indent=1, default=float) + "\n"
     _emit(args, "analyze.json", text, stdout)
@@ -196,7 +195,6 @@ def _cmd_circuit_verify(args, stdout):
         primitive_targets,
     )
     from .pade_core import OdeProblem
-    from .system_builder import SCHEMES
 
     n = args.n
     nq = int(math.log2(n)) if n > 1 else 0
@@ -285,7 +283,7 @@ def _cmd_random_suite(args, stdout):
 
 def _add_system_flags(sub):
     sub.add_argument("--problem", required=True)
-    sub.add_argument("--scheme", choices=["pade", "taylor"], default="pade")
+    sub.add_argument("--scheme", choices=list(SCHEMES), default="pade")
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--p", type=int, default=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,17 +66,17 @@ class RemainderModel:
 
 
 def _exact_remainder_series(k: int, max_j: int) -> list[Fraction]:
-    """Rational series of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j."""
+    """Rational series of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j.
+    N and D have k + 1 terms each, and D(0) = 1."""
     coeffs = pade_core.pade_coefficients(k, k)
-    num = list(coeffs.num_coeffs) + [Fraction(0)] * (max_j - k)
-    den = [coeffs.den_coeffs[j] * (-1) ** j for j in range(k + 1)]
-    den += [Fraction(0)] * (max_j - k)
+    num = coeffs.num_coeffs
+    den = [d * (-1) ** j for j, d in enumerate(coeffs.den_coeffs)]
     expo = [Fraction((-1) ** j, math.factorial(j)) for j in range(max_j + 1)]
-    prod = [sum(expo[i] * num[j - i] for i in range(j + 1)) for j in range(max_j + 1)]
-    quot: list[Fraction] = [Fraction(0)] * (max_j + 1)
+    quot: list[Fraction] = []
     for j in range(max_j + 1):
-        acc = prod[j] - sum(den[i] * quot[j - i] for i in range(1, j + 1))
-        quot[j] = acc / den[0]
+        low = min(j, k)
+        quot.append(sum(num[i] * expo[j - i] for i in range(low + 1))
+                    - sum(den[i] * quot[j - i] for i in range(1, low + 1)))
     quot[0] -= 1
     return quot
 
@@ -151,13 +152,10 @@ def remainder_bound(model: RemainderModel, theta: float) -> float:
     return head + tail
 
 
-_MODEL_CACHE: dict[int, RemainderModel] = {}
-
-
+# pade_coefficients admits k <= 64 only, which bounds the keys.
+@lru_cache(maxsize=None)
 def _cached_model(k: int) -> RemainderModel:
-    if k not in _MODEL_CACHE:
-        _MODEL_CACHE[k] = remainder_coeffs(k, max(4 * k + 20, 2 * k + 60))
-    return _MODEL_CACHE[k]
+    return remainder_coeffs(k, max(4 * k + 20, 2 * k + 60))
 
 
 def theta_max(order: int, delta: float) -> float:
@@ -198,8 +196,8 @@ def min_order(delta: float) -> int:
     The factorial ratio is updated incrementally in exact rationals; raw
     factorials are never formed.
     """
-    if not (0 < delta):
-        raise BoundsError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BoundsError(f"delta must be positive and finite, got {delta}")
     threshold = Fraction(delta) / ORDER_RULE_CONSTANT
     ratio = Fraction(1, 12)  # k = 1
     k = 1

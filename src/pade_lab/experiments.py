@@ -11,20 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import extreme_singular_values
-from .classical_solver import march_terminal, solve_block_forward
+from .classical_solver import march_solution, march_terminal
 from .errors import BoundsError, DegenerateTargetError, SearchError, SingularBlockError
-from .error_bounds import make_params
+from .error_bounds import SolverParams, make_params
 from .pade_core import OdeProblem
-from .system_builder import (
-    build_pade_system,
-    build_taylor_system,
-    classical_reference_trajectory,
-)
+from .system_builder import SCHEMES, classical_reference_trajectory
 
 K_SEARCH_CAP = 64
 M_SEARCH_CAP = 1 << 14
-
-_BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
 
 
 @dataclass(frozen=True)
@@ -83,21 +77,28 @@ def _rel_error(problem: OdeProblem, params, terminal: np.ndarray) -> float:
     return float(np.linalg.norm(terminal - traj.states[-1]) / traj.terminal_norm)
 
 
-def _solve_rel_error(problem: OdeProblem, scheme: str, m: int, k: int, p: int):
-    """(rel_error, bundle, system) for one configuration, from the assembled system."""
-    params = make_params(m, k, p, problem.horizon, scheme)
-    system = _BUILDERS[scheme](problem, params)
-    bundle = solve_block_forward(system, check_residual=False)
-    return _rel_error(problem, params, bundle.terminal), bundle, system
+def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRow:
+    """One reported row: rel_error and p_succ from the march, which does not
+    assemble L, and kappa from ``extreme_singular_values``."""
+    bundle = march_solution(problem, params)
+    err = _rel_error(problem, params, bundle.terminal)
+    kappa = float("nan")
+    if with_kappa:
+        try:
+            smax, smin = extreme_singular_values(problem, params)
+        except SingularBlockError:
+            pass  # an exactly singular system has no finite kappa
+        else:
+            kappa = smax / smin
+    return SweepRow(params.scheme, problem.horizon, params.steps, params.order,
+                    params.padding, err, kappa, bundle.p_succ)
 
 
-def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, p: int, eps: float) -> bool:
-    """Search probe: does the terminal state at (m, k) reach eps?
-
-    Marches the one-step block instead of assembling L; the terminal state is
-    bit-identical to the assembled solve's, so every search result is too.
-    """
-    params = make_params(m, k, p, problem.horizon, scheme)
+def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, eps: float) -> bool:
+    """Search probe: does the terminal state at (m, k) reach eps?  The march
+    skips the norms that only ``p_succ`` needs; the terminal state does not
+    depend on the padding."""
+    params = make_params(m, k, 1, problem.horizon, scheme)
     return _rel_error(problem, params, march_terminal(problem, params)) < eps
 
 
@@ -107,12 +108,11 @@ def _check_eps(eps: float):
         raise BoundsError(f"eps must be positive, got {eps}")
 
 
-def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
-                   padding: int = 1) -> int:
+def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> int:
     """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
     _check_eps(eps)
     def ok(m: int) -> bool:
-        return _reaches(problem, scheme, m, order, padding, eps)
+        return _reaches(problem, scheme, m, order, eps)
 
     hi = 1
     while not ok(hi):
@@ -133,13 +133,13 @@ def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
     _check_eps(eps)
     for k in range(1, K_SEARCH_CAP + 1):
-        if _reaches(problem, scheme, 1, k, 1, eps):
+        if _reaches(problem, scheme, 1, k, eps):
             return k
     raise SearchError(f"no order <= {K_SEARCH_CAP} reaches eps={eps} for {scheme}")
 
 
 def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
-            padding: int = 1, schemes=("pade", "taylor"),
+            padding: int = 1, schemes=tuple(SCHEMES),
             with_kappa: bool = True) -> SweepReport:
     """Relative error, condition number and success probability over a step grid.
 
@@ -151,43 +151,23 @@ def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
     report = SweepReport()
     m_star: dict[str, int | None] = {}
     for scheme in schemes:
-        best = None
-        for m in m_list:
-            err, bundle, system = _solve_rel_error(problem, scheme, m, order, padding)
-            kappa = float("nan")
-            if with_kappa:
-                try:
-                    smax, smin = extreme_singular_values(system, problem)
-                except SingularBlockError:
-                    pass  # an exactly singular system has no finite kappa
-                else:
-                    kappa = smax / smin
-            report.rows.append(SweepRow(scheme, problem.horizon, m, order, padding,
-                                        err, kappa, bundle.p_succ))
-            if best is None and err < eps:
-                best = m
-        m_star[scheme] = best
+        rows = [_row(problem, make_params(m, order, padding, problem.horizon, scheme), with_kappa)
+                for m in m_list]
+        report.rows += rows
+        m_star[scheme] = next((r.steps for r in rows if r.rel_error < eps), None)
     report.aggregate = {"m_star": m_star}
     return report
 
 
-def sweep_k(problem: OdeProblem, eps: float, schemes=("pade", "taylor")) -> SweepReport:
+def sweep_k(problem: OdeProblem, eps: float) -> SweepReport:
     """Smallest adequate order per scheme at m = p = 1, with its condition number."""
-    report = SweepReport()
-    k_star: dict[str, int] = {}
-    for scheme in schemes:
-        k = find_min_order(problem, scheme, eps)
-        err, bundle, system = _solve_rel_error(problem, scheme, 1, k, 1)
-        smax, smin = extreme_singular_values(system, problem)
-        report.rows.append(SweepRow(scheme, problem.horizon, 1, k, 1,
-                                    err, smax / smin, bundle.p_succ))
-        k_star[scheme] = k
-    report.aggregate = {"k_star": k_star}
-    return report
+    k_star = {scheme: find_min_order(problem, scheme, eps) for scheme in SCHEMES}
+    rows = [_row(problem, make_params(1, k, 1, problem.horizon, scheme), True)
+            for scheme, k in k_star.items()]
+    return SweepReport(rows, {"k_star": k_star})
 
 
-def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int,
-                        padding: int = 1) -> SweepReport:
+def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> SweepReport:
     """Experiment-3 style suite: minimal step count per seed, horizon and scheme.
 
     One row per (scheme, horizon, seed) at the found m*, with the achieved
@@ -198,20 +178,19 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int,
         raise SearchError("empty seed or horizon list")
     report = SweepReport()
     ones = np.ones(dims)
-    means: dict[str, dict[float, float]] = {"pade": {}, "taylor": {}}
-    stds: dict[str, dict[float, float]] = {"pade": {}, "taylor": {}}
+    means: dict[str, dict[float, float]] = {scheme: {} for scheme in SCHEMES}
+    stds: dict[str, dict[float, float]] = {scheme: {} for scheme in SCHEMES}
     for horizon in horizons:
-        samples: dict[str, list[int]] = {"pade": [], "taylor": []}
+        samples: dict[str, list[int]] = {scheme: [] for scheme in SCHEMES}
         for seed in seeds:
             a = random_stable_matrix(dims, seed)
             problem = OdeProblem(matrix_a=a, vec_b=ones, vec_x0=ones, horizon=float(horizon))
-            for scheme in ("pade", "taylor"):
-                m_star = find_min_steps(problem, scheme, order, eps, padding)
-                err, bundle, _ = _solve_rel_error(problem, scheme, m_star, order, padding)
+            for scheme in SCHEMES:
+                m_star = find_min_steps(problem, scheme, order, eps)
                 samples[scheme].append(m_star)
-                report.rows.append(SweepRow(scheme, float(horizon), m_star, order,
-                                            padding, err, float("nan"), bundle.p_succ))
-        for scheme in ("pade", "taylor"):
+                report.rows.append(_row(
+                    problem, make_params(m_star, order, 1, problem.horizon, scheme), False))
+        for scheme in SCHEMES:
             arr = np.array(samples[scheme], dtype=float)
             means[scheme][horizon] = float(arr.mean())
             stds[scheme][horizon] = float(arr.std())

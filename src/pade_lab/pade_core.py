@@ -169,8 +169,8 @@ def pade_propagator(matrix_a, step: float, order: int) -> np.ndarray:
     """One-step diagonal Pade propagator R_kk(A h) = D^{-1} N.
 
     Solved by partial-pivoted LU with one step of iterative refinement; the
-    solve residual must stay below 1e-12 * ||N||_2 or the denominator is
-    reported singular together with a condition estimate.
+    backward error ||N - D R||_2 / (||D||_2 ||R||_2) must stay below 1e-12 or
+    the denominator is reported singular together with a condition estimate.
     """
     a = _as_square(matrix_a)
     coeffs = pade_coefficients(order, order)
@@ -185,36 +185,36 @@ def pade_propagator(matrix_a, step: float, order: int) -> np.ndarray:
         raise SingularDenominatorError(
             f"denominator of order {order} is singular: {exc}", cond_estimate=np.inf
         ) from exc
-    norm_num = np.linalg.norm(num, 2)
     residual = np.linalg.norm(num - den @ prop, 2)
-    if not np.isfinite(residual) or residual > 1e-12 * max(norm_num, 1e-300):
+    scale = np.linalg.norm(den, 2) * np.linalg.norm(prop, 2) if np.isfinite(residual) else 0.0
+    if not residual <= 1e-12 * scale:
         cond = np.linalg.cond(den)
         raise SingularDenominatorError(
-            f"denominator solve residual {residual:.3e} exceeds 1e-12*||N||; cond(D)~{cond:.3e}",
-            cond_estimate=cond,
+            f"denominator solve residual {residual:.3e} exceeds 1e-12*||D||*||R||; "
+            f"cond(D)~{cond:.3e}", cond_estimate=cond,
         )
     return prop
 
 
-def is_hermitian(matrix_a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(matrix_a) -> bool:
     a = _as_square(matrix_a)
     scale = np.abs(a).max()
     if scale == 0:
         return True
-    return np.abs(a - a.conj().T).max() <= tol * scale
+    return np.abs(a - a.conj().T).max() <= HERMITIAN_TOL * scale
 
 
-def is_nsd_spectrum(eigenvalues, tol: float = 1e-10) -> bool:
-    """Every (real) eigenvalue at most tol * max(1, max |eigenvalue|)."""
+def is_nsd_spectrum(eigenvalues) -> bool:
+    """Every (real) eigenvalue at most 1e-10 * max(1, max |eigenvalue|)."""
     scale = max(1.0, float(np.abs(eigenvalues).max()))
-    return bool(eigenvalues.max() <= tol * scale)
+    return bool(eigenvalues.max() <= 1e-10 * scale)
 
 
-def is_hermitian_nsd(matrix_a, tol: float = 1e-10) -> bool:
+def is_hermitian_nsd(matrix_a) -> bool:
     """Hermitian with a negative semi-definite spectrum (``is_nsd_spectrum``)."""
     if not is_hermitian(matrix_a):
         return False
-    return is_nsd_spectrum(np.linalg.eigvalsh(_as_square(matrix_a)), tol)
+    return is_nsd_spectrum(np.linalg.eigvalsh(_as_square(matrix_a)))
 
 
 _TAYLOR_ORDER = 30

@@ -260,6 +260,11 @@ def build_taylor_system(problem: OdeProblem, params: SolverParams) -> BlockSyste
     return _assemble(problem, params, "taylor")
 
 
+#: Scheme name -> builder, for the callers that read the entries of L: the
+#: exported matrix, a reported residual and the spectrum of a non-normal A.
+BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
+
+
 def build_unreduced_pair(problem: OdeProblem, params: SolverParams,
                          prev_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One unreduced step system (backward + forward halves) and its rhs.

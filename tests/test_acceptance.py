@@ -337,8 +337,7 @@ def test_c10_experiment1_reproduction():
     norm_a = np.linalg.norm(problem.matrix_a, 2)
     for m in range(1, 121):
         params = make_params(m, k, 1, 30.0, "pade")
-        system = build_pade_system(problem, params)
-        smax, smin = extreme_singular_values(system, problem)
+        smax, smin = extreme_singular_values(problem, params)
         kappa = smax / smin
         bound = kappa_bound(m, 1, k, norm_a * params.step_size)
         kappa_ok = kappa_ok and kappa <= bound

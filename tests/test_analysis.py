@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pade_lab import analysis
+from pade_lab import system_builder
 from pade_lab.analysis import (
     SLICE_DENSE_CAP,
     _operator_singular_values,
@@ -20,6 +20,7 @@ from pade_lab.analysis import (
 )
 from pade_lab.errors import (
     ClassificationError,
+    ConsistencyError,
     ConvergenceError,
     SingularBlockError,
     SingularDenominatorError,
@@ -82,9 +83,10 @@ class TestSpectralNorm:
     def test_extreme_singular_values_lanczos(self, rng):
         a = random_hermitian_nsd(rng, 2)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(2), vec_x0=np.ones(2), horizon=8.0)
-        system = build_pade_system(problem, make_params(32, 9, 4, 8.0, "pade"))
+        params = make_params(32, 9, 4, 8.0, "pade")
+        system = build_pade_system(problem, params)
         assert system.layout.block_rows > SLICE_DENSE_CAP
-        smax, smin = extreme_singular_values(system, problem)
+        smax, smin = extreme_singular_values(problem, params)
         svals = np.linalg.svd(system.dense(), compute_uv=False)
         assert smax == pytest.approx(svals[0], rel=1e-8)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
@@ -94,11 +96,11 @@ class TestSpectralNorm:
         problem = _tridiag_problem(seed)
         for scheme in ("pade", "taylor"):
             for m in (5, 12, 19, 33, 47, 58, 65, 117):
-                system = _BUILD[scheme](problem, make_params(m, 9, 1, 30.0, scheme))
-                smax, smin = _operator_singular_values(system.matrix)
+                params = make_params(m, 9, 1, 30.0, scheme)
+                smax, smin = _operator_singular_values(_BUILD[scheme](problem, params).matrix)
                 if smax / smin >= 1e12:
                     continue
-                got_max, got_min = extreme_singular_values(system, problem)
+                got_max, got_min = extreme_singular_values(problem, params)
                 assert got_max / got_min == pytest.approx(smax / smin, rel=1e-8), (scheme, m)
 
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
@@ -110,9 +112,10 @@ class TestSpectralNorm:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         a = (q * lam) @ q.conj().T
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=2.0)
-        system = _BUILD[scheme](problem, make_params(m, 9, 1, 2.0, scheme))
+        params = make_params(m, 9, 1, 2.0, scheme)
+        system = _BUILD[scheme](problem, params)
         assert (system.layout.block_rows > SLICE_DENSE_CAP) == (m == 14)
-        smax, smin = extreme_singular_values(system, problem)
+        smax, smin = extreme_singular_values(problem, params)
         svals = np.linalg.svd(system.dense(), compute_uv=False)
         assert smax == pytest.approx(svals[0], rel=1e-10)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
@@ -121,17 +124,18 @@ class TestSpectralNorm:
     def test_non_normal_takes_the_operator_path(self, m):
         a = random_stable_matrix(4, 7)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=5.0)
-        system = build_pade_system(problem, make_params(m, 9, 1, 5.0, "pade"))
+        params = make_params(m, 9, 1, 5.0, "pade")
+        system = build_pade_system(problem, params)
         assert (system.layout.dim > 512) == (m == 16)
-        assert extreme_singular_values(system, problem) == _operator_singular_values(system.matrix)
+        assert extreme_singular_values(problem, params) == _operator_singular_values(system.matrix)
 
     def test_taylor_floor_at_m5(self):
         # dim 255: the operator path would take its dense SVD, whose last
         # singular value floors at eps sigma_max (1/sigma_min = 1.07e17)
         problem = _tridiag_problem()
-        system = build_taylor_system(problem, make_params(5, 9, 1, 30.0, "taylor"))
-        assert system.layout.dim == 255
-        _, smin = extreme_singular_values(system, problem)
+        params = make_params(5, 9, 1, 30.0, "taylor")
+        assert build_taylor_system(problem, params).layout.dim == 255
+        _, smin = extreme_singular_values(problem, params)
         floor = _taylor_floor(5)
         assert floor > 1e32
         assert 1.0 / smin >= floor
@@ -143,8 +147,9 @@ class TestSpectralNorm:
         import scipy.sparse as sp
 
         problem = _tridiag_problem()
-        system = build_taylor_system(problem, make_params(12, 9, 1, 30.0, "taylor"))
-        _, smin = extreme_singular_values(system, problem)
+        params = make_params(12, 9, 1, 30.0, "taylor")
+        system = build_taylor_system(problem, params)
+        _, smin = extreme_singular_values(problem, params)
         floor = _taylor_floor(12)
         assert floor > 1e34
         assert 1.0 / smin >= floor
@@ -162,9 +167,8 @@ class TestSpectralNorm:
         # exactly singular, in the dense (m = 1) and the Lanczos (m = 70) range
         problem = OdeProblem(matrix_a=np.array([[-1.0, 0.0], [0.0, 2.0 * m]]),
                              vec_b=np.ones(2), vec_x0=np.ones(2), horizon=1.0)
-        system = build_pade_system(problem, make_params(m, 1, 1, 1.0, "pade"))
         with pytest.raises(SingularBlockError):
-            extreme_singular_values(system, problem)
+            extreme_singular_values(problem, make_params(m, 1, 1, 1.0, "pade"))
 
     def test_lanczos_no_convergence_is_typed(self, rng, monkeypatch):
         import scipy.sparse as sp
@@ -178,9 +182,8 @@ class TestSpectralNorm:
         with pytest.raises(ConvergenceError):
             _operator_singular_values(sp.csr_matrix(dense))
         problem = _tridiag_problem()
-        system = build_pade_system(problem, make_params(19, 9, 1, 30.0, "pade"))
         with pytest.raises(ConvergenceError):
-            extreme_singular_values(system, problem)
+            extreme_singular_values(problem, make_params(19, 9, 1, 30.0, "pade"))
 
 
 class TestInverseNormBounds:
@@ -254,7 +257,7 @@ class TestInverseNormBounds:
         def assembled(*args, **kwargs):
             raise AssertionError("build_pade_system called for a normal A")
 
-        monkeypatch.setattr(analysis, "build_pade_system", assembled)
+        monkeypatch.setitem(system_builder.BUILDERS, "pade", assembled)
         a = random_hermitian_nsd(rng, 5)
         rep = inverse_norm_bounds(make_params(3, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
         assert all(rep.satisfied.values())
@@ -269,6 +272,9 @@ class TestInverseNormBounds:
             inverse_norm_bounds(make_params(1, 3, 1, 1.0, "pade"), a, "hermitian_nsd")
         with pytest.raises(ClassificationError):
             inverse_norm_bounds(make_params(1, 3, 1, 1.0, "pade"), a, "unit_norm")
+        # the bounds are stated for the Padé system
+        with pytest.raises(ConsistencyError):
+            inverse_norm_bounds(make_params(1, 3, 1, 1.0, "taylor"), a / 2.0, "unit_norm")
 
 
 class TestTaylorGrowth:
@@ -386,16 +392,15 @@ class TestConditionReport:
     def test_trivial_instance_vs_svd(self):
         problem = OdeProblem(matrix_a=np.zeros((1, 1)), vec_b=np.ones(1),
                              vec_x0=np.ones(1), horizon=1.0)
-        system = build_pade_system(problem, make_params(1, 1, 1, 1.0, "pade"))
-        report = condition_report(system, problem)
-        svals = np.linalg.svd(system.dense(), compute_uv=False)
+        params = make_params(1, 1, 1, 1.0, "pade")
+        report = condition_report(problem, params)
+        svals = np.linalg.svd(build_pade_system(problem, params).dense(), compute_uv=False)
         assert report.kappa == pytest.approx(svals[0] / svals[-1], rel=1e-8)
 
     def test_norm_bound_and_flags(self, rng):
         a = random_hermitian_nsd(rng, 3)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=2.0)
-        system = build_pade_system(problem, make_params(2, 4, 2, 2.0, "pade"))
-        report = condition_report(system, problem)
+        report = condition_report(problem, make_params(2, 4, 2, 2.0, "pade"))
         assert report.norm_l <= report.bound_l_norm
         assert report.case == "hermitian_nsd"
         assert report.satisfied["l_norm"]
@@ -405,9 +410,8 @@ class TestConditionReport:
     def test_size_cap(self):
         problem = OdeProblem(matrix_a=np.zeros((1, 1)), vec_b=np.ones(1),
                              vec_x0=np.ones(1), horizon=1.0)
-        system = build_taylor_system(problem, make_params(2048, 1, 3, 1.0, "taylor"))
         with pytest.raises(SizeError):
-            condition_report(system, problem)
+            condition_report(problem, make_params(2048, 1, 3, 1.0, "taylor"))
 
     def test_transient_growth_hermitian(self, rng):
         a = random_hermitian_nsd(rng, 3)

@@ -11,6 +11,7 @@ from pade_lab.classical_solver import (
     SolutionBundle,
     _norms,
     bundle_from_vector,
+    march_solution,
     march_terminal,
     solve_block_forward,
     solve_dense,
@@ -117,15 +118,20 @@ class TestForwardSolve:
 
 
 def _outcome(solve):
-    """Terminal bytes, or the type and step index of the typed error."""
+    """Bytes of what ``solve`` returns (a terminal state, or a bundle's z_blocks,
+    terminal, norm_c and p_succ), or the type and step index of the typed error."""
     try:
-        return solve().tobytes()
+        out = solve()
     except PadeLabError as exc:
         return type(exc), getattr(exc, "step_index", None)
+    if isinstance(out, SolutionBundle):
+        return tuple(np.asarray(x).tobytes()
+                     for x in (out.z_blocks, out.terminal, out.norm_c, out.p_succ))
+    return out.tobytes()
 
 
 class TestMarchTerminal:
-    """The search probe's march from the one-step block against the assembled solve."""
+    """The march from the one-step block against the assembled solve."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 5), m=st.integers(1, 40), k=st.integers(1, 11),
@@ -150,9 +156,11 @@ class TestMarchTerminal:
                              vec_x0=rng.normal(size=n), horizon=horizon)
         params = make_params(m, k, p, horizon, scheme)
         assembled = _outcome(lambda: solve_block_forward(
-            BUILDERS[scheme](problem, params), check_residual=False).terminal)
+            BUILDERS[scheme](problem, params), check_residual=False))
+        marched = _outcome(lambda: march_solution(problem, params))
+        assert marched == assembled
         probe = _outcome(lambda: march_terminal(problem, params))
-        assert probe == assembled
+        assert probe == (assembled[1] if isinstance(assembled[0], bytes) else assembled)
         if kind == "singular":
             assert probe == (SingularBlockError, 1)
 

@@ -179,6 +179,12 @@ class TestMinOrder:
         assert self.order_oracle(1e-16) == 8
         assert min_order(1e-16) == 8
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_delta_is_typed(self, delta):
+        # Fraction(inf) raised OverflowError, Fraction(nan) ValueError
+        with pytest.raises(BoundsError, match="positive and finite"):
+            min_order(delta)
+
 
 class TestSelectParameters:
     @staticmethod

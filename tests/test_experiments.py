@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pade_lab import experiments
+from pade_lab import analysis, experiments, system_builder
 from pade_lab.errors import PadeLabError, SchemeError, SearchError, SingularBlockError
+from pade_lab.error_bounds import make_params
 from pade_lab.experiments import (
     find_min_order,
     find_min_steps,
@@ -64,28 +65,67 @@ class TestSweeps:
 
     def test_find_min_steps_boundary(self):
         problem = stable_problem(seed=3, horizon=4.0)
-        from pade_lab.experiments import _solve_rel_error
+        from pade_lab.experiments import _row
+
+        def rel_error(m):
+            return _row(problem, make_params(m, 9, 1, 4.0, scheme), False).rel_error
 
         for scheme in ("pade", "taylor"):
             m_star = find_min_steps(problem, scheme, 9, 1e-10)
-            assert _solve_rel_error(problem, scheme, m_star, 9, 1)[0] < 1e-10
+            assert rel_error(m_star) < 1e-10
             if m_star > 1:
-                assert _solve_rel_error(problem, scheme, m_star - 1, 9, 1)[0] >= 1e-10
+                assert rel_error(m_star - 1) >= 1e-10
 
     def test_searches_never_assemble(self, monkeypatch):
-        # the probes march the one-step block; assembling L is left to the
-        # rows a sweep reports
-        def refuse(*args, **kwargs):
-            raise AssertionError("a search probe assembled the block system")
+        # probes, rows and the kappa of a normal A march the one-step block and
+        # measure scalar slices; a non-normal A assembles L once per kappa
+        def refuse(problem, params):
+            raise AssertionError("L was assembled")
 
         for scheme in ("pade", "taylor"):
-            monkeypatch.setitem(experiments._BUILDERS, scheme, refuse)
+            monkeypatch.setitem(system_builder.BUILDERS, scheme, refuse)
         problem = stable_problem(seed=3, horizon=25.0)
         assert find_min_steps(problem, "pade", 9, 1e-10) == 7
         assert find_min_steps(problem, "taylor", 9, 1e-10) == 62
         problem = stable_problem(seed=5, horizon=1.0, unit_norm=True)
         assert find_min_order(problem, "pade", 1e-10) == 4
         assert find_min_order(problem, "taylor", 1e-10) == 9
+        suite = random_suite_m_star(3, [0, 1], [1.0], eps=1e-8, order=5)
+        assert len(suite.rows) == 4 and all(r.rel_error < 1e-8 for r in suite.rows)
+
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        lam = np.array([-1.0 + 2.0j, -0.5 - 1.0j, -2.0 + 0.3j, -0.2])
+        normal = OdeProblem(matrix_a=(q * lam) @ q.conj().T, vec_b=np.ones(4),
+                            vec_x0=np.ones(4), horizon=3.0)
+        rows = sweep_m(normal, order=9, eps=1e-10, m_range=[1, 3, 14]).rows
+        assert len(rows) == 6 and all(np.isfinite(r.kappa) for r in rows)
+        assert all(np.isfinite(r.kappa) for r in sweep_k(normal, eps=1e-10).rows)
+        assert analysis.condition_report(normal, make_params(3, 9, 2, 3.0, "pade")).kappa > 1
+
+        assembled = []
+
+        def counted(build):
+            def count(problem, params):
+                assembled.append((params.scheme, params.steps))
+                return build(problem, params)
+            return count
+
+        monkeypatch.setitem(system_builder.BUILDERS, "pade",
+                            counted(system_builder.build_pade_system))
+        monkeypatch.setitem(system_builder.BUILDERS, "taylor",
+                            counted(system_builder.build_taylor_system))
+        skewed = stable_problem(seed=2, dim=4, horizon=3.0)
+        sweep_m(skewed, order=9, eps=1e-10, m_range=[1, 3], with_kappa=False)
+        assert assembled == []
+        sweep_m(skewed, order=9, eps=1e-10, m_range=[1, 3])
+        assert assembled == [("pade", 1), ("pade", 3), ("taylor", 1), ("taylor", 3)]
+        assembled.clear()
+        report = sweep_k(skewed, eps=1e-10)
+        assert assembled == [(r.scheme, 1) for r in report.rows]
+        assembled.clear()
+        analysis.condition_report(skewed, make_params(2, 5, 1, 3.0, "taylor"))
+        assert assembled == [("taylor", 2)]
 
     def test_unknown_scheme_is_typed(self):
         with pytest.raises(SchemeError, match="unknown scheme 'rk4'") as info:

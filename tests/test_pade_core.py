@@ -133,6 +133,26 @@ class TestPropagator:
         # order 1 denominator 1 - x/2 vanishes at A h = 2
         with pytest.raises(SingularDenominatorError):
             pade_propagator(np.array([[2.0]]), 1.0, 1)
+        with pytest.raises(SingularDenominatorError):
+            pade_propagator(np.array([[2.0, 1.0], [0.0, 0.5]]), 1.0, 1)
+
+    def test_well_conditioned_denominator_is_accepted(self):
+        # Hermitian A h with spectrum -33.9, -29.2, -21.2, -1.25 at k = 15:
+        # cond(D) is about 1.6e5 and the backward error about 1e-17, but N(A h)
+        # is so small beside ||D|| ||R|| that a residual gate of 1e-12 ||N||
+        # called D singular
+        lam = np.array([-33.9, -29.2, -21.2, -1.25])
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = (q * lam) @ q.conj().T
+        c = pade_coefficients(15, 15)
+        num, den = eval_pade_parts(a, c)
+        assert np.linalg.cond(den) == pytest.approx(1.6e5, rel=0.05)
+        r = pade_propagator(a, 1.0, 15)
+        assert np.linalg.norm(num - den @ r, 2) > 1e-12 * np.linalg.norm(num, 2)
+        scalar = np.polyval(c.num_floats[::-1], lam) / np.polyval(c.den_floats[::-1], -lam)
+        want = (q * scalar) @ q.conj().T
+        assert np.linalg.norm(r - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
 
 
 class TestReferenceExpm:
