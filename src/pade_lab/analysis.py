@@ -1,13 +1,12 @@
 """Spectral quantities, every bound as a checkable inequality, and reports.
 
 Measured norms are ground truth, never estimates, because the point is to
-compare them against the closed-form bounds.  For normal A = V Lam V^H every
-measured quantity is one of the eigenvalues: the singular values of L are
-those of its n scalar slices S + lam_i h B, ||W^-1|| and the signed row come
-from the (k+1)-square slices S1 + lam_i h B1 of the one-step block, and the
-drift from the scalars exp(-lam_i h) R(lam_i h); nothing is assembled.  Any
-other A assembles L once and takes dense SVD at desk scale and Lanczos with a
-sparse factorization above it.
+compare them against the closed-form bounds.  Every A is measured on the
+diagonal blocks X_i of a unitary similarity V^H A V = diag(X_i), the distinct
+eigenvalues of a normal A or else A itself: L has the singular values of the
+block systems S (x) I_b + B (x) (X_i h), and ||W^-1|| and the signed row come
+from the blocks S1 (x) I_b + B1 (x) (X_i h) of W, so L is never assembled.  The
+drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h).
 """
 
 from __future__ import annotations
@@ -33,18 +32,17 @@ from .errors import (
 from .error_bounds import SolverParams
 from .pade_core import (
     OdeProblem,
-    is_hermitian_nsd,
     is_nsd_spectrum,
     pade_coefficients,
     pade_propagator,
     reference_expm,
 )
 from .system_builder import (
-    BUILDERS,
     SCHEMES,
     BlockLayout,
     block_layout,
     classical_reference_trajectory,
+    kron_triplets,
     scalar_patterns,
 )
 
@@ -53,16 +51,16 @@ CONDITION_DIM_CAP = 4096
 #: A counts as normal when ||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2
 #: (docs/DECISIONS.md bounds the error this admits).
 NORMALITY_TOL = 1e-12
-#: Largest scalar-slice dimension measured by dense LAPACK on the stack of
-#: slices; larger slices take Lanczos one by one.
+#: Largest block-system dimension measured by dense LAPACK on the stack of
+#: blocks; larger block systems take Lanczos one by one.
 SLICE_DENSE_CAP = 128
-#: Lanczos basis size for the top of a slice's Gram matrix, whose leading
-#: eigenvalues cluster as m grows; at k = 9, m = 13..120 it needs about half
-#: the matvecs of ARPACK's default basis of 20.
+#: Lanczos basis size for the top of a block system's Gram matrix, whose
+#: leading eigenvalues cluster as m grows; at k = 9, m = 13..120 it needs
+#: about half the matvecs of ARPACK's default basis of 20.
 SLICE_NCV = 40
 #: Seed of the Lanczos start vector, shared by the sigma_max and sigma_min runs.
 LANCZOS_SEED = 0
-#: Points per step at which transient_growth samples ||exp(A t)||_2.
+#: Points per step at which _transient_growth samples ||exp(A t)||_2.
 GROWTH_REFINE = 10
 
 
@@ -117,23 +115,6 @@ def _largest_inverse_gram_eigenvalue(matrix, v0) -> float:
     return _largest_eigenvalue(inv_op, v0)
 
 
-def _operator_singular_values(matrix) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of any sparse operator.
-
-    Dense SVD up to 512; above it, Lanczos on M^H M for the top and on the
-    factorized inverse for the bottom.
-    """
-    dim = matrix.shape[0]
-    if dim <= 512:
-        svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
-        return float(svals[0]), float(svals[-1])
-    csr = matrix.tocsr()
-    v0 = _lanczos_start(dim, complex_=True)
-    top = _largest_gram_eigenvalue(csr, v0)
-    bottom = _largest_inverse_gram_eigenvalue(matrix, v0)
-    return float(np.sqrt(top)), float(1.0 / np.sqrt(bottom))
-
-
 def _is_normal(a: np.ndarray) -> bool:
     """||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2."""
     adj = a.conj().T
@@ -150,59 +131,81 @@ def _normal_spectrum(a: np.ndarray) -> tuple[np.ndarray, bool] | None:
     return np.linalg.eigvals(a), False
 
 
-def _slice_singular_values(scheme: str, lay: BlockLayout, lam: np.ndarray,
-                           hermitian: bool) -> tuple[float, float]:
-    """(sigma_max, sigma_min) over the scalar systems M(lam_i) = S + lam_i h B
-    of ``scheme`` on ``lay``.
+def _diagonal_blocks(a: np.ndarray, spectrum) -> tuple[np.ndarray, bool]:
+    """(X, real): the (r, b, b) stack of the distinct eigenvalues of a normal A
+    in order (b = 1; ``real`` if A is Hermitian), or of the one block A."""
+    if spectrum is None:
+        return a[None], False
+    return np.unique(spectrum[0])[:, None, None], spectrum[1]
 
-    sigma_max is convex in lam, so for real lam only the two end slices are
-    measured.  sigma_min is 1/||M^-1||_2, never the last singular value of M,
-    which floors at eps sigma_max.
+
+def _block_kron(s: np.ndarray, b: np.ndarray, xh: np.ndarray) -> np.ndarray:
+    """The dense stack S (x) I_b + B (x) xh_i over an (r, b, b) stack ``xh``."""
+    d, w = s.shape[0], xh.shape[-1]
+    out = b[:, None, :, None] * xh[:, None, :, None, :]
+    for p in range(w):
+        out[:, :, p, :, p] += s
+    return out.reshape(len(xh), d * w, d * w)
+
+
+def _inverse(stack: np.ndarray, what: str) -> np.ndarray:
+    """Inverses of a dense stack of square blocks; a singular one is typed."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"{what} is singular: {exc}") from exc
+
+
+def _top(stack: np.ndarray) -> float:
+    """max_i ||M_i||_2 over a dense stack of blocks M_i."""
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+
+
+def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
+                           real: bool) -> tuple[float, float]:
+    """(sigma_max, sigma_min) over the block systems M_i = S (x) I_b + B (x) (X_i h)
+    of the scheme ``rec`` on ``lay``, one per diagonal block X_i of ``blocks``.
+
+    sigma_max is convex in X, so for ``real`` scalar blocks only the two end
+    blocks are measured.  sigma_min is 1/||M^-1||_2, never the last singular
+    value of M, which floors at eps sigma_max.
     """
-    d = lay.block_rows
-    lam = np.unique(lam)
-    ends = lam[[0, -1]] if hermitian else lam
-    patterns = scalar_patterns(SCHEMES[scheme](lay.k), lay)
-    if d <= SLICE_DENSE_CAP:
+    d, w = lay.block_rows, blocks.shape[-1]
+    xh = blocks * lay.h
+    ends = [0, -1] if real else slice(None)
+    patterns = scalar_patterns(rec, lay)
+    if d * w <= SLICE_DENSE_CAP:
         s, b = np.zeros((2, d, d))
         for mat, (rows, cols, vals) in zip((s, b), patterns):
             np.add.at(mat, (rows, cols), vals)
-        smax = np.linalg.svd(s + (ends * lay.h)[:, None, None] * b, compute_uv=False)[:, 0].max()
-        try:
-            inv = np.linalg.inv(s + (lam * lay.h)[:, None, None] * b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlockError(f"a scalar slice is singular: {exc}") from exc
-        inv_norm = np.linalg.svd(inv, compute_uv=False)[:, 0].max()
-        return float(smax), float(1.0 / inv_norm)
-    s, b = (sp.csr_matrix((vals, (rows, cols)), shape=(d, d)) for rows, cols, vals in patterns)
-    v0 = _lanczos_start(d, complex_=not hermitian)
-    smax_sq = max(_largest_gram_eigenvalue(s + (x * lay.h) * b, v0, SLICE_NCV) for x in ends)
-    inv_sq = max(_largest_inverse_gram_eigenvalue(s + (x * lay.h) * b, v0) for x in lam)
+        stack = _block_kron(s, b, xh)  # rebound to the inverses, freed before their SVD
+        smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
+        return smax, 1.0 / _top(stack)
+    # S (x) I_b, and B (x) ones, whose entries at (p, q) of a block take the factor x_pq
+    s, b = (sp.csr_matrix((vals, (rows, cols)), shape=(d * w, d * w)) for rows, cols, vals in
+            (kron_triplets(*patterns[0], np.eye(w)), kron_triplets(*patterns[1], np.ones((w, w)))))
+    pq = np.repeat(np.arange(d * w) % w * w, np.diff(b.indptr)) + b.indices % w
+
+    def system(x):  # S (x) I_b + B (x) x
+        return s + sp.csr_matrix((b.data * x.ravel()[pq], b.indices, b.indptr), shape=b.shape)
+
+    v0 = _lanczos_start(d * w, complex_=not real)
+    smax_sq = max(_largest_gram_eigenvalue(system(x), v0, SLICE_NCV) for x in xh[ends])
+    inv_sq = max(_largest_inverse_gram_eigenvalue(system(x), v0) for x in xh)
     return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
-
-
-def _l_singular_values(a: np.ndarray, params: SolverParams,
-                       spectrum: tuple[np.ndarray, bool] | None) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of L for A = ``a`` with ``_normal_spectrum``
-    ``spectrum``; L does not depend on b or x0, so it is assembled with zeros."""
-    n = a.shape[0]
-    if spectrum is None:
-        problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
-                             horizon=params.horizon)
-        return _operator_singular_values(BUILDERS[params.scheme](problem, params).matrix)
-    lay = BlockLayout(n, params.steps, params.order, params.padding, params.step_size)
-    return _slice_singular_values(params.scheme, lay, *spectrum)
 
 
 def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[float, float]:
     """(sigma_max, sigma_min) of the system L of ``problem`` discretized by ``params``.
 
-    For normal A = V Lam V^H, (I (x) V)^H L (I (x) V) is the direct sum of the
-    scalar systems S + lam_i h B, so the singular values of L are those of
-    its n slices, which are measured and L is never assembled.  Any other A
-    assembles L once and takes the operator path.
+    With V^H A V = diag(X_i) unitary, (I (x) V)^H L (I (x) V) is, up to a
+    permutation, the direct sum of the block systems S (x) I_b + B (x) (X_i h),
+    so L has their singular values and is never assembled.
     """
-    return _l_singular_values(problem.matrix_a, params, _normal_spectrum(problem.matrix_a))
+    a = problem.matrix_a
+    lay = block_layout(problem, params)
+    return _block_singular_values(SCHEMES[params.scheme](lay.k), lay,
+                                  *_diagonal_blocks(a, _normal_spectrum(a)))
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -323,10 +326,8 @@ def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.nd
         return np.abs(1.0 - powers).max(axis=1)
 
 
-def propagator_drift(matrix_a, step: float, order: int, steps: int) -> DriftReport:
-    """max_i ||I - exp(-i A h) R^i(A h)||_2 and the <=1 hypothesis flag."""
-    a = np.asarray(matrix_a, dtype=complex)
-    spectrum = _normal_spectrum(a)
+def _drift(a: np.ndarray, spectrum, step: float, order: int, steps: int) -> DriftReport:
+    """``propagator_drift`` of A, given its ``_normal_spectrum``."""
     if spectrum is not None:
         vals = _scalar_drift(spectrum[0], step, order, steps)
     else:
@@ -341,6 +342,12 @@ def propagator_drift(matrix_a, step: float, order: int, steps: int) -> DriftRepo
             vals[i] = np.linalg.norm(eye - acc, 2)
     dmax = float(vals.max())
     return DriftReport(drift_max=dmax, per_step=vals, hypothesis_ok=bool(dmax <= 1.0))
+
+
+def propagator_drift(matrix_a, step: float, order: int, steps: int) -> DriftReport:
+    """max_i ||I - exp(-i A h) R^i(A h)||_2 and the <=1 hypothesis flag."""
+    a = np.asarray(matrix_a, dtype=complex)
+    return _drift(a, _normal_spectrum(a), step, order, steps)
 
 
 # ------------------------------------------------------------ reports ------
@@ -366,46 +373,35 @@ class AnalysisReport:
     satisfied: dict = field(default_factory=dict)
 
 
-def _slice_one_step_norms(rec, lam: np.ndarray, h: float) -> tuple[float, float]:
-    """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block W of a
-    normal A with eigenvalues ``lam``.
+def _one_step_norms(rec, xh: np.ndarray) -> tuple[float, float]:
+    """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block of ``rec``.
 
-    (I (x) V)^H W (I (x) V) is the direct sum of the slices
-    W(lam_i h) = S1 + lam_i h B1, and the signed row becomes the block
-    diagonal of the 1 x (k+1) rows signs W(lam_i h)^-1: both norms are the
-    largest over the slices.
+    The similarity of ``_diagonal_blocks`` takes W to the direct sum of the
+    W_i = S1 (x) I_b + B1 (x) xh_i and the signed row to the block diagonal of
+    (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
     """
-    x = np.unique(lam) * h
-    try:
-        winv = np.linalg.inv(rec.s1 + x[:, None, None] * rec.b1)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"a one-step slice is singular: {exc}") from exc
-    return (float(np.linalg.svd(winv, compute_uv=False)[:, 0].max()),
-            float(np.linalg.norm(rec.signs @ winv, axis=-1).max()))
+    r, w = xh.shape[:2]
+    winv = _inverse(_block_kron(rec.s1, rec.b1, xh), "a one-step block")
+    rows = rec.signs @ winv.reshape(r, len(rec.signs), -1)  # (signs (x) I_b) W_i^-1
+    return _top(winv), _top(rows.reshape(r, w, -1))
 
 
 def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisReport:
     """Bounds and measured inverse norms for one step block and the full system.
 
     ``case`` must match the matrix: hermitian_nsd (checked through the
-    eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).  A normal A is
-    measured on its eigenvalues alone; L is assembled only for any other A.
+    eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).  Both are
+    measured on the diagonal blocks of A; L is never assembled.
     """
     if params.scheme != "pade":
         raise ConsistencyError(f"the bounds are for the Padé system, got {params.scheme!r}")
     a = np.asarray(matrix_a, dtype=complex)
-    n = a.shape[0]
     k, m, p, h = params.order, params.steps, params.padding, params.step_size
     spectrum = _normal_spectrum(a)
-    if spectrum is None:
-        norm_a, nah = float(np.linalg.norm(a, 2)), float(np.linalg.norm(a * h, 2))
-        nsd = is_hermitian_nsd(a)
-    else:
-        norm_a = float(np.abs(spectrum[0]).max())
-        nah = h * norm_a
-        nsd = spectrum[1] and is_nsd_spectrum(spectrum[0])
+    norm_a = float(np.linalg.norm(a, 2)) if spectrum is None else float(np.abs(spectrum[0]).max())
+    nah = h * norm_a
     if case == "hermitian_nsd":
-        if not nsd:
+        if not (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0])):
             raise ClassificationError("matrix is not Hermitian negative semi-definite")
     elif case == "unit_norm":
         if nah > 1.0 + 1e-12:
@@ -414,13 +410,9 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
         raise ClassificationError(f"unknown case {case!r}")
 
     rec = SCHEMES["pade"](k)
-    if spectrum is None:
-        winv = np.linalg.inv(rec.one_step(a * h))
-        measured_w = float(np.linalg.norm(winv, 2))
-        measured_row = float(np.linalg.norm(np.kron(rec.signs, np.eye(n)) @ winv, 2))
-    else:
-        measured_w, measured_row = _slice_one_step_norms(rec, spectrum[0], h)
-    smax, smin = _l_singular_values(a, params, spectrum)
+    blocks, real = _diagonal_blocks(a, spectrum)
+    measured_w, measured_row = _one_step_norms(rec, blocks * h)
+    smax, smin = _block_singular_values(rec, BlockLayout(a.shape[0], m, k, p, h), blocks, real)
     norm_l, norm_l_inv = smax, 1.0 / smin
 
     b_w = w_inverse_bound(k, case)
@@ -444,13 +436,12 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     )
 
 
-def transient_growth(matrix_a, horizon: float, steps: int) -> float:
-    """max over the refined step grid of ||exp(A t)||_2."""
-    a = np.asarray(matrix_a, dtype=complex)
+def _transient_growth(a: np.ndarray, spectrum, horizon: float, steps: int) -> float:
+    """c(A) = max over the refined step grid of ||exp(A t)||_2; for a normal A it
+    is exp(max Re lam t), monotone in t, so it peaks at t = 0 or T."""
+    if spectrum is not None:
+        return max(1.0, float(np.exp(spectrum[0].real.max() * horizon)))
     ts = np.linspace(0.0, horizon, steps * GROWTH_REFINE + 1)
-    if pade_core.is_hermitian(a):
-        w = np.linalg.eigvalsh(a)
-        return float(max(np.exp(w.max() * t) for t in ts))
     return float(max(np.linalg.norm(reference_expm(a, t), 2) for t in ts))
 
 
@@ -459,20 +450,23 @@ def condition_report(problem: OdeProblem, params: SolverParams,
     """Measured condition number of the system L plus every applicable bound.
 
     ``dim_cap`` guards the exact inverse-norm computation; raise it explicitly
-    for larger sweeps (the Lanczos path handles them fine).
+    for larger sweeps (the Lanczos path handles them fine).  sigma(L), the
+    case, c(A) and the drift read one ``_normal_spectrum``.
     """
     lay = block_layout(problem, params)
     if lay.dim > dim_cap:
         raise SizeError(f"condition report capped at dimension {dim_cap}, got {lay.dim}")
-    smax, smin = extreme_singular_values(problem, params)
+    a = problem.matrix_a
+    spectrum = _normal_spectrum(a)
+    smax, smin = _block_singular_values(SCHEMES[params.scheme](lay.k), lay,
+                                        *_diagonal_blocks(a, spectrum))
     norm_l, norm_l_inv = smax, 1.0 / smin
     kappa = norm_l * norm_l_inv
-    a = problem.matrix_a
     k, m, p, h = lay.k, lay.m, lay.p, lay.h
-    nah = float(np.linalg.norm(a * h, 2))
+    nah = float(np.linalg.norm(a * h, 2))  # not max |lam|: the printed bounds see the last bit
     na = float(np.linalg.norm(a, 2))
 
-    hermitian_nsd = is_hermitian_nsd(a)
+    hermitian_nsd = spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0])
     case = "hermitian_nsd" if hermitian_nsd else ("unit_norm" if nah <= 1.0 + 1e-12 else None)
     b_linv = b_kappa = None
     if params.scheme == "pade" and hermitian_nsd and k >= 3:
@@ -482,8 +476,8 @@ def condition_report(problem: OdeProblem, params: SolverParams,
 
     traj = classical_reference_trajectory(problem, params)
     g = traj.g(float(np.linalg.norm(problem.vec_b))) if not traj.degenerate else None
-    c_of_a = transient_growth(a, params.horizon, m)
-    drift = propagator_drift(a, h, k, m).drift_max if params.scheme == "pade" else None
+    c_of_a = _transient_growth(a, spectrum, params.horizon, m)
+    drift = _drift(a, spectrum, h, k, m).drift_max if params.scheme == "pade" else None
 
     sats = {}
     if b_linv is not None:

@@ -143,6 +143,10 @@ def remainder_bound(model: RemainderModel, theta: float) -> float:
             f"theta={theta:.6g} at/above estimated radius {model.radius_estimate:.6g}"
         )
     k, jmax = model.order, model.truncation_j
+    try:
+        math.pow(theta, jmax)
+    except OverflowError:
+        return math.inf  # theta^j overflows in the head; inf is still an upper bound
     powers = theta ** np.arange(jmax + 1)
     head = float(np.dot(model.coeffs[2 * k + 1 :], powers[2 * k + 1 :]))
     # envelope majorant |c_j| <= 1.5 * anchor_mag * (1/radius)^{j - anchor_j}

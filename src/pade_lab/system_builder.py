@@ -179,7 +179,7 @@ def _taylor_scheme(k: int) -> Scheme:
 SCHEMES = {"pade": _pade_scheme, "taylor": _taylor_scheme}
 
 
-def _kron_triplets(rows, cols, vals, block: np.ndarray):
+def kron_triplets(rows, cols, vals, block: np.ndarray):
     """Coordinates of the scalar triplets (rows, cols, vals) tensored with block.
 
     Products that underflow drop out, as the zeros of block do.
@@ -242,8 +242,8 @@ def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSy
     lay = block_layout(problem, params)
     rec = SCHEMES[scheme](lay.k)
     s_pattern, b_pattern = scalar_patterns(rec, lay)
-    ir, ic, iv = _kron_triplets(*s_pattern, np.eye(lay.n))
-    ar, ac, av = _kron_triplets(*b_pattern, problem.matrix_a * lay.h)
+    ir, ic, iv = kron_triplets(*s_pattern, np.eye(lay.n))
+    ar, ac, av = kron_triplets(*b_pattern, problem.matrix_a * lay.h)
     matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),
                             (np.concatenate([ir, ar]), np.concatenate([ic, ac]))),
                            shape=(lay.dim, lay.dim)).tocsr()
@@ -261,7 +261,7 @@ def build_taylor_system(problem: OdeProblem, params: SolverParams) -> BlockSyste
 
 
 #: Scheme name -> builder, for the callers that read the entries of L: the
-#: exported matrix, a reported residual and the spectrum of a non-normal A.
+#: exported matrix and a reported residual.
 BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
 
 

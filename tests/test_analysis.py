@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,17 @@ from hypothesis import strategies as st
 from pade_lab import system_builder
 from pade_lab.analysis import (
     SLICE_DENSE_CAP,
-    _operator_singular_values,
+    _block_singular_values,
+    _diagonal_blocks,
+    _factorize,
+    _normal_spectrum,
+    _one_step_norms,
     condition_report,
     explicit_w_inverse,
     extreme_singular_values,
     inverse_norm_bounds,
     propagator_drift,
     taylor_inverse_growth,
-    transient_growth,
     w_inverse_bound,
 )
 from pade_lab.errors import (
@@ -37,6 +42,7 @@ from pade_lab.pade_core import (
 )
 from pade_lab.system_builder import (
     SCHEMES,
+    BlockLayout,
     alternating_signs,
     build_pade_system,
     build_taylor_system,
@@ -69,16 +75,35 @@ def _taylor_floor(m):
 
 _BUILD = {"pade": build_pade_system, "taylor": build_taylor_system}
 
+#: kappa of the seed-0 condition-sweep systems by dense SVD, committed with the
+#: benchmark (read only)
+_SWEEP_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+                          / "condition_sweep.json").read_text())["kappa"]
+
+
+def _non_normal_problem():
+    a = random_stable_matrix(4, 7)
+    return OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=5.0)
+
+
+def _assert_dense_oracle(got, dense):
+    """sigma_max against the dense SVD of L, sigma_min against 1/||L^-1||_2."""
+    smax, smin = got
+    assert smax == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-10, abs=0.0)
+    assert smin == pytest.approx(1.0 / np.linalg.norm(np.linalg.inv(dense), 2),
+                                 rel=1e-10, abs=0.0)
+
 
 class TestSpectralNorm:
-    def test_extreme_singular_values_oracle(self, rng):
-        import scipy.sparse as sp
-
-        dense = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
-        smax, smin = _operator_singular_values(sp.csr_matrix(dense))
-        svals = np.linalg.svd(dense, compute_uv=False)
-        assert smax == pytest.approx(svals[0], rel=1e-10)
-        assert smin == pytest.approx(svals[-1], rel=1e-10)
+    def test_extreme_singular_values_oracle(self):
+        # a non-normal A is one block, L itself; at m = 3 (dimension 124) it
+        # is measured by dense LAPACK
+        problem = _non_normal_problem()
+        for scheme in ("pade", "taylor"):
+            params = make_params(3, 9, 1, 5.0, scheme)
+            dense = _BUILD[scheme](problem, params).dense()
+            assert dense.shape[0] <= SLICE_DENSE_CAP
+            _assert_dense_oracle(extreme_singular_values(problem, params), dense)
 
     def test_extreme_singular_values_lanczos(self, rng):
         a = random_hermitian_nsd(rng, 2)
@@ -93,15 +118,17 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_slices_match_operator_path_on_sweep_grid(self, seed):
+        # the dense-SVD kappa of the seed-0 operator is the oracle; seeds 1
+        # and 2 are unitary similarities of it, with the same singular values
         problem = _tridiag_problem(seed)
         for scheme in ("pade", "taylor"):
             for m in (5, 12, 19, 33, 47, 58, 65, 117):
-                params = make_params(m, 9, 1, 30.0, scheme)
-                smax, smin = _operator_singular_values(_BUILD[scheme](problem, params).matrix)
-                if smax / smin >= 1e12:
+                ref = _SWEEP_REFS[scheme][str(m)]
+                if ref >= 1e12:
                     continue
-                got_max, got_min = extreme_singular_values(problem, params)
-                assert got_max / got_min == pytest.approx(smax / smin, rel=1e-8), (scheme, m)
+                got_max, got_min = extreme_singular_values(problem, make_params(m, 9, 1, 30.0,
+                                                                                scheme))
+                assert got_max / got_min == pytest.approx(ref, rel=1e-8), (scheme, m)
 
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     @pytest.mark.parametrize("m", [3, 14])
@@ -122,16 +149,42 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("m", [4, 16])
     def test_non_normal_takes_the_operator_path(self, m):
-        a = random_stable_matrix(4, 7)
-        problem = OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=5.0)
-        params = make_params(m, 9, 1, 5.0, "pade")
-        system = build_pade_system(problem, params)
-        assert (system.layout.dim > 512) == (m == 16)
-        assert extreme_singular_values(problem, params) == _operator_singular_values(system.matrix)
+        # the one block of a non-normal A is L itself, above the dense cap
+        # measured by Lanczos on L^H L and on the sparse-LU inverse
+        problem = _non_normal_problem()
+        for scheme in ("pade", "taylor"):
+            params = make_params(m, 9, 1, 5.0, scheme)
+            dense = _BUILD[scheme](problem, params).dense()
+            assert dense.shape[0] > SLICE_DENSE_CAP
+            _assert_dense_oracle(extreme_singular_values(problem, params), dense)
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    @pytest.mark.parametrize("m", [3, 5, 14])
+    def test_eigenvalue_blocks_match_one_block(self, rng, scheme, m):
+        # a normal A measured on its eigenvalues and as the one block A: both
+        # dense at m = 3, the one block (dimension 153) by Lanczos at m = 5,
+        # both by Lanczos at m = 14
+        h = 2.0 / m
+        lay = BlockLayout(3, m, 9, 1, h)
+        assert (lay.block_rows > SLICE_DENSE_CAP, lay.dim > SLICE_DENSE_CAP) == (m == 14, m > 3)
+        rec = SCHEMES[scheme](9)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        # real spectra whose largest |lam| sits at either end of the order
+        for lam in (-rng.uniform(0.0, 2.0, 3) + 2j * rng.normal(size=3),
+                    np.array([-1.7, -0.3, 0.5]), np.array([-0.5, 0.3, 1.7])):
+            a = (q * lam) @ q.conj().T
+            blocks, real = _diagonal_blocks(a, _normal_spectrum(a))
+            assert blocks.shape == (3, 1, 1) and real == np.isrealobj(lam)
+            smax, smin = _block_singular_values(rec, lay, a[None], False)
+            assert smax / smin < 1e8
+            assert _block_singular_values(rec, lay, blocks, real) == pytest.approx(
+                (smax, smin), rel=1e-10, abs=0.0)
+            assert _one_step_norms(rec, blocks * h) == pytest.approx(
+                _one_step_norms(rec, a[None] * h), rel=1e-10, abs=0.0)
 
     def test_taylor_floor_at_m5(self):
-        # dim 255: the operator path would take its dense SVD, whose last
-        # singular value floors at eps sigma_max (1/sigma_min = 1.07e17)
+        # dim 255: a dense SVD of L, whose last singular value floors at
+        # eps sigma_max, gave 1/sigma_min = 1.07e17
         problem = _tridiag_problem()
         params = make_params(5, 9, 1, 30.0, "taylor")
         assert build_taylor_system(problem, params).layout.dim == 255
@@ -141,25 +194,22 @@ class TestSpectralNorm:
         assert 1.0 / smin >= floor
 
     def test_exactly_singular_lu_is_typed(self, rng):
-        # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): the 605-dimensional
-        # system is unit lower triangular, yet splu's default ordering calls it
-        # exactly singular; the natural-order retry factors it.
+        # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): the 121-dimensional
+        # slices are unit lower triangular, yet splu's default ordering calls
+        # them exactly singular; the natural-order retry factors them.
         import scipy.sparse as sp
 
         problem = _tridiag_problem()
         params = make_params(12, 9, 1, 30.0, "taylor")
-        system = build_taylor_system(problem, params)
         _, smin = extreme_singular_values(problem, params)
         floor = _taylor_floor(12)
         assert floor > 1e34
-        assert 1.0 / smin >= floor
-        _, smin = _operator_singular_values(system.matrix)
         assert 1.0 / smin >= floor
         # a zero column is singular in every ordering
         dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
         dense[:, 17] = 0.0
         with pytest.raises(SingularBlockError):
-            _operator_singular_values(sp.csr_matrix(dense))
+            _factorize(sp.csr_matrix(dense))
 
     @pytest.mark.parametrize("m", [1, 70])
     def test_singular_slice_is_typed(self, m):
@@ -170,17 +220,15 @@ class TestSpectralNorm:
         with pytest.raises(SingularBlockError):
             extreme_singular_values(problem, make_params(m, 1, 1, 1.0, "pade"))
 
-    def test_lanczos_no_convergence_is_typed(self, rng, monkeypatch):
-        import scipy.sparse as sp
+    def test_lanczos_no_convergence_is_typed(self, monkeypatch):
         import scipy.sparse.linalg as spla
 
         def stalled(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
-        dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
         with pytest.raises(ConvergenceError):
-            _operator_singular_values(sp.csr_matrix(dense))
+            extreme_singular_values(_non_normal_problem(), make_params(4, 9, 1, 5.0, "pade"))
         problem = _tridiag_problem()
         with pytest.raises(ConvergenceError):
             extreme_singular_values(problem, make_params(19, 9, 1, 30.0, "pade"))
@@ -261,10 +309,15 @@ class TestInverseNormBounds:
         a = random_hermitian_nsd(rng, 5)
         rep = inverse_norm_bounds(make_params(3, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
         assert all(rep.satisfied.values())
-        # a non-normal A still measures the assembled system
-        with pytest.raises(AssertionError):
-            inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"),
-                                random_contraction(rng, 4, norm=1.0), "unit_norm")
+        # nor is a non-normal A, the one block A: its W^-1 and signed row
+        # match the dense one-step inverse
+        a = random_contraction(rng, 4, norm=1.0)
+        rep = inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"), a, "unit_norm")
+        rec = SCHEMES["pade"](5)
+        winv = np.linalg.inv(rec.one_step(a))
+        assert rep.measured_w_inv == pytest.approx(np.linalg.norm(winv, 2), rel=1e-12, abs=0.0)
+        assert rep.measured_signed_row == pytest.approx(
+            np.linalg.norm(np.kron(rec.signs, np.eye(4)) @ winv, 2), rel=1e-12, abs=0.0)
 
     def test_case_mismatch(self, rng):
         a = random_contraction(rng, 3, norm=2.0)
@@ -414,7 +467,16 @@ class TestConditionReport:
             condition_report(problem, make_params(2048, 1, 3, 1.0, "taylor"))
 
     def test_transient_growth_hermitian(self, rng):
-        a = random_hermitian_nsd(rng, 3)
-        assert transient_growth(a, 2.0, 4) == pytest.approx(1.0, abs=1e-12)
-        assert transient_growth(np.array([[0.5]]), 2.0, 4) == pytest.approx(
-            math.exp(1.0), rel=1e-10)
+        def c_of_a(a):
+            n = a.shape[0]
+            problem = OdeProblem(matrix_a=a, vec_b=np.ones(n), vec_x0=np.ones(n), horizon=2.0)
+            return condition_report(problem, make_params(4, 3, 1, 2.0, "pade")).c_of_a
+
+        assert c_of_a(random_hermitian_nsd(rng, 3)) == pytest.approx(1.0, abs=1e-12)
+        assert c_of_a(np.array([[0.5]])) == pytest.approx(math.exp(1.0), rel=1e-10)
+        # a normal A with a complex spectrum grows as exp(max Re lam t)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        a = (q * np.array([0.3 + 2.0j, -1.0 - 1.0j, 0.1])) @ q.conj().T
+        grid = max(np.linalg.norm(reference_expm(a, t), 2) for t in np.linspace(0.0, 2.0, 41))
+        assert c_of_a(a) == pytest.approx(grid, rel=1e-12, abs=0.0)
+        assert c_of_a(a) == pytest.approx(math.exp(0.6), rel=1e-15, abs=0.0)

@@ -57,6 +57,15 @@ class TestBasics:
         assert float(rows["5"]) == pytest.approx(1.49, abs=0.01)
         assert float(rows["6"]) == pytest.approx(2.36, abs=0.01)
 
+    def test_theta_table_large_orders_are_quiet(self, capfd):
+        # k >= 45 overflows the exact head of the remainder bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(["theta-table", "--kmin", "45", "--kmax", "64"])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 21
+        assert capfd.readouterr().err == ""
+
 
 class TestSystemCommands:
     def test_build_writes_export(self, problem_file, tmp_path):

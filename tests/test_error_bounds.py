@@ -149,6 +149,16 @@ class TestThetaMax:
         vals = [theta_max(k, 1e-8) for k in range(5, 19)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_orders_are_quiet(self):
+        # the exact head theta^j overflows for k >= 45 near the bracket end:
+        # remainder_bound returns inf there, without numpy's warnings
+        vals = [theta_max(k, 1e-8) for k in range(45, 65)]
+        assert all(0.0 < v < math.inf for v in vals)
+        model = remainder_coeffs(64, max(4 * 64 + 20, 2 * 64 + 60))
+        assert 13.5 < model.radius_estimate
+        assert remainder_bound(model, 13.5) == math.inf
+
     def test_infeasible_order(self):
         # at order 0 the ratio tends to |c_1| = 1, never below a small target
         with pytest.raises(InfeasibilityError):

@@ -77,8 +77,8 @@ class TestSweeps:
                 assert rel_error(m_star - 1) >= 1e-10
 
     def test_searches_never_assemble(self, monkeypatch):
-        # probes, rows and the kappa of a normal A march the one-step block and
-        # measure scalar slices; a non-normal A assembles L once per kappa
+        # probes and rows march the one-step block, and kappa is measured on
+        # the diagonal blocks of A (eigenvalues or A itself): L is never built
         def refuse(problem, params):
             raise AssertionError("L was assembled")
 
@@ -103,29 +103,11 @@ class TestSweeps:
         assert all(np.isfinite(r.kappa) for r in sweep_k(normal, eps=1e-10).rows)
         assert analysis.condition_report(normal, make_params(3, 9, 2, 3.0, "pade")).kappa > 1
 
-        assembled = []
-
-        def counted(build):
-            def count(problem, params):
-                assembled.append((params.scheme, params.steps))
-                return build(problem, params)
-            return count
-
-        monkeypatch.setitem(system_builder.BUILDERS, "pade",
-                            counted(system_builder.build_pade_system))
-        monkeypatch.setitem(system_builder.BUILDERS, "taylor",
-                            counted(system_builder.build_taylor_system))
         skewed = stable_problem(seed=2, dim=4, horizon=3.0)
-        sweep_m(skewed, order=9, eps=1e-10, m_range=[1, 3], with_kappa=False)
-        assert assembled == []
-        sweep_m(skewed, order=9, eps=1e-10, m_range=[1, 3])
-        assert assembled == [("pade", 1), ("pade", 3), ("taylor", 1), ("taylor", 3)]
-        assembled.clear()
-        report = sweep_k(skewed, eps=1e-10)
-        assert assembled == [(r.scheme, 1) for r in report.rows]
-        assembled.clear()
-        analysis.condition_report(skewed, make_params(2, 5, 1, 3.0, "taylor"))
-        assert assembled == [("taylor", 2)]
+        assert all(np.isfinite(r.kappa) for r in sweep_m(skewed, order=9, eps=1e-10,
+                                                         m_range=[1, 3]).rows)
+        assert all(np.isfinite(r.kappa) for r in sweep_k(skewed, eps=1e-10).rows)
+        assert analysis.condition_report(skewed, make_params(2, 5, 1, 3.0, "taylor")).kappa > 1
 
     def test_unknown_scheme_is_typed(self):
         with pytest.raises(SchemeError, match="unknown scheme 'rk4'") as info:
