@@ -9,7 +9,9 @@ that series.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,16 +69,25 @@ class RemainderModel:
 
 def _exact_remainder_series(k: int, max_j: int) -> list[Fraction]:
     """Rational series of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j.
-    N and D have k + 1 terms each, and D(0) = 1."""
+
+    N and D have k + 1 terms each, and D(0) = 1, so the quotient q obeys
+    q_j = sum_{i<=l} n_i e_{j-i} - sum_{1<=i<=l} (-1)^i d_i q_{j-i} with
+    l = min(j, k) and e_j = (-1)^j / j!.  The at most 2k + 1 terms of each q_j are summed in
+    integers over their least common denominator and reduced once: the same
+    Fractions as a term-by-term Fraction sum, without its gcd per operation.
+    """
     coeffs = pade_core.pade_coefficients(k, k)
-    num = coeffs.num_coeffs
-    den = [d * (-1) ** j for j, d in enumerate(coeffs.den_coeffs)]
-    expo = [Fraction((-1) ** j, math.factorial(j)) for j in range(max_j + 1)]
+    num = [(c.numerator, c.denominator) for c in coeffs.num_coeffs]
+    den = [((-1) ** i * d.numerator, d.denominator) for i, d in enumerate(coeffs.den_coeffs)]
+    fact = list(itertools.accumulate(range(1, max_j + 1), operator.mul, initial=1))
     quot: list[Fraction] = []
     for j in range(max_j + 1):
         low = min(j, k)
-        quot.append(sum(num[i] * expo[j - i] for i in range(low + 1))
-                    - sum(den[i] * quot[j - i] for i in range(1, low + 1)))
+        terms = [((-1) ** (j - i) * a, b * fact[j - i]) for i, (a, b) in enumerate(num[:low + 1])]
+        terms += [(-c * quot[j - i].numerator, d * quot[j - i].denominator)
+                  for i, (c, d) in enumerate(den[1:low + 1], start=1)]
+        lcm = math.lcm(*(q for _, q in terms))
+        quot.append(Fraction(sum(p * (lcm // q) for p, q in terms), lcm))
     quot[0] -= 1
     return quot
 
@@ -93,7 +104,7 @@ def remainder_coeffs(order: int, max_j: int) -> RemainderModel:
     exact = _exact_remainder_series(k, max_j)
     if any(exact[j] != 0 for j in range(min(2 * k + 1, max_j + 1))):
         raise ConsistencyError("remainder series has a nonzero coefficient below 2k+1")
-    mags = np.array([abs(float(c)) for c in exact])
+    mags = pade_core.read_only([abs(float(c)) for c in exact])
     anchor, ratio = _tail_envelope(mags)
     radius = min(0.999 * _denominator_root_radius(k), 1.0 / (1.02 * ratio))
     return RemainderModel(order=k, coeffs=mags, truncation_j=max_j,
@@ -166,13 +177,21 @@ def theta_max(order: int, delta: float) -> float:
     """Largest theta with f_k(theta)/theta <= delta/(e-1), by bisection.
 
     Bracket [0, k+2], 60 fixed iterations (absolute error far below the 1e-4
-    contract); the table values stay well below k.
+    contract); the table values stay well below k.  The inputs are checked
+    on every call; the bisection runs once per (k, delta).
     """
     if not 0 < delta < math.inf:
         raise BoundsError(f"delta must be positive and finite, got {delta}")
     k = int(order)
     if k < 1:
         raise InfeasibilityError("order must be >= 1 (order 0 has f/theta -> 1)")
+    return _bisect_theta(k, float(delta))
+
+
+# theta depends on (k, delta) alone, through the cached model; delta is a
+# free float, so the cache is bounded.  A call that raises is not cached.
+@lru_cache(maxsize=1024)
+def _bisect_theta(k: int, delta: float) -> float:
     model = _cached_model(k)
     target = delta / (math.e - 1.0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -95,18 +95,26 @@ class PadeCoefficients:
             if not self.ratio_beta[j] < self.ratio_beta[j - 1]:
                 raise ValueError("beta ratios must decrease strictly")
 
-    @property
+    @cached_property
     def num_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.num_coeffs])
+        return read_only([float(c) for c in self.num_coeffs])
 
-    @property
+    @cached_property
     def den_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.den_coeffs])
+        return read_only([float(c) for c in self.den_coeffs])
 
-    @property
+    @cached_property
     def beta_floats(self) -> np.ndarray:
         """beta_1 .. beta_q as floats."""
-        return np.array([float(b) for b in self.ratio_beta])
+        return read_only([float(b) for b in self.ratio_beta])
+
+
+def read_only(values) -> np.ndarray:
+    """A float array of ``values`` that raises ValueError on writes, for the
+    arrays one shared record hands to every caller."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def pade_coefficients(p: int, q: int) -> PadeCoefficients:
@@ -122,7 +130,8 @@ def pade_coefficients(p: int, q: int) -> PadeCoefficients:
 
 
 # The range check above bounds the keys to (MAX_ORDER + 1)**2 pairs, and the
-# frozen record holds only tuples, so one shared instance per pair is safe.
+# frozen record holds only tuples and read-only arrays, so one shared instance
+# per pair is safe.
 @lru_cache(maxsize=None)
 def _exact_pade_coefficients(p: int, q: int) -> PadeCoefficients:
     num = tuple(

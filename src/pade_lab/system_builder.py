@@ -12,7 +12,8 @@ the circuit targets read the same record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +101,8 @@ class Scheme:
     ``couple * signs``; the terminal diagonal is ``row_scale``, and p - 1
     padding rows copy the terminal state.  x0 enters the first row times
     ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
+    The record keeps read-only copies of the arrays: ``SCHEMES`` hands one
+    shared record per order to every caller.
     """
 
     s1: np.ndarray
@@ -110,10 +113,14 @@ class Scheme:
     b_row: int
     b_coef: float
     reverse: bool
+    plain_sum: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.couple) != abs(self.row_scale):
             raise ConsistencyError("the terminal row must read the step output with sign +-1")
+        for name in ("s1", "b1", "signs"):
+            object.__setattr__(self, name, pade_core.read_only(getattr(self, name)))
+        object.__setattr__(self, "plain_sum", bool((self.signs > 0).all()))
 
     @property
     def coupling(self) -> np.ndarray:
@@ -128,10 +135,10 @@ class Scheme:
     def signed_sum(self, stack: np.ndarray) -> np.ndarray:
         """sum_j signs_j z_j over the stack axis -2.
 
-        An all-plus row is a plain sum: numpy's add reduction and einsum
-        round a contiguous sum (n = 1) differently.
+        An all-plus row (``plain_sum``) is a plain sum: numpy's add reduction
+        and einsum round a contiguous sum (n = 1) differently.
         """
-        if (self.signs > 0).all():
+        if self.plain_sum:
             return stack.sum(axis=-2)
         return np.einsum("j,...jn->...n", self.signs, stack)
 
@@ -149,6 +156,9 @@ class Scheme:
         return np.kron(self.s1, np.eye(ah.shape[0])) + np.kron(self.b1, ah)
 
 
+# Records are read-only, so one instance per order serves every caller.  The
+# Taylor order has no upper limit, so the caches are bounded.
+@lru_cache(maxsize=128)
 def _pade_scheme(k: int) -> Scheme:
     """Upper-Hessenberg step: a 1/sqrt(k+1) summation row, identity shifts
     below it and beta_{k-i+1} A h on the diagonal of row i."""
@@ -164,6 +174,7 @@ def _pade_scheme(k: int) -> Scheme:
                   b_row=k, b_coef=-float(coeffs.den_coeffs[1]), reverse=True)
 
 
+@lru_cache(maxsize=128)
 def _taylor_scheme(k: int) -> Scheme:
     """Lower-bidiagonal step: identity diagonal, -(A h)/i below it."""
     b1 = np.zeros((k + 1, k + 1))

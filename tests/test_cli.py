@@ -1,6 +1,7 @@
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ class TestBasics:
         assert code == EXIT_OK
         assert len(out.splitlines()) == 21
         assert capfd.readouterr().err == ""
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["theta-table"], "theta_table.csv"),
+    (["theta-table", "--kmin", "1", "--kmax", "64"], "theta_table_k1_64.csv"),
+    (["verify-bounds", "--suite", "hermitian"], "bounds_hermitian.csv"),
+    (["verify-bounds", "--suite", "thm36"], "bounds_thm36.csv"),
+    (["verify-bounds", "--suite", "unit"], "bounds_unit.csv"),
+])
+def test_output_matches_golden_bytes(argv, name):
+    # recorded before the remainder series, theta and the scheme records were
+    # computed once per order; computing them once must not move a byte
+    code, out = run(argv)
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestSystemCommands:

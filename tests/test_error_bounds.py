@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pade_lab import error_bounds
 from pade_lab.errors import (
     AssumptionViolationError,
     BoundsError,
@@ -15,6 +16,8 @@ from pade_lab.errors import (
     StrategyError,
 )
 from pade_lab.error_bounds import (
+    MAX_TRUNCATION,
+    _exact_remainder_series,
     min_order,
     padding_rule,
     remainder_bound,
@@ -22,7 +25,7 @@ from pade_lab.error_bounds import (
     select_parameters,
     theta_max,
 )
-from pade_lab.pade_core import OdeProblem, pade_propagator, reference_expm
+from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
 
 from conftest import random_contraction, random_hermitian_nsd
 
@@ -70,6 +73,21 @@ def remainder_series_oracle(k, top):
     return series
 
 
+def remainder_recursion_oracle(k, top):
+    """The term-by-term Fraction recursion for exp(-x) N(x) / D(x) - 1."""
+    coeffs = pade_coefficients(k, k)
+    num = coeffs.num_coeffs
+    den = [d * (-1) ** j for j, d in enumerate(coeffs.den_coeffs)]
+    expo = [Fraction((-1) ** j, factorial(j)) for j in range(top + 1)]
+    quot = []
+    for j in range(top + 1):
+        low = min(j, k)
+        quot.append(sum(num[i] * expo[j - i] for i in range(low + 1))
+                    - sum(den[i] * quot[j - i] for i in range(1, low + 1)))
+    quot[0] -= 1
+    return quot
+
+
 class TestRemainderCoeffs:
     def test_k1_c3(self):
         oracle = remainder_series_oracle(1, 6)
@@ -102,6 +120,18 @@ class TestRemainderCoeffs:
         assert np.all(lo.coeffs[: 2 * k + 1] == 0.0)
         assert np.all(hi.coeffs[: 2 * k + 3] == 0.0)
         assert hi.coeffs[2 * k + 3] != 0.0
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_common_denominator_sum_is_exact(self, k):
+        # the truncation of the cached theta model
+        top = max(4 * k + 20, 2 * k + 60)
+        assert _exact_remainder_series(k, top) == remainder_recursion_oracle(k, top)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_common_denominator_sum_is_exact_to_max_truncation(self, k):
+        oracle = remainder_recursion_oracle(k, MAX_TRUNCATION)
+        for top in (2 * k + 1, 97, MAX_TRUNCATION):
+            assert _exact_remainder_series(k, top) == oracle[:top + 1]
 
     def test_bounds_errors(self):
         with pytest.raises(BoundsError):
@@ -165,6 +195,28 @@ class TestThetaMax:
             theta_max(0, 1e-8)
         with pytest.raises(BoundsError):
             theta_max(5, -1.0)
+
+    def test_memoized_per_order_and_delta(self):
+        cache = error_bounds._bisect_theta
+        cache.cache_clear()
+        cold = theta_max(7, 1e-8)
+        assert cache.cache_info().misses == 1
+        assert theta_max(7, 1e-8) == cold
+        assert theta_max(np.int64(7), np.float64(1e-8)) == cold
+        assert cache.cache_info().hits == 2
+        assert theta_max(7, 1e-6) > cold
+
+    def test_invalid_input_raises_on_every_call(self):
+        cache = error_bounds._bisect_theta
+        cache.cache_clear()
+        for _ in range(3):
+            with pytest.raises(InfeasibilityError):
+                theta_max(0, 1e-8)
+            with pytest.raises(BoundsError):
+                theta_max(5, -1.0)
+            with pytest.raises(BoundsError):
+                theta_max(5, math.nan)
+        assert cache.cache_info().currsize == 0
 
 
 class TestMinOrder:

@@ -64,6 +64,16 @@ class TestCoefficients:
             total = sum(pade_coefficients(k, k).den_coeffs)
             assert float(total) <= math.sqrt(math.e)
 
+    def test_float_arrays_are_built_once_and_read_only(self):
+        c = pade_coefficients(7, 7)
+        for name, exact in (("num_floats", c.num_coeffs), ("den_floats", c.den_coeffs),
+                            ("beta_floats", c.ratio_beta)):
+            values = getattr(c, name)
+            assert values is getattr(pade_coefficients(7, 7), name)
+            assert values.tolist() == [float(v) for v in exact]
+            with pytest.raises(ValueError):
+                values[0] = 2.0
+
     def test_ratios_match_factorial_formula(self):
         for p, q in [(3, 5), (8, 8), (13, 2)]:
             c = pade_coefficients(p, q)

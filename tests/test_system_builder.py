@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,24 @@ class TestPadeAssembly:
             SCHEMES["pade"](0)
         with pytest.raises(OrderRangeError):
             primitive_targets(0, 1)
+
+
+class TestSchemeRecords:
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_one_shared_read_only_record_per_order(self, scheme):
+        rec = SCHEMES[scheme](4)
+        assert SCHEMES[scheme](4) is rec
+        for name in ("s1", "b1", "signs"):
+            with pytest.raises(ValueError):
+                getattr(rec, name)[0] = 7.0
+        assert rec.plain_sum == (scheme == "taylor")
+
+    def test_record_copies_its_arrays(self):
+        s1 = np.eye(2)
+        rec = replace(SCHEMES["taylor"](1), s1=s1)
+        assert s1.flags.writeable and not rec.s1.flags.writeable
+        s1[0, 0] = 5.0
+        assert rec.s1[0, 0] == 1.0
 
 
 class TestTaylorAssembly:
