@@ -195,6 +195,39 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
 
 
+@dataclass(frozen=True)
+class _Measure:
+    """What both reports read of one A on one system L (see ``_measure``)."""
+
+    spectrum: tuple[np.ndarray, bool] | None
+    blocks: np.ndarray
+    norm_a: float
+    cases: tuple[str, ...]
+    sigma: tuple[float, float]
+
+
+#: The cases the bounds are stated for, in the order ``condition_report``
+#: tries them, each with the error message for a matrix outside it.
+_CASES = {"hermitian_nsd": "matrix is not Hermitian negative semi-definite",
+         "unit_norm": "||A h||_2 exceeds 1"}
+
+
+def _measure(a: np.ndarray, params: SolverParams) -> _Measure:
+    """One ``_normal_spectrum``, ``_diagonal_blocks`` and sigma(L) of A on the
+    system of ``params``, ||A||_2 (max |lam_i| for a normal A, else the 2-norm)
+    and the ``_CASES`` that A h falls in: hermitian_nsd by its eigenvalues,
+    unit_norm when h ||A||_2 <= 1 + 1e-12."""
+    spectrum = _normal_spectrum(a)
+    blocks, real = _diagonal_blocks(a, spectrum)
+    lay = BlockLayout(a.shape[0], params.steps, params.order, params.padding, params.step_size)
+    sigma = _block_singular_values(SCHEMES[params.scheme](lay.k), lay, blocks, real)
+    norm_a = float(np.linalg.norm(a, 2)) if spectrum is None else float(np.abs(spectrum[0]).max())
+    holds = (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0]),
+             lay.h * norm_a <= 1.0 + 1e-12)
+    return _Measure(spectrum, blocks, norm_a,
+                    tuple(case for case, ok in zip(_CASES, holds) if ok), sigma)
+
+
 def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[float, float]:
     """(sigma_max, sigma_min) of the system L of ``problem`` discretized by ``params``.
 
@@ -202,10 +235,7 @@ def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[
     permutation, the direct sum of the block systems S (x) I_b + B (x) (X_i h),
     so L has their singular values and is never assembled.
     """
-    a = problem.matrix_a
-    lay = block_layout(problem, params)
-    return _block_singular_values(SCHEMES[params.scheme](lay.k), lay,
-                                  *_diagonal_blocks(a, _normal_spectrum(a)))
+    return _measure(problem.matrix_a, params).sigma
 
 
 # ---------------------------------------------------------------- bounds ---
@@ -386,54 +416,47 @@ def _one_step_norms(rec, xh: np.ndarray) -> tuple[float, float]:
     return _top(winv), _top(rows.reshape(r, w, -1))
 
 
-def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisReport:
-    """Bounds and measured inverse norms for one step block and the full system.
+def _report(meas: _Measure, params: SolverParams, case: str | None, rows: dict,
+            **fields) -> AnalysisReport:
+    """The report of ``meas`` in ``case`` from one bound table, name ->
+    (measured, bound): the caller's ``rows``, then ``l_norm`` for the Padé
+    system and ``l_inv`` and ``kappa`` in the Hermitian NSD case with k >= 3."""
+    k, m, p, h = params.order, params.steps, params.padding, params.step_size
+    norm_l, norm_l_inv = meas.sigma[0], 1.0 / meas.sigma[1]
+    kappa = norm_l * norm_l_inv
+    table = dict(rows)
+    if params.scheme == "pade":
+        if case == "hermitian_nsd" and k >= 3:
+            table["l_inv"] = (norm_l_inv, l_inverse_bound(m, p, k))
+            table["kappa"] = (kappa, kappa_bound(m, p, k, h * meas.norm_a))
+        table["l_norm"] = (norm_l, l_norm_bound(k, h, meas.norm_a))
+    bound = {name: b for name, (_, b) in table.items()}
+    return AnalysisReport(
+        norm_l=norm_l, norm_l_inv=norm_l_inv, kappa=kappa,
+        bound_l_inv=bound.get("l_inv"), bound_kappa=bound.get("kappa"),
+        bound_l_norm=bound.get("l_norm"), case=case,
+        satisfied={name: got <= b for name, (got, b) in table.items()}, **fields)
 
-    ``case`` must match the matrix: hermitian_nsd (checked through the
-    eigenvalues) or unit_norm (checked through ||A h||_2 <= 1).  Both are
-    measured on the diagonal blocks of A; L is never assembled.
+
+def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisReport:
+    """Bounds and measured norms for one step block and the full system.
+
+    ``case`` must be one that the matrix falls in (see ``_measure``).  Both
+    are measured on the diagonal blocks of A; L is never assembled.
     """
     if params.scheme != "pade":
         raise ConsistencyError(f"the bounds are for the Padé system, got {params.scheme!r}")
-    a = np.asarray(matrix_a, dtype=complex)
-    k, m, p, h = params.order, params.steps, params.padding, params.step_size
-    spectrum = _normal_spectrum(a)
-    norm_a = float(np.linalg.norm(a, 2)) if spectrum is None else float(np.abs(spectrum[0]).max())
-    nah = h * norm_a
+    meas = _measure(np.asarray(matrix_a, dtype=complex), params)
+    if case not in meas.cases:
+        raise ClassificationError(_CASES.get(case, f"unknown case {case!r}"))
+    k = params.order
+    w, row = _one_step_norms(SCHEMES["pade"](k), meas.blocks * params.step_size)
+    b_w, b_row = w_inverse_bound(k, case), signed_row_contraction_bound(k)
+    rows = {"w_inv": (w, b_w)}
     if case == "hermitian_nsd":
-        if not (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0])):
-            raise ClassificationError("matrix is not Hermitian negative semi-definite")
-    elif case == "unit_norm":
-        if nah > 1.0 + 1e-12:
-            raise ClassificationError("||A h||_2 exceeds 1")
-    else:
-        raise ClassificationError(f"unknown case {case!r}")
-
-    rec = SCHEMES["pade"](k)
-    blocks, real = _diagonal_blocks(a, spectrum)
-    measured_w, measured_row = _one_step_norms(rec, blocks * h)
-    smax, smin = _block_singular_values(rec, BlockLayout(a.shape[0], m, k, p, h), blocks, real)
-    norm_l, norm_l_inv = smax, 1.0 / smin
-
-    b_w = w_inverse_bound(k, case)
-    b_row = signed_row_contraction_bound(k)
-    b_linv = l_inverse_bound(m, p, k) if (case == "hermitian_nsd" and k >= 3) else None
-    b_kappa = kappa_bound(m, p, k, nah) if (case == "hermitian_nsd" and k >= 3) else None
-    sats = {"w_inv": measured_w <= b_w}
-    if case == "hermitian_nsd":
-        sats["signed_row"] = measured_row <= b_row
-    if b_linv is not None:
-        sats["l_inv"] = norm_l_inv <= b_linv
-    if b_kappa is not None:
-        sats["kappa"] = norm_l * norm_l_inv <= b_kappa
-    return AnalysisReport(
-        norm_l=norm_l, norm_l_inv=norm_l_inv, kappa=norm_l * norm_l_inv,
-        bound_l_inv=b_linv, bound_kappa=b_kappa,
-        bound_l_norm=l_norm_bound(k, h, norm_a),
-        case=case, measured_w_inv=measured_w, bound_w_inv=b_w,
-        measured_signed_row=measured_row, bound_signed_row=b_row,
-        satisfied=sats,
-    )
+        rows["signed_row"] = (row, b_row)
+    return _report(meas, params, case, rows, measured_w_inv=w, bound_w_inv=b_w,
+                   measured_signed_row=row, bound_signed_row=b_row)
 
 
 def _transient_growth(a: np.ndarray, spectrum, horizon: float, steps: int) -> float:
@@ -447,48 +470,20 @@ def _transient_growth(a: np.ndarray, spectrum, horizon: float, steps: int) -> fl
 
 def condition_report(problem: OdeProblem, params: SolverParams,
                      dim_cap: int = CONDITION_DIM_CAP) -> AnalysisReport:
-    """Measured condition number of the system L plus every applicable bound.
-
-    ``dim_cap`` guards the exact inverse-norm computation; raise it explicitly
-    for larger sweeps (the Lanczos path handles them fine).  sigma(L), the
-    case, c(A) and the drift read one ``_normal_spectrum``.
-    """
+    """Measured condition number of the system L and every bound that applies
+    in the first of ``_CASES`` that A falls in.  ``dim_cap`` caps the dimension
+    of L, and so the block systems measured, though L is never formed; raise
+    it explicitly for larger sweeps.  sigma(L), the case, c(A) and the drift
+    read one ``_normal_spectrum``."""
     lay = block_layout(problem, params)
     if lay.dim > dim_cap:
         raise SizeError(f"condition report capped at dimension {dim_cap}, got {lay.dim}")
     a = problem.matrix_a
-    spectrum = _normal_spectrum(a)
-    smax, smin = _block_singular_values(SCHEMES[params.scheme](lay.k), lay,
-                                        *_diagonal_blocks(a, spectrum))
-    norm_l, norm_l_inv = smax, 1.0 / smin
-    kappa = norm_l * norm_l_inv
-    k, m, p, h = lay.k, lay.m, lay.p, lay.h
-    nah = float(np.linalg.norm(a * h, 2))  # not max |lam|: the printed bounds see the last bit
-    na = float(np.linalg.norm(a, 2))
-
-    hermitian_nsd = spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0])
-    case = "hermitian_nsd" if hermitian_nsd else ("unit_norm" if nah <= 1.0 + 1e-12 else None)
-    b_linv = b_kappa = None
-    if params.scheme == "pade" and hermitian_nsd and k >= 3:
-        b_linv = l_inverse_bound(m, p, k)
-        b_kappa = kappa_bound(m, p, k, nah)
-    b_lnorm = l_norm_bound(k, h, na) if params.scheme == "pade" else None
-
+    meas = _measure(a, params)
     traj = classical_reference_trajectory(problem, params)
     g = traj.g(float(np.linalg.norm(problem.vec_b))) if not traj.degenerate else None
-    c_of_a = _transient_growth(a, spectrum, params.horizon, m)
-    drift = _drift(a, spectrum, h, k, m).drift_max if params.scheme == "pade" else None
-
-    sats = {}
-    if b_linv is not None:
-        sats["l_inv"] = norm_l_inv <= b_linv
-    if b_kappa is not None:
-        sats["kappa"] = kappa <= b_kappa
-    if b_lnorm is not None:
-        sats["l_norm"] = norm_l <= b_lnorm
-    return AnalysisReport(
-        norm_l=norm_l, norm_l_inv=norm_l_inv, kappa=kappa,
-        bound_l_inv=b_linv, bound_kappa=b_kappa, bound_l_norm=b_lnorm,
-        c_of_a=c_of_a, g_ratio=g, drift_max=drift, case=case,
-        satisfied=sats,
-    )
+    c_of_a = _transient_growth(a, meas.spectrum, params.horizon, lay.m)
+    drift = (_drift(a, meas.spectrum, lay.h, lay.k, lay.m).drift_max
+             if params.scheme == "pade" else None)
+    return _report(meas, params, meas.cases[0] if meas.cases else None, {},
+                   c_of_a=c_of_a, g_ratio=g, drift_max=drift)

@@ -201,7 +201,6 @@ class BlockEncodingUnitary:
     alpha: float
     ancillas: int
     target_dim: int
-    circuit: CircuitSpec | None = None
 
     def __post_init__(self):
         dim = self.unitary.shape[0]
@@ -267,7 +266,7 @@ def _qubits_for(value: int, what: str) -> int:
 
 
 def _encode(spec: CircuitSpec, alpha: float, target_dim: int) -> BlockEncodingUnitary:
-    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim, spec)
+    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim)
 
 
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:
@@ -281,11 +280,11 @@ def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUni
     """(alpha,1)-encoding of a Hermitian matrix via the complement square root."""
     a = np.asarray(matrix_a, dtype=complex)
     n = a.shape[0]
-    if a.shape != (n, n) or n & (n - 1):
+    if a.shape != (n, n) or n < 1 or n & (n - 1):
         raise ShapeError("need a square matrix of power-of-two dimension")
     if not is_hermitian(a):
         raise CompositionError("matrix must be Hermitian")
-    norm = float(np.linalg.norm(a, 2)) if n > 0 else 0.0
+    norm = float(np.linalg.norm(a, 2))
     if alpha is None:
         alpha = norm if norm > 0 else 1.0
     if alpha < norm - 1e-12:
@@ -294,11 +293,7 @@ def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUni
     w, v = np.linalg.eigh(scaled)
     comp = (v * np.sqrt(np.maximum(0.0, 1.0 - w**2))) @ v.conj().T
     u = np.block([[scaled, comp], [comp, -scaled]])
-    nq = _qubits_for(n, "dim")
-    spec = CircuitSpec(registers=(Register("a", 1, True), Register("n", nq, False)),
-                       gates=[GateOp("OPAQUE", tuple(range(nq + 1)), label="U_A")],
-                       opaques={"U_A": u})
-    return BlockEncodingUnitary(u, float(alpha), 1, n, spec)
+    return BlockEncodingUnitary(u, float(alpha), 1, n)
 
 
 # ----------------------------------------------- figure-level constructions ---

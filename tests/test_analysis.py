@@ -303,9 +303,10 @@ class TestInverseNormBounds:
 
     def test_normal_a_is_never_assembled(self, rng, monkeypatch):
         def assembled(*args, **kwargs):
-            raise AssertionError("build_pade_system called for a normal A")
+            raise AssertionError("L assembled")
 
-        monkeypatch.setitem(system_builder.BUILDERS, "pade", assembled)
+        # both builders assemble through _assemble
+        monkeypatch.setattr(system_builder, "_assemble", assembled)
         a = random_hermitian_nsd(rng, 5)
         rep = inverse_norm_bounds(make_params(3, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
         assert all(rep.satisfied.values())
@@ -319,12 +320,30 @@ class TestInverseNormBounds:
         assert rep.measured_signed_row == pytest.approx(
             np.linalg.norm(np.kron(rec.signs, np.eye(4)) @ winv, 2), rel=1e-12, abs=0.0)
 
+    def test_reports_agree(self):
+        """The bound suites and ``analyze`` read one ||A||_2, so for the same
+        Hermitian NSD A and step they print the same numbers."""
+        keys = ("norm_l", "norm_l_inv", "kappa", "bound_l_inv", "bound_kappa", "bound_l_norm")
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            a = random_hermitian_nsd(rng, n)
+            params = make_params(2, int(rng.choice([3, 7, 15])), 2, 3.0, "pade")
+            problem = OdeProblem(matrix_a=a, vec_b=np.ones(n), vec_x0=np.ones(n), horizon=3.0)
+            suite, report = inverse_norm_bounds(params, a, "hermitian_nsd"), condition_report(problem, params)
+            assert [getattr(suite, key) for key in keys] == [getattr(report, key) for key in keys]
+            assert list(suite.satisfied) == ["w_inv", "signed_row", "l_inv", "kappa", "l_norm"]
+            assert list(report.satisfied) == ["l_inv", "kappa", "l_norm"]
+            assert all(suite.satisfied.values()) and all(report.satisfied.values())
+
     def test_case_mismatch(self, rng):
         a = random_contraction(rng, 3, norm=2.0)
         with pytest.raises(ClassificationError):
             inverse_norm_bounds(make_params(1, 3, 1, 1.0, "pade"), a, "hermitian_nsd")
         with pytest.raises(ClassificationError):
             inverse_norm_bounds(make_params(1, 3, 1, 1.0, "pade"), a, "unit_norm")
+        with pytest.raises(ClassificationError, match="unknown case 'normal'"):
+            inverse_norm_bounds(make_params(1, 3, 1, 1.0, "pade"), a / 2.0, "normal")
         # the bounds are stated for the Padé system
         with pytest.raises(ConsistencyError):
             inverse_norm_bounds(make_params(1, 3, 1, 1.0, "taylor"), a / 2.0, "unit_norm")

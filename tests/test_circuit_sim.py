@@ -25,7 +25,7 @@ from pade_lab.circuit_sim import (
     verify_block_encoding,
     zero_matrix_encoding,
 )
-from pade_lab.errors import CompositionError, LayoutError, SizeError
+from pade_lab.errors import CompositionError, LayoutError, ShapeError, SizeError
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients
 from pade_lab.system_builder import build_pade_system
@@ -40,8 +40,7 @@ def random_hermitian_unit(seed, n=2, shrink=1.3):
 
 def identity_encoding(n_qubits):
     dim = 2**n_qubits
-    return BlockEncodingUnitary(np.eye(dim, dtype=complex), 1.0, 0, dim,
-                                CircuitSpec(registers=(Register("n", n_qubits, False),)))
+    return BlockEncodingUnitary(np.eye(dim, dtype=complex), 1.0, 0, dim)
 
 
 def build_target(a, h, m, k):
@@ -372,10 +371,12 @@ class TestFullEncoding:
             hermitian_encoding(a)
         with pytest.raises(CompositionError):
             hermitian_encoding(random_hermitian_unit(5), alpha=0.5)  # ||A|| = 1/1.3
+        with pytest.raises(ShapeError):
+            hermitian_encoding(np.zeros((0, 0)))  # no qubit register holds dimension 0
 
     def test_wrong_alpha_residual(self):
         enc = identity_encoding(2)
-        wrong = BlockEncodingUnitary(enc.unitary, 2.0, 0, 4, enc.circuit)
+        wrong = BlockEncodingUnitary(enc.unitary, 2.0, 0, 4)
         residual, ok = verify_block_encoding(wrong, np.eye(4), 1e-10)
         assert not ok
         assert residual == pytest.approx(1.0, abs=1e-14)  # |alpha - 1| ||I||
