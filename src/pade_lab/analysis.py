@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -148,6 +149,18 @@ def _block_kron(s: np.ndarray, b: np.ndarray, xh: np.ndarray) -> np.ndarray:
     return out.reshape(len(xh), d * w, d * w)
 
 
+@lru_cache(maxsize=256)
+def _dense_patterns(rec, m: int, p: int) -> np.ndarray:
+    """The stack [S, B] of ``scalar_patterns(rec, m, p)`` as dense matrices,
+    read-only, built once per (scheme, k, m, p)."""
+    d = m * len(rec.s1) + p
+    out = np.zeros((2, d, d))
+    for mat, (rows, cols, vals) in zip(out, scalar_patterns(rec, m, p)):
+        np.add.at(mat, (rows, cols), vals)
+    out.flags.writeable = False
+    return out
+
+
 def _inverse(stack: np.ndarray, what: str) -> np.ndarray:
     """Inverses of a dense stack of square blocks; a singular one is typed."""
     try:
@@ -173,14 +186,12 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     d, w = lay.block_rows, blocks.shape[-1]
     xh = blocks * lay.h
     ends = [0, -1] if real else slice(None)
-    patterns = scalar_patterns(rec, lay)
     if d * w <= SLICE_DENSE_CAP:
-        s, b = np.zeros((2, d, d))
-        for mat, (rows, cols, vals) in zip((s, b), patterns):
-            np.add.at(mat, (rows, cols), vals)
-        stack = _block_kron(s, b, xh)  # rebound to the inverses, freed before their SVD
+        # the stack is rebound to the inverses, freed before their SVD
+        stack = _block_kron(*_dense_patterns(rec, lay.m, lay.p), xh)
         smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
         return smax, 1.0 / _top(stack)
+    patterns = scalar_patterns(rec, lay.m, lay.p)
     # S (x) I_b, and B (x) ones, whose entries at (p, q) of a block take the factor x_pq
     s, b = (sp.csr_matrix((vals, (rows, cols)), shape=(d * w, d * w)) for rows, cols, vals in
             (kron_triplets(*patterns[0], np.eye(w)), kron_triplets(*patterns[1], np.ones((w, w)))))

@@ -1,11 +1,11 @@
 """Gate-level block encodings of the assembled system, at desk scale.
 
 Circuits are recorded as explicit gate lists over named registers and
-realized as dense unitaries (qubit 0 is the most significant wire; ancilla
-wires sit above the system wires, so the encoded matrix is the top-left block
-of the realized unitary).  Everything is exact and checkable: each stage is a
-unitary whose projection reproduces its target block up to the declared
-normalization.
+realized as explicit unitaries, dense below ``_SPARSE_QUBITS`` wires and CSR
+from there (qubit 0 is the most significant wire; ancilla wires sit above the
+system wires, so the encoded matrix is the top-left block of the realized
+unitary).  Everything is exact and checkable: each stage is a unitary whose
+projection reproduces its target block up to the declared normalization.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
 from .pade_core import is_hermitian
@@ -25,9 +26,11 @@ QUBIT_BUDGET = 12
 #: Gate on ||U^H U - I||_2 that every realized stage must meet.
 UNITARITY_TOL = 1e-12
 
-#: Entries of one column block of ``realize_dense`` (2^19 complex, 8 MB) and
-#: of one row panel of the Gram matrix in ``unitarity_defect`` (4 MB).
-_BLOCK_ENTRIES = 2**19
+#: Stages of at least this many qubits are realized and checked as CSR
+#: products (docs/DECISIONS.md has the crossover).
+_SPARSE_QUBITS = 9
+
+#: Entries of one row panel of the Gram matrix in ``unitarity_defect`` (4 MB).
 _PANEL_ENTRIES = 2**18
 
 
@@ -161,43 +164,94 @@ def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
     return ops
 
 
-def realize_dense(spec: CircuitSpec) -> np.ndarray:
-    """Multiply the gate list into a dense unitary, one block of columns at a time.
+def _sparse_gate(gate, targets, controls, nq: int) -> sp.csr_array:
+    """CSR operator of ``gate`` on ``targets`` under ``controls``, the
+    matrix ``_apply`` multiplies in.
 
-    Gates only left-multiply, so columns c0:c1 of U are the gate list applied
-    to columns c0:c1 of the identity.  Each block of at most
-    ``_BLOCK_ENTRIES`` entries is realized on its own and copied into U; a U
-    that fits in one block is realized in one pass.
+    A column j that meets the controls, with target bits b, holds column b
+    of the gate on the rows j takes with its target bits set to each a; any
+    other column is the identity's.
     """
+    index = np.arange(2**nq)
+    meets = np.ones(index.size, dtype=bool)
+    for wire, val in controls:
+        meets &= (index >> (nq - 1 - wire)) & 1 == val
+    cols, idle = index[meets], index[~meets]
+    bits = np.zeros(cols.size, dtype=index.dtype)  # b, first target most significant
+    place = np.zeros(len(gate), dtype=index.dtype)  # a spread onto the target wires
+    for i, wire in enumerate(targets):
+        bits = bits << 1 | (cols >> (nq - 1 - wire)) & 1
+        place |= (np.arange(len(gate)) >> (len(targets) - 1 - i) & 1) << (nq - 1 - wire)
+    vals = gate[:, bits]
+    rows = (cols & ~np.bitwise_or.reduce(place))[None, :] | place[:, None]
+    keep = vals != 0
+    return sp.csr_array((np.concatenate([vals[keep], np.ones(idle.size)]),
+                         (np.concatenate([rows[keep], idle]),
+                          np.concatenate([np.broadcast_to(cols, rows.shape)[keep], idle]))),
+                        shape=(index.size, index.size))
+
+
+def _stage_ops(spec: CircuitSpec) -> tuple[int, list]:
+    """(qubits, ``_dense_ops``) of a valid spec within the qubit budget."""
     spec.validate()
     nq = spec.total_qubits
     if nq > QUBIT_BUDGET:
         raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
-    ops = _dense_ops(spec)
-    dim = 2**nq
-    width = min(dim, _BLOCK_ENTRIES // dim)
+    return nq, _dense_ops(spec)
 
-    def columns(c0: int) -> np.ndarray:
-        block = np.eye(dim, width, -c0, dtype=complex)
-        for gate, targets, controls in ops:
-            block = _apply(block, gate, targets, nq, controls)
-        return block
 
-    if width == dim:
-        return columns(0)
-    op = np.empty((dim, dim), dtype=complex)
-    for c0 in range(0, dim, width):
-        op[:, c0:c0 + width] = columns(c0)
+def _realize_sparse(nq: int, ops) -> sp.csr_array:
+    """The gate list multiplied into a CSR identity, one CSR gate at a time."""
+    op = sp.eye_array(2**nq, dtype=complex, format="csr")
+    for gate, targets, controls in ops:
+        op = _sparse_gate(gate, targets, controls, nq) @ op
+    return op
+
+
+def realize_dense(spec: CircuitSpec) -> np.ndarray:
+    """Multiply the gate list into a dense unitary.
+
+    Below ``_SPARSE_QUBITS`` wires every gate is applied to the whole
+    identity by ``_apply``; from there the CSR product of
+    ``_realize_sparse`` is densified.
+    """
+    nq, ops = _stage_ops(spec)
+    if nq >= _SPARSE_QUBITS:
+        return _realize_sparse(nq, ops).toarray()
+    op = np.eye(2**nq, dtype=complex)
+    for gate, targets, controls in ops:
+        op = _apply(op, gate, targets, nq, controls)
     return op
 
 
 # --------------------------------------------------------- block encodings ---
 
+def _sparse_gram_square(u: sp.csr_array, rows: int) -> float:
+    """||U^H U - I||_F^2 of a CSR U, summed over the sparse upper row panels
+    of ``rows`` rows as in ``unitarity_defect``.
+
+    The identity is subtracted entry by entry: each term of ||G||_F^2 and
+    of the diagonal is about dim, so their difference would cancel to noise.
+    A diagonal entry the panel lacks contributes |0 - 1|^2.
+    """
+    adjoint = u.conj().T.tocsr()
+    square = 0.0
+    for i0 in range(0, u.shape[0], rows):
+        panel = adjoint[i0:i0 + rows] @ u[:, i0:]
+        width = panel.shape[0]
+        on_diag = np.repeat(np.arange(width), np.diff(panel.indptr)) == panel.indices
+        vals = np.where(on_diag, panel.data - 1.0, panel.data)
+        weight = np.where(panel.indices < width, 1.0, 2.0)
+        square += float(weight @ (vals.real**2 + vals.imag**2))
+        square += width - np.count_nonzero(on_diag)
+    return square
+
+
 @dataclass(frozen=True)
 class BlockEncodingUnitary:
-    """A dense unitary declared to hold target/alpha in its top-left block."""
+    """A unitary, dense or CSR, declared to hold target/alpha in its top-left block."""
 
-    unitary: np.ndarray
+    unitary: np.ndarray | sp.csr_array
     alpha: float
     ancillas: int
     target_dim: int
@@ -213,7 +267,8 @@ class BlockEncodingUnitary:
 
     @property
     def projection(self) -> np.ndarray:
-        return self.unitary[: self.target_dim, : self.target_dim]
+        block = self.unitary[: self.target_dim, : self.target_dim]
+        return block if isinstance(block, np.ndarray) else block.toarray()
 
     @property
     def encoded(self) -> np.ndarray:
@@ -231,19 +286,25 @@ class BlockEncodingUnitary:
         E = U^H U - I is Hermitian, so ||E||_F^2 is summed over its upper row
         panels of ``_PANEL_ENTRIES`` entries: each panel's diagonal block
         counts once and the blocks right of it twice, for their mirror images.
+        A CSR unitary takes sparse panels; only the 2-norm densifies it.
         """
         u = self.unitary
         rows = _PANEL_ENTRIES // u.shape[0]
-        square = 0.0
-        for i0 in range(0, u.shape[0], rows):
-            panel = u[:, i0:i0 + rows].conj().T @ u[:, i0:]
-            width = panel.shape[0]
-            panel[np.arange(width), np.arange(width)] -= 1.0
-            diag, rest = panel[:, :width], panel[:, width:]
-            square += np.vdot(diag, diag).real + 2.0 * np.vdot(rest, rest).real
+        if isinstance(u, np.ndarray):
+            square = 0.0
+            for i0 in range(0, u.shape[0], rows):
+                panel = u[:, i0:i0 + rows].conj().T @ u[:, i0:]
+                width = panel.shape[0]
+                panel[np.arange(width), np.arange(width)] -= 1.0
+                diag, rest = panel[:, :width], panel[:, width:]
+                square += np.vdot(diag, diag).real + 2.0 * np.vdot(rest, rest).real
+        else:
+            square = _sparse_gram_square(u, rows)
         frobenius = math.sqrt(square)
         if frobenius <= UNITARITY_TOL:
             return frobenius
+        if not isinstance(u, np.ndarray):
+            u = u.toarray()
         defect = u.conj().T @ u
         defect[np.diag_indices_from(defect)] -= 1.0
         return float(np.linalg.norm(defect, 2))
@@ -266,7 +327,12 @@ def _qubits_for(value: int, what: str) -> int:
 
 
 def _encode(spec: CircuitSpec, alpha: float, target_dim: int) -> BlockEncodingUnitary:
-    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim)
+    """The realized stage: dense below ``_SPARSE_QUBITS`` wires, else held as CSR."""
+    if spec.total_qubits < _SPARSE_QUBITS:
+        unitary = realize_dense(spec)
+    else:
+        unitary = _realize_sparse(*_stage_ops(spec))
+    return BlockEncodingUnitary(unitary, alpha, spec.ancilla_qubits, target_dim)
 
 
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:

@@ -90,7 +90,7 @@ def alternating_signs(k: int) -> np.ndarray:
     return np.array([(-1.0) ** (k + 1 - j) for j in range(k + 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scheme:
     """Block structure of one scheme at order k: L = S (x) I_n + B (x) (A h).
 
@@ -102,7 +102,8 @@ class Scheme:
     padding rows copy the terminal state.  x0 enters the first row times
     ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
     The record keeps read-only copies of the arrays: ``SCHEMES`` hands one
-    shared record per order to every caller.
+    shared record per order to every caller.  Records compare and hash by
+    identity, so a cache keyed on the record is keyed on (scheme, order).
     """
 
     s1: np.ndarray
@@ -203,19 +204,21 @@ def kron_triplets(rows, cols, vals, block: np.ndarray):
             vals[keep])
 
 
-def scalar_patterns(rec: Scheme, lay: BlockLayout):
+@lru_cache(maxsize=256)
+def scalar_patterns(rec: Scheme, m: int, p: int):
     """The scalar patterns S and B of L = S (x) I_n + B (x) (A h), as
-    (rows, cols, vals) triplets over the m(k+1)+p block rows of ``lay``.
+    (rows, cols, vals) triplets over the m(k+1)+p block rows of m steps of
+    the scheme ``rec`` at order k and p padding rows.
 
     S holds the one-step patterns, the coupling rows of steps 2..m and of the
     terminal row, the terminal diagonal and the padding chain; B holds the
     one-step A h patterns.  For A = [[lam]] they are L itself, so
-    S + lam h B is the scalar system of one eigenvalue.
+    S + lam h B is the scalar system of one eigenvalue.  The triplets are
+    read-only and built once per (scheme, k, m, p).
     """
-    m, k, p = lay.m, lay.k, lay.p
-    width = k + 1
+    width = len(rec.s1)
     starts = np.arange(m) * width
-    term = lay.terminal_row()
+    term = m * width
     sr, sc = np.nonzero(rec.s1)
     pad = np.arange(term + 1, term + p)
     s_rows = [(starts[:, None] + sr).ravel(), np.repeat(starts + width, width), [term], pad, pad]
@@ -226,7 +229,11 @@ def scalar_patterns(rec: Scheme, lay: BlockLayout):
     br, bc = np.nonzero(rec.b1)
     b_pattern = ((starts[:, None] + br).ravel(), (starts[:, None] + bc).ravel(),
                  np.tile(rec.b1[br, bc], m))
-    return tuple(map(np.concatenate, (s_rows, s_cols, s_vals))), b_pattern
+    patterns = tuple(map(np.concatenate, (s_rows, s_cols, s_vals))), b_pattern
+    for triplet in patterns:
+        for arr in triplet:
+            arr.flags.writeable = False
+    return patterns
 
 
 def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
@@ -252,7 +259,7 @@ def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSy
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
     lay = block_layout(problem, params)
     rec = SCHEMES[scheme](lay.k)
-    s_pattern, b_pattern = scalar_patterns(rec, lay)
+    s_pattern, b_pattern = scalar_patterns(rec, lay.m, lay.p)
     ir, ic, iv = kron_triplets(*s_pattern, np.eye(lay.n))
     ar, ac, av = kron_triplets(*b_pattern, problem.matrix_a * lay.h)
     matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),

@@ -7,7 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from pade_lab.circuit_sim import (
-    _BLOCK_ENTRIES,
+    _SPARSE_QUBITS,
+    QUBIT_BUDGET,
     THETA_1,
     THETA_2,
     UNITARITY_TOL,
@@ -16,8 +17,11 @@ from pade_lab.circuit_sim import (
     CircuitSpec,
     GateOp,
     Register,
+    _realize_sparse,
+    _stage_ops,
     add_matrix,
     build_l_encoding,
+    build_w_encoding,
     hermitian_encoding,
     primitive_encodings,
     primitive_targets,
@@ -170,22 +174,40 @@ def random_mixed_stage(seed, nq):
     return CircuitSpec(registers=(Register("n", nq, False),), gates=gates, opaques=opaques)
 
 
+def kron_product(spec):
+    """The gate list of ``spec`` multiplied out from ``kron_gate`` operators."""
+    nq = spec.total_qubits
+    want = np.eye(2**nq, dtype=complex)
+    for g in spec.gates:
+        want = kron_gate(nq, oracle_matrix(g, spec.opaques), g.selector + g.targets,
+                         g.controls) @ want
+    return want
+
+
 class TestRealizeBlocks:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_column_blocks_match_kron_oracle(self, seed):
+        # nq = 10 is realized as a product of CSR gates
         nq = 10
-        assert 4**nq > _BLOCK_ENTRIES  # more than one column block
+        assert nq >= _SPARSE_QUBITS
         spec = random_mixed_stage(seed, nq)
-        want = np.eye(2**nq, dtype=complex)
-        for g in spec.gates:
-            wires = g.selector + g.targets
-            want = kron_gate(nq, oracle_matrix(g, spec.opaques), wires, g.controls) @ want
+        got = _realize_sparse(*_stage_ops(spec))
+        assert isinstance(got, sp.csr_array)
+        assert np.abs(got.toarray() - kron_product(spec)).max() <= 1e-13
+        assert np.array_equal(realize_dense(spec), got.toarray())
+
+    def test_dense_path_matches_kron_oracle(self):
+        nq = 8
+        assert nq < _SPARSE_QUBITS
+        spec = random_mixed_stage(0, nq)
         got = realize_dense(spec)
-        assert np.abs(got - want).max() <= 1e-13
+        assert isinstance(got, np.ndarray)
+        assert np.abs(got - kron_product(spec)).max() <= 1e-13
 
     def test_l_encoding_memory(self):
         # the 11-qubit L of the C09 grid: n = 2, m = 2, k + 1 = 4, alpha h < 1
         enc = hermitian_encoding(random_hermitian_unit(11))
+        dense_bytes = 16 * 4**11  # one dense complex U of 11 qubits
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -195,7 +217,10 @@ class TestRealizeBlocks:
         finally:
             tracemalloc.stop()
         assert full.unitary.shape == (2**11, 2**11)
-        assert peak - start <= 1.5 * full.unitary.nbytes
+        assert peak - start <= 1.5 * dense_bytes
+        # held and checked as CSR: no dense U ever existed
+        assert isinstance(full.unitary, sp.csr_array)
+        assert peak - start <= 0.5 * dense_bytes
 
 
 class TestUnitarityCertificate:
@@ -237,6 +262,32 @@ class TestUnitarityCertificate:
         assert frobenius > UNITARITY_TOL
         defect = enc.unitarity_defect()
         assert defect == svd_defect(u)
+        assert defect == pytest.approx(eps, rel=1e-3, abs=0.0)
+        assert (defect <= UNITARITY_TOL) is passes
+
+    def test_sparse_panel_sum_is_frobenius_norm(self):
+        # a CSR U = I + N with N off the diagonal: E = N + N^H + N^H N has
+        # entries in every sparse Gram panel, and |N^H N| is below the last bit
+        # of the diagonal, which the identity must cancel exactly
+        dim = 2**10
+        rng = np.random.default_rng(7)
+        rows, cols = rng.integers(dim, size=(2, 4 * dim))
+        vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+        vals[rows == cols] = 0.0
+        noise = sp.csr_array((vals, (rows, cols)), shape=(dim, dim))
+        u = sp.eye_array(dim, dtype=complex, format="csr") + 1e-13 * noise / sp.linalg.norm(noise)
+        dense = u.toarray()
+        frobenius = np.linalg.norm(dense.conj().T @ dense - np.eye(dim))
+        assert 1e-13 < frobenius <= UNITARITY_TOL
+        enc = BlockEncodingUnitary(u, 1.0, 0, dim)
+        assert enc.unitarity_defect() == pytest.approx(frobenius, rel=1e-9, abs=0.0)
+        assert isinstance(enc.unitary, sp.csr_array)
+
+    @pytest.mark.parametrize("eps,passes", [(0.9e-12, True), (2e-12, False)])
+    def test_sparse_frobenius_miss_falls_back_to_exact_norm(self, eps, passes):
+        u = sp.diags_array(np.full(16, math.sqrt(1.0 + eps)), dtype=complex, format="csr")
+        defect = BlockEncodingUnitary(u, 1.0, 0, 16).unitarity_defect()
+        assert defect == svd_defect(u.toarray())
         assert defect == pytest.approx(eps, rel=1e-3, abs=0.0)
         assert (defect <= UNITARITY_TOL) is passes
 
@@ -286,7 +337,6 @@ class TestRotationConstants:
 
 class TestStageEncodings:
     def test_one_step_stage(self):
-        from pade_lab.circuit_sim import build_w_encoding
         from pade_lab.system_builder import SCHEMES
 
         a = random_hermitian_unit(11)
@@ -385,6 +435,28 @@ class TestFullEncoding:
         enc = zero_matrix_encoding(2)
         with pytest.raises(SizeError):
             build_l_encoding(enc, 1.0, 4, 7)
+
+    def test_budget_edge(self):
+        # n = 2, k + 1 = 4, alpha h < 1: m = 4 fills the budget, m = 8 exceeds it
+        a = random_hermitian_unit(12)
+        enc = hermitian_encoding(a)
+        full = build_l_encoding(enc, 1.0, 4, 3)
+        assert full.unitary.shape == (2**QUBIT_BUDGET, 2**QUBIT_BUDGET)
+        residual, ok = verify_block_encoding(full, build_target(a, 1.0, 4, 3), 1e-10)
+        assert ok, residual
+        assert full.unitarity_defect() <= 1e-12
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(SizeError):
+                build_l_encoding(enc, 1.0, 8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2**20  # raised before anything of size 2^13 exists
+        # an A encoding held as CSR (9 qubits) leaves no room for a stage
+        with pytest.raises(SizeError):
+            build_w_encoding(zero_matrix_encoding(8), 1.0, 1)
 
     def test_padding_constraint_is_structural(self):
         # p = m (k+1) is baked into the index register: one extra top wire

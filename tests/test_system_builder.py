@@ -29,6 +29,7 @@ from pade_lab.system_builder import (
     load_problem,
     problem_from_json,
     save_problem,
+    scalar_patterns,
 )
 
 from conftest import random_contraction, random_hermitian_nsd
@@ -196,6 +197,15 @@ class TestSchemeRecords:
             with pytest.raises(ValueError):
                 getattr(rec, name)[0] = 7.0
         assert rec.plain_sum == (scheme == "taylor")
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_scalar_patterns_built_once_read_only(self, scheme):
+        rec = SCHEMES[scheme](3)
+        patterns = scalar_patterns(rec, 2, 5)
+        assert scalar_patterns(SCHEMES[scheme](3), 2, 5) is patterns
+        for arr in (*patterns[0], *patterns[1]):
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
     def test_record_copies_its_arrays(self):
         s1 = np.eye(2)
