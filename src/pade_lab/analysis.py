@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pade_core
+from .classical_solver import substitution_pair
 from .errors import (
     ClassificationError,
     ConsistencyError,
@@ -53,9 +54,10 @@ CONDITION_DIM_CAP = 4096
 #: (docs/DECISIONS.md bounds the error this admits).
 NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
-#: blocks; larger block systems take Lanczos one by one.
+#: blocks; above it sigma_max takes Lanczos per block and sigma_min one
+#: Lanczos over the direct sum of the blocks.
 SLICE_DENSE_CAP = 128
-#: Lanczos basis size for the top of a block system's Gram matrix, whose
+#: Lanczos basis size for sigma_max, the top of a block system's Gram matrix, whose
 #: leading eigenvalues cluster as m grows; at k = 9, m = 13..120 it needs
 #: about half the matvecs of ARPACK's default basis of 20.
 SLICE_NCV = 40
@@ -82,38 +84,11 @@ def _lanczos_start(dim: int, complex_: bool) -> np.ndarray:
 
 
 def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
-    """Top eigenvalue of M^H M by Lanczos.  The adjoint is built once, here,
-    so that it is freed before the caller factorizes M."""
+    """Top eigenvalue of M^H M by Lanczos."""
     dim = csr.shape[1]
     adj = csr.conj().T.tocsr()
     op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=v0.dtype)
     return _largest_eigenvalue(op, v0, ncv)
-
-
-def _factorize(matrix):
-    """Sparse LU of M.  When the default column ordering and partial pivoting
-    stop on an exactly zero pivot, refactor in the natural order with diagonal
-    pivots: L is block lower triangular, so its own order eliminates block by
-    block.  Only a matrix that fails both is singular."""
-    csc = matrix.tocsc()
-    try:
-        return spla.splu(csc)
-    except RuntimeError:  # "Factor is exactly singular"
-        pass
-    try:
-        return spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    except RuntimeError as exc:
-        raise SingularBlockError(f"sparse LU failed in both orderings: {exc}") from exc
-
-
-def _largest_inverse_gram_eigenvalue(matrix, v0) -> float:
-    """Top eigenvalue of M^-H M^-1 by Lanczos on the sparse LU of M."""
-    dim = matrix.shape[0]
-    lu = _factorize(matrix)
-    inv_op = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: lu.solve(lu.solve(x, trans="H"), trans="N"),
-        dtype=v0.dtype)
-    return _largest_eigenvalue(inv_op, v0)
 
 
 def _is_normal(a: np.ndarray) -> bool:
@@ -181,7 +156,9 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
 
     sigma_max is convex in X, so for ``real`` scalar blocks only the two end
     blocks are measured.  sigma_min is 1/||M^-1||_2, never the last singular
-    value of M, which floors at eps sigma_max.
+    value of M, which floors at eps sigma_max; above ``SLICE_DENSE_CAP`` it
+    comes from one Lanczos on the direct sum of the M_i, applied by the
+    block substitution of ``classical_solver.substitution_pair``.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = blocks * lay.h
@@ -202,7 +179,11 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
 
     v0 = _lanczos_start(d * w, complex_=not real)
     smax_sq = max(_largest_gram_eigenvalue(system(x), v0, SLICE_NCV) for x in xh[ends])
-    inv_sq = max(_largest_inverse_gram_eigenvalue(system(x), v0) for x in xh)
+    inv, inv_h = substitution_pair(_block_kron(rec.s1, rec.b1, xh), rec, lay.m, lay.p)
+    dim = len(xh) * d * w
+    v0 = _lanczos_start(dim, complex_=not real)
+    inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
+    inv_sq = _largest_eigenvalue(inv_op, v0)
     return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
 
 

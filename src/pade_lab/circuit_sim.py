@@ -191,13 +191,16 @@ def _sparse_gate(gate, targets, controls, nq: int) -> sp.csr_array:
                         shape=(index.size, index.size))
 
 
+def _check_budget(nq: int):
+    if nq > QUBIT_BUDGET:
+        raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
+
+
 def _stage_ops(spec: CircuitSpec) -> tuple[int, list]:
     """(qubits, ``_dense_ops``) of a valid spec within the qubit budget."""
     spec.validate()
-    nq = spec.total_qubits
-    if nq > QUBIT_BUDGET:
-        raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
-    return nq, _dense_ops(spec)
+    _check_budget(spec.total_qubits)
+    return spec.total_qubits, _dense_ops(spec)
 
 
 def _realize_sparse(nq: int, ops) -> sp.csr_array:
@@ -453,12 +456,14 @@ _LAYOUT = ("lcu", "scale", "w1", "w2", "flag", "d", "top", "m", "k", "n")
 class _Stage:
     """A stage circuit over ``_LAYOUT`` registers, each of width 0 left out
     (its ``wires`` entry is empty); a scale wire joins when ``scale > 1`` and
-    carries :meth:`scale_rot`."""
+    carries :meth:`scale_rot`.  A stage over ``QUBIT_BUDGET`` raises
+    ``SizeError`` here, before any opaque unitary is attached."""
 
-    def __init__(self, scale: float = 1.0, opaques=None, **widths):
+    def __init__(self, scale: float = 1.0, **widths):
         widths["scale"] = int(scale > 1.0)
         regs = [Register(r, widths[r], r in _LAYOUT[:6]) for r in _LAYOUT if widths.get(r)]
-        self.spec = CircuitSpec(registers=tuple(regs), opaques=opaques or {})
+        self.spec = CircuitSpec(registers=tuple(regs))
+        _check_budget(self.spec.total_qubits)
         self.g, self.scale = self.spec.gates.append, scale
         self.wires = defaultdict(list, {r.name: self.spec.wires(r.name) for r in regs})
 
@@ -490,17 +495,22 @@ THETA_1 = 2.0 * math.acos(2.0 / 3.0)
 THETA_2 = math.pi / 3.0
 
 
-def _normalized_a(a_encoding: BlockEncodingUnitary, step_h: float):
-    """(unitary, ancilla width, scale) with the A normalization matched to h.
+def _a_stage(a_encoding: BlockEncodingUnitary, step_h: float, **widths) -> _Stage:
+    """The stage ``widths`` with U_A attached, its A normalization matched to h.
 
-    Below alpha*h = 1 a single rotation wire raises the normalization to 1/h;
-    above it the surrounding stages must carry the residual factor `scale`.
+    Below alpha*h = 1 a rotation wire joins U_A and raises the normalization
+    to 1/h; above it the surrounding stages carry the residual factor
+    ``scale``.  That rotation makes U_A a kron as large as the stage, so it
+    is formed only once the stage is within the qubit budget.
     """
     alpha_h = a_encoding.alpha * step_h
-    ua, width = a_encoding.unitary, a_encoding.ancillas
-    if alpha_h < 1.0 - 1e-12:
-        return np.kron(ry_matrix(2.0 * math.acos(alpha_h)), ua), width + 1, 1.0
-    return ua, width, alpha_h if alpha_h > 1.0 + 1e-12 else 1.0
+    ua, rotate = a_encoding.unitary, alpha_h < 1.0 - 1e-12
+    scale = alpha_h if alpha_h > 1.0 + 1e-12 else 1.0
+    st = _Stage(scale, d=a_encoding.ancillas + rotate, **widths)
+    if rotate:
+        ua = np.kron(ry_matrix(2.0 * math.acos(alpha_h)), ua)
+    st.spec.opaques["U_A"] = ua
+    return st
 
 
 def _one_step_branch(st: _Stage, k: int, base):
@@ -551,10 +561,9 @@ def build_w_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     k = int(order)
     kq = _qubits_for(k + 1, "k+1")
     nq_n = _qubits_for(a_encoding.target_dim, "n")
-    ua, a_width, scale = _normalized_a(a_encoding, step_h)
-    st = _Stage(scale, {"U_A": ua}, w1=1, w2=1, flag=1, d=a_width, k=kq, n=nq_n)
+    st = _a_stage(a_encoding, step_h, w1=1, w2=1, flag=1, k=kq, n=nq_n)
     _one_step_branch(st, k, ())
-    return _encode(st.spec, 3.0 * scale, (k + 1) * a_encoding.target_dim)
+    return _encode(st.spec, 3.0 * st.scale, (k + 1) * a_encoding.target_dim)
 
 
 def build_b_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodingUnitary:
@@ -599,9 +608,7 @@ def build_l_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     mq = _qubits_for(m, "m")
     sys_dim = a_encoding.target_dim
     nq_n = _qubits_for(sys_dim, "n")
-    ua, a_width, scale = _normalized_a(a_encoding, step_h)
-    st = _Stage(scale, {"U_A": ua}, lcu=1, w1=1, w2=1, flag=1, d=a_width,
-                top=1, m=mq, k=kq, n=nq_n)
+    st = _a_stage(a_encoding, step_h, lcu=1, w1=1, w2=1, flag=1, top=1, m=mq, k=kq, n=nq_n)
     lcu, top = st.wires["lcu"][0], st.wires["top"][0]
     st.g(GateOp("Z", (lcu,)))
     st.g(GateOp("RY", (lcu,), angle=THETA_2))
@@ -610,4 +617,4 @@ def build_l_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     _coupling_branch(st, k, ((lcu, 1),))
     st.g(GateOp("Z", (lcu,)))
     st.g(GateOp("RY", (lcu,), angle=THETA_2))
-    return _encode(st.spec, 4.0 * scale, 2 * m * (k + 1) * sys_dim)
+    return _encode(st.spec, 4.0 * st.scale, 2 * m * (k + 1) * sys_dim)

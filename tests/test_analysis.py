@@ -12,7 +12,6 @@ from pade_lab.analysis import (
     SLICE_DENSE_CAP,
     _block_singular_values,
     _diagonal_blocks,
-    _factorize,
     _normal_spectrum,
     _one_step_norms,
     condition_report,
@@ -147,10 +146,11 @@ class TestSpectralNorm:
         assert smax == pytest.approx(svals[0], rel=1e-10)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
 
-    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("m", [4, 16, pytest.param(40, marks=pytest.mark.slow)])
     def test_non_normal_takes_the_operator_path(self, m):
         # the one block of a non-normal A is L itself, above the dense cap
-        # measured by Lanczos on L^H L and on the sparse-LU inverse
+        # measured by Lanczos on L^H L and on the block substitution of L^-1;
+        # m = 40 has dimension 1604
         problem = _non_normal_problem()
         for scheme in ("pade", "taylor"):
             params = make_params(m, 9, 1, 5.0, scheme)
@@ -193,23 +193,53 @@ class TestSpectralNorm:
         assert floor > 1e32
         assert 1.0 / smin >= floor
 
-    def test_exactly_singular_lu_is_typed(self, rng):
+    def test_exactly_singular_lu_is_typed(self):
         # T = 30 over 12 Taylor steps of tridiag(1, -2, 1): the 121-dimensional
-        # slices are unit lower triangular, yet splu's default ordering calls
-        # them exactly singular; the natural-order retry factors them.
-        import scipy.sparse as sp
-
+        # slices are unit lower triangular, so det L = 1 and sigma_min is finite
         problem = _tridiag_problem()
         params = make_params(12, 9, 1, 30.0, "taylor")
         _, smin = extreme_singular_values(problem, params)
         floor = _taylor_floor(12)
         assert floor > 1e34
         assert 1.0 / smin >= floor
-        # a zero column is singular in every ordering
-        dense = rng.normal(size=(600, 600)) + 600 * np.eye(600)
-        dense[:, 17] = 0.0
-        with pytest.raises(SingularBlockError):
-            _factorize(sp.csr_matrix(dense))
+        # the [1/1] Padé step 1 - x/2 vanishes at the eigenvalue 2 of the
+        # non-normal A h: its one block takes the Lanczos branch, where the
+        # solver's LU of the step block types it
+        m = 40
+        problem = OdeProblem(matrix_a=np.array([[2.0 * m, 1.0], [0.0, -1.0]]),
+                             vec_b=np.ones(2), vec_x0=np.ones(2), horizon=1.0)
+        params = make_params(m, 1, 1, 1.0, "pade")
+        assert _normal_spectrum(problem.matrix_a) is None
+        assert build_pade_system(problem, params).layout.dim > SLICE_DENSE_CAP
+        with pytest.raises(SingularBlockError) as info:
+            extreme_singular_values(problem, params)
+        assert info.value.step_index == 1
+
+    @pytest.mark.parametrize("m", [5, 8, 11, 14, 18, 19])
+    def test_one_block_matches_eigenvalue_blocks_on_c10(self, m):
+        # the C10 A passed as its one block, L itself (Lanczos on the block
+        # substitution), against its eigenvalue blocks (dense up to m = 11);
+        # a sparse LU in COLAMD order was off by a factor 3.5e9 at m = 11
+        a = _tridiag_problem().matrix_a
+        lay = BlockLayout(5, m, 9, 1, 30.0 / m)
+        assert lay.dim > SLICE_DENSE_CAP
+        rec = SCHEMES["taylor"](9)
+        blocks, real = _diagonal_blocks(a, _normal_spectrum(a))
+        assert _block_singular_values(rec, lay, a[None], False) == pytest.approx(
+            _block_singular_values(rec, lay, blocks, real), rel=1e-12, abs=0.0)
+
+    def test_sparse_lu_is_never_called(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def factored(*args, **kwargs):
+            raise AssertionError("sparse LU called")
+
+        monkeypatch.setattr(spla, "splu", factored)
+        problem = _tridiag_problem()
+        for scheme in ("pade", "taylor"):
+            for m in (19, 33, 47, 58, 65, 117):
+                extreme_singular_values(problem, make_params(m, 9, 1, 30.0, scheme))
+            extreme_singular_values(_non_normal_problem(), make_params(16, 9, 1, 5.0, scheme))
 
     @pytest.mark.parametrize("m", [1, 70])
     def test_singular_slice_is_typed(self, m):

@@ -185,7 +185,8 @@ def kron_product(spec):
 
 
 class TestRealizeBlocks:
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [pytest.param(seed, marks=pytest.mark.slow)
+                                      for seed in (0, 1)])
     def test_column_blocks_match_kron_oracle(self, seed):
         # nq = 10 is realized as a product of CSR gates
         nq = 10
@@ -225,7 +226,7 @@ class TestRealizeBlocks:
 
 class TestUnitarityCertificate:
     # nq = 10 sums the Frobenius norm over several Gram panels
-    @pytest.mark.parametrize("nq", [1, 3, 5, 8, 10])
+    @pytest.mark.parametrize("nq", [1, 3, 5, 8, pytest.param(10, marks=pytest.mark.slow)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_svd_norm_with_same_verdict(self, seed, nq):
         u = realize_dense(random_stage(seed, nq))
@@ -457,6 +458,24 @@ class TestFullEncoding:
         # an A encoding held as CSR (9 qubits) leaves no room for a stage
         with pytest.raises(SizeError):
             build_w_encoding(zero_matrix_encoding(8), 1.0, 1)
+
+    @pytest.mark.parametrize("build", ["w", "l"])
+    def test_over_budget_stage_raises_before_u_a_is_formed(self, build):
+        # a 512 x 512 A (10 qubits with its ancilla) at alpha h = 0.5: the
+        # normalization rotation would make U_A a 2^11 x 2^11 kron (64 MB)
+        enc = hermitian_encoding(random_hermitian_unit(31, n=512), alpha=2.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(SizeError):
+                if build == "w":
+                    build_w_encoding(enc, 0.25, 3)
+                else:
+                    build_l_encoding(enc, 0.25, 4, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2**20
 
     def test_padding_constraint_is_structural(self):
         # p = m (k+1) is baked into the index register: one extra top wire

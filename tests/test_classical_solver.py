@@ -16,11 +16,14 @@ from pade_lab.classical_solver import (
     solve_block_forward,
     solve_dense,
     state_distance,
+    substitution_pair,
 )
 from pade_lab.errors import DegenerateTargetError, PadeLabError, SingularBlockError, SizeError
 from pade_lab.error_bounds import make_params, padding_rule
+from pade_lab.experiments import random_stable_matrix
 from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import (
+    SCHEMES,
     BlockLayout,
     BlockSystem,
     build_pade_system,
@@ -222,6 +225,38 @@ class TestMarchTerminal:
         assert big.residual == small.residual * 2.0 ** 600
         assert big.p_succ == small.p_succ
         assert 0.0 < big.p_succ <= 1.0
+
+
+class TestSubstitutionPair:
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("kind", ["diagonal", "non_normal"])
+    def test_matches_dense_solves(self, rng, scheme, p, kind):
+        # a diagonal stack with lam = 0, where the Padé diagonal beta lam h of
+        # W is zero and an unpivoted elimination divides by it, and the one
+        # block of a non-normal A; L_i^-1 y and L_i^-H y against dense solves
+        if kind == "diagonal":
+            mats = [np.array([[lam]]) for lam in (0.0, -0.4, -2.5 + 1.0j, 0.8)]
+        else:
+            mats = [random_stable_matrix(4, 7)]
+        m, k, horizon = 6, 9, 3.0
+        params = make_params(m, k, p, horizon, scheme)
+        rec = SCHEMES[scheme](k)
+        step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
+                                for a in mats])
+        inv, inv_h = substitution_pair(step_blocks, rec, m, p)
+        dense = [BUILDERS[scheme](OdeProblem(matrix_a=a, vec_b=np.ones(len(a)),
+                                             vec_x0=np.ones(len(a)), horizon=horizon),
+                                  params).dense() for a in mats]
+        cuts = np.cumsum([len(d) for d in dense])
+        y = rng.normal(size=cuts[-1]) + 1j * rng.normal(size=cuts[-1])
+        for apply, adjoint in ((inv, False), (inv_h, True)):
+            ops = [d.conj().T if adjoint else d for d in dense]
+            got = np.split(apply(y), cuts[:-1])
+            for op, part, x in zip(ops, np.split(y, cuts[:-1]), got):
+                want = np.linalg.solve(op, part)
+                assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.linalg.norm(op @ x - part) <= 1e-12 * np.linalg.norm(part)
 
 
 class TestDenseOracle:

@@ -164,8 +164,7 @@ class TestSweepCommands:
         assert {line.split(",")[0] for line in lines[1:]} == {"pade", "taylor"}
 
     def test_sweep_m_singular_system_reports_nan_kappa(self, tmp_path, monkeypatch):
-        # splu's default ordering calls the Taylor system at m = 12 exactly
-        # singular; the natural-order retry gives it a finite kappa
+        # the Taylor system at m = 12 has det L = 1 and a finite kappa
         a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
         path = tmp_path / "tri.json"
         save_problem(OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.ones(5),
@@ -183,9 +182,9 @@ class TestSweepCommands:
         kappa = kappas()
         assert set(kappa) == {"pade", "taylor"} and all(map(np.isfinite, kappa.values()))
 
-        # a system singular in every ordering writes nan and the sweep goes on
+        # an exactly singular step block writes nan and the sweep goes on
         def singular(*args):
-            raise SingularBlockError("sparse LU failed in both orderings")
+            raise SingularBlockError("diagonal block pivot ratio 0.00e+00", step_index=1)
 
         monkeypatch.setattr(experiments, "extreme_singular_values", singular)
         assert all(map(np.isnan, kappas().values()))
