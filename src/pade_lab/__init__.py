@@ -3,8 +3,9 @@
 The package builds the block-sparse linear systems that encode m steps of the
 diagonal rational (and rival truncated-series) propagation, solves them
 exactly, verifies every published condition/accuracy/success-probability
-bound numerically, and constructs the matching block-encoding circuits as
-dense unitaries at desk scale.
+bound numerically, and constructs the matching block-encoding circuits at
+desk scale, realized as dense unitaries below 9 qubits and as products of
+sparse (CSR) gate matrices from 9 qubits.
 """
 
 from .pade_core import (

@@ -5,19 +5,18 @@ compare them against the closed-form bounds.  Every A is measured on the
 diagonal blocks X_i of a unitary similarity V^H A V = diag(X_i), the distinct
 eigenvalues of a normal A or else A itself: L has the singular values of the
 block systems S (x) I_b + B (x) (X_i h), and ||W^-1|| and the signed row come
-from the blocks S1 (x) I_b + B1 (x) (X_i h) of W, so L is never assembled.  The
-drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h).
+from the blocks S1 (x) I_b + B1 (x) (X_i h) of W, so L is never assembled.  Every
+block system and block of W is expanded by ``system_builder``.  The drift of
+a normal A comes from the scalars exp(-lam_i h) R(lam_i h).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pade_core
@@ -44,8 +43,9 @@ from .system_builder import (
     BlockLayout,
     block_layout,
     classical_reference_trajectory,
-    kron_triplets,
-    scalar_patterns,
+    csr_systems,
+    dense_patterns,
+    kron_sum,
 )
 
 #: Largest system dimension that ``condition_report`` measures unless asked.
@@ -92,7 +92,9 @@ def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
 
 
 def _is_normal(a: np.ndarray) -> bool:
-    """||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2."""
+    """||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2, on A times the power of two
+    that puts max |a_ij| in [1/2, 1), so no product of its top entries under- or overflows."""
+    a = a * math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
     adj = a.conj().T
     scale = float(np.linalg.norm(a)) ** 2
     return bool(np.linalg.norm(a @ adj - adj @ a) <= NORMALITY_TOL * scale)
@@ -113,27 +115,6 @@ def _diagonal_blocks(a: np.ndarray, spectrum) -> tuple[np.ndarray, bool]:
     if spectrum is None:
         return a[None], False
     return np.unique(spectrum[0])[:, None, None], spectrum[1]
-
-
-def _block_kron(s: np.ndarray, b: np.ndarray, xh: np.ndarray) -> np.ndarray:
-    """The dense stack S (x) I_b + B (x) xh_i over an (r, b, b) stack ``xh``."""
-    d, w = s.shape[0], xh.shape[-1]
-    out = b[:, None, :, None] * xh[:, None, :, None, :]
-    for p in range(w):
-        out[:, :, p, :, p] += s
-    return out.reshape(len(xh), d * w, d * w)
-
-
-@lru_cache(maxsize=256)
-def _dense_patterns(rec, m: int, p: int) -> np.ndarray:
-    """The stack [S, B] of ``scalar_patterns(rec, m, p)`` as dense matrices,
-    read-only, built once per (scheme, k, m, p)."""
-    d = m * len(rec.s1) + p
-    out = np.zeros((2, d, d))
-    for mat, (rows, cols, vals) in zip(out, scalar_patterns(rec, m, p)):
-        np.add.at(mat, (rows, cols), vals)
-    out.flags.writeable = False
-    return out
 
 
 def _inverse(stack: np.ndarray, what: str) -> np.ndarray:
@@ -165,21 +146,13 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     ends = [0, -1] if real else slice(None)
     if d * w <= SLICE_DENSE_CAP:
         # the stack is rebound to the inverses, freed before their SVD
-        stack = _block_kron(*_dense_patterns(rec, lay.m, lay.p), xh)
+        stack = kron_sum(*dense_patterns(rec, lay.m, lay.p), xh)
         smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
         return smax, 1.0 / _top(stack)
-    patterns = scalar_patterns(rec, lay.m, lay.p)
-    # S (x) I_b, and B (x) ones, whose entries at (p, q) of a block take the factor x_pq
-    s, b = (sp.csr_matrix((vals, (rows, cols)), shape=(d * w, d * w)) for rows, cols, vals in
-            (kron_triplets(*patterns[0], np.eye(w)), kron_triplets(*patterns[1], np.ones((w, w)))))
-    pq = np.repeat(np.arange(d * w) % w * w, np.diff(b.indptr)) + b.indices % w
-
-    def system(x):  # S (x) I_b + B (x) x
-        return s + sp.csr_matrix((b.data * x.ravel()[pq], b.indices, b.indptr), shape=b.shape)
-
     v0 = _lanczos_start(d * w, complex_=not real)
-    smax_sq = max(_largest_gram_eigenvalue(system(x), v0, SLICE_NCV) for x in xh[ends])
-    inv, inv_h = substitution_pair(_block_kron(rec.s1, rec.b1, xh), rec, lay.m, lay.p)
+    smax_sq = max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV)
+                  for csr in csr_systems(rec, lay.m, lay.p, xh[ends]))
+    inv, inv_h = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)
     inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
@@ -403,7 +376,7 @@ def _one_step_norms(rec, xh: np.ndarray) -> tuple[float, float]:
     (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
     """
     r, w = xh.shape[:2]
-    winv = _inverse(_block_kron(rec.s1, rec.b1, xh), "a one-step block")
+    winv = _inverse(rec.one_step(xh), "a one-step block")
     rows = rec.signs @ winv.reshape(r, len(rec.signs), -1)  # (signs (x) I_b) W_i^-1
     return _top(winv), _top(rows.reshape(r, w, -1))
 

@@ -257,20 +257,14 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     systems; sweeps over unstable regimes may disable the gate).
     """
     lay = system.layout
-    n, width, p = lay.n, lay.step_width, lay.p
-    rec = SCHEMES[system.scheme](lay.k)
+    n, width = lay.n, lay.step_width
     step_block = system.matrix[: n * width, : n * width].toarray()
-    stacks, terminal = _march(step_block, system.rhs, rec, lay)
-
-    full = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
-    rhs = system.rhs
-    residual = _norm(system.matrix @ full - rhs)
-    rhs_norm = _norm(rhs)
-    if check_residual and residual > FORWARD_RESIDUAL_TOL * max(rhs_norm, 1e-300):
-        raise SolveResidualError(f"forward-substitution residual {residual:.3e} exceeds "
+    stacks, terminal = _march(step_block, system.rhs, SCHEMES[system.scheme](lay.k), lay)
+    bundle = bundle_from_vector(system, np.concatenate([stacks.ravel(), np.tile(terminal, lay.p)]))
+    if check_residual and bundle.residual > FORWARD_RESIDUAL_TOL * max(_norm(system.rhs), 1e-300):
+        raise SolveResidualError(f"forward-substitution residual {bundle.residual:.3e} exceeds "
                                  f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
-    z = rec.stacked(stacks)
-    return SolutionBundle(system.scheme, z, terminal, p, *_norms(z, terminal, p), residual)
+    return bundle
 
 
 def solve_dense(system: BlockSystem) -> np.ndarray:

@@ -20,8 +20,14 @@ import numpy as np
 from . import analysis, error_bounds, experiments
 from .circuit_sim import (
     UNITARITY_TOL,
+    build_b_encoding,
+    build_coupling_encoding,
     build_l_encoding,
+    build_w_encoding,
+    coupling_target,
     hermitian_encoding,
+    primitive_encodings,
+    primitive_targets,
     verify_block_encoding,
     zero_matrix_encoding,
 )
@@ -33,8 +39,8 @@ from .pade_core import pade_coefficients
 from .system_builder import (
     BUILDERS,
     SCHEMES,
-    build_pade_system,
     classical_reference_trajectory,
+    csr_systems,
     export_coordinate,
     load_problem,
 )
@@ -177,6 +183,8 @@ def _bound_suite_rows(suite: str, seeds: int):
 
 
 def _cmd_verify_bounds(args, stdout):
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
     rows, violated = _bound_suite_rows(args.suite, args.seeds)
     lines = ["sample,n,k,measured,bound,margin,ok"]
     for r in rows:
@@ -186,16 +194,6 @@ def _cmd_verify_bounds(args, stdout):
 
 
 def _cmd_circuit_verify(args, stdout):
-    from .circuit_sim import (
-        build_b_encoding,
-        build_coupling_encoding,
-        build_w_encoding,
-        coupling_target,
-        primitive_encodings,
-        primitive_targets,
-    )
-    from .pade_core import OdeProblem
-
     n = args.n
     nq = int(math.log2(n)) if n > 1 else 0
     if 2**nq != n:
@@ -232,16 +230,13 @@ def _cmd_circuit_verify(args, stdout):
     prim_targets = primitive_targets(k, m)
     for name, stage in primitive_encodings(k, m).items():
         show(name, stage, prim_targets[name])
-    show("w", build_w_encoding(enc, args.h, k), SCHEMES["pade"](k).one_step(a * args.h))
+    rec = SCHEMES["pade"](k)
+    show("w", build_w_encoding(enc, args.h, k), rec.one_step(a * args.h))
     show("b", build_b_encoding(k, m, scale), prim_targets["m4"] + prim_targets["m5"])
     show("coupling", build_coupling_encoding(k, m, scale), coupling_target(k, m))
-
-    problem = OdeProblem(matrix_a=a, vec_b=np.zeros(n), vec_x0=np.zeros(n),
-                         horizon=args.h * m)
-    params = make_params(m, k, m * args.k1, args.h * m, "pade")
-    target = build_pade_system(problem, params).dense()
     full = build_l_encoding(enc, args.h, m, k)
-    show("L", full, target)
+    # L of m steps and p = m (k+1) padding rows, the padding the encoding holds
+    show("L", full, csr_systems(rec, m, m * args.k1, (a * args.h)[None])[0].toarray())
     print(f"final alpha={full.alpha:.6g} ancillas={full.ancillas}", file=stdout)
     return EXIT_OK if (worst_res <= 1e-10 and worst_unit <= UNITARITY_TOL) else EXIT_VIOLATION
 

@@ -145,6 +145,7 @@ def sweep_m(problem: OdeProblem, order: int, eps: float, m_range,
 
     kappa is NaN without ``with_kappa`` and for an exactly singular system.
     """
+    _check_eps(eps)
     m_list = sorted(set(int(m) for m in m_range))
     if not m_list:
         raise SearchError("empty step range")

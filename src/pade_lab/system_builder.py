@@ -5,14 +5,15 @@ layout: the rational one couples each step through an upper-Hessenberg block
 with a summation row, the polynomial (truncated-series) one through a lower
 bidiagonal block.  Both append p trailing copies of the terminal state behind
 an identity-bidiagonal chain.  Each scheme is a ``Scheme`` record in
-``SCHEMES``; one assembler expands it, and the solver, the analysis blocks and
-the circuit targets read the same record.
+``SCHEMES``, and only this module expands it: densely by ``Scheme.one_step``
+and ``kron_sum`` (also on ``dense_patterns``), sparsely by ``csr_systems``,
+which builds L, the sigma_max systems of ``analysis`` and the L circuit target.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,7 +72,6 @@ class BlockSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     layout: BlockLayout
-    scale_row_factor: float
 
     def __post_init__(self):
         if self.matrix.shape != (self.layout.dim, self.layout.dim):
@@ -152,9 +152,19 @@ class Scheme:
         """Swap subscript and stack order along axis -2 (its own inverse)."""
         return blocks[..., ::-1, :] if self.reverse else blocks
 
-    def one_step(self, ah: np.ndarray) -> np.ndarray:
-        """Dense one-step block W = S1 (x) I_n + B1 (x) (A h)."""
-        return np.kron(self.s1, np.eye(ah.shape[0])) + np.kron(self.b1, ah)
+    def one_step(self, xh: np.ndarray) -> np.ndarray:
+        """Dense W = S1 (x) I_b + B1 (x) X for a b x b block X = A h or an (r, b, b) stack."""
+        return kron_sum(self.s1, self.b1, xh)
+
+
+def kron_sum(s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S (x) I_b + B (x) X for one b x b block X or each X of an (r, b, b) stack,
+    bit for bit ``np.kron(S, I_b) + np.kron(B, X)``: S (x) I_b (S itself for b = 1)
+    is added in full, as its zeros turn -0.0 products into +0.0."""
+    d, w = len(s), x.shape[-1]
+    out = b[:, None, :, None] * x[..., None, :, None, :]
+    out += s[:, None, :, None] * np.eye(w)[:, None, :] if w > 1 else s[:, None, :, None]
+    return out.reshape(*x.shape[:-2], d * w, d * w)
 
 
 # Records are read-only, so one instance per order serves every caller.  The
@@ -191,19 +201,6 @@ def _taylor_scheme(k: int) -> Scheme:
 SCHEMES = {"pade": _pade_scheme, "taylor": _taylor_scheme}
 
 
-def kron_triplets(rows, cols, vals, block: np.ndarray):
-    """Coordinates of the scalar triplets (rows, cols, vals) tensored with block.
-
-    Products that underflow drop out, as the zeros of block do.
-    """
-    n = block.shape[0]
-    br, bc = np.nonzero(block)
-    vals = (vals[:, None] * block[br, bc]).ravel()
-    keep = vals != 0
-    return ((rows[:, None] * n + br).ravel()[keep], (cols[:, None] * n + bc).ravel()[keep],
-            vals[keep])
-
-
 @lru_cache(maxsize=256)
 def scalar_patterns(rec: Scheme, m: int, p: int):
     """The scalar patterns S and B of L = S (x) I_n + B (x) (A h), as
@@ -236,6 +233,47 @@ def scalar_patterns(rec: Scheme, m: int, p: int):
     return patterns
 
 
+@lru_cache(maxsize=256)
+def dense_patterns(rec: Scheme, m: int, p: int) -> np.ndarray:
+    """The stack [S, B] of ``scalar_patterns(rec, m, p)`` as dense matrices for
+    ``kron_sum``, read-only, built once per (scheme, k, m, p)."""
+    d = m * len(rec.s1) + p
+    out = np.zeros((2, d, d))
+    for mat, (rows, cols, vals) in zip(out, scalar_patterns(rec, m, p)):
+        np.add.at(mat, (rows, cols), vals)
+    out.flags.writeable = False
+    return out
+
+
+def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matrix]:
+    """The CSR matrices of S (x) I_w + B (x) X over ``scalar_patterns(rec, m, p)``, one per
+    w x w block X of the (r, w, w) stack ``xs``, of its dtype (at least float).
+
+    One sorted pattern serves every block; zeros and products that underflow drop out.
+    """
+    (sr, sc, sv), (br, bc, bv) = scalar_patterns(rec, m, p)
+    w = xs.shape[-1]
+    # S (x) I_w fills the positions i w + j with i = j of its w x w blocks, B (x) X
+    # those where some X is nonzero
+    at = (np.arange(w) * (w + 1), np.flatnonzero((xs != 0).any(axis=0)))
+    rows = np.concatenate([(r[:, None] * w + a // w).ravel() for r, a in zip((sr, br), at)])
+    cols = np.concatenate([(c[:, None] * w + a % w).ravel() for c, a in zip((sc, bc), at)])
+    dim = (m * len(rec.s1) + p) * w
+    # entries labelled 1, 2, ... in that order, so the labels show the CSR order
+    labels = sp.csr_matrix((np.arange(1.0, len(rows) + 1), (rows, cols)), shape=(dim, dim))
+    if labels.nnz != len(rows):
+        raise ConsistencyError("the patterns S and B overlap")
+    order = labels.data.astype(int) - 1
+    vals = np.concatenate([np.repeat(sv, w), np.repeat(bv, len(at[1]))])[order]
+    # each entry is vals times x_ij, read from (X.ravel(), 1): S reads the 1
+    reads = np.concatenate([np.full(len(sv) * w, w * w), np.tile(at[1], len(bv))])[order]
+    matrices = [sp.csr_matrix((vals * np.append(x.ravel(), 1.0)[reads], labels.indices.copy(),
+                               labels.indptr.copy()), shape=(dim, dim)) for x in xs]
+    for matrix in matrices:
+        matrix.eliminate_zeros()
+    return matrices
+
+
 def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
     """The block geometry of ``problem`` discretized by ``params``."""
     return BlockLayout(n=problem.dim, m=params.steps, k=params.order,
@@ -259,13 +297,8 @@ def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSy
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
     lay = block_layout(problem, params)
     rec = SCHEMES[scheme](lay.k)
-    s_pattern, b_pattern = scalar_patterns(rec, lay.m, lay.p)
-    ir, ic, iv = kron_triplets(*s_pattern, np.eye(lay.n))
-    ar, ac, av = kron_triplets(*b_pattern, problem.matrix_a * lay.h)
-    matrix = sp.coo_matrix((np.concatenate([iv, av], dtype=complex),
-                            (np.concatenate([ir, ar]), np.concatenate([ic, ac]))),
-                           shape=(lay.dim, lay.dim)).tocsr()
-    return BlockSystem(scheme, matrix, build_rhs(rec, lay, problem), lay, rec.row_scale)
+    matrix, = csr_systems(rec, lay.m, lay.p, (problem.matrix_a * lay.h)[None])
+    return BlockSystem(scheme, matrix, build_rhs(rec, lay, problem), lay)
 
 
 def build_pade_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:
@@ -304,7 +337,7 @@ def build_unreduced_pair(problem: OdeProblem, params: SolverParams,
     # backward half: the one-step block with an unscaled summation row
     unscaled = rec.s1.copy()
     unscaled[0] = 1.0
-    mat[:(k + 1) * n, :(k + 1) * n] = replace(rec, s1=unscaled).one_step(ah)
+    mat[:(k + 1) * n, :(k + 1) * n] = kron_sum(unscaled, rec.b1, ah)
     blocks = mat.reshape(rows, n, rows, n)
     for j in range(1, k + 1):
         # forward half: alpha_j = beta_j for equal orders

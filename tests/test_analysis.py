@@ -241,6 +241,23 @@ class TestSpectralNorm:
                 extreme_singular_values(problem, make_params(m, 9, 1, 30.0, scheme))
             extreme_singular_values(_non_normal_problem(), make_params(16, 9, 1, 5.0, scheme))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    @pytest.mark.parametrize("a", [[[-1.0, 1.0], [0.0, -2.0]], [[-1.0, 0.0], [0.0, -2.0]],
+                                   [[-1.0, 2.0], [-2.0, -1.0]]],
+                             ids=["non-normal", "diagonal", "normal"])
+    def test_classification_is_scale_free(self, a, scale):
+        # A s over T / s has the A h of A over T: its products must neither
+        # underflow (s = 1e-170 made a non-normal A pass as normal) nor overflow
+        a = np.array(a)
+        assert (_normal_spectrum(a * scale) is None) == (_normal_spectrum(a) is None)
+        for scheme in ("pade", "taylor"):
+            want = extreme_singular_values(OdeProblem(a, np.ones(2), np.ones(2), 1.0),
+                                           make_params(4, 3, 1, 1.0, scheme))
+            got = extreme_singular_values(OdeProblem(a * scale, np.ones(2), np.ones(2),
+                                                     1.0 / scale),
+                                          make_params(4, 3, 1, 1.0 / scale, scheme))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("m", [1, 70])
     def test_singular_slice_is_typed(self, m):
         # the [1/1] Padé step 1 - x/2 vanishes at x = A h = 2: that slice is

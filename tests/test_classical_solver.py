@@ -264,7 +264,7 @@ class TestDenseOracle:
         layout = BlockLayout(n=1, m=1, k=1, p=1, h=1.0)
         rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
         system = BlockSystem("taylor", sp.identity(3, format="csr", dtype=complex),
-                             rhs, layout, 1.0)
+                             rhs, layout)
         assert np.array_equal(solve_dense(system), rhs)
 
     def test_residual_contract(self, rng):

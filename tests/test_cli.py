@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pade_lab import experiments
-from pade_lab.cli import EXIT_OK, EXIT_USAGE, run_cli
+from pade_lab.cli import EXIT_OK, EXIT_USAGE, _apply_config, build_parser, run_cli
 from pade_lab.errors import SingularBlockError
 from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import save_problem
@@ -116,6 +117,25 @@ class TestSystemCommands:
         assert float(row.split(",")[6]) == pytest.approx(doc["kappa"], rel=1e-8)
         assert float(row.split(",")[7]) == pytest.approx(doc["p_succ"], rel=1e-8)
 
+    def test_huge_entries_classify_as_at_unit_scale(self, tmp_path, capsys):
+        # A = diag(-1, -2) e160 over T = 1e-160 has the A h of diag(-1, -2) over
+        # T = 1; the normality test must not square the entries of A
+        docs = {"huge": '{"n":2,"a":[[-1e160,0],[0,-2e160]],"b":[0,0],"x0":[1,1],"T":1e-160}',
+                "unit": '{"n":2,"a":[[-1,0],[0,-2]],"b":[0,0],"x0":[1,1],"T":1}'}
+        reports = {}
+        for name, text in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code, out = run(["analyze", "--problem", str(path), "--m", "1", "--k", "3"])
+            assert code == EXIT_OK
+            assert capsys.readouterr().err == ""
+            reports[name] = json.loads(out)
+        huge, unit = reports["huge"], reports["unit"]
+        assert huge["case"] == unit["case"] == "hermitian_nsd"
+        assert set(huge["satisfied"]) == set(unit["satisfied"]) >= {"l_inv", "kappa"}
+        for key in ("norm_l", "norm_l_inv", "kappa"):
+            assert huge[key] == pytest.approx(unit[key], rel=1e-12, abs=0.0)
+
     def test_env_var_overrides_out(self, problem_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("PADE_LAB_OUT", str(env_dir))
@@ -196,6 +216,16 @@ class TestSweepCommands:
         assert "mean_m*" in out
 
 
+class TestReadme:
+    def test_cli_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("pade-lab ")]
+        assert len(lines) == 11
+        for line in lines:
+            build_parser().parse_args(_apply_config(shlex.split(line)[1:]))
+
+
 class TestConfig:
     def test_config_presets(self, tmp_path):
         cfg = tmp_path / "preset.cfg"
@@ -274,6 +304,19 @@ class TestBadInput:
         code, _ = run(argv)
         assert code == EXIT_USAGE
         assert f"usage error: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_bound_suite_without_samples(self, seeds, capsys):
+        code, out = run(["verify-bounds", "--suite", "hermitian", "--seeds", seeds])
+        assert code == EXIT_USAGE and out == ""
+        assert "usage error: --seeds must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-0.5"])
+    def test_sweep_without_reachable_eps(self, problem_file, eps, capsys):
+        code, out = run(["sweep-m", "--problem", str(problem_file), "--k", "3", "--eps", eps,
+                         "--m-max", "2"])
+        assert code == EXIT_USAGE and out == ""
+        assert "eps must be positive" in capsys.readouterr().err
 
     def test_empty_random_suite(self, capsys):
         code, _ = run(["random-suite", "--seeds", "0", "--dims", "2", "--t-grid", "1"])

@@ -25,7 +25,10 @@ from pade_lab.system_builder import (
     build_taylor_system,
     build_unreduced_pair,
     classical_reference_trajectory,
+    csr_systems,
+    dense_patterns,
     export_coordinate,
+    kron_sum,
     load_problem,
     problem_from_json,
     save_problem,
@@ -145,7 +148,9 @@ class TestPadeAssembly:
     def test_scale_row_factor(self):
         problem = small_problem()
         system = build_pade_system(problem, make_params(1, 3, 1, 1.0, "pade"))
-        assert system.scale_row_factor == pytest.approx(0.5)
+        term = system.layout.terminal_row() * problem.dim
+        assert SCHEMES["pade"](3).row_scale == pytest.approx(0.5)
+        assert system.matrix[term, term] == SCHEMES["pade"](3).row_scale
 
     def test_recurrence_reproduction(self, rng):
         # terminal block equals the propagator recurrence on random instances
@@ -213,6 +218,102 @@ class TestSchemeRecords:
         assert s1.flags.writeable and not rec.s1.flags.writeable
         s1[0, 0] = 5.0
         assert rec.s1[0, 0] == 1.0
+
+
+def _bits(arr):
+    """The IEEE bits of a float or complex array, signed zeros included."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _x_stack(rng, r, w, kind):
+    """An (r, w, w) stack with exact zeros of both signs, real or complex,
+    of unit or subnormal scale."""
+    parts = []
+    for _ in range(2 if kind == "complex" else 1):
+        part = rng.normal(size=(r, w, w))
+        zeros = rng.random((r, w, w)) < 0.4
+        part[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        parts.append(part * 10.0 ** rng.uniform(-322.0, -300.0) if kind == "subnormal" else part)
+    return parts[0] + 1j * parts[1] if kind == "complex" else parts[0]
+
+
+class TestExpansion:
+    """Both expansions of L = S (x) I + B (x) X against np.kron and the assembler."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 6),
+           r=st.integers(1, 3), w=st.integers(1, 4),
+           kind=st.sampled_from(["real", "complex", "subnormal"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_step_is_the_kron_sum_bit_for_bit(self, scheme, k, r, w, kind, seed):
+        rng = np.random.default_rng(seed)
+        rec = SCHEMES[scheme](k)
+        xs = _x_stack(rng, r, w, kind)
+        stack = rec.one_step(xs)
+        for x, got in zip(xs, stack):
+            want = np.kron(rec.s1, np.eye(w)) + np.kron(rec.b1, x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(rec.one_step(x)), _bits(want))
+        m, p = rng.integers(1, 3, size=2)
+        s, b = dense_patterns(rec, int(m), int(p))
+        assert s.shape == (m * (k + 1) + p,) * 2
+        for x, got in zip(xs, kron_sum(s, b, xs)):
+            assert np.array_equal(_bits(got), _bits(np.kron(s, np.eye(w)) + np.kron(b, x)))
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_one_step_of_the_tridiagonal_is_the_kron_sum(self, scheme):
+        # tridiag(1, -2, 1) has exact zeros off its band, and the negative
+        # Taylor pattern turns their products into -0.0
+        a = (np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)) * (1 + 0j)
+        rec = SCHEMES[scheme](9)
+        want = np.kron(rec.s1, np.eye(5)) + np.kron(rec.b1, a * (30.0 / 19))
+        assert np.array_equal(_bits(rec.one_step(a * (30.0 / 19))), _bits(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 5), k=st.integers(1, 9), p=st.integers(1, 4),
+           scheme=st.sampled_from(["pade", "taylor"]),
+           kind=st.sampled_from(["real", "complex", "tiny", "zero"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sparse_expansion_is_the_assembled_matrix(self, n, m, k, p, scheme, kind, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(n, n))
+        elif kind == "tiny":
+            # products with A h underflow to subnormals and to zero
+            a = a * 10.0 ** rng.uniform(-325.0, -300.0, size=(n, n))
+        elif kind == "zero":
+            a = np.zeros((n, n))
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(n), vec_x0=np.ones(n), horizon=2.0)
+        params = make_params(m, k, p, 2.0, scheme)
+        rec, xh = SCHEMES[scheme](k), problem.matrix_a * params.step_size
+        got, = csr_systems(rec, m, p, xh[None])
+        want = (build_pade_system if scheme == "pade" else build_taylor_system)(problem, params)
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(got, name), getattr(want.matrix, name))
+        assert np.array_equal(_bits(got.data), _bits(want.matrix.data))
+        # the block-loop oracle, whose zeros (underflowed products too) drop out
+        oracle = sp.csr_matrix(reference_system(problem, params)[0])
+        assert np.array_equal(got.indptr, oracle.indptr)
+        assert np.array_equal(got.indices, oracle.indices)
+        assert np.array_equal(got.data, oracle.data)
+        # in a stack, a block with zeros where another has none keeps its own pattern
+        thinned = np.where(rng.random((n, n)) < 0.5, 0.0, xh)
+        for one, block in zip(csr_systems(rec, m, p, np.stack([thinned, xh, thinned])),
+                              (*csr_systems(rec, m, p, thinned[None]), got) * 2):
+            assert np.array_equal(one.indptr, block.indptr)
+            assert np.array_equal(one.indices, block.indices)
+            assert np.array_equal(_bits(one.data), _bits(block.data))
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_sparse_expansion_keeps_a_real_block_real(self, scheme):
+        x = np.array([[-0.5, 0.0], [0.25, -1.0]])
+        rec = SCHEMES[scheme](3)
+        got, = csr_systems(rec, 2, 2, x[None])
+        assert got.dtype == np.float64
+        s, b = dense_patterns(rec, 2, 2)
+        assert np.array_equal(got.toarray(), np.kron(s, np.eye(2)) + np.kron(b, x))
 
 
 class TestTaylorAssembly:
