@@ -2,8 +2,10 @@
 
 ``solve_block_forward`` walks the block-lower-triangular structure one step at
 a time, factoring the (identical) diagonal block once; ``march_solution`` and
-``march_terminal`` run the same march without assembling L, and
-``substitution_pair`` applies L^-1 and L^-H by the same elimination.
+``march_terminal`` run the same march without assembling L,
+``propagated_terminal`` reaches the terminal state by powering the one-step
+map of ``step_map``, and ``substitution_pair`` applies L^-1 and L^-H by the
+same elimination.
 ``solve_dense`` is the deliberately-naive oracle the structured path is tested
 against.
 """
@@ -60,10 +62,24 @@ class SolutionBundle:
 def _pow2_scale(*arrays: np.ndarray) -> float:
     """2**-e when the largest real or imaginary part in ``arrays`` has a
     binary exponent e > 500, whose square could overflow; else 1.  Scaling by
-    a power of two is exact, so results that did not overflow are unchanged."""
-    big = max(max(float(np.abs(x.real).max()), float(np.abs(x.imag).max())) for x in arrays)
+    a power of two is exact, so results that did not overflow are unchanged.
+
+    A NaN real part makes its array's largest part NaN (scale 1); a NaN only
+    among the imaginary parts is passed over, and so is an array after the
+    first whose largest part is NaN (Python's ``max`` keeps its first
+    argument against a NaN)."""
+    big = max(map(_largest_part, arrays))
     exponent = math.frexp(big)[1]
     return math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
+
+
+def _largest_part(x: np.ndarray) -> float:
+    """max |x.real| and |x.imag| over ``x`` in one reduction, over the real
+    view of the complex entries in memory order."""
+    if x.dtype.kind != "c":
+        return float(np.abs(x).max())
+    big = float(np.abs(x.ravel("K").view(x.real.dtype)).max())
+    return float(np.abs(x.real).max()) if math.isnan(big) else big
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -238,6 +254,56 @@ def _march_problem(problem: OdeProblem, params: SolverParams):
 def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """Terminal state of the scheme's m steps, without assembling L."""
     return _march_problem(problem, params)[2]
+
+
+def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
+    """The (n+1)x(n+1) matrix M = [[P, q], [0, 1]] of one step x -> P x + q
+    of the scheme, so that m steps carry [x0; 1] to M^m [x0; 1].
+
+    A step solves W z = row_scale e_0 (x) x + b_coef h e_{b_row} (x) b, as the
+    march does, and reads x' = ``rec.output(z)``: one factorization of W and
+    one ``getrs`` over the n + 1 columns of that rhs give P and q.  A singular
+    W raises ``SingularBlockError`` at step 1.
+    """
+    lay = block_layout(problem, params)
+    rec = SCHEMES[params.scheme](lay.k)
+    n, width = lay.n, lay.step_width
+    lu, piv = _factor_step_block(rec.one_step(problem.matrix_a * lay.h))
+    cols = np.zeros((width, n, n + 1), dtype=complex)
+    cols[0, :, :n] = rec.row_scale * np.eye(n)
+    cols[rec.b_row, :, n] = rec.b_coef * lay.h * problem.vec_b
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
+    sol = getrs(lu, piv, cols.reshape(width * n, n + 1), overwrite_b=True)[0]
+    step = np.zeros((n + 1, n + 1), dtype=complex)
+    step[:n] = rec.output(np.moveaxis(sol.reshape(width, n, n + 1), 2, 0)).T
+    step[n, n] = 1.0
+    return step
+
+
+def propagated_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
+    """Terminal state of the scheme's m steps as M^m [x0; 1] with M =
+    ``step_map``, by binary powering: about 2 log2(m) products of
+    (n+1)x(n+1) matrices instead of m block solves.
+
+    The powers round differently from the march, so the result agrees with
+    ``march_terminal`` to rounding, not bit for bit.  A result that is not
+    finite falls back to ``march_terminal``, which returns the finite
+    terminal state or raises its step-indexed ``SingularBlockError``.
+    """
+    state = np.append(problem.vec_x0, 1.0).astype(complex)
+    m = params.steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = step_map(problem, params)
+        while True:
+            if m & 1:
+                state = power @ state
+            m >>= 1
+            if not m:
+                break
+            power = power @ power
+    if not np.isfinite(state).all():
+        return march_terminal(problem, params)
+    return state[:-1]
 
 
 def march_solution(problem: OdeProblem, params: SolverParams) -> SolutionBundle:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import extreme_singular_values
-from .classical_solver import march_solution, march_terminal
+from .classical_solver import _norm, march_solution, propagated_terminal
 from .errors import BoundsError, DegenerateTargetError, SearchError, SingularBlockError
 from .error_bounds import SolverParams, make_params
 from .pade_core import OdeProblem
@@ -69,19 +69,26 @@ def random_stable_matrix(dim: int, seed: int, unit_norm: bool = False) -> np.nda
     return a
 
 
-def _rel_error(problem: OdeProblem, params, terminal: np.ndarray) -> float:
-    """Relative distance of ``terminal`` from the exact state x(T)."""
+def _target(problem: OdeProblem, params: SolverParams) -> tuple[np.ndarray, float]:
+    """The exact state x(T) and its norm, from the reference trajectory on the
+    step grid of ``params``; a zero x(T) has no relative error."""
     traj = classical_reference_trajectory(problem, params)
     if traj.degenerate:
         raise DegenerateTargetError("reference terminal state has zero norm")
-    return float(np.linalg.norm(terminal - traj.states[-1]) / traj.terminal_norm)
+    return traj.states[-1], traj.terminal_norm
+
+
+def _rel_error(terminal: np.ndarray, target: tuple[np.ndarray, float]) -> float:
+    """Relative distance of ``terminal`` from the exact state of ``target``."""
+    state, norm = target
+    return _norm(terminal - state) / norm
 
 
 def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRow:
     """One reported row: rel_error and p_succ from the march, which does not
     assemble L, and kappa from ``extreme_singular_values``."""
     bundle = march_solution(problem, params)
-    err = _rel_error(problem, params, bundle.terminal)
+    err = _rel_error(bundle.terminal, _target(problem, params))
     kappa = float("nan")
     if with_kappa:
         try:
@@ -94,12 +101,23 @@ def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRo
                     params.padding, err, kappa, bundle.p_succ)
 
 
-def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, eps: float) -> bool:
-    """Search probe: does the terminal state at (m, k) reach eps?  The march
-    skips the norms that only ``p_succ`` needs; the terminal state does not
-    depend on the padding."""
+def _search_target(problem: OdeProblem, scheme: str, order: int) -> tuple[np.ndarray, float]:
+    """The one reference of a search: x(T) does not depend on the probe, so it
+    is the reference trajectory's terminal state at m = 1."""
+    return _target(problem, make_params(1, order, 1, problem.horizon, scheme))
+
+
+def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, eps: float,
+             target: tuple[np.ndarray, float]) -> bool:
+    """Search probe: does the terminal state at (m, k) reach eps?  The state
+    is the m-th power of the step map applied to x0, which needs neither L nor
+    the norms of ``p_succ``.  A singular or overflowing step is a miss."""
     params = make_params(m, k, 1, problem.horizon, scheme)
-    return _rel_error(problem, params, march_terminal(problem, params)) < eps
+    try:
+        terminal = propagated_terminal(problem, params)
+    except SingularBlockError:
+        return False
+    return _rel_error(terminal, target) < eps
 
 
 def _check_eps(eps: float):
@@ -111,8 +129,10 @@ def _check_eps(eps: float):
 def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> int:
     """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
     _check_eps(eps)
+    target = _search_target(problem, scheme, order)
+
     def ok(m: int) -> bool:
-        return _reaches(problem, scheme, m, order, eps)
+        return _reaches(problem, scheme, m, order, eps, target)
 
     hi = 1
     while not ok(hi):
@@ -132,8 +152,9 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> 
 def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
     _check_eps(eps)
+    target = _search_target(problem, scheme, 1)
     for k in range(1, K_SEARCH_CAP + 1):
-        if _reaches(problem, scheme, 1, k, eps):
+        if _reaches(problem, scheme, 1, k, eps, target):
             return k
     raise SearchError(f"no order <= {K_SEARCH_CAP} reaches eps={eps} for {scheme}")
 

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from pade_lab.classical_solver import (
     SolutionBundle,
+    _norm,
     _norms,
+    _pow2_scale,
     bundle_from_vector,
     march_solution,
     march_terminal,
+    propagated_terminal,
     solve_block_forward,
     solve_dense,
     state_distance,
+    step_map,
     substitution_pair,
 )
 from pade_lab.errors import DegenerateTargetError, PadeLabError, SingularBlockError, SizeError
@@ -133,31 +137,41 @@ def _outcome(solve):
     return out.tobytes()
 
 
+#: The march grid: real, complex and subnormal A over both schemes.
+GRID = dict(n=st.integers(1, 5), m=st.integers(1, 40), k=st.integers(1, 11),
+            p=st.integers(1, 3), scheme=st.sampled_from(["pade", "taylor"]),
+            kind=st.sampled_from(["real", "complex", "tiny"]),
+            scale=st.floats(0.01, 20.0), horizon=st.floats(0.05, 40.0),
+            seed=st.integers(0, 2**32 - 1))
+#: The singular [1/1] Padé step at A h = 2.
+SINGULAR = dict(n=1, m=1, k=1, p=1, scheme="pade", kind="singular", scale=2.0, horizon=1.0,
+                seed=0)
+
+
+def _grid_problem(n, m, k, p, scheme, kind, scale, horizon, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(n, n))
+    elif kind == "tiny":
+        # products with A h underflow to subnormals and to zero
+        a = a * 10.0 ** rng.uniform(-325.0, -300.0, size=(n, n))
+    elif kind == "singular":
+        a = np.eye(n)  # the [1/1] Padé step is singular at A h = 2
+    a = a * scale
+    problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n) * rng.integers(0, 2),
+                         vec_x0=rng.normal(size=n), horizon=horizon)
+    return problem, make_params(m, k, p, horizon, scheme)
+
+
 class TestMarchTerminal:
     """The march from the one-step block against the assembled solve."""
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 5), m=st.integers(1, 40), k=st.integers(1, 11),
-           p=st.integers(1, 3), scheme=st.sampled_from(["pade", "taylor"]),
-           kind=st.sampled_from(["real", "complex", "tiny"]),
-           scale=st.floats(0.01, 20.0), horizon=st.floats(0.05, 40.0),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=1, m=1, k=1, p=1, scheme="pade", kind="singular", scale=2.0, horizon=1.0,
-             seed=0)
+    @given(**GRID)
+    @example(**SINGULAR)
     def test_matches_assembled_solve(self, n, m, k, p, scheme, kind, scale, horizon, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n))
-        if kind == "complex":
-            a = a + 1j * rng.normal(size=(n, n))
-        elif kind == "tiny":
-            # products with A h underflow to subnormals and to zero
-            a = a * 10.0 ** rng.uniform(-325.0, -300.0, size=(n, n))
-        elif kind == "singular":
-            a = np.eye(n)  # the [1/1] Padé step is singular at A h = 2
-        a = a * scale
-        problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n) * rng.integers(0, 2),
-                             vec_x0=rng.normal(size=n), horizon=horizon)
-        params = make_params(m, k, p, horizon, scheme)
+        problem, params = _grid_problem(n, m, k, p, scheme, kind, scale, horizon, seed)
         assembled = _outcome(lambda: solve_block_forward(
             BUILDERS[scheme](problem, params), check_residual=False))
         marched = _outcome(lambda: march_solution(problem, params))
@@ -225,6 +239,61 @@ class TestMarchTerminal:
         assert big.residual == small.residual * 2.0 ** 600
         assert big.p_succ == small.p_succ
         assert 0.0 < big.p_succ <= 1.0
+
+
+class TestPropagatedTerminal:
+    """M^m [x0; 1] by powering the step map against the march."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**GRID)
+    @example(**SINGULAR)
+    def test_matches_march(self, n, m, k, p, scheme, kind, scale, horizon, seed):
+        problem, params = _grid_problem(n, m, k, p, scheme, kind, scale, horizon, seed)
+        try:
+            marched = march_solution(problem, params)
+        except SingularBlockError as exc:
+            with pytest.raises(SingularBlockError) as info:
+                propagated_terminal(problem, params)
+            assert info.value.step_index == exc.step_index
+            if kind == "singular":
+                assert exc.step_index == 1
+            return
+        got = propagated_terminal(problem, params)
+        # Both round differently, and a readout can cancel: the Padé output
+        # r(z) x at z = -10 is 1e5 times smaller than the stack it sums.  So
+        # the difference is measured against m times the largest unsigned sum
+        # of a step stack (norms by the scaled _norm, as states near the
+        # overflow threshold occur)
+        unsigned = max(_norm(np.abs(stack).sum(axis=0)) for stack in marched.z_blocks)
+        assert _norm(got - marched.terminal) <= 1e-12 * m * unsigned
+
+    def test_step_map_is_one_step(self, rng):
+        # M [x; 1] is the terminal state of one step from x, for both schemes
+        a = random_contraction(rng, 3, norm=2.0)
+        problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=3),
+                             vec_x0=rng.normal(size=3), horizon=0.7)
+        for scheme in ("pade", "taylor"):
+            params = make_params(1, 6, 1, 0.7, scheme)
+            step = step_map(problem, params)
+            assert np.array_equal(step[3], [0, 0, 0, 1])
+            got = step @ np.append(problem.vec_x0, 1.0)
+            want = march_terminal(problem, params)
+            assert np.linalg.norm(got[:3] - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [122, 300])
+    def test_overflow_raises_the_march_step(self, m, capfd):
+        # the powers overflow; the march names the first non-finite step
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=float(m))
+        params = make_params(m, 9, 1, float(m), "pade")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularBlockError) as marched:
+                march_terminal(problem, params)
+            with pytest.raises(SingularBlockError) as info:
+                propagated_terminal(problem, params)
+        assert info.value.step_index == marched.value.step_index
+        assert capfd.readouterr().err == ""
 
 
 class TestSubstitutionPair:
@@ -336,6 +405,44 @@ class TestSuccessProbability:
             g = traj.g(float(np.linalg.norm(problem.vec_b)))
             floor = 0.5 * p / (6 * m * g**2 * (h**2 + 1) + p)
             assert bundle.p_succ >= floor - 1e-12
+
+
+def _reference_pow2_scale(*arrays):
+    """The two-reduction formula ``_pow2_scale`` must agree with: the larger
+    of max |real| and max |imag| per array, folded by Python's ``max``."""
+    big = max(max(float(np.abs(x.real).max()), float(np.abs(x.imag).max())) for x in arrays)
+    exponent = math.frexp(big)[1]
+    return math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
+
+
+class TestPow2Scale:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+        near = 2.0 ** 500
+        for x in (z, z.real.copy(), z[..., ::-1, :], z[::-1, ::2, ::-1], z.T, z.real[::-1],
+                  z[0, 0] * 1e-310, np.array([near * (1 - 2 ** -53), 1.0]),
+                  np.array([near, -1.0]), np.array([1.0 - 1j * near]), np.array([-near]),
+                  np.array([2.0 ** 600 + 1j]), np.array([1e-320 + 0j, 0.0]),
+                  np.zeros(3, dtype=complex), np.array([np.inf + 0j]), np.array([1j * np.inf]),
+                  np.array([-np.inf, 1.0])):
+            yield (x,)
+        for real, imag in ((np.nan, 2.0 ** 600), (2.0 ** 600, np.nan), (np.nan, np.nan),
+                           (np.inf, np.nan), (np.nan, np.inf), (1.0, np.nan)):
+            pair = np.array([complex(real, imag), 2.0 ** 700])
+            yield (pair,)
+            yield (pair[::-1],)
+            yield (pair, z)
+            yield (z * 2.0 ** 600, pair)
+        yield (np.array([np.nan, 2.0 ** 600]),)
+        yield (np.array([2.0 ** 600, np.nan]), z)
+        yield (z, np.array([2.0 ** 600]))
+        yield (np.array([2.0 ** 600]), z)
+
+    def test_matches_two_reductions(self):
+        for arrays in self.inputs():
+            assert _pow2_scale(*arrays) == _reference_pow2_scale(*arrays), arrays
 
 
 class TestStateDistance:

@@ -78,10 +78,13 @@ GOLDEN = Path(__file__).parent / "data"
     (["verify-bounds", "--suite", "hermitian"], "bounds_hermitian.csv"),
     (["verify-bounds", "--suite", "thm36"], "bounds_thm36.csv"),
     (["verify-bounds", "--suite", "unit"], "bounds_unit.csv"),
+    (["random-suite", "--seeds", "10", "--dims", "5", "--t-grid", "1,10,25,50"],
+     "random_suite_d5.csv"),
 ])
 def test_output_matches_golden_bytes(argv, name):
     # recorded before the remainder series, theta and the scheme records were
-    # computed once per order; computing them once must not move a byte
+    # computed once per order, and the random suite before its search probes
+    # powered the step map; neither change may move a byte
     code, out = run(argv)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / name).read_bytes()

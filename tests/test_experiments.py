@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pade_lab import analysis, experiments, system_builder
+from pade_lab.classical_solver import march_terminal
 from pade_lab.errors import PadeLabError, SchemeError, SearchError, SingularBlockError
 from pade_lab.error_bounds import make_params
 from pade_lab.experiments import (
@@ -13,6 +17,9 @@ from pade_lab.experiments import (
     sweep_m,
 )
 from pade_lab.pade_core import OdeProblem
+
+#: The reference pool of the step-search benchmark, read in place.
+POOL = Path(__file__).parents[1] / "perfbench" / "refs" / "step_search.json"
 
 
 def stable_problem(seed=0, dim=5, horizon=5.0, unit_norm=False):
@@ -153,6 +160,52 @@ class TestSweeps:
         errs = [max(r.rel_error, 1e-14) for r in report.rows if r.scheme == "pade"]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
         assert report.aggregate["m_star"]["pade"] <= 5
+
+
+class TestSearchProbes:
+    """Probes power the step map against one reference per search."""
+
+    def test_one_reference_per_search(self, monkeypatch):
+        calls = []
+        expm = system_builder.reference_expm
+
+        def counted(*args):
+            calls.append(args)
+            return expm(*args)
+
+        monkeypatch.setattr(system_builder, "reference_expm", counted)
+        problem = stable_problem(seed=3, horizon=25.0)
+        assert find_min_steps(problem, "taylor", 9, 1e-10) == 62
+        assert len(calls) == 1
+        calls.clear()
+        assert find_min_order(stable_problem(seed=5, horizon=1.0, unit_norm=True),
+                              "taylor", 1e-10) == 9
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("horizon,want", [(200.0, 83), (1e3, 403)])
+    def test_long_taylor_horizons_search_on(self, horizon, want):
+        # the m = 1 Taylor step block has det 1, yet pivoting on its huge A h / i
+        # entries trips the pivot-ratio flag: that probe is a miss, not an error
+        problem = stable_problem(seed=2, dim=3, horizon=horizon)
+        with pytest.raises(SingularBlockError):
+            march_terminal(problem, make_params(1, 9, 1, horizon, "taylor"))
+        m_star = find_min_steps(problem, "taylor", 9, 1e-10)
+        assert m_star == want
+
+        def rel_error(m):
+            return experiments._row(problem, make_params(m, 9, 1, horizon, "taylor"),
+                                    False).rel_error
+
+        assert rel_error(m_star) < 1e-10 <= rel_error(m_star - 1)
+
+    def test_pool_m_star(self):
+        # every 8th entry of the benchmark's reference pool, both schemes
+        ref = json.loads(POOL.read_text())
+        for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::8]:
+            problem = stable_problem(seed=seed, dim=dims, horizon=horizon)
+            for scheme, want in (("pade", m_pade), ("taylor", m_taylor)):
+                assert find_min_steps(problem, scheme, ref["order"], ref["eps"]) == want, \
+                    (dims, seed, horizon, scheme)
 
 
 @pytest.mark.slow
