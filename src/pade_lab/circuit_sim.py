@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
@@ -30,7 +31,7 @@ UNITARITY_TOL = 1e-12
 #: products (docs/DECISIONS.md has the crossover).
 _SPARSE_QUBITS = 9
 
-#: Entries of one row panel of the Gram matrix in ``unitarity_defect`` (4 MB).
+#: Entries of one row panel of a CSR unitary's Gram matrix.
 _PANEL_ENTRIES = 2**18
 
 
@@ -49,11 +50,7 @@ def ry_matrix(angle: float) -> np.ndarray:
 
 def add_matrix(width: int) -> np.ndarray:
     """Cyclic increment |j> -> |j+1 mod 2^width>."""
-    size = 2**width
-    out = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        out[(j + 1) % size, j] = 1.0
-    return out
+    return np.roll(np.eye(2**width, dtype=complex), 1, axis=0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +139,9 @@ def _apply(op: np.ndarray, gate: np.ndarray, targets, nq: int, controls=()):
 
 
 def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
-    """(gate matrix, targets, controls) of every ``_apply`` the gate list
-    makes, a UCRY expanded into one controlled rotation per selector value."""
+    """(gate matrix, targets, controls) of each gate of the list, one op per
+    gate.  A UCRY is the block diagonal of its rotations on the selector and
+    target wires, selector most significant."""
     ops = []
     for g in spec.gates:
         if g.kind in _FIXED_GATES:
@@ -153,10 +151,8 @@ def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
         elif g.kind == "ADD":
             ops.append((add_matrix(len(g.targets)), g.targets, g.controls))
         elif g.kind == "UCRY":
-            w = len(g.selector)
-            for j, ang in enumerate(g.angles):
-                bits = tuple((g.selector[i], (j >> (w - 1 - i)) & 1) for i in range(w))
-                ops.append((ry_matrix(ang), g.targets, g.controls + bits))
+            ops.append((sla.block_diag(*map(ry_matrix, g.angles)), g.selector + g.targets,
+                        g.controls))
         elif g.kind == "OPAQUE":
             ops.append((spec.opaques[g.label], g.targets, g.controls))
         else:
@@ -230,8 +226,10 @@ def realize_dense(spec: CircuitSpec) -> np.ndarray:
 # --------------------------------------------------------- block encodings ---
 
 def _sparse_gram_square(u: sp.csr_array, rows: int) -> float:
-    """||U^H U - I||_F^2 of a CSR U, summed over the sparse upper row panels
-    of ``rows`` rows as in ``unitarity_defect``.
+    """||U^H U - I||_F^2 of a CSR U, summed over its upper row panels of
+    ``rows`` rows.  E = U^H U - I is Hermitian, so each panel's diagonal
+    block counts once and the blocks right of it twice, for their mirror
+    images.
 
     The identity is subtracted entry by entry: each term of ||G||_F^2 and
     of the diagonal is about dim, so their difference would cancel to noise.
@@ -286,30 +284,22 @@ class BlockEncodingUnitary:
         otherwise the exact 2-norm is computed by SVD.  Either way
         ``defect <= UNITARITY_TOL`` gives the verdict of the exact 2-norm.
 
-        E = U^H U - I is Hermitian, so ||E||_F^2 is summed over its upper row
-        panels of ``_PANEL_ENTRIES`` entries: each panel's diagonal block
-        counts once and the blocks right of it twice, for their mirror images.
-        A CSR unitary takes sparse panels; only the 2-norm densifies it.
+        A CSR unitary sums ||E||_F^2, E = U^H U - I, over sparse row panels
+        of ``_PANEL_ENTRIES`` entries and is densified only when that misses
+        the gate.  A dense unitary (at most 8 qubits in a stage) forms E
+        once, for both norms.
         """
         u = self.unitary
-        rows = _PANEL_ENTRIES // u.shape[0]
-        if isinstance(u, np.ndarray):
-            square = 0.0
-            for i0 in range(0, u.shape[0], rows):
-                panel = u[:, i0:i0 + rows].conj().T @ u[:, i0:]
-                width = panel.shape[0]
-                panel[np.arange(width), np.arange(width)] -= 1.0
-                diag, rest = panel[:, :width], panel[:, width:]
-                square += np.vdot(diag, diag).real + 2.0 * np.vdot(rest, rest).real
-        else:
-            square = _sparse_gram_square(u, rows)
-        frobenius = math.sqrt(square)
-        if frobenius <= UNITARITY_TOL:
-            return frobenius
         if not isinstance(u, np.ndarray):
+            frobenius = math.sqrt(_sparse_gram_square(u, _PANEL_ENTRIES // u.shape[0]))
+            if frobenius <= UNITARITY_TOL:
+                return frobenius
             u = u.toarray()
         defect = u.conj().T @ u
         defect[np.diag_indices_from(defect)] -= 1.0
+        frobenius = math.sqrt(np.vdot(defect, defect).real)
+        if frobenius <= UNITARITY_TOL:
+            return frobenius
         return float(np.linalg.norm(defect, 2))
 
 
@@ -423,8 +413,8 @@ def _emit_m4(g, flag, pw, k, c=()):
 
 
 def _emit_m5(g, flag, pw, k, c=()):
-    """Padding diagonal: 1/sqrt(k+1) on the first slot, 1 elsewhere."""
-    theta0 = 2.0 * math.acos(1.0 / math.sqrt(k + 1))
+    """Padding diagonal: the terminal row scale 1/sqrt(k+1) on the first slot, 1 elsewhere."""
+    theta0 = 2.0 * math.acos(SCHEMES["pade"](k).row_scale)
     g(GateOp("RY", (flag,), c + tuple((q, 0) for q in pw), angle=theta0))
 
 

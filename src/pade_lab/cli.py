@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 bound/residual violation.  The output
 directory comes from PADE_LAB_OUT when set, else --out.  A config file of
-key=value lines may preset any long flag (command-line values win).
+key=value lines may preset any long flag of the subcommand (command-line
+values win); the global flags --out, --write and --seed go before the
+subcommand and cannot be preset.  A flag is never matched by a prefix of
+its name.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ EXIT_VIOLATION = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # subparsers are built through parser_class, so they inherit it
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -98,6 +105,8 @@ def _cmd_coeffs(args, stdout):
 
 
 def _cmd_theta_table(args, stdout):
+    if args.kmin > args.kmax:
+        raise UsageError("--kmin must not exceed --kmax")
     lines = ["k,theta_k"]
     for k in range(args.kmin, args.kmax + 1):
         lines.append(f"{k},{error_bounds.theta_max(k, args.delta):.4f}")
@@ -269,6 +278,8 @@ def _cmd_random_suite(args, stdout):
         args.dims, range(args.seed, args.seed + args.seeds), horizons,
         args.eps, args.k)
     _emit(args, "random_suite.csv", report.to_csv(), stdout)
+    for search in report.aggregate["capped"]:
+        print(f"capped: {search}; no row", file=sys.stderr)
     means = report.aggregate["mean_m_star"]
     for horizon in horizons:
         print(f"T={horizon:g} mean_m*: pade={means['pade'][horizon]:.2f} "

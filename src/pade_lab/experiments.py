@@ -194,7 +194,10 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> S
 
     One row per (scheme, horizon, seed) at the found m*, with the achieved
     error and success probability; per-row condition numbers are skipped at
-    suite scale and can be recomputed via the analyze subcommand.
+    suite scale and can be recomputed via the analyze subcommand.  A search
+    that reaches ``M_SEARCH_CAP`` gives no row and is named in
+    ``aggregate["capped"]``; the means and stds are over the searches that
+    finished, NaN where none did.
     """
     if not seeds or not horizons:
         raise SearchError("empty seed or horizon list")
@@ -202,19 +205,24 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> S
     ones = np.ones(dims)
     means: dict[str, dict[float, float]] = {scheme: {} for scheme in SCHEMES}
     stds: dict[str, dict[float, float]] = {scheme: {} for scheme in SCHEMES}
+    capped: list[str] = []
     for horizon in horizons:
         samples: dict[str, list[int]] = {scheme: [] for scheme in SCHEMES}
         for seed in seeds:
             a = random_stable_matrix(dims, seed)
             problem = OdeProblem(matrix_a=a, vec_b=ones, vec_x0=ones, horizon=float(horizon))
             for scheme in SCHEMES:
-                m_star = find_min_steps(problem, scheme, order, eps)
+                try:
+                    m_star = find_min_steps(problem, scheme, order, eps)
+                except SearchError as exc:
+                    capped.append(f"{exc} at T={horizon:g}, seed {seed}")
+                    continue
                 samples[scheme].append(m_star)
                 report.rows.append(_row(
                     problem, make_params(m_star, order, 1, problem.horizon, scheme), False))
         for scheme in SCHEMES:
             arr = np.array(samples[scheme], dtype=float)
-            means[scheme][horizon] = float(arr.mean())
-            stds[scheme][horizon] = float(arr.std())
-    report.aggregate = {"mean_m_star": means, "std_m_star": stds}
+            means[scheme][horizon], stds[scheme][horizon] = (
+                (float(arr.mean()), float(arr.std())) if arr.size else (float("nan"),) * 2)
+    report.aggregate = {"mean_m_star": means, "std_m_star": stds, "capped": capped}
     return report

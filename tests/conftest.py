@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so two runs of the suite compare like for like
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_hermitian_nsd(rng, n, scale=1.0):

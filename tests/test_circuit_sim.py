@@ -17,11 +17,13 @@ from pade_lab.circuit_sim import (
     CircuitSpec,
     GateOp,
     Register,
+    _dense_ops,
     _realize_sparse,
     _stage_ops,
     add_matrix,
     build_l_encoding,
     build_w_encoding,
+    coupling_target,
     hermitian_encoding,
     primitive_encodings,
     primitive_targets,
@@ -32,7 +34,7 @@ from pade_lab.circuit_sim import (
 from pade_lab.errors import CompositionError, LayoutError, ShapeError, SizeError
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients
-from pade_lab.system_builder import build_pade_system
+from pade_lab.system_builder import SCHEMES, build_pade_system, dense_patterns
 
 
 def random_hermitian_unit(seed, n=2, shrink=1.3):
@@ -185,6 +187,15 @@ def kron_product(spec):
 
 
 class TestRealizeBlocks:
+    def test_one_op_per_gate(self):
+        spec = random_mixed_stage(0, 8)
+        ops = _dense_ops(spec)
+        assert len(ops) == len(spec.gates)
+        for g, (gate, wires, controls) in zip(spec.gates, ops):
+            assert wires == g.selector + g.targets and controls == g.controls
+            assert gate.shape == (2 ** len(wires),) * 2
+            assert np.array_equal(gate, oracle_matrix(g, spec.opaques))
+
     @pytest.mark.parametrize("seed", [pytest.param(seed, marks=pytest.mark.slow)
                                       for seed in (0, 1)])
     def test_column_blocks_match_kron_oracle(self, seed):
@@ -225,7 +236,7 @@ class TestRealizeBlocks:
 
 
 class TestUnitarityCertificate:
-    # nq = 10 sums the Frobenius norm over several Gram panels
+    # nq = 10 is a dense U larger than any dense stage
     @pytest.mark.parametrize("nq", [1, 3, 5, 8, pytest.param(10, marks=pytest.mark.slow)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_svd_norm_with_same_verdict(self, seed, nq):
@@ -244,8 +255,8 @@ class TestUnitarityCertificate:
 
     @pytest.mark.parametrize("nq", [5, 10])
     def test_panel_sum_is_frobenius_norm(self, nq):
-        # U = I + N: E = N + N^H + N^H N has entries in every Gram panel, above
-        # and below the diagonal, and a Frobenius norm under the gate
+        # U = I + N: E = N + N^H + N^H N has entries above and below the
+        # diagonal, and a Frobenius norm under the gate
         rng = np.random.default_rng(nq)
         noise = rng.normal(size=(2**nq, 2**nq)) + 1j * rng.normal(size=(2**nq, 2**nq))
         u = np.eye(2**nq) + 1e-13 * noise / np.linalg.norm(noise)
@@ -321,6 +332,20 @@ class TestPrimitives:
         assert 2 * math.acos(1 / math.sqrt(4)) == pytest.approx(2 * math.pi / 3, abs=1e-14)
         enc = primitive_encodings(3, 1)["m5"]
         assert enc.projection[0, 0] == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("k1", [2, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_hand_written_targets_match_scheme(self, k1, m):
+        # S of m Padé steps with p = m (k+1) padding rows, the padding the encoding holds
+        k, start = k1 - 1, m * k1
+        s = dense_patterns(SCHEMES["pade"](k), m, start)[0]
+        targets = primitive_targets(k, m)
+        assert np.array_equal(targets["m4"] + targets["m5"], s[start:, start:])
+        coupling = s.copy()
+        coupling[start:, start:] = 0.0
+        for t in range(m):
+            coupling[t * k1:(t + 1) * k1, t * k1:(t + 1) * k1] = 0.0
+        assert np.array_equal(coupling_target(k, m), coupling)
 
     def test_power_of_two_required(self):
         with pytest.raises(LayoutError):

@@ -353,6 +353,42 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert "delta must be positive and finite" in capsys.readouterr().err
 
+    def test_empty_order_range(self, capsys):
+        code, out = run(["theta-table", "--kmin", "5", "--kmax", "4"])
+        assert code == EXIT_USAGE and out == ""
+        assert "usage error: --kmin must not exceed --kmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["argv", "config"])
+    def test_prefix_of_a_flag_is_not_the_flag(self, via_config, tmp_path, capsys):
+        # --seed is a global flag, not a prefix of the subcommand's --seeds
+        argv = ["random-suite", "--dims", "2", "--t-grid", "1"]
+        if via_config:
+            cfg = tmp_path / "preset.cfg"
+            cfg.write_text("seed=3\n")
+            argv = ["--config", str(cfg)] + argv
+        else:
+            argv[1:1] = ["--seed", "3"]
+        code, out = run(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_prefix_of_dim_cap_is_not_dim_cap(self, problem_file, capsys):
+        code, out = run(["analyze", "--problem", str(problem_file), "--m", "2", "--k", "5",
+                         "--dim", "5"])
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --dim 5" in capsys.readouterr().err
+
+    def test_capped_search_gives_no_row(self, capsys):
+        # the Padé search finds m* = 1632; the Taylor one passes M_SEARCH_CAP
+        code, out = run(["random-suite", "--seeds", "1", "--dims", "3", "--t-grid", "1e6"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert [line.split(",")[:3] for line in lines[1:-1]] == [["pade", "1000000", "1632"]]
+        assert lines[-1] == "T=1e+06 mean_m*: pade=1632.00 taylor=nan"
+        err = capsys.readouterr().err
+        assert f"capped: no m <= {experiments.M_SEARCH_CAP} reaches eps=1e-10 for taylor " \
+               "at T=1e+06, seed 0; no row" in err
+
 
 # Each subcommand's flags, and flags that keep a run with otherwise valid
 # defaults small; the drawn tokens come after them and win.
