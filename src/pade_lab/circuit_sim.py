@@ -15,7 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
@@ -46,6 +45,14 @@ _FIXED_GATES = {"H": _H, "X": _X, "Z": _Z, "NEGZ": -_Z}
 def ry_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def ucry_matrix(angles) -> np.ndarray:
+    """Block diagonal of ``ry_matrix`` over the angles, written into zeros."""
+    d = len(angles)
+    out = np.zeros((d, 2, d, 2), dtype=complex)
+    out[np.arange(d), :, np.arange(d), :] = [ry_matrix(t) for t in angles]
+    return out.reshape(2 * d, 2 * d)
 
 
 def add_matrix(width: int) -> np.ndarray:
@@ -151,8 +158,7 @@ def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
         elif g.kind == "ADD":
             ops.append((add_matrix(len(g.targets)), g.targets, g.controls))
         elif g.kind == "UCRY":
-            ops.append((sla.block_diag(*map(ry_matrix, g.angles)), g.selector + g.targets,
-                        g.controls))
+            ops.append((ucry_matrix(g.angles), g.selector + g.targets, g.controls))
         elif g.kind == "OPAQUE":
             ops.append((spec.opaques[g.label], g.targets, g.controls))
         else:

@@ -6,6 +6,7 @@ invocations reproduce bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .system_builder import SCHEMES, classical_reference_trajectory
 
 K_SEARCH_CAP = 64
 M_SEARCH_CAP = 1 << 14
+#: Largest factor by which one growth step of ``find_min_steps`` raises m.
+MAX_GROWTH = 64
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,17 @@ def _search_target(problem: OdeProblem, scheme: str, order: int) -> tuple[np.nda
     return _target(problem, make_params(1, order, 1, problem.horizon, scheme))
 
 
-def _reaches(problem: OdeProblem, scheme: str, m: int, k: int, eps: float,
-             target: tuple[np.ndarray, float]) -> bool:
-    """Search probe: does the terminal state at (m, k) reach eps?  The state
-    is the m-th power of the step map applied to x0, which needs neither L nor
-    the norms of ``p_succ``.  A singular or overflowing step is a miss."""
+def _probe_error(problem: OdeProblem, scheme: str, m: int, k: int,
+                 target: tuple[np.ndarray, float]) -> float:
+    """Search probe: the relative error of the terminal state at (m, k).  The
+    state is the m-th power of the step map applied to x0, which needs neither
+    L nor the norms of ``p_succ``.  A singular or overflowing step has error inf."""
     params = make_params(m, k, 1, problem.horizon, scheme)
     try:
         terminal = propagated_terminal(problem, params)
     except SingularBlockError:
-        return False
-    return _rel_error(terminal, target) < eps
+        return math.inf
+    return _rel_error(terminal, target)
 
 
 def _check_eps(eps: float):
@@ -126,26 +129,63 @@ def _check_eps(eps: float):
         raise BoundsError(f"eps must be positive, got {eps}")
 
 
+def _secant_step(lo: int, e_lo: float, hi: int, e_hi: float, eps: float) -> int | None:
+    """Where the line through (log m, log e) at lo and hi crosses eps, rounded
+    down and clamped strictly inside the bracket; None without two distinct
+    finite logs.  Past the crossing the error flattens onto its rounding
+    floor, so the line lies above the error and crosses eps late: rounding
+    down makes up for part of that."""
+    if not (math.isfinite(e_lo) and e_hi > 0):
+        return None
+    top = math.log(e_lo)
+    drop = top - math.log(e_hi)
+    if not drop > 0:
+        return None
+    guess = lo * (hi / lo) ** ((top - math.log(eps)) / drop)
+    return min(max(math.floor(guess), lo + 1), hi - 1)
+
+
 def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> int:
-    """Smallest m reaching rel_error < eps: double until pass, then bisect back."""
+    """Smallest m reaching rel_error < eps, located from the measured errors.
+
+    The error falls like m^-q, q = ``Scheme.error_order`` (2k Padé, k Taylor).
+    Growth: from m = 1, a failing probe with error e jumps to m (e/eps)^(1/q)
+    rounded up, at least m + 1, at most ``MAX_GROWTH`` m and never past
+    ``M_SEARCH_CAP``; a non-finite e doubles m.  Shrink: secant steps on
+    (log m, log e) narrow the bracket of a failing lo and a passing hi, and
+    a step that does not halve it is followed by one bisection.  Where the
+    passing m are upward-closed this is the smallest passing m; otherwise it
+    is some passing m whose m - 1 fails.
+    """
     _check_eps(eps)
     target = _search_target(problem, scheme, order)
+    q = SCHEMES[scheme](order).error_order
 
-    def ok(m: int) -> bool:
-        return _reaches(problem, scheme, m, order, eps, target)
+    def error(m: int) -> float:
+        return _probe_error(problem, scheme, m, order, target)
 
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > M_SEARCH_CAP:
+    lo, e_lo = 0, math.inf  # m = 0 stands for a failing probe below m = 1
+    hi, e_hi = 1, error(1)
+    while not e_hi < eps:
+        if hi >= M_SEARCH_CAP:
             raise SearchError(f"no m <= {M_SEARCH_CAP} reaches eps={eps} for {scheme}")
-    lo = hi // 2  # lo fails (or hi == 1)
+        lo, e_lo = hi, e_hi
+        grow = min((e_lo / eps) ** (1.0 / q), MAX_GROWTH) if math.isfinite(e_lo) else 2.0
+        hi = min(max(math.ceil(lo * grow), lo + 1), M_SEARCH_CAP)
+        e_hi = error(hi)
+    bisect = False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
+        width = hi - lo
+        mid = None if bisect else _secant_step(lo, e_lo, hi, e_hi, eps)
+        secant = mid is not None
+        if not secant:
+            mid = (lo + hi) // 2
+        e_mid = error(mid)
+        if e_mid < eps:
+            hi, e_hi = mid, e_mid
         else:
-            lo = mid
+            lo, e_lo = mid, e_mid
+        bisect = secant and 2 * (hi - lo) > width
     return hi
 
 
@@ -154,7 +194,7 @@ def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     _check_eps(eps)
     target = _search_target(problem, scheme, 1)
     for k in range(1, K_SEARCH_CAP + 1):
-        if _reaches(problem, scheme, 1, k, eps, target):
+        if _probe_error(problem, scheme, 1, k, target) < eps:
             return k
     raise SearchError(f"no order <= {K_SEARCH_CAP} reaches eps={eps} for {scheme}")
 

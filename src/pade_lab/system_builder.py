@@ -101,6 +101,7 @@ class Scheme:
     ``couple * signs``; the terminal diagonal is ``row_scale``, and p - 1
     padding rows copy the terminal state.  x0 enters the first row times
     ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
+    The global error of m steps falls like m^-``error_order``.
     The record keeps read-only copies of the arrays: ``SCHEMES`` hands one
     shared record per order to every caller.  Records compare and hash by
     identity, so a cache keyed on the record is keyed on (scheme, order).
@@ -114,6 +115,7 @@ class Scheme:
     b_row: int
     b_coef: float
     reverse: bool
+    error_order: int
     plain_sum: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -182,7 +184,8 @@ def _pade_scheme(k: int) -> Scheme:
     s1[0] = s
     b1 = np.diag(np.concatenate([[0.0], coeffs.beta_floats[::-1]]))
     return Scheme(s1, b1, alternating_signs(k), couple=s, row_scale=s,
-                  b_row=k, b_coef=-float(coeffs.den_coeffs[1]), reverse=True)
+                  b_row=k, b_coef=-float(coeffs.den_coeffs[1]), reverse=True,
+                  error_order=2 * k)
 
 
 @lru_cache(maxsize=128)
@@ -194,7 +197,7 @@ def _taylor_scheme(k: int) -> Scheme:
     # coefficient reproduces -(A h)/i bit for bit
     b1[i, i - 1] = -1.0 / i
     return Scheme(np.eye(k + 1), b1, np.ones(k + 1), couple=-1.0, row_scale=1.0,
-                  b_row=1, b_coef=1.0, reverse=False)
+                  b_row=1, b_coef=1.0, reverse=False, error_order=k)
 
 
 #: Scheme name -> record factory of the order k.

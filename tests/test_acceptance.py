@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from pade_lab.analysis import (
     extreme_singular_values,
@@ -326,6 +327,7 @@ def test_c09_circuit_grid():
                          f"unitarity {worst_unitarity:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c10_experiment1_reproduction():
     problem = tridiag_problem()
     k = 9

@@ -28,6 +28,8 @@ from pade_lab.circuit_sim import (
     primitive_encodings,
     primitive_targets,
     realize_dense,
+    ry_matrix,
+    ucry_matrix,
     verify_block_encoding,
     zero_matrix_encoding,
 )
@@ -195,6 +197,15 @@ class TestRealizeBlocks:
             assert wires == g.selector + g.targets and controls == g.controls
             assert gate.shape == (2 ** len(wires),) * 2
             assert np.array_equal(gate, oracle_matrix(g, spec.opaques))
+
+    @pytest.mark.parametrize("angles", [(0.3,), (0.0, -0.0, math.pi, 2 * math.pi),
+                                        tuple(np.random.default_rng(3).uniform(-7, 7, 16))])
+    def test_ucry_fill_is_block_diag(self, angles):
+        # the rotations written into zeros are scipy's block_diag bit for bit,
+        # signed zeros included
+        got, want = ucry_matrix(angles), sla.block_diag(*map(ry_matrix, angles))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [pytest.param(seed, marks=pytest.mark.slow)
                                       for seed in (0, 1)])

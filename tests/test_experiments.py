@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pade_lab import analysis, experiments, system_builder
-from pade_lab.classical_solver import march_terminal
+from pade_lab.classical_solver import march_terminal, propagated_terminal
 from pade_lab.errors import PadeLabError, SchemeError, SearchError, SingularBlockError
 from pade_lab.error_bounds import make_params
 from pade_lab.experiments import (
@@ -26,6 +28,37 @@ def stable_problem(seed=0, dim=5, horizon=5.0, unit_norm=False):
     a = random_stable_matrix(dim, seed, unit_norm=unit_norm)
     ones = np.ones(dim)
     return OdeProblem(matrix_a=a, vec_b=ones, vec_x0=ones, horizon=horizon)
+
+
+def doubling_search(problem, scheme, order, eps):
+    """The former m* search, kept as an oracle: double m from 1 until a probe
+    passes, then bisect back."""
+    target = experiments._search_target(problem, scheme, order)
+
+    def ok(m):
+        return experiments._probe_error(problem, scheme, m, order, target) < eps
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+        if hi > experiments.M_SEARCH_CAP:
+            raise SearchError(f"no m <= {experiments.M_SEARCH_CAP} reaches eps={eps} for {scheme}")
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def search_outcome(search, problem, scheme, order, eps):
+    """m* of ``search``, or the text of its SearchError."""
+    try:
+        return search(problem, scheme, order, eps)
+    except SearchError as exc:
+        return str(exc)
 
 
 class TestRandomStableMatrix:
@@ -206,6 +239,49 @@ class TestSearchProbes:
             for scheme, want in (("pade", m_pade), ("taylor", m_taylor)):
                 assert find_min_steps(problem, scheme, ref["order"], ref["eps"]) == want, \
                     (dims, seed, horizon, scheme)
+
+
+class TestSearchReadsTheError:
+    """The bracketing search of ``find_min_steps`` against the doubling oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 2**16), horizon=st.floats(0.5, 60.0),
+           order=st.sampled_from([3, 5, 9]), scheme=st.sampled_from(["pade", "taylor"]),
+           eps=st.sampled_from([1e-4, 1e-7, 1e-10]))
+    def test_matches_doubling_search(self, dim, seed, horizon, order, scheme, eps):
+        problem = stable_problem(seed=seed, dim=dim, horizon=horizon)
+        assert (search_outcome(find_min_steps, problem, scheme, order, eps)
+                == search_outcome(doubling_search, problem, scheme, order, eps))
+
+    @pytest.mark.parametrize("horizon", [200.0, 1e3])
+    def test_singular_early_probes(self, horizon):
+        # the Taylor probe at m = 1 raises SingularBlockError: its error is inf
+        problem = stable_problem(seed=2, dim=3, horizon=horizon)
+        target = experiments._search_target(problem, "taylor", 9)
+        assert experiments._probe_error(problem, "taylor", 1, 9, target) == np.inf
+        assert (find_min_steps(problem, "taylor", 9, 1e-10)
+                == doubling_search(problem, "taylor", 9, 1e-10))
+
+    def test_probe_count_guard(self, monkeypatch):
+        # the every-8th pool subset of test_pool_m_star: 580 probes against
+        # the oracle's 842
+        calls = []
+
+        def counted(problem, params):
+            calls.append(params.steps)
+            return propagated_terminal(problem, params)
+
+        monkeypatch.setattr(experiments, "propagated_terminal", counted)
+        ref = json.loads(POOL.read_text())
+        counts = {}
+        for search in (find_min_steps, doubling_search):
+            calls.clear()
+            for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::8]:
+                problem = stable_problem(seed=seed, dim=dims, horizon=horizon)
+                for scheme, want in (("pade", m_pade), ("taylor", m_taylor)):
+                    assert search(problem, scheme, ref["order"], ref["eps"]) == want
+            counts[search] = len(calls)
+        assert counts[find_min_steps] <= 0.7 * counts[doubling_search]
 
 
 @pytest.mark.slow
