@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from . import pade_core
+from . import error_bounds, pade_core
 from .classical_solver import substitution_pair
 from .errors import (
     ClassificationError,
@@ -54,14 +55,22 @@ CONDITION_DIM_CAP = 4096
 #: (docs/DECISIONS.md bounds the error this admits).
 NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
-#: blocks; above it sigma_max takes Lanczos per block and sigma_min one
-#: Lanczos over the direct sum of the blocks.
+#: blocks; above it sigma_max takes a certified bracket per scalar block (Lanczos
+#: on the one block of a non-normal A) and sigma_min one Lanczos over the direct
+#: sum of the blocks.
 SLICE_DENSE_CAP = 128
-#: Lanczos basis size for sigma_max, the top of a block system's Gram matrix, whose
-#: leading eigenvalues cluster as m grows; at k = 9, m = 13..120 it needs
-#: about half the matvecs of ARPACK's default basis of 20.
+#: Relative width hi - lo <= BRACKET_RTOL hi of the bracket on lambda_max(M^H M)
+#: whose upper end gives sigma_max (docs/DECISIONS.md "sigma_max from a
+#: certified bracket"), above the rounding (kd + 2) eps = 4.7e-15 of a band
+#: Cholesky factor at the bandwidth kd = 2k + 1 = 19 of a Padé scalar block at k = 9.
+BRACKET_RTOL = 1e-14
+#: Inverse-iteration solves per band Cholesky factor of the bracket.
+INVERSE_STEPS = 2
+#: Lanczos basis size for sigma_max of the one block of a non-normal A, the top
+#: of its Gram matrix, whose leading eigenvalues cluster as m grows; at k = 9,
+#: m = 13..120 it needs about half the matvecs of ARPACK's default basis of 20.
 SLICE_NCV = 40
-#: Seed of the Lanczos start vector, shared by the sigma_max and sigma_min runs.
+#: Seed of the Lanczos start vectors and of the inverse iteration's.
 LANCZOS_SEED = 0
 #: Points per step at which _transient_growth samples ||exp(A t)||_2.
 GROWTH_REFINE = 10
@@ -89,6 +98,83 @@ def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
     adj = csr.conj().T.tocsr()
     op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=v0.dtype)
     return _largest_eigenvalue(op, v0, ncv)
+
+
+def _gram_band(mat) -> np.ndarray:
+    """G = M^H M of a sparse M in LAPACK lower band storage, band[i - j, j] = G_ij.
+
+    M is laid out as its general band, bands[u + i - j, j] = M_ij with u and l its
+    upper and lower bandwidths, so G has bandwidth min(u + l, d - 1) and band[o, j]
+    is the product of columns j + o and j over their u + l + 1 - o common band rows.
+    """
+    coo = mat.tocoo()
+    rows, cols = coo.row, coo.col
+    up, low = int(max(0, (cols - rows).max())), int(max(0, (rows - cols).max()))
+    width, d = up + low + 1, mat.shape[1]
+    bands = np.zeros((width, d), dtype=mat.dtype)
+    bands[up + rows - cols, cols] = coo.data
+    band = np.zeros((min(width, d), d), dtype=mat.dtype)
+    for o in range(len(band)):
+        band[o, :d - o] = np.einsum("tj,tj->j", bands[:width - o, o:].conj(), bands[o:, :d - o])
+    return band
+
+
+def _largest_singular_value(mat, floor: float = 0.0) -> float:
+    """sigma_max of a sparse M, or ``floor`` once a factorization shows sigma_max <= floor.
+
+    M is scaled by the power of two 2^-e that puts max |m_ij| in [1/2, 1), so no
+    entry of G = M^H M overflows and lambda_max(G) >= 1/4.  lambda_max(G) is
+    bracketed by lo <= lambda_max <= hi: lo is max diag G, a Rayleigh quotient or
+    a shift at which shift I - G has no band Cholesky factor; hi is Gershgorin's
+    max absolute row sum or a shift at which it has one (Sylvester's inertia).
+    Each factor drives INVERSE_STEPS steps of inverse iteration, whose Rayleigh
+    quotient rho raises lo and, with its residual r, proposes the next shift
+    rho + r (some eigenvalue lies within r of rho), kept in
+    [lo (1 + BRACKET_RTOL), (lo + hi) / 2]; a shift without a factor is followed by
+    the midpoint.  Once hi - lo <= BRACKET_RTOL hi, sigma_max is 2^e sqrt(hi).
+    """
+    top = float(np.abs(mat.data).max())
+    if not math.isfinite(top):
+        raise MagnitudeError(f"a block system of L has the entry {top}")
+    scale = math.frexp(top)[1]
+    mat = mat * math.ldexp(1.0, -scale)
+    band = _gram_band(mat)
+    pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+
+    def factor(shift):
+        shifted = -band
+        shifted[0] += shift
+        chol, info = pbtrf(shifted, lower=1, overwrite_ab=1)
+        return chol if info == 0 else None
+
+    row_sums = np.abs(band).sum(axis=0)
+    for o in range(1, len(band)):
+        row_sums[o:] += np.abs(band[o, :-o])
+    lo, hi = float(band[0].real.max()), float(row_sums.max())
+    bar = math.ldexp(floor, -scale)
+    bar *= bar
+    if bar >= hi or (bar > lo and factor(bar) is not None):
+        return floor
+    lo = max(lo, bar)
+    adj = mat.conj().T
+    x = _lanczos_start(mat.shape[1], complex_=mat.dtype.kind == "c")
+    shift = hi
+    while hi - lo > BRACKET_RTOL * hi:
+        chol = factor(shift)
+        if chol is None:
+            lo = shift
+            shift = 0.5 * (lo + hi)
+            continue
+        hi = shift
+        for _ in range(INVERSE_STEPS):
+            x = pbtrs(chol, x, lower=1)[0]
+            x /= np.linalg.norm(x)
+            y = mat @ x
+            rho = float(np.vdot(y, y).real)
+        resid = float(np.linalg.norm(adj @ y - rho * x))
+        lo = max(lo, rho)
+        shift = min(max(rho + resid, lo * (1.0 + BRACKET_RTOL)), 0.5 * (lo + hi))
+    return math.ldexp(math.sqrt(hi), scale)
 
 
 def _is_normal(a: np.ndarray) -> bool:
@@ -136,10 +222,14 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     of the scheme ``rec`` on ``lay``, one per diagonal block X_i of ``blocks``.
 
     sigma_max is convex in X, so for ``real`` scalar blocks only the two end
-    blocks are measured.  sigma_min is 1/||M^-1||_2, never the last singular
-    value of M, which floors at eps sigma_max; above ``SLICE_DENSE_CAP`` it
-    comes from one Lanczos on the direct sum of the M_i, applied by the
-    block substitution of ``classical_solver.substitution_pair``.
+    blocks are measured.  Above ``SLICE_DENSE_CAP`` it is the certified bracket
+    of ``_largest_singular_value`` on each scalar block system; a b-wide block
+    (b > 1) gives M^H M the bandwidth (2k + 2) b - 1, and one band factorization
+    there costs more than a Lanczos run on M^H M, which it takes instead.
+    sigma_min is 1/||M^-1||_2, never the last singular value of M, which floors
+    at eps sigma_max; above ``SLICE_DENSE_CAP`` it comes from one Lanczos on the
+    direct sum of the M_i, applied by the block substitution of
+    ``classical_solver.substitution_pair``.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = blocks * lay.h
@@ -149,15 +239,20 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         stack = kron_sum(*dense_patterns(rec, lay.m, lay.p), xh)
         smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
         return smax, 1.0 / _top(stack)
-    v0 = _lanczos_start(d * w, complex_=not real)
-    smax_sq = max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV)
-                  for csr in csr_systems(rec, lay.m, lay.p, xh[ends]))
+    systems = csr_systems(rec, lay.m, lay.p, xh[ends])
+    if w == 1:
+        smax = 0.0
+        for csr in systems:
+            smax = _largest_singular_value(csr, smax)
+    else:
+        v0 = _lanczos_start(d * w, complex_=not real)
+        smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV) for csr in systems)))
     inv, inv_h = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)
     inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
     inv_sq = _largest_eigenvalue(inv_op, v0)
-    return float(np.sqrt(smax_sq)), float(1.0 / np.sqrt(inv_sq))
+    return smax, float(1.0 / np.sqrt(inv_sq))
 
 
 @dataclass(frozen=True)
@@ -302,9 +397,38 @@ class DriftReport:
     hypothesis_ok: bool
 
 
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """log(1 + z) for |z| < 1; numpy's complex log1p is log(1 + z), which
+    loses the real part of a small complex z, so that one is formed from
+    log|1 + z| = log1p(2 Re z + |z|^2) / 2 and arg(1 + z)."""
+    if not np.iscomplexobj(z):
+        return np.log1p(z)
+    re, im = z.real, z.imag
+    return 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
+
+
+# pade_coefficients admits k <= 64 only, which bounds the keys.
+@lru_cache(maxsize=None)
+def _remainder_head(order: int) -> tuple[np.ndarray, int, float]:
+    """(c_first, ..., c_last, first, reach): the nonzero span of the series of
+    ``error_bounds.cached_model(order)`` and the |x| up to which its last term
+    |c_last| |x|^last is at most eps."""
+    series = error_bounds.cached_model(order).series
+    first, last = np.flatnonzero(series)[[0, -1]]
+    reach = (np.finfo(float).eps / abs(series[last])) ** (1.0 / last)
+    return series[first:last + 1], int(first), float(reach)
+
+
 def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.ndarray:
-    """max_j |1 - g_j^i| for i = 1..steps, g_j = exp(-lam_j h) N(lam_j h) / D(lam_j h):
-    the drift of a normal A, whose exp(-A h) R(A h) has the eigenvalues g_j."""
+    """max_j |g_j^i - 1| for i = 1..steps, g_j = exp(-lam_j h) N(lam_j h) / D(lam_j h):
+    the drift of a normal A, whose exp(-A h) R(A h) has the eigenvalues g_j.
+
+    g - 1 cancels where g is near 1.  So wherever |x| = |lam h| is within the
+    reach of ``_remainder_head``, where the last term of the remainder series
+    sum c_i x^i is below the rounding of g - 1, g - 1 is that series; and
+    wherever |g - 1| < 1/2, g^i - 1 is expm1(i log1p(g - 1)) rather than the
+    i-th power minus 1.
+    """
     coeffs = pade_coefficients(order, order)
     x = lam * step
     num = np.polyval(coeffs.num_floats[::-1], x)
@@ -313,12 +437,26 @@ def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.nd
         raise SingularDenominatorError(
             f"denominator of order {order} vanishes or overflows on the spectrum of A h",
             cond_estimate=np.inf)
+    head, first, reach = _remainder_head(order)
     with np.errstate(over="ignore", invalid="ignore"):
         back = np.exp(-x)
         if not np.isfinite(back).all():
             raise MagnitudeError(f"exp(-A h) overflows for max |lam h| = {np.abs(x).max():.3e}")
-        powers = np.cumprod(np.broadcast_to(back * num / den, (steps, x.size)), axis=0)
-        return np.abs(1.0 - powers).max(axis=1)
+        g = back * num / den
+        gm1 = g - 1.0
+        near = np.abs(x) <= reach
+        if near.any():
+            # x^first, x^(first + 1), ... by running products
+            powers = np.repeat(x[near][None], len(head), axis=0)
+            powers[0] **= first
+            gm1[near] = head @ np.cumprod(powers, axis=0)
+        small = np.abs(gm1) < 0.5
+        i = np.arange(1.0, steps + 1.0)[:, None]
+        powers = np.expm1(i * _log1p(np.where(small, gm1, 0.0)))
+        if not small.all():
+            powers = np.where(small, powers,
+                              np.cumprod(np.broadcast_to(g, (steps, x.size)), axis=0) - 1.0)
+        return np.abs(powers).max(axis=1)
 
 
 def _drift(a: np.ndarray, spectrum, step: float, order: int, steps: int) -> DriftReport:

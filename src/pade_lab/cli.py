@@ -38,7 +38,7 @@ from .classical_solver import march_solution, solve_block_forward, state_distanc
 from .errors import PadeLabError, UsageError
 from .error_bounds import make_params
 from .experiments import random_stable_matrix
-from .pade_core import pade_coefficients
+from .pade_core import SCHEME_NAMES, pade_coefficients
 from .system_builder import (
     BUILDERS,
     SCHEMES,
@@ -289,7 +289,7 @@ def _cmd_random_suite(args, stdout):
 
 def _add_system_flags(sub):
     sub.add_argument("--problem", required=True)
-    sub.add_argument("--scheme", choices=list(SCHEMES), default="pade")
+    sub.add_argument("--scheme", choices=SCHEME_NAMES, default="pade")
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--p", type=int, default=1)

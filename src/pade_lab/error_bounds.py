@@ -40,10 +40,11 @@ TAIL_INFLATION = 1.5
 
 @dataclass(frozen=True)
 class RemainderModel:
-    """Absolute remainder coefficients |c_j| for one approximation order.
+    """Remainder coefficients c_j for one approximation order.
 
-    ``coeffs[j]`` stores |c_j| for j = 0..truncation_j; entries below the
-    leading index 2k+1 are exactly zero.  ``radius_estimate`` is a lower bound
+    ``series[j]`` stores c_j and ``coeffs[j]`` stores |c_j| for
+    j = 0..truncation_j; entries below the leading index 2k+1 are exactly
+    zero.  ``radius_estimate`` is a lower bound
     on the convergence radius, derived from inflated coefficient ratios; the
     tail majorant is anchored at the envelope coefficient near the truncation
     (individual |c_j| can dip towards zero when the sign pattern flips, so the
@@ -51,6 +52,7 @@ class RemainderModel:
     """
 
     order: int
+    series: np.ndarray
     coeffs: np.ndarray
     truncation_j: int
     radius_estimate: float
@@ -104,10 +106,11 @@ def remainder_coeffs(order: int, max_j: int) -> RemainderModel:
     exact = _exact_remainder_series(k, max_j)
     if any(exact[j] != 0 for j in range(min(2 * k + 1, max_j + 1))):
         raise ConsistencyError("remainder series has a nonzero coefficient below 2k+1")
-    mags = pade_core.read_only([abs(float(c)) for c in exact])
+    series = pade_core.read_only([float(c) for c in exact])
+    mags = pade_core.read_only(np.abs(series))
     anchor, ratio = _tail_envelope(mags)
     radius = min(0.999 * _denominator_root_radius(k), 1.0 / (1.02 * ratio))
-    return RemainderModel(order=k, coeffs=mags, truncation_j=max_j,
+    return RemainderModel(order=k, series=series, coeffs=mags, truncation_j=max_j,
                           radius_estimate=radius, tail_anchor_j=anchor,
                           tail_anchor_mag=float(mags[anchor]))
 
@@ -169,7 +172,8 @@ def remainder_bound(model: RemainderModel, theta: float) -> float:
 
 # pade_coefficients admits k <= 64 only, which bounds the keys.
 @lru_cache(maxsize=None)
-def _cached_model(k: int) -> RemainderModel:
+def cached_model(k: int) -> RemainderModel:
+    """The ``remainder_coeffs`` model of order k through max(4k + 20, 2k + 60), once per k."""
     return remainder_coeffs(k, max(4 * k + 20, 2 * k + 60))
 
 
@@ -192,7 +196,7 @@ def theta_max(order: int, delta: float) -> float:
 # free float, so the cache is bounded.  A call that raises is not cached.
 @lru_cache(maxsize=1024)
 def _bisect_theta(k: int, delta: float) -> float:
-    model = _cached_model(k)
+    model = cached_model(k)
     target = delta / (math.e - 1.0)
 
     def ratio(theta: float) -> float:
@@ -244,7 +248,7 @@ class SolverParams:
     delta: float
 
     def __post_init__(self):
-        if self.scheme not in ("pade", "taylor"):
+        if self.scheme not in pade_core.SCHEME_NAMES:
             raise SchemeError(f"unknown scheme {self.scheme!r}")
         if self.steps < 1 or self.order < 1 or self.padding < 1:
             raise BoundsError("steps, order and padding must be >= 1")

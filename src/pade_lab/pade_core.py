@@ -25,6 +25,10 @@ from .errors import (
 
 MAX_ORDER = 64
 
+#: The discretization schemes by name: the diagonal Padé one and the truncated
+#: Taylor one.  ``SolverParams``, ``system_builder.SCHEMES`` and the CLI read them.
+SCHEME_NAMES = ("pade", "taylor")
+
 #: Relative max-norm tolerance for treating a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
 

@@ -200,8 +200,8 @@ def _taylor_scheme(k: int) -> Scheme:
                   b_row=1, b_coef=1.0, reverse=False, error_order=k)
 
 
-#: Scheme name -> record factory of the order k.
-SCHEMES = {"pade": _pade_scheme, "taylor": _taylor_scheme}
+#: Scheme name -> record factory of the order k, over ``pade_core.SCHEME_NAMES``.
+SCHEMES = dict(zip(pade_core.SCHEME_NAMES, (_pade_scheme, _taylor_scheme)))
 
 
 @lru_cache(maxsize=256)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg as sla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pade_lab import system_builder
@@ -12,6 +13,8 @@ from pade_lab.analysis import (
     SLICE_DENSE_CAP,
     _block_singular_values,
     _diagonal_blocks,
+    _gram_band,
+    _largest_singular_value,
     _normal_spectrum,
     _one_step_norms,
     condition_report,
@@ -26,6 +29,7 @@ from pade_lab.errors import (
     ClassificationError,
     ConsistencyError,
     ConvergenceError,
+    MagnitudeError,
     SingularBlockError,
     SingularDenominatorError,
     SizeError,
@@ -45,6 +49,7 @@ from pade_lab.system_builder import (
     alternating_signs,
     build_pade_system,
     build_taylor_system,
+    csr_systems,
 )
 
 from conftest import random_contraction, random_hermitian_nsd
@@ -281,6 +286,69 @@ class TestSpectralNorm:
             extreme_singular_values(problem, make_params(19, 9, 1, 30.0, "pade"))
 
 
+class TestCertifiedBracket:
+    """sigma_max of one block system from the band Cholesky bracket on M^H M."""
+
+    @staticmethod
+    def _assert_certified(csr, got):
+        # the dense SVD is the oracle; got^2 I - M^H M has a band Cholesky
+        # factor, and (1 - 1e-12) got^2 I - M^H M has none
+        dense = csr.toarray()
+        assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12, abs=0.0)
+        band = _gram_band(csr)
+
+        def shifted(shift):
+            out = -band
+            out[0] += shift
+            return out
+
+        sla.cholesky_banded(shifted(got**2), lower=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky_banded(shifted((1.0 - 1e-12) * got**2), lower=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 12),
+           m=st.integers(1, 30), re=st.floats(-20.0, 2.0), im=st.floats(-20.0, 20.0),
+           complex_=st.booleans())
+    # one step: M^H M is banded wider than its dimension
+    @example(scheme="pade", k=12, m=1, re=-3.0, im=1.0, complex_=True)
+    def test_scalar_blocks_match_dense_svd(self, scheme, k, m, re, im, complex_):
+        x = complex(re, im) if complex_ else re
+        csr, = csr_systems(SCHEMES[scheme](k), m, 2, np.array([[[x]]]))
+        assert csr.dtype.kind == ("c" if complex_ else "f")
+        self._assert_certified(csr, _largest_singular_value(csr))
+
+    def test_non_normal_block_above_the_cap(self):
+        a = _non_normal_problem().matrix_a
+        for scheme in ("pade", "taylor"):
+            csr, = csr_systems(SCHEMES[scheme](9), 16, 1, a[None] * (5.0 / 16))
+            assert csr.shape[0] > SLICE_DENSE_CAP
+            self._assert_certified(csr, _largest_singular_value(csr))
+
+    def test_floor(self):
+        csr, = csr_systems(SCHEMES["pade"](9), 40, 1, np.array([[[-3.0]]]))
+        smax = _largest_singular_value(csr)
+        # a floor above sigma_max comes back as it is; one below it does not
+        assert _largest_singular_value(csr, 1.5 * smax) == 1.5 * smax
+        assert _largest_singular_value(csr, smax * (1 + 1e-9)) == smax * (1 + 1e-9)
+        assert _largest_singular_value(csr, 0.999 * smax) == pytest.approx(smax, rel=1e-13)
+
+    def test_huge_block_is_scaled_by_a_power_of_two(self):
+        # ||A h|| = 1e200: the entries of M^H M would overflow unscaled
+        xh = np.array([[-1.0, 1.0], [0.0, -2.0]]) * 1e200
+        csr, = csr_systems(SCHEMES["pade"](5), 20, 1, xh[None])
+        got = _largest_singular_value(csr)
+        assert math.isfinite(got)
+        assert got == 2.0**600 * _largest_singular_value(csr * 2.0**-600)
+        self._assert_certified(csr * 2.0**-665, got * 2.0**-665)
+
+    def test_overflowing_block_is_typed(self):
+        # an A h that overflowed to -inf (ARPACK raised an untyped ArpackError)
+        csr, = csr_systems(SCHEMES["pade"](9), 20, 1, np.array([[[-np.inf]]]))
+        with pytest.raises(MagnitudeError):
+            _largest_singular_value(csr)
+
+
 class TestInverseNormBounds:
     def test_bound_values(self):
         assert w_inverse_bound(9, "hermitian_nsd") == pytest.approx(
@@ -474,6 +542,38 @@ class TestDrift:
         report = propagator_drift(np.array([[-5.0]]), 1.0, 1, 3)
         assert report.drift_max > 1.0
         assert not report.hypothesis_ok
+
+    def test_matches_60_digit_reference(self):
+        # samples of the thm36 bound suite (h ||A|| = theta_max(k, 1e-8)), whose
+        # g_j lie within 1e-6 of 1, and a normal A whose eigenvalues are theirs
+        # turned off the real axis; the reference is |g_j^i - 1| from the same
+        # eigenvalues in 60 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+
+        def reference(lam, h, k, steps):
+            coeffs = pade_coefficients(k, k)
+            gs = []
+            for x in (mp.mpc(complex(v)) * mp.mpf(h) for v in lam):
+                num = sum(mp.mpf(c.numerator) / c.denominator * x**j
+                          for j, c in enumerate(coeffs.num_coeffs))
+                den = sum(mp.mpf(c.numerator) / c.denominator * (-x)**j
+                          for j, c in enumerate(coeffs.den_coeffs))
+                gs.append(mp.exp(-x) * num / den)
+            return np.array([float(max(abs(g**i - 1) for g in gs)) for i in range(1, steps + 1)])
+
+        for seed in range(24):
+            local = np.random.default_rng(9000 + seed)
+            n, k = int(local.integers(2, 9)), int(local.choice([3, 7, 15]))
+            a = random_hermitian_nsd(local, n)
+            h = theta_max(k, 1e-8) / np.linalg.norm(a, 2)
+            q, _ = np.linalg.qr(local.normal(size=(n, n)) + 1j * local.normal(size=(n, n)))
+            lam = np.linalg.eigvalsh(a) * np.exp(1j * local.uniform(-1.5, 1.5, n))
+            for mat in (a, (q * lam) @ q.conj().T):
+                got = propagator_drift(mat, h, k, 4).per_step
+                want = reference(_normal_spectrum(mat)[0], h, k, 4)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert mat is not a or want[0] < 1e-6
 
 
 class TestLuIdentity:

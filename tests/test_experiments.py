@@ -232,9 +232,11 @@ class TestSearchProbes:
         assert rel_error(m_star) < 1e-10 <= rel_error(m_star - 1)
 
     def test_pool_m_star(self):
-        # every 8th entry of the benchmark's reference pool, both schemes
+        # every 7th entry of the benchmark's reference pool, both schemes; the
+        # pool cycles through four horizons, so a stride coprime with 4 takes
+        # both dims at every horizon
         ref = json.loads(POOL.read_text())
-        for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::8]:
+        for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::7]:
             problem = stable_problem(seed=seed, dim=dims, horizon=horizon)
             for scheme, want in (("pade", m_pade), ("taylor", m_taylor)):
                 assert find_min_steps(problem, scheme, ref["order"], ref["eps"]) == want, \
@@ -263,8 +265,8 @@ class TestSearchReadsTheError:
                 == doubling_search(problem, "taylor", 9, 1e-10))
 
     def test_probe_count_guard(self, monkeypatch):
-        # the every-8th pool subset of test_pool_m_star: 580 probes against
-        # the oracle's 842
+        # the every-7th pool subset of test_pool_m_star: 1213 probes against
+        # the oracle's 2048
         calls = []
 
         def counted(problem, params):
@@ -276,7 +278,7 @@ class TestSearchReadsTheError:
         counts = {}
         for search in (find_min_steps, doubling_search):
             calls.clear()
-            for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::8]:
+            for dims, seed, horizon, m_pade, m_taylor in ref["rows"][::7]:
                 problem = stable_problem(seed=seed, dim=dims, horizon=horizon)
                 for scheme, want in (("pade", m_pade), ("taylor", m_taylor)):
                     assert search(problem, scheme, ref["order"], ref["eps"]) == want
