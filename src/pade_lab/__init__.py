@@ -39,16 +39,13 @@ from .system_builder import (
 from .classical_solver import (
     SolutionBundle,
     solve_block_forward,
-    solve_dense,
     state_distance,
 )
 from .analysis import (
     AnalysisReport,
     condition_report,
-    explicit_w_inverse,
     inverse_norm_bounds,
     propagator_drift,
-    taylor_inverse_growth,
 )
 from .circuit_sim import (
     BlockEncodingUnitary,

@@ -47,6 +47,7 @@ from .system_builder import (
     csr_systems,
     dense_patterns,
     kron_sum,
+    scaled_by_step,
 )
 
 #: Largest system dimension that ``condition_report`` measures unless asked.
@@ -81,8 +82,8 @@ def _largest_eigenvalue(op, v0, ncv=None) -> float:
     try:
         return spla.eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, tol=1e-12,
                           return_eigenvectors=False)[0]
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
+    except spla.ArpackError as exc:  # ArpackNoConvergence among them
+        raise ConvergenceError(f"Lanczos failed: {exc}") from exc
 
 
 def _lanczos_start(dim: int, complex_: bool) -> np.ndarray:
@@ -232,7 +233,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     ``classical_solver.substitution_pair``.
     """
     d, w = lay.block_rows, blocks.shape[-1]
-    xh = blocks * lay.h
+    xh = scaled_by_step(blocks, lay.h)
     ends = [0, -1] if real else slice(None)
     if d * w <= SLICE_DENSE_CAP:
         # the stack is rebound to the inverses, freed before their SVD
@@ -334,60 +335,6 @@ def l_norm_bound(k: int, h: float, norm_a: float) -> float:
     """||L||_2 <= beta_1 h ||A|| + 3 with beta_1 = 1/2 for equal orders."""
     beta1 = float(pade_coefficients(k, k).ratio_beta[0])
     return beta1 * h * norm_a + 3.0
-
-
-# ------------------------------------------------------------- W inverse ---
-
-def explicit_w_inverse(matrix_a, step: float, order: int) -> np.ndarray:
-    """Closed-form blocks of the one-step inverse: powers of -Ah, coefficient
-    ratios, and a single denominator inverse as prefactor."""
-    a = np.asarray(matrix_a, dtype=complex)
-    n = a.shape[0]
-    k = order
-    d = pade_coefficients(k, k).den_floats
-    x = a * step
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(k):
-        powers.append(powers[-1] @ (-x))
-    den = sum(d[j] * powers[j] for j in range(k + 1))
-    lu = sla.lu_factor(den)
-    out = np.zeros((n * (k + 1), n * (k + 1)), dtype=complex)
-    blocks = out.reshape(k + 1, n, k + 1, n)
-    root = math.sqrt(k + 1)
-    for r in range(1, k + 2):
-        lam = k + 1 - r
-        for s in range(1, k + 2):
-            if s == 1:
-                b = root * d[lam] * powers[lam]
-            else:
-                t = k + 2 - s
-                if lam >= t:
-                    b = (d[lam] / d[t]) * sum(d[j] * powers[j + lam - t] for j in range(t))
-                else:
-                    b = -(d[lam] / d[t]) * sum(d[j] * powers[j + lam - t] for j in range(t, k + 1))
-            blocks[r - 1, :, s - 1] = sla.lu_solve(lu, b)
-    return out
-
-
-def taylor_inverse_growth(matrix_a, step: float, order: int) -> tuple[float, float]:
-    """(lower bound, measured) for the inverse norm of the truncated-series block.
-
-    The lower bound is the norm of the first block column of the inverse,
-    sqrt(sum_{j<=k} ||A h||^{2j} / (j!)^2).  By Cauchy-Schwarz it is at least
-    T_k(||A h||)/sqrt(k+1), with T_k(x) = sum_{j<=k} x^j/j!.  That floor
-    approaches exp(||A h||)/sqrt(k+1) only once k exceeds ||A h||: at
-    ||A h|| = 10, k = 9 it is 3189.7, since T_9(10) is only 0.458 e^10.
-    The rational block stays bounded instead.
-    """
-    a = np.asarray(matrix_a, dtype=complex)
-    if not pade_core.is_hermitian(a):
-        raise ClassificationError("growth bound derived for Hermitian input")
-    k = order
-    nah = float(np.linalg.norm(a * step, 2))
-    bound = math.sqrt(sum(nah ** (2 * j) / math.factorial(j) ** 2 for j in range(k + 1)))
-    w = SCHEMES["taylor"](k).one_step(a * step)
-    measured = float(np.linalg.norm(np.linalg.inv(w), 2))
-    return bound, measured
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,6 @@ a time, factoring the (identical) diagonal block once; ``march_solution`` and
 ``propagated_terminal`` reaches the terminal state by powering the one-step
 map of ``step_map``, and ``substitution_pair`` applies L^-1 and L^-H by the
 same elimination.
-``solve_dense`` is the deliberately-naive oracle the structured path is tested
-against.
 """
 
 from __future__ import annotations
@@ -19,20 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    DegenerateTargetError,
-    SingularBlockError,
-    SizeError,
-    SolveResidualError,
-)
+from .errors import DegenerateTargetError, SingularBlockError, SolveResidualError
 from .error_bounds import SolverParams
 from .pade_core import OdeProblem
-from .system_builder import SCHEMES, BlockLayout, BlockSystem, Scheme, block_layout, build_rhs
+from .system_builder import (
+    SCHEMES,
+    BlockLayout,
+    BlockSystem,
+    Scheme,
+    block_layout,
+    build_rhs,
+    scaled_by_step,
+)
 
-DENSE_DIM_CAP = 4096
-#: Residual gates, relative to ||rhs||, of the structured solver and the dense oracle.
+#: Residual gate, relative to ||rhs||, of the structured solver.
 FORWARD_RESIDUAL_TOL = 1e-10
-DENSE_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,6 @@ class SolutionBundle:
     norm_c: float
     p_succ: float
     residual: float
-
-    def step_iterates(self) -> np.ndarray:
-        """Output iterate of every step: the scheme's signed readout sum of its z blocks."""
-        rec = SCHEMES[self.scheme](self.z_blocks.shape[1] - 1)
-        return rec.output(rec.stacked(self.z_blocks))
 
 
 def _pow2_scale(*arrays: np.ndarray) -> float:
@@ -96,6 +90,13 @@ def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[fl
     if c2 <= 0.0:
         raise DegenerateTargetError("solution vector has zero norm")
     return np.sqrt(c2) / scale, padding * term / c2
+
+
+def _bundle(scheme: str, rec: Scheme, stacks: np.ndarray, terminal: np.ndarray,
+            padding: int, residual: float = math.nan) -> SolutionBundle:
+    """The bundle of the march's (m, k+1, n) step ``stacks`` and ``terminal`` state."""
+    z = rec.stacked(stacks)
+    return SolutionBundle(scheme, z, terminal, padding, *_norms(z, terminal, padding), residual)
 
 
 def _factor_step_block(block: np.ndarray):
@@ -247,7 +248,7 @@ def _march_problem(problem: OdeProblem, params: SolverParams):
     bit the stacks and terminal state of ``solve_block_forward``."""
     lay = block_layout(problem, params)
     rec = SCHEMES[params.scheme](lay.k)
-    step_block = rec.one_step(problem.matrix_a * lay.h)
+    step_block = rec.one_step(scaled_by_step(problem.matrix_a, lay.h))
     return (rec, *_march(step_block, build_rhs(rec, lay, problem), rec, lay))
 
 
@@ -268,7 +269,7 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     lay = block_layout(problem, params)
     rec = SCHEMES[params.scheme](lay.k)
     n, width = lay.n, lay.step_width
-    lu, piv = _factor_step_block(rec.one_step(problem.matrix_a * lay.h))
+    lu, piv = _factor_step_block(rec.one_step(scaled_by_step(problem.matrix_a, lay.h)))
     cols = np.zeros((width, n, n + 1), dtype=complex)
     cols[0, :, :n] = rec.row_scale * np.eye(n)
     cols[rec.b_row, :, n] = rec.b_coef * lay.h * problem.vec_b
@@ -310,8 +311,7 @@ def march_solution(problem: OdeProblem, params: SolverParams) -> SolutionBundle:
     """The ``solve_block_forward`` bundle without assembling L: the same bytes
     in every field but ``residual``, which is NaN."""
     rec, stacks, terminal = _march_problem(problem, params)
-    z, p = rec.stacked(stacks), params.padding
-    return SolutionBundle(params.scheme, z, terminal, p, *_norms(z, terminal, p), math.nan)
+    return _bundle(params.scheme, rec, stacks, terminal, params.padding)
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
@@ -324,39 +324,16 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
     """
     lay = system.layout
     n, width = lay.n, lay.step_width
+    rec = SCHEMES[system.scheme](lay.k)
     step_block = system.matrix[: n * width, : n * width].toarray()
-    stacks, terminal = _march(step_block, system.rhs, SCHEMES[system.scheme](lay.k), lay)
-    bundle = bundle_from_vector(system, np.concatenate([stacks.ravel(), np.tile(terminal, lay.p)]))
+    stacks, terminal = _march(step_block, system.rhs, rec, lay)
+    solution = np.concatenate([stacks.ravel(), np.tile(terminal, lay.p)])
+    bundle = _bundle(system.scheme, rec, stacks, terminal, lay.p,
+                     _norm(system.matrix @ solution - system.rhs))
     if check_residual and bundle.residual > FORWARD_RESIDUAL_TOL * max(_norm(system.rhs), 1e-300):
         raise SolveResidualError(f"forward-substitution residual {bundle.residual:.3e} exceeds "
                                  f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
     return bundle
-
-
-def solve_dense(system: BlockSystem) -> np.ndarray:
-    """Ground-truth oracle: partial-pivoted LU on the densified matrix."""
-    lay = system.layout
-    if lay.dim > DENSE_DIM_CAP:
-        raise SizeError(f"dense oracle capped at dimension {DENSE_DIM_CAP}, got {lay.dim}")
-    dense = system.matrix.toarray()
-    lu = sla.lu_factor(dense)
-    sol = sla.lu_solve(lu, system.rhs)
-    sol += sla.lu_solve(lu, system.rhs - dense @ sol)
-    residual = float(np.linalg.norm(dense @ sol - system.rhs))
-    if residual > DENSE_RESIDUAL_TOL * max(float(np.linalg.norm(system.rhs)), 1e-300):
-        raise SolveResidualError(f"dense residual {residual:.3e} exceeds contract")
-    return sol
-
-
-def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBundle:
-    """Interpret a raw solution vector of the full system as a SolutionBundle."""
-    lay = system.layout
-    n, m, k, p = lay.n, lay.m, lay.k, lay.p
-    rec = SCHEMES[system.scheme](k)
-    z = rec.stacked(solution[:m * (k + 1) * n].reshape(m, k + 1, n)).astype(complex)
-    terminal = solution[lay.terminal_row() * n:(lay.terminal_row() + 1) * n]
-    residual = _norm(system.matrix @ solution - system.rhs)
-    return SolutionBundle(system.scheme, z, terminal, p, *_norms(z, terminal, p), residual)
 
 
 def state_distance(u, v) -> float:

@@ -259,12 +259,12 @@ class SolverParams:
 
 
 def make_params(steps: int, order: int, padding: int, horizon: float,
-                scheme: str = "pade", delta: float = 0.0) -> SolverParams:
+                scheme: str = "pade") -> SolverParams:
     """SolverParams with step_size = horizon/steps (m*h = T by construction)."""
     if int(steps) < 1:
         raise BoundsError(f"steps must be >= 1, got {steps}")
     return SolverParams(steps=int(steps), order=int(order), padding=int(padding),
-                        step_size=horizon / int(steps), scheme=scheme, delta=delta)
+                        step_size=horizon / int(steps), scheme=scheme, delta=0.0)
 
 
 def padding_rule(steps: int, step_size: float) -> int:

@@ -52,24 +52,20 @@ class SweepReport:
         return "\n".join([CSV_HEADER] + [r.csv() for r in self.rows]) + "\n"
 
 
-def random_stable_matrix(dim: int, seed: int, unit_norm: bool = False) -> np.ndarray:
+def random_stable_matrix(dim: int, seed: int) -> np.ndarray:
     """Random complex matrix whose eigenvalues all have negative real part.
 
     Sampler (recorded for reproducibility, no claim of any canonical
     distribution): eigenvalues with Re in [-2, -0.05] and Im in [-2, 2],
     conjugated by a random unitary pair with singular values log-spaced in
-    [1, 8] (condition 8, well under the 50 cap).  With ``unit_norm`` the
-    result is rescaled to spectral norm 1 up to 1e-10.
+    [1, 8] (condition 8, well under the 50 cap).
     """
     rng = np.random.default_rng(seed)
     eig = -rng.uniform(0.05, 2.0, size=dim) + 1j * rng.uniform(-2.0, 2.0, size=dim)
     q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     sim = q1 @ np.diag(np.logspace(0.0, np.log10(8.0), dim)) @ q2.conj().T
-    a = sim @ np.diag(eig) @ np.linalg.inv(sim)
-    if unit_norm:
-        a = a / np.linalg.norm(a, 2)
-    return a
+    return sim @ np.diag(eig) @ np.linalg.inv(sim)
 
 
 def _target(problem: OdeProblem, params: SolverParams) -> tuple[np.ndarray, float]:

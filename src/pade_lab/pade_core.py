@@ -244,8 +244,6 @@ def reference_expm(matrix_a, time: float) -> np.ndarray:
     a = _as_square(matrix_a)
     if not np.isfinite(a).all():
         raise ShapeError("matrix entries must be finite")
-    at = a * time
-    n = a.shape[0]
     if is_hermitian(a):
         w, v = np.linalg.eigh(a)
         with np.errstate(over="raise"):
@@ -254,9 +252,15 @@ def reference_expm(matrix_a, time: float) -> np.ndarray:
             except FloatingPointError as exc:
                 raise MagnitudeError(f"exp overflow for eigenvalue range {w.min()}..{w.max()}") from exc
         return (v * ew) @ v.conj().T
-    norm = np.linalg.norm(at, 2)
-    squarings = max(0, int(np.ceil(np.log2(norm / _SCALE_TARGET)))) if norm > _SCALE_TARGET else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = a * time
+        norm = np.linalg.norm(at, 2) if np.isfinite(at).all() else np.inf
+        scaled = norm / _SCALE_TARGET
+    if not np.isfinite(scaled):
+        raise MagnitudeError(f"||A t||_2 = {norm:.3e} is out of range at t = {time:.6g}")
+    squarings = max(0, int(np.ceil(np.log2(scaled)))) if norm > _SCALE_TARGET else 0
     x = at / (2.0**squarings)
+    n = a.shape[0]
     term = np.eye(n, dtype=complex)
     acc = np.eye(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -277,6 +277,16 @@ def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matr
     return matrices
 
 
+def scaled_by_step(x: np.ndarray, h: float) -> np.ndarray:
+    """X h for a matrix or stack X, the A h part of every block of L; an entry
+    that overflows raises ``MagnitudeError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh = x * h
+    if not np.isfinite(xh).all():
+        raise MagnitudeError(f"A h overflows at h = {h:.6g}")
+    return xh
+
+
 def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
     """The block geometry of ``problem`` discretized by ``params``."""
     return BlockLayout(n=problem.dim, m=params.steps, k=params.order,
@@ -300,7 +310,7 @@ def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSy
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
     lay = block_layout(problem, params)
     rec = SCHEMES[scheme](lay.k)
-    matrix, = csr_systems(rec, lay.m, lay.p, (problem.matrix_a * lay.h)[None])
+    matrix, = csr_systems(rec, lay.m, lay.p, scaled_by_step(problem.matrix_a, lay.h)[None])
     return BlockSystem(scheme, matrix, build_rhs(rec, lay, problem), lay)
 
 
@@ -317,43 +327,6 @@ def build_taylor_system(problem: OdeProblem, params: SolverParams) -> BlockSyste
 #: Scheme name -> builder, for the callers that read the entries of L: the
 #: exported matrix and a reported residual.
 BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
-
-
-def build_unreduced_pair(problem: OdeProblem, params: SolverParams,
-                         prev_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One unreduced step system (backward + forward halves) and its rhs.
-
-    Unknown stacking: z_k, ..., z_0, then zt_1, ..., zt_k, then the step
-    output.  Exists only to check the sign-parity identity between the two
-    halves; the production encoding eliminates the forward half.
-    """
-    if params.scheme != "pade":
-        raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants 'pade'")
-    n, k, h = problem.dim, params.order, params.step_size
-    eye = np.eye(n)
-    ah = problem.matrix_a * h
-    rec = SCHEMES["pade"](k)
-    coeffs = pade_core.pade_coefficients(k, k)
-    beta = coeffs.beta_floats
-    rows = 2 * k + 2
-    mat = np.zeros((rows * n, rows * n), dtype=complex)
-    # backward half: the one-step block with an unscaled summation row
-    unscaled = rec.s1.copy()
-    unscaled[0] = 1.0
-    mat[:(k + 1) * n, :(k + 1) * n] = kron_sum(unscaled, rec.b1, ah)
-    blocks = mat.reshape(rows, n, rows, n)
-    for j in range(1, k + 1):
-        # forward half: alpha_j = beta_j for equal orders
-        blocks[k + j, :, k + j - 1 if j > 1 else k] = -beta[j - 1] * ah
-        blocks[k + j, :, k + j] = eye
-    blocks[rows - 1, :, k:2 * k + 1] = -eye[:, None, :]
-    blocks[rows - 1, :, rows - 1] = eye
-
-    rhs = np.zeros(rows * n, dtype=complex)
-    rhs[:n] = prev_state
-    rhs[k * n:(k + 1) * n] = rec.b_coef * h * problem.vec_b
-    rhs[(k + 1) * n:(k + 2) * n] = float(coeffs.num_coeffs[1]) * h * problem.vec_b
-    return mat, rhs
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from pade_lab.analysis import (
     _normal_spectrum,
     _one_step_norms,
     condition_report,
-    explicit_w_inverse,
     extreme_singular_values,
     inverse_norm_bounds,
     propagator_drift,
-    taylor_inverse_growth,
     w_inverse_bound,
 )
 from pade_lab.errors import (
@@ -53,6 +51,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
+from oracles import explicit_w_inverse, taylor_inverse_growth
 
 
 def _tridiag_problem(seed=0):
@@ -347,6 +346,12 @@ class TestCertifiedBracket:
         csr, = csr_systems(SCHEMES["pade"](9), 20, 1, np.array([[[-np.inf]]]))
         with pytest.raises(MagnitudeError):
             _largest_singular_value(csr)
+
+    def test_overflowing_step_is_typed(self):
+        # A = [[-1e308]] at h = 50: A h overflows before any block system is formed
+        problem = OdeProblem(matrix_a=[[-1e308]], vec_b=[0.0], vec_x0=[1.0], horizon=1000.0)
+        with pytest.raises(MagnitudeError, match="A h overflows"):
+            extreme_singular_values(problem, make_params(20, 9, 1, 1000.0, "pade"))
 
 
 class TestInverseNormBounds:

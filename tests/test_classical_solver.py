@@ -12,12 +12,10 @@ from pade_lab.classical_solver import (
     _norm,
     _norms,
     _pow2_scale,
-    bundle_from_vector,
     march_solution,
     march_terminal,
     propagated_terminal,
     solve_block_forward,
-    solve_dense,
     state_distance,
     step_map,
     substitution_pair,
@@ -36,6 +34,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
+from oracles import bundle_from_vector, solve_dense, step_iterates
 
 BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
 
@@ -100,7 +99,7 @@ class TestForwardSolve:
                              vec_x0=rng.normal(size=3), horizon=2.0)
         m, k = 4, 5
         bundle = solve_block_forward(build_pade_system(problem, make_params(m, k, 1, 2.0, "pade")))
-        iterates = bundle.step_iterates()
+        iterates = step_iterates(bundle)
         prop = pade_propagator(a, 0.5, k)
         shift = np.linalg.solve(a, problem.vec_b)
         state = problem.vec_x0.astype(complex)

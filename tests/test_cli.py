@@ -27,6 +27,10 @@ def problem_file(tmp_path, rng):
     return path
 
 
+_HUGE_STEP = '{"n":1,"a":[[-1e308]],"b":[0],"x0":[1],"T":1000}'
+_HUGE_COUPLING = '{"n":2,"a":[[-1,1e308],[0,-1]],"b":[1,1],"x0":[1,1],"T":1}'
+
+
 def run(argv):
     buf = io.StringIO()
     code = run_cli(argv, stdout=buf)
@@ -388,6 +392,33 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"capped: no m <= {experiments.M_SEARCH_CAP} reaches eps=1e-10 for taylor " \
                "at T=1e+06, seed 0; no row" in err
+
+    # A h = -1e308 * 50 overflows; the second A has a finite A t whose 2-norm
+    # overflows the scaling of the reference exponential, and at m = 20 its
+    # block systems drive the Lanczos run into an ARPACK error
+    @pytest.mark.parametrize("doc,argv", [
+        (_HUGE_STEP, ["build", "--m", "20", "--k", "9"]),
+        (_HUGE_STEP, ["solve", "--m", "20", "--k", "9"]),
+        (_HUGE_STEP, ["sweep-m", "--k", "9", "--eps", "1e-8", "--m-min", "19", "--m-max", "20"]),
+        (_HUGE_STEP, ["analyze", "--m", "20", "--k", "9"]),
+        (_HUGE_STEP, ["sweep-k", "--eps", "1e-8"]),
+        (_HUGE_COUPLING, ["analyze", "--m", "2", "--k", "3"]),
+        (_HUGE_COUPLING, ["sweep-k", "--eps", "1e-8"]),
+        (_HUGE_COUPLING, ["analyze", "--m", "20", "--k", "9"]),
+    ], ids=["step-build", "step-solve", "step-sweep-m", "step-analyze", "step-sweep-k",
+            "coupling-analyze-m2", "coupling-sweep-k", "coupling-analyze-m20"])
+    def test_overflowing_problem_is_typed(self, doc, argv, tmp_path, capfd):
+        path = tmp_path / "problem.json"
+        path.write_text(doc)
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["--out", str(out_dir), argv[0], "--problem", str(path), *argv[1:]])
+        assert code == EXIT_USAGE
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # Each subcommand's flags, and flags that keep a run with otherwise valid

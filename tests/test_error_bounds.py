@@ -28,6 +28,7 @@ from pade_lab.error_bounds import (
 from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
 
 from conftest import random_contraction, random_hermitian_nsd
+from oracles import step_iterates
 
 TABULATED_THETA = {5: 1.49, 6: 2.36, 7: 3.34, 8: 4.40, 9: 5.53, 10: 6.69, 11: 7.89,
                12: 9.11, 13: 10.35, 14: 11.61, 15: 12.88, 16: 14.16, 17: 15.45,
@@ -356,7 +357,7 @@ class TestChains:
             assert params.steps <= math.ceil(np.linalg.norm(a, 2) * 12.0)
             bundle = solve_block_forward(build_pade_system(problem, params))
             traj = classical_reference_trajectory(problem, params)
-            iterates = bundle.step_iterates()
+            iterates = step_iterates(bundle)
             norm_a = np.linalg.norm(a, 2)
             norm_b = np.linalg.norm(problem.vec_b)
             for i in range(params.steps):

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pade_lab.classical_solver import solve_dense
 from pade_lab.circuit_sim import primitive_targets
 from pade_lab.errors import (
     ConsistencyError,
@@ -23,7 +22,6 @@ from pade_lab.system_builder import (
     SCHEMES,
     build_pade_system,
     build_taylor_system,
-    build_unreduced_pair,
     classical_reference_trajectory,
     csr_systems,
     dense_patterns,
@@ -36,6 +34,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
+from oracles import build_unreduced_pair, solve_dense
 
 
 def small_problem(n=2, horizon=1.0, a=None, b=None, x0=None):
