@@ -7,7 +7,8 @@ eigenvalues of a normal A or else A itself: L has the singular values of the
 block systems S (x) I_b + B (x) (X_i h), and ||W^-1|| and the signed row come
 from the blocks S1 (x) I_b + B1 (x) (X_i h) of W, so L is never assembled.  Every
 block system and block of W is expanded by ``system_builder``.  The drift of
-a normal A comes from the scalars exp(-lam_i h) R(lam_i h).
+a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of any other
+A from the R(A h) that ``classical_solver`` reads off W.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import error_bounds, pade_core
-from .classical_solver import substitution_pair
+from .classical_solver import _step_rows, substitution_pair
 from .errors import (
     ClassificationError,
     ConsistencyError,
@@ -36,7 +37,6 @@ from .pade_core import (
     OdeProblem,
     is_nsd_spectrum,
     pade_coefficients,
-    pade_propagator,
     reference_expm,
 )
 from .system_builder import (
@@ -378,14 +378,13 @@ def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.nd
     """
     coeffs = pade_coefficients(order, order)
     x = lam * step
-    num = np.polyval(coeffs.num_floats[::-1], x)
-    den = np.polyval(coeffs.den_floats[::-1], -x)
-    if not (np.isfinite(num).all() and np.isfinite(den).all() and den.all()):
-        raise SingularDenominatorError(
-            f"denominator of order {order} vanishes or overflows on the spectrum of A h",
-            cond_estimate=np.inf)
     head, first, reach = _remainder_head(order)
     with np.errstate(over="ignore", invalid="ignore"):
+        num = np.polyval(coeffs.num_floats[::-1], x)
+        den = np.polyval(coeffs.den_floats[::-1], -x)
+        if not (np.isfinite(num).all() and np.isfinite(den).all() and den.all()):
+            raise SingularDenominatorError(
+                f"denominator of order {order} vanishes or overflows on the spectrum of A h")
         back = np.exp(-x)
         if not np.isfinite(back).all():
             raise MagnitudeError(f"exp(-A h) overflows for max |lam h| = {np.abs(x).max():.3e}")
@@ -411,7 +410,12 @@ def _drift(a: np.ndarray, spectrum, step: float, order: int, steps: int) -> Drif
     if spectrum is not None:
         vals = _scalar_drift(spectrum[0], step, order, steps)
     else:
-        r = pade_propagator(a, step, order)
+        try:  # R(A h), the P of the Padé step map
+            r = _step_rows(SCHEMES["pade"](order), scaled_by_step(a, step),
+                           np.zeros(a.shape[0]))[:, :-1]
+        except SingularBlockError as exc:
+            raise SingularDenominatorError(
+                f"denominator of order {order} is singular at A h: {exc}") from exc
         back = reference_expm(a, -step)
         gmat = back @ r  # exp(-Ah) and R commute, both functions of A
         eye = np.eye(a.shape[0])
@@ -511,9 +515,14 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
 
 def _transient_growth(a: np.ndarray, spectrum, horizon: float, steps: int) -> float:
     """c(A) = max over the refined step grid of ||exp(A t)||_2; for a normal A it
-    is exp(max Re lam t), monotone in t, so it peaks at t = 0 or T."""
+    is exp(max Re lam t), monotone in t, so it peaks at t = 0 or T.  A c(A) that
+    overflows raises ``MagnitudeError``, as ``reference_expm`` does."""
     if spectrum is not None:
-        return max(1.0, float(np.exp(spectrum[0].real.max() * horizon)))
+        with np.errstate(over="ignore"):
+            growth = np.exp(spectrum[0].real.max() * horizon)
+        if not np.isfinite(growth):
+            raise MagnitudeError(f"exp(max Re lam T) overflows at T = {horizon:.6g}")
+        return max(1.0, float(growth))
     ts = np.linspace(0.0, horizon, steps * GROWTH_REFINE + 1)
     return float(max(np.linalg.norm(reference_expm(a, t), 2) for t in ts))
 

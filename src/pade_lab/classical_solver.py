@@ -11,7 +11,6 @@ same elimination.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,20 +99,20 @@ def _bundle(scheme: str, rec: Scheme, stacks: np.ndarray, terminal: np.ndarray,
 
 
 def _factor_step_block(block: np.ndarray):
-    """LU factors (lu, piv) of the one-step block every step of L shares.
+    """LU factors (lu, piv) of the one-step block every step of L shares, by
+    LAPACK ``getrf`` on a copy of ``block``.
 
     Extreme step norms produce wildly scaled yet nonsingular pivots, so only
-    an essentially exact zero pivot flags singularity; near-singular damage
-    is caught by the march's non-finite check and the residual gate.
+    an essentially exact zero pivot (or a non-finite entry) flags
+    singularity; near-singular damage is caught by the march's non-finite
+    check and the residual gate.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(block)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularBlockError(f"diagonal block is singular: {exc}", step_index=1) from exc
+    if not np.isfinite(block).all():
+        raise SingularBlockError("diagonal block has a non-finite entry", step_index=1)
+    getrf, = sla.get_lapack_funcs(("getrf",), (block,))
+    lu, piv, info = getrf(block)
     pivots = np.abs(np.diag(lu))
-    if pivots.min() <= 1e-20 * max(pivots.max(), 1e-300):
+    if info > 0 or pivots.min() <= 1e-20 * max(pivots.max(), 1e-300):
         raise SingularBlockError(
             f"diagonal block pivot ratio {pivots.min() / max(pivots.max(), 1e-300):.2e}",
             step_index=1)
@@ -259,26 +258,38 @@ def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
 
 def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """The (n+1)x(n+1) matrix M = [[P, q], [0, 1]] of one step x -> P x + q
-    of the scheme, so that m steps carry [x0; 1] to M^m [x0; 1].
-
-    A step solves W z = row_scale e_0 (x) x + b_coef h e_{b_row} (x) b, as the
-    march does, and reads x' = ``rec.output(z)``: one factorization of W and
-    one ``getrs`` over the n + 1 columns of that rhs give P and q.  A singular
-    W raises ``SingularBlockError`` at step 1.
+    of the scheme, so that m steps carry [x0; 1] to M^m [x0; 1]: P and q
+    from ``_step_rows`` at A h and b_coef h b.  A singular W raises
+    ``SingularBlockError`` at step 1.
     """
     lay = block_layout(problem, params)
     rec = SCHEMES[params.scheme](lay.k)
-    n, width = lay.n, lay.step_width
-    lu, piv = _factor_step_block(rec.one_step(scaled_by_step(problem.matrix_a, lay.h)))
-    cols = np.zeros((width, n, n + 1), dtype=complex)
-    cols[0, :, :n] = rec.row_scale * np.eye(n)
-    cols[rec.b_row, :, n] = rec.b_coef * lay.h * problem.vec_b
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
-    sol = getrs(lu, piv, cols.reshape(width * n, n + 1), overwrite_b=True)[0]
+    n = lay.n
     step = np.zeros((n + 1, n + 1), dtype=complex)
-    step[:n] = rec.output(np.moveaxis(sol.reshape(width, n, n + 1), 2, 0)).T
+    step[:n] = _step_rows(rec, scaled_by_step(problem.matrix_a, lay.h),
+                          rec.b_coef * lay.h * problem.vec_b)
     step[n, n] = 1.0
     return step
+
+
+def _step_rows(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray) -> np.ndarray:
+    """[P | q], the n x (n+1) map x -> P x + q of one step of the scheme
+    ``rec`` at the step matrix ``ah`` = A h, with ``b_rhs`` the b entry of
+    every step's rhs.  For the Padé scheme P is R_kk(A h) = D(A h)^-1 N(A h).
+
+    A step solves W z = row_scale e_0 (x) x + e_{b_row} (x) b_rhs, as the
+    march does, and reads x' = ``rec.output(z)``: one factorization of
+    W = ``rec.one_step(ah)`` and one ``getrs`` over the n + 1 columns of
+    that rhs give P and q.  A singular W raises ``SingularBlockError``.
+    """
+    n, width = len(b_rhs), len(rec.signs)
+    lu, piv = _factor_step_block(rec.one_step(ah))
+    cols = np.zeros((width, n, n + 1), dtype=complex)
+    cols[0, :, :n] = rec.row_scale * np.eye(n)
+    cols[rec.b_row, :, n] = b_rhs
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
+    sol = getrs(lu, piv, cols.reshape(width * n, n + 1), overwrite_b=True)[0]
+    return rec.output(np.moveaxis(sol.reshape(width, n, n + 1), 2, 0)).T
 
 
 def propagated_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:

@@ -14,14 +14,7 @@ class ShapeError(PadeLabError):
 
 
 class SingularDenominatorError(PadeLabError):
-    """The denominator polynomial evaluated at the matrix is numerically singular.
-
-    Carries a rough condition estimate of the denominator in ``cond_estimate``.
-    """
-
-    def __init__(self, message, cond_estimate=None):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
+    """The denominator polynomial evaluated at the matrix is numerically singular."""
 
 
 class MagnitudeError(PadeLabError):

@@ -4,11 +4,15 @@ Each one reaches a result the package's structured paths reach, by a longer
 and plainer route: a dense LU of the assembled L (``solve_dense``), the
 unreduced two-half step system (``build_unreduced_pair``), the closed-form
 one-step inverse (``explicit_w_inverse``), the first block column of the
-truncated-series inverse (``taylor_inverse_growth``), or the raw solution
-vector read back into a bundle (``bundle_from_vector``, ``step_iterates``).
+truncated-series inverse (``taylor_inverse_growth``), the raw solution
+vector read back into a bundle (``bundle_from_vector``, ``step_iterates``),
+or the one-step propagator R_kk(A h) = D^-1 N from Horner polynomials of the
+matrix (``eval_pade_parts``, ``pade_propagator``), where the package reads
+it off the one-step block W.
 """
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -16,8 +20,14 @@ import scipy.linalg as sla
 from pade_lab import pade_core
 from pade_lab.classical_solver import SolutionBundle, _norm, _norms
 from pade_lab.error_bounds import SolverParams
-from pade_lab.errors import ClassificationError, ConsistencyError, SizeError, SolveResidualError
-from pade_lab.pade_core import OdeProblem, pade_coefficients
+from pade_lab.errors import (
+    ClassificationError,
+    ConsistencyError,
+    SingularDenominatorError,
+    SizeError,
+    SolveResidualError,
+)
+from pade_lab.pade_core import OdeProblem, PadeCoefficients, _as_square, pade_coefficients
 from pade_lab.system_builder import SCHEMES, BlockSystem, kron_sum
 
 DENSE_DIM_CAP = 4096
@@ -144,3 +154,51 @@ def taylor_inverse_growth(matrix_a, step: float, order: int) -> tuple[float, flo
     w = SCHEMES["taylor"](k).one_step(a * step)
     measured = float(np.linalg.norm(np.linalg.inv(w), 2))
     return bound, measured
+
+
+def eval_pade_parts(scaled_matrix, coeffs: PadeCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate numerator N(X) and denominator D(X) by Horner recursion.
+
+    Exact for nilpotent X since only finitely many powers contribute.
+    """
+    x = _as_square(scaled_matrix)
+    n = x.shape[0]
+    eye = np.eye(n)
+    nc = coeffs.num_floats
+    num = nc[-1] * eye
+    for c in nc[-2::-1]:
+        num = num @ x + c * eye
+    dc = coeffs.den_floats
+    y = -x
+    den = dc[-1] * eye
+    for c in dc[-2::-1]:
+        den = den @ y + c * eye
+    return num, den
+
+
+def pade_propagator(matrix_a, step: float, order: int) -> np.ndarray:
+    """One-step diagonal Pade propagator R_kk(A h) = D^{-1} N.
+
+    Solved by partial-pivoted LU with one step of iterative refinement; the
+    backward error ||N - D R||_2 / (||D||_2 ||R||_2) must stay below 1e-12 or
+    the denominator is reported singular together with a condition estimate.
+    """
+    a = _as_square(matrix_a)
+    coeffs = pade_coefficients(order, order)
+    num, den = eval_pade_parts(a * step, coeffs)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(den)
+        prop = sla.lu_solve((lu, piv), num)
+        prop += sla.lu_solve((lu, piv), num - den @ prop)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise SingularDenominatorError(f"denominator of order {order} is singular: {exc}") from exc
+    residual = np.linalg.norm(num - den @ prop, 2)
+    scale = np.linalg.norm(den, 2) * np.linalg.norm(prop, 2) if np.isfinite(residual) else 0.0
+    if not residual <= 1e-12 * scale:
+        cond = np.linalg.cond(den)
+        raise SingularDenominatorError(
+            f"denominator solve residual {residual:.3e} exceeds 1e-12*||D||*||R||; "
+            f"cond(D)~{cond:.3e}")
+    return prop

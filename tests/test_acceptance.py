@@ -29,7 +29,7 @@ from pade_lab.circuit_sim import (
     zero_matrix_encoding,
 )
 from pade_lab.experiments import find_min_order, find_min_steps, random_stable_matrix
-from pade_lab.pade_core import OdeProblem, pade_propagator
+from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import (
     build_pade_system,
     build_taylor_system,
@@ -41,6 +41,7 @@ import io
 from oracles import (
     build_unreduced_pair,
     bundle_from_vector,
+    pade_propagator,
     solve_dense,
     step_iterates,
     taylor_inverse_growth,

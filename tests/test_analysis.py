@@ -36,9 +36,7 @@ from pade_lab.error_bounds import make_params, theta_max
 from pade_lab.experiments import random_stable_matrix
 from pade_lab.pade_core import (
     OdeProblem,
-    eval_pade_parts,
     pade_coefficients,
-    pade_propagator,
     reference_expm,
 )
 from pade_lab.system_builder import (
@@ -51,7 +49,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import explicit_w_inverse, taylor_inverse_growth
+from oracles import eval_pade_parts, explicit_w_inverse, pade_propagator, taylor_inverse_growth
 
 
 def _tridiag_problem(seed=0):
@@ -539,9 +537,34 @@ class TestDrift:
         assert report.drift_max <= delta * np.linalg.norm(a, 2) * m * h
 
     def test_vanishing_denominator_is_typed(self):
-        # the [1/1] denominator 1 - x/2 vanishes at x = A h = 2
+        # the [1/1] denominator 1 - x/2 vanishes at x = A h = 2; for the
+        # non-normal A h = [[2, 1], [0, 2]], D_1(A h) = I - A h / 2 is singular,
+        # and so is the one-step block W the drift reads R(A h) from
         with pytest.raises(SingularDenominatorError):
             propagator_drift(np.array([[2.0]]), 1.0, 1, 3)
+        with pytest.raises(SingularDenominatorError):
+            propagator_drift(np.array([[2.0, 1.0], [0.0, 2.0]]), 1.0, 1, 3)
+
+    def test_non_normal_drift_matches_oracle(self):
+        # the drift of a non-normal A reads R(A h) off the one-step block W; the
+        # oracle is the Horner D^-1 N of tests/oracles.py behind exp(-A h), and
+        # the i-th power of exp(-A h) R(A h) has norm at most exp(i ||A h||)
+        for seed in range(60):
+            local = np.random.default_rng(7000 + seed)
+            n, k = int(local.integers(2, 9)), int(local.choice([3, 7, 15]))
+            norm_ah, steps = float(local.uniform(0.1, 10.0)), int(local.integers(1, 5))
+            h = float(local.uniform(0.5, 2.0))
+            a = random_contraction(local, n, norm=norm_ah / h)
+            assert _normal_spectrum(a) is None
+            gmat = reference_expm(a, -h) @ pade_propagator(a, h, k)
+            acc = np.eye(n, dtype=complex)
+            oracle = []
+            for _ in range(steps):
+                acc = acc @ gmat
+                oracle.append(np.linalg.norm(np.eye(n) - acc, 2))
+            drift = propagator_drift(a, h, k, steps).per_step
+            tol = 1e-12 * np.exp(norm_ah * np.arange(1, steps + 1))
+            assert (np.abs(drift - oracle) <= tol).all()
 
     def test_large_step_violates(self):
         report = propagator_drift(np.array([[-5.0]]), 1.0, 1, 3)

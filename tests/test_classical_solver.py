@@ -34,7 +34,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import bundle_from_vector, solve_dense, step_iterates
+from oracles import bundle_from_vector, pade_propagator, solve_dense, step_iterates
 
 BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
 
@@ -92,8 +92,6 @@ class TestForwardSolve:
         assert count == 36
 
     def test_step_iterates_match_recurrence(self, rng):
-        from pade_lab.pade_core import pade_propagator
-
         a = random_contraction(rng, 3, norm=0.8)
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=3),
                              vec_x0=rng.normal(size=3), horizon=2.0)

@@ -29,6 +29,8 @@ def problem_file(tmp_path, rng):
 
 _HUGE_STEP = '{"n":1,"a":[[-1e308]],"b":[0],"x0":[1],"T":1000}'
 _HUGE_COUPLING = '{"n":2,"a":[[-1,1e308],[0,-1]],"b":[1,1],"x0":[1,1],"T":1}'
+_HUGE_SKEW = '{"n":2,"a":[[0,1.7e308],[-1.7e308,0]],"b":[0,0],"x0":[1,1],"T":1e-10}'
+_HUGE_NORMAL = '{"n":2,"a":[[-1e300,1e300],[1e300,-1e300]],"b":[1,1],"x0":[1,1],"T":1}'
 
 
 def run(argv):
@@ -395,7 +397,9 @@ class TestBadInput:
 
     # A h = -1e308 * 50 overflows; the second A has a finite A t whose 2-norm
     # overflows the scaling of the reference exponential, and at m = 20 its
-    # block systems drive the Lanczos run into an ARPACK error
+    # block systems drive the Lanczos run into an ARPACK error.  A - A^H of the
+    # skew A overflows in the Hermitian test and its growth exp(max Re lam T)
+    # overflows; N and D of the normal A overflow on its spectrum
     @pytest.mark.parametrize("doc,argv", [
         (_HUGE_STEP, ["build", "--m", "20", "--k", "9"]),
         (_HUGE_STEP, ["solve", "--m", "20", "--k", "9"]),
@@ -405,8 +409,12 @@ class TestBadInput:
         (_HUGE_COUPLING, ["analyze", "--m", "2", "--k", "3"]),
         (_HUGE_COUPLING, ["sweep-k", "--eps", "1e-8"]),
         (_HUGE_COUPLING, ["analyze", "--m", "20", "--k", "9"]),
+        (_HUGE_SKEW, ["analyze", "--m", "2", "--k", "3"]),
+        (_HUGE_SKEW, ["sweep-k", "--eps", "1e-8"]),
+        (_HUGE_NORMAL, ["analyze", "--m", "2", "--k", "3"]),
     ], ids=["step-build", "step-solve", "step-sweep-m", "step-analyze", "step-sweep-k",
-            "coupling-analyze-m2", "coupling-sweep-k", "coupling-analyze-m20"])
+            "coupling-analyze-m2", "coupling-sweep-k", "coupling-analyze-m20",
+            "skew-analyze", "skew-sweep-k", "normal-analyze"])
     def test_overflowing_problem_is_typed(self, doc, argv, tmp_path, capfd):
         path = tmp_path / "problem.json"
         path.write_text(doc)

@@ -25,10 +25,10 @@ from pade_lab.error_bounds import (
     select_parameters,
     theta_max,
 )
-from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
+from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import step_iterates
+from oracles import pade_propagator, step_iterates
 
 TABULATED_THETA = {5: 1.49, 6: 2.36, 7: 3.34, 8: 4.40, 9: 5.53, 10: 6.69, 11: 7.89,
                12: 9.11, 13: 10.35, 14: 11.61, 15: 12.88, 16: 14.16, 17: 15.45,

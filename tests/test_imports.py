@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package and the test oracles stay apart.
 
 A name that moves out of a module can strand the imports it needed; this
 check reads each module's syntax tree with the standard library alone.
-``__init__`` re-exports its imports and is exempt.
+``__init__`` re-exports its imports and is exempt.  No name that
+``tests/oracles.py`` defines is defined in or exported by the package, and
+``pade_core`` stays numpy-only.
 """
 
 import ast
@@ -11,6 +14,26 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pade_lab"
+ORACLES = Path(__file__).resolve().with_name("oracles.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defined_names(tree: ast.Module, imports: bool = False) -> set[str]:
+    """Names bound at the top level of a module by def, class or assignment,
+    and by import too with ``imports``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -29,8 +52,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
                                           if p.name != "__init__.py"))
 def test_every_import_is_used(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_tree(PACKAGE / module)) == []
+
+
+def test_oracles_stay_out_of_the_package():
+    oracles = _defined_names(_tree(ORACLES))
+    assert {"pade_propagator", "solve_dense"} <= oracles
+    for path in sorted(PACKAGE.glob("*.py")):
+        shared = oracles & _defined_names(_tree(path), imports=path.name == "__init__.py")
+        assert not shared, f"{path.name} defines or exports the oracles {sorted(shared)}"
+
+
+def test_pade_core_is_numpy_only():
+    modules = set()
+    for node in ast.walk(_tree(PACKAGE / "pade_core.py")):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_a_stranded_import_is_found():

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from pade_lab.errors import MagnitudeError, OrderRangeError, ShapeError, SingularDenominatorError
 from pade_lab.pade_core import (
     OdeProblem,
-    eval_pade_parts,
     pade_coefficients,
-    pade_propagator,
     reference_expm,
 )
 
 from conftest import random_hermitian_nsd
+from oracles import eval_pade_parts, pade_propagator
 
 
 def exact_coefficient(p, q, j, which):

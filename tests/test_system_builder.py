@@ -17,7 +17,7 @@ from pade_lab.errors import (
     OrderRangeError,
 )
 from pade_lab.error_bounds import make_params
-from pade_lab.pade_core import OdeProblem, pade_coefficients, pade_propagator, reference_expm
+from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 from pade_lab.system_builder import (
     SCHEMES,
     build_pade_system,
@@ -34,7 +34,7 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import build_unreduced_pair, solve_dense
+from oracles import build_unreduced_pair, pade_propagator, solve_dense
 
 
 def small_problem(n=2, horizon=1.0, a=None, b=None, x0=None):
