@@ -188,11 +188,13 @@ def _is_normal(a: np.ndarray) -> bool:
 
 
 def _normal_spectrum(a: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """(eigenvalues, Hermitian flag) of a normal A; None for any other A."""
-    if not _is_normal(a):
-        return None
+    """(eigenvalues, Hermitian flag) of a normal A; None for any other A.  A
+    Hermitian A (``pade_core.is_hermitian``) skips the commutator test of
+    ``_is_normal``: ``eigvalsh`` reads it within a tighter error (docs/DECISIONS.md)."""
     if pade_core.is_hermitian(a):
         return np.linalg.eigvalsh(a), True
+    if not _is_normal(a):
+        return None
     return np.linalg.eigvals(a), False
 
 
@@ -218,8 +220,8 @@ def _top(stack: np.ndarray) -> float:
 
 
 def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
-                           real: bool) -> tuple[float, float]:
-    """(sigma_max, sigma_min) over the block systems M_i = S (x) I_b + B (x) (X_i h)
+                           real: bool) -> tuple[float, float, np.ndarray | None]:
+    """(sigma_max, sigma_min, W^-1) over the block systems M_i = S (x) I_b + B (x) (X_i h)
     of the scheme ``rec`` on ``lay``, one per diagonal block X_i of ``blocks``.
 
     sigma_max is convex in X, so for ``real`` scalar blocks only the two end
@@ -230,16 +232,21 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     sigma_min is 1/||M^-1||_2, never the last singular value of M, which floors
     at eps sigma_max; above ``SLICE_DENSE_CAP`` it comes from one Lanczos on the
     direct sum of the M_i, applied by the block substitution of
-    ``classical_solver.substitution_pair``.
+    ``classical_solver.substitution_pair``.  M_i is block lower triangular with
+    the one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense
+    path returns a copy of the leading (k+1) b square of each M_i^-1, the stack
+    of the W_i^-1; the Lanczos path returns None.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = scaled_by_step(blocks, lay.h)
     ends = [0, -1] if real else slice(None)
     if d * w <= SLICE_DENSE_CAP:
-        # the stack is rebound to the inverses, freed before their SVD
+        # the stack is rebound to the inverses, freed before their SVD; the
+        # W_i^-1 are copied out, so no view keeps the inverses alive
         stack = kron_sum(*dense_patterns(rec, lay.m, lay.p), xh)
         smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
-        return smax, 1.0 / _top(stack)
+        lead = len(rec.s1) * w
+        return smax, 1.0 / _top(stack), stack[:, :lead, :lead].copy()
     systems = csr_systems(rec, lay.m, lay.p, xh[ends])
     if w == 1:
         smax = 0.0
@@ -253,7 +260,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     v0 = _lanczos_start(dim, complex_=not real)
     inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
     inv_sq = _largest_eigenvalue(inv_op, v0)
-    return smax, float(1.0 / np.sqrt(inv_sq))
+    return smax, float(1.0 / np.sqrt(inv_sq)), None
 
 
 @dataclass(frozen=True)
@@ -265,6 +272,7 @@ class _Measure:
     norm_a: float
     cases: tuple[str, ...]
     sigma: tuple[float, float]
+    w_inverse: np.ndarray | None
 
 
 #: The cases the bounds are stated for, in the order ``condition_report``
@@ -274,19 +282,20 @@ _CASES = {"hermitian_nsd": "matrix is not Hermitian negative semi-definite",
 
 
 def _measure(a: np.ndarray, params: SolverParams) -> _Measure:
-    """One ``_normal_spectrum``, ``_diagonal_blocks`` and sigma(L) of A on the
-    system of ``params``, ||A||_2 (max |lam_i| for a normal A, else the 2-norm)
-    and the ``_CASES`` that A h falls in: hermitian_nsd by its eigenvalues,
-    unit_norm when h ||A||_2 <= 1 + 1e-12."""
+    """One ``_normal_spectrum``, ``_diagonal_blocks``, sigma(L) and W^-1 (see
+    ``_block_singular_values``) of A on the system of ``params``, ||A||_2 (max
+    |lam_i| for a normal A, else the 2-norm) and the ``_CASES`` that A h falls
+    in: hermitian_nsd by its eigenvalues, unit_norm when h ||A||_2 <= 1 + 1e-12."""
     spectrum = _normal_spectrum(a)
     blocks, real = _diagonal_blocks(a, spectrum)
     lay = BlockLayout(a.shape[0], params.steps, params.order, params.padding, params.step_size)
-    sigma = _block_singular_values(SCHEMES[params.scheme](lay.k), lay, blocks, real)
+    smax, smin, w_inverse = _block_singular_values(SCHEMES[params.scheme](lay.k), lay, blocks, real)
     norm_a = float(np.linalg.norm(a, 2)) if spectrum is None else float(np.abs(spectrum[0]).max())
     holds = (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0]),
              lay.h * norm_a <= 1.0 + 1e-12)
     return _Measure(spectrum, blocks, norm_a,
-                    tuple(case for case, ok in zip(_CASES, holds) if ok), sigma)
+                    tuple(case for case, ok in zip(_CASES, holds) if ok), (smax, smin),
+                    w_inverse)
 
 
 def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[float, float]:
@@ -372,16 +381,22 @@ def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.nd
 
     g - 1 cancels where g is near 1.  So wherever |x| = |lam h| is within the
     reach of ``_remainder_head``, where the last term of the remainder series
-    sum c_i x^i is below the rounding of g - 1, g - 1 is that series; and
-    wherever |g - 1| < 1/2, g^i - 1 is expm1(i log1p(g - 1)) rather than the
-    i-th power minus 1.
+    sum c_i x^i is below the rounding of g - 1, g - 1 is that series.  Past
+    the reach it is the series where that last term is below the rounding of
+    the direct g - 1, about eps |g| (sum |n_i| |x|^i / |N| + sum |d_i| |x|^i / |D|),
+    and the direct value elsewhere.  Wherever |g - 1| < 1/2, g^i - 1 is
+    expm1(i log1p(g - 1)) rather than the i-th power minus 1.
     """
     coeffs = pade_coefficients(order, order)
     x = lam * step
     head, first, reach = _remainder_head(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        num = np.polyval(coeffs.num_floats[::-1], x)
-        den = np.polyval(coeffs.den_floats[::-1], -x)
+        # N(x) and D(-x) by one Horner loop, each lane the operations of np.polyval
+        lanes = np.stack((x, -x))
+        parts = np.zeros_like(lanes)
+        for c in np.stack((coeffs.num_floats, coeffs.den_floats), axis=1)[::-1, :, None]:
+            parts = parts * lanes + c
+        num, den = parts
         if not (np.isfinite(num).all() and np.isfinite(den).all() and den.all()):
             raise SingularDenominatorError(
                 f"denominator of order {order} vanishes or overflows on the spectrum of A h")
@@ -390,12 +405,18 @@ def _scalar_drift(lam: np.ndarray, step: float, order: int, steps: int) -> np.nd
             raise MagnitudeError(f"exp(-A h) overflows for max |lam h| = {np.abs(x).max():.3e}")
         g = back * num / den
         gm1 = g - 1.0
-        near = np.abs(x) <= reach
-        if near.any():
+        series = np.abs(x) <= reach
+        if not series.all():
+            far, ax = ~series, np.abs(x[~series])
+            rounding = np.finfo(float).eps * np.abs(g[far]) * (
+                np.polyval(coeffs.num_floats[::-1], ax) / np.abs(num[far])
+                + np.polyval(coeffs.den_floats[::-1], ax) / np.abs(den[far]))
+            series[far] = abs(head[-1]) * ax ** (first + len(head) - 1) < rounding
+        if series.any():
             # x^first, x^(first + 1), ... by running products
-            powers = np.repeat(x[near][None], len(head), axis=0)
+            powers = np.repeat(x[series][None], len(head), axis=0)
             powers[0] **= first
-            gm1[near] = head @ np.cumprod(powers, axis=0)
+            gm1[series] = head @ np.cumprod(powers, axis=0)
         small = np.abs(gm1) < 0.5
         i = np.arange(1.0, steps + 1.0)[:, None]
         powers = np.expm1(i * _log1p(np.where(small, gm1, 0.0)))
@@ -457,17 +478,21 @@ class AnalysisReport:
     satisfied: dict = field(default_factory=dict)
 
 
-def _one_step_norms(rec, xh: np.ndarray) -> tuple[float, float]:
+def _one_step_norms(rec, xh: np.ndarray, winv: np.ndarray | None = None) -> tuple[float, float]:
     """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block of ``rec``.
 
     The similarity of ``_diagonal_blocks`` takes W to the direct sum of the
     W_i = S1 (x) I_b + B1 (x) xh_i and the signed row to the block diagonal of
     (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
+    ``winv`` is the stack of the W_i^-1 where the caller has it; a scalar block
+    (b = 1) has a 1 x (k+1) signed row, whose 2-norm is its Euclidean norm.
     """
     r, w = xh.shape[:2]
-    winv = _inverse(rec.one_step(xh), "a one-step block")
+    if winv is None:
+        winv = _inverse(rec.one_step(xh), "a one-step block")
     rows = rec.signs @ winv.reshape(r, len(rec.signs), -1)  # (signs (x) I_b) W_i^-1
-    return _top(winv), _top(rows.reshape(r, w, -1))
+    row = np.linalg.norm(rows, axis=-1).max() if w == 1 else _top(rows.reshape(r, w, -1))
+    return _top(winv), float(row)
 
 
 def _report(meas: _Measure, params: SolverParams, case: str | None, rows: dict,
@@ -504,7 +529,7 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     if case not in meas.cases:
         raise ClassificationError(_CASES.get(case, f"unknown case {case!r}"))
     k = params.order
-    w, row = _one_step_norms(SCHEMES["pade"](k), meas.blocks * params.step_size)
+    w, row = _one_step_norms(SCHEMES["pade"](k), meas.blocks * params.step_size, meas.w_inverse)
     b_w, b_row = w_inverse_bound(k, case), signed_row_contraction_bound(k)
     rows = {"w_inv": (w, b_w)}
     if case == "hermitian_nsd":
@@ -515,11 +540,16 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
 
 def _transient_growth(a: np.ndarray, spectrum, horizon: float, steps: int) -> float:
     """c(A) = max over the refined step grid of ||exp(A t)||_2; for a normal A it
-    is exp(max Re lam t), monotone in t, so it peaks at t = 0 or T.  A c(A) that
-    overflows raises ``MagnitudeError``, as ``reference_expm`` does."""
+    is exp(max Re lam t), monotone in t, so it peaks at t = 0 or T.  max Re lam
+    of a normal non-Hermitian A is the top eigenvalue of its Hermitian part
+    A/2 + A^H/2, whose error scales with ||A + A^H||, not with ||A|| as the
+    real parts of its eigenvalues do.  A c(A) that overflows raises
+    ``MagnitudeError``, as ``reference_expm`` does."""
     if spectrum is not None:
+        vals, hermitian = spectrum
+        top = vals.max() if hermitian else np.linalg.eigvalsh(a / 2 + a.conj().T / 2)[-1]
         with np.errstate(over="ignore"):
-            growth = np.exp(spectrum[0].real.max() * horizon)
+            growth = np.exp(top * horizon)
         if not np.isfinite(growth):
             raise MagnitudeError(f"exp(max Re lam T) overflows at T = {horizon:.6g}")
         return max(1.0, float(growth))

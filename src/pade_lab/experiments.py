@@ -102,7 +102,8 @@ def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRo
 
 def _search_target(problem: OdeProblem, scheme: str, order: int) -> tuple[np.ndarray, float]:
     """The one reference of a search: x(T) does not depend on the probe, so it
-    is the reference trajectory's terminal state at m = 1."""
+    is the reference trajectory's terminal state at m = 1.  That trajectory
+    reads only n, m and h, so the reference of either scheme serves both."""
     return _target(problem, make_params(1, order, 1, problem.horizon, scheme))
 
 
@@ -154,7 +155,12 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> 
     is some passing m whose m - 1 fails.
     """
     _check_eps(eps)
-    target = _search_target(problem, scheme, order)
+    return _min_steps(problem, scheme, order, eps, _search_target(problem, scheme, order))
+
+
+def _min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
+               target: tuple[np.ndarray, float]) -> int:
+    """``find_min_steps`` against the ``_search_target`` ``target`` of ``problem``."""
     q = SCHEMES[scheme](order).error_order
 
     def error(m: int) -> float:
@@ -237,6 +243,7 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> S
     """
     if not seeds or not horizons:
         raise SearchError("empty seed or horizon list")
+    _check_eps(eps)
     report = SweepReport()
     ones = np.ones(dims)
     means: dict[str, dict[float, float]] = {scheme: {} for scheme in SCHEMES}
@@ -247,9 +254,10 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> S
         for seed in seeds:
             a = random_stable_matrix(dims, seed)
             problem = OdeProblem(matrix_a=a, vec_b=ones, vec_x0=ones, horizon=float(horizon))
+            target = _search_target(problem, "pade", order)  # for both schemes
             for scheme in SCHEMES:
                 try:
-                    m_star = find_min_steps(problem, scheme, order, eps)
+                    m_star = _min_steps(problem, scheme, order, eps, target)
                 except SearchError as exc:
                     capped.append(f"{exc} at T={horizon:g}, seed {seed}")
                     continue

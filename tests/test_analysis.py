@@ -8,12 +8,14 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pade_lab import system_builder
+from pade_lab import analysis, system_builder
 from pade_lab.analysis import (
+    NORMALITY_TOL,
     SLICE_DENSE_CAP,
     _block_singular_values,
     _diagonal_blocks,
     _gram_band,
+    _is_normal,
     _largest_singular_value,
     _normal_spectrum,
     _one_step_norms,
@@ -35,7 +37,9 @@ from pade_lab.errors import (
 from pade_lab.error_bounds import make_params, theta_max
 from pade_lab.experiments import random_stable_matrix
 from pade_lab.pade_core import (
+    HERMITIAN_TOL,
     OdeProblem,
+    is_hermitian,
     pade_coefficients,
     reference_expm,
 )
@@ -46,6 +50,7 @@ from pade_lab.system_builder import (
     build_pade_system,
     build_taylor_system,
     csr_systems,
+    dense_patterns,
 )
 
 from conftest import random_contraction, random_hermitian_nsd
@@ -85,6 +90,21 @@ _SWEEP_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "r
 def _non_normal_problem():
     a = random_stable_matrix(4, 7)
     return OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=5.0)
+
+
+def _drift_60_digits(lam, h, k, steps):
+    """max_j |g_j^i - 1|, i = 1..steps, from the eigenvalues lam_j in 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    coeffs = pade_coefficients(k, k)
+    with mp.workdps(60):
+        gs = []
+        for x in (mp.mpc(complex(v)) * mp.mpf(h) for v in lam):
+            num = sum(mp.mpf(c.numerator) / c.denominator * x**j
+                      for j, c in enumerate(coeffs.num_coeffs))
+            den = sum(mp.mpf(c.numerator) / c.denominator * (-x)**j
+                      for j, c in enumerate(coeffs.den_coeffs))
+            gs.append(mp.exp(-x) * num / den)
+        return np.array([float(max(abs(g**i - 1) for g in gs)) for i in range(1, steps + 1)])
 
 
 def _assert_dense_oracle(got, dense):
@@ -177,9 +197,9 @@ class TestSpectralNorm:
             a = (q * lam) @ q.conj().T
             blocks, real = _diagonal_blocks(a, _normal_spectrum(a))
             assert blocks.shape == (3, 1, 1) and real == np.isrealobj(lam)
-            smax, smin = _block_singular_values(rec, lay, a[None], False)
+            smax, smin = _block_singular_values(rec, lay, a[None], False)[:2]
             assert smax / smin < 1e8
-            assert _block_singular_values(rec, lay, blocks, real) == pytest.approx(
+            assert _block_singular_values(rec, lay, blocks, real)[:2] == pytest.approx(
                 (smax, smin), rel=1e-10, abs=0.0)
             assert _one_step_norms(rec, blocks * h) == pytest.approx(
                 _one_step_norms(rec, a[None] * h), rel=1e-10, abs=0.0)
@@ -227,8 +247,8 @@ class TestSpectralNorm:
         assert lay.dim > SLICE_DENSE_CAP
         rec = SCHEMES["taylor"](9)
         blocks, real = _diagonal_blocks(a, _normal_spectrum(a))
-        assert _block_singular_values(rec, lay, a[None], False) == pytest.approx(
-            _block_singular_values(rec, lay, blocks, real), rel=1e-12, abs=0.0)
+        assert _block_singular_values(rec, lay, a[None], False)[:2] == pytest.approx(
+            _block_singular_values(rec, lay, blocks, real)[:2], rel=1e-12, abs=0.0)
 
     def test_sparse_lu_is_never_called(self, monkeypatch):
         import scipy.sparse.linalg as spla
@@ -259,6 +279,27 @@ class TestSpectralNorm:
                                                      1.0 / scale),
                                           make_params(4, 3, 1, 1.0 / scale, scheme))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_hermitian_within_tolerance_takes_the_eigenvalues(self):
+        # Hermitian within HERMITIAN_TOL but not normal within NORMALITY_TOL:
+        # ||A A^H - A^H A||_F = 4 sqrt(2) eps > 1e-12 ||A||_F^2.  eigvalsh reads
+        # the Hermitian H of one triangle, ||A - H||_2 <= n 1e-12 max |a_ij|,
+        # so sigma(L) moves by at most h ||B||_2 times that (Weyl)
+        eps = 4e-13
+        a = np.diag([1.0, -1.0]) + np.array([[0.0, eps], [-eps, 0.0]])
+        assert is_hermitian(a) and not _is_normal(a)
+        assert np.abs(a - a.T).max() <= HERMITIAN_TOL
+        assert np.linalg.norm(a @ a.T - a.T @ a) > NORMALITY_TOL * np.linalg.norm(a) ** 2
+        blocks, real = _diagonal_blocks(a, _normal_spectrum(a))
+        assert blocks.shape == (2, 1, 1) and real
+        for scheme in ("pade", "taylor"):
+            lay = BlockLayout(2, 4, 3, 1, 0.25)
+            rec = SCHEMES[scheme](3)
+            norm_b = np.linalg.norm(dense_patterns(rec, 4, 1)[1], 2)
+            weyl = lay.h * norm_b * 2 * 1e-12 * np.abs(a).max()
+            got = np.array(_block_singular_values(rec, lay, blocks, real)[:2])
+            want = np.array(_block_singular_values(rec, lay, a[None], False)[:2])
+            assert (np.abs(got - want) <= weyl).all()
 
     @pytest.mark.parametrize("m", [1, 70])
     def test_singular_slice_is_typed(self, m):
@@ -438,6 +479,53 @@ class TestInverseNormBounds:
         assert rep.measured_signed_row == pytest.approx(
             np.linalg.norm(np.kron(rec.signs, np.eye(4)) @ winv, 2), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("path", ["dense-slices", "dense-one-block", "lanczos"])
+    def test_one_step_norms_match_explicit_inverse(self, path):
+        # ||W^-1|| and the signed row against inv(W_i) of the same diagonal
+        # blocks: read off the inverses of the block systems on the dense
+        # paths (a normal A's scalar slices; a non-normal A's one block, as
+        # verify-bounds --suite unit has it), inverted anew on the Lanczos path
+        rng = np.random.default_rng(31)
+        k, m = 7, (20 if path == "lanczos" else 2)
+        if path == "dense-one-block":
+            a, case = random_contraction(rng, 4, norm=1.0), "unit_norm"
+        else:
+            a, case = random_hermitian_nsd(rng, 5), "hermitian_nsd"
+        h = 1.0 / np.linalg.norm(a, 2)
+        blocks, _ = _diagonal_blocks(a, _normal_spectrum(a))
+        w = blocks.shape[-1]
+        assert w == (4 if path == "dense-one-block" else 1)
+        lay = BlockLayout(a.shape[0], m, k, 1, h)
+        assert (lay.block_rows * w > SLICE_DENSE_CAP) == (path == "lanczos")
+        rep = inverse_norm_bounds(make_params(m, k, 1, m * h, "pade"), a, case)
+        rec = SCHEMES["pade"](k)
+        winv = np.linalg.inv(rec.one_step(blocks * h))
+        rows = np.kron(rec.signs, np.eye(w)) @ winv
+        assert rep.measured_w_inv == pytest.approx(
+            max(np.linalg.norm(x, 2) for x in winv), rel=1e-14, abs=0.0)
+        assert rep.measured_signed_row == pytest.approx(
+            max(np.linalg.norm(x, 2) for x in rows), rel=1e-14, abs=0.0)
+
+    def test_work_guard(self, rng, monkeypatch):
+        # a normal A below the cap: one inverse (the block systems', which
+        # hold W^-1), and no commutator test for a Hermitian A
+        calls = []
+        for name in ("_inverse", "_is_normal"):
+            def counted(*args, fn=getattr(analysis, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(analysis, name, counted)
+        a = random_hermitian_nsd(rng, 5)
+        inverse_norm_bounds(make_params(2, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
+        propagator_drift(a, 0.75, 7, 2)
+        assert calls == ["_inverse"]
+        # a normal non-Hermitian A pays one commutator test and one inverse
+        calls.clear()
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        a = (q * np.array([-0.6 + 0.5j, -0.2 - 0.7j, 0.3j])) @ q.conj().T
+        inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"), a, "unit_norm")
+        assert calls == ["_is_normal", "_inverse"]
+
     def test_reports_agree(self):
         """The bound suites and ``analyze`` read one ||A||_2, so for the same
         Hermitian NSD A and step they print the same numbers."""
@@ -576,20 +664,6 @@ class TestDrift:
         # g_j lie within 1e-6 of 1, and a normal A whose eigenvalues are theirs
         # turned off the real axis; the reference is |g_j^i - 1| from the same
         # eigenvalues in 60 digits
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 60
-
-        def reference(lam, h, k, steps):
-            coeffs = pade_coefficients(k, k)
-            gs = []
-            for x in (mp.mpc(complex(v)) * mp.mpf(h) for v in lam):
-                num = sum(mp.mpf(c.numerator) / c.denominator * x**j
-                          for j, c in enumerate(coeffs.num_coeffs))
-                den = sum(mp.mpf(c.numerator) / c.denominator * (-x)**j
-                          for j, c in enumerate(coeffs.den_coeffs))
-                gs.append(mp.exp(-x) * num / den)
-            return np.array([float(max(abs(g**i - 1) for g in gs)) for i in range(1, steps + 1)])
-
         for seed in range(24):
             local = np.random.default_rng(9000 + seed)
             n, k = int(local.integers(2, 9)), int(local.choice([3, 7, 15]))
@@ -599,9 +673,17 @@ class TestDrift:
             lam = np.linalg.eigvalsh(a) * np.exp(1j * local.uniform(-1.5, 1.5, n))
             for mat in (a, (q * lam) @ q.conj().T):
                 got = propagator_drift(mat, h, k, 4).per_step
-                want = reference(_normal_spectrum(mat)[0], h, k, 4)
+                want = _drift_60_digits(_normal_spectrum(mat)[0], h, k, 4)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert mat is not a or want[0] < 1e-6
+
+    def test_beyond_the_series_reach(self):
+        # |x| = 15.2 lies past the reach 14.86 of the k = 15 series, where the
+        # series' last term (about 1.5e-15) is far below the rounding of the
+        # direct g - 1 at this complex x, off by 1e-7 relative
+        k, x = 15, -12.88 - 8.04j
+        got = propagator_drift(np.array([[x]]), 1.0, k, 1).per_step
+        assert got == pytest.approx(_drift_60_digits([x], 1.0, k, 1), rel=1e-10, abs=0.0)
 
 
 class TestLuIdentity:
@@ -674,3 +756,14 @@ class TestConditionReport:
         grid = max(np.linalg.norm(reference_expm(a, t), 2) for t in np.linspace(0.0, 2.0, 41))
         assert c_of_a(a) == pytest.approx(grid, rel=1e-12, abs=0.0)
         assert c_of_a(a) == pytest.approx(math.exp(0.6), rel=1e-15, abs=0.0)
+
+    def test_transient_growth_skew_hermitian(self):
+        # exp(A t) of a skew-Hermitian A is unitary; the real parts of eigvals
+        # carry about eps ||A|| = 2e-10 here, which read c(A) = 1.00000015
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = (b - b.conj().T) / 2
+        a *= 1e6 / np.linalg.norm(a, 2)
+        assert _normal_spectrum(a) is not None and not _normal_spectrum(a)[1]
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=1e3)
+        assert condition_report(problem, make_params(4, 3, 1, 1e3, "pade")).c_of_a == 1.0
