@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import error_bounds, pade_core
-from .classical_solver import _step_rows, substitution_pair
+from .classical_solver import _norm, _step_rows, substitution_pair
 from .errors import (
     ClassificationError,
     ConsistencyError,
@@ -570,7 +570,7 @@ def condition_report(problem: OdeProblem, params: SolverParams,
     a = problem.matrix_a
     meas = _measure(a, params)
     traj = classical_reference_trajectory(problem, params)
-    g = traj.g(float(np.linalg.norm(problem.vec_b))) if not traj.degenerate else None
+    g = traj.g(_norm(problem.vec_b)) if not traj.degenerate else None
     c_of_a = _transient_growth(a, meas.spectrum, params.horizon, lay.m)
     drift = (_drift(a, meas.spectrum, lay.h, lay.k, lay.m).drift_max
              if params.scheme == "pade" else None)

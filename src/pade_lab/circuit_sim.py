@@ -1,11 +1,12 @@
 """Gate-level block encodings of the assembled system, at desk scale.
 
-Circuits are recorded as explicit gate lists over named registers and
-realized as explicit unitaries, dense below ``_SPARSE_QUBITS`` wires and CSR
-from there (qubit 0 is the most significant wire; ancilla wires sit above the
-system wires, so the encoded matrix is the top-left block of the realized
-unitary).  Everything is exact and checkable: each stage is a unitary whose
-projection reproduces its target block up to the declared normalization.
+Circuits are recorded as explicit gate lists over named registers (qubit 0 is
+the most significant wire; ancilla wires sit above the system wires, so the
+encoded matrix is the top-left block of the unitary).  A stage is realized by
+dense gate products on the columns whose ancilla wires are |0>, the only ones
+its block reads, and certified unitary from its gate matrices, whose exact
+product U is.  Everything is checkable: each stage's projection reproduces its
+target block up to the declared normalization.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CompositionError, LayoutError, ShapeError, SizeError
 from .pade_core import is_hermitian
@@ -25,13 +25,6 @@ QUBIT_BUDGET = 12
 
 #: Gate on ||U^H U - I||_2 that every realized stage must meet.
 UNITARITY_TOL = 1e-12
-
-#: Stages of at least this many qubits are realized and checked as CSR
-#: products (docs/DECISIONS.md has the crossover).
-_SPARSE_QUBITS = 9
-
-#: Entries of one row panel of a CSR unitary's Gram matrix.
-_PANEL_ENTRIES = 2**18
 
 
 # ------------------------------------------------------------------ gates ---
@@ -111,6 +104,9 @@ class CircuitSpec:
 
     def validate(self):
         nq = self.total_qubits
+        ancilla = [r.ancilla for r in self.registers]
+        if ancilla != sorted(ancilla, reverse=True):
+            raise LayoutError("ancilla registers must sit above the system registers")
         for g in self.gates:
             touched = list(g.targets) + [c for c, _ in g.controls] + list(g.selector)
             if any(q < 0 or q >= nq for q in touched):
@@ -166,107 +162,65 @@ def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
     return ops
 
 
-def _sparse_gate(gate, targets, controls, nq: int) -> sp.csr_array:
-    """CSR operator of ``gate`` on ``targets`` under ``controls``, the
-    matrix ``_apply`` multiplies in.
-
-    A column j that meets the controls, with target bits b, holds column b
-    of the gate on the rows j takes with its target bits set to each a; any
-    other column is the identity's.
-    """
-    index = np.arange(2**nq)
-    meets = np.ones(index.size, dtype=bool)
-    for wire, val in controls:
-        meets &= (index >> (nq - 1 - wire)) & 1 == val
-    cols, idle = index[meets], index[~meets]
-    bits = np.zeros(cols.size, dtype=index.dtype)  # b, first target most significant
-    place = np.zeros(len(gate), dtype=index.dtype)  # a spread onto the target wires
-    for i, wire in enumerate(targets):
-        bits = bits << 1 | (cols >> (nq - 1 - wire)) & 1
-        place |= (np.arange(len(gate)) >> (len(targets) - 1 - i) & 1) << (nq - 1 - wire)
-    vals = gate[:, bits]
-    rows = (cols & ~np.bitwise_or.reduce(place))[None, :] | place[:, None]
-    keep = vals != 0
-    return sp.csr_array((np.concatenate([vals[keep], np.ones(idle.size)]),
-                         (np.concatenate([rows[keep], idle]),
-                          np.concatenate([np.broadcast_to(cols, rows.shape)[keep], idle]))),
-                        shape=(index.size, index.size))
-
-
 def _check_budget(nq: int):
     if nq > QUBIT_BUDGET:
         raise SizeError(f"{nq} qubits exceed the desk-scale budget {QUBIT_BUDGET}")
 
 
-def _stage_ops(spec: CircuitSpec) -> tuple[int, list]:
-    """(qubits, ``_dense_ops``) of a valid spec within the qubit budget."""
-    spec.validate()
-    _check_budget(spec.total_qubits)
-    return spec.total_qubits, _dense_ops(spec)
-
-
-def _realize_sparse(nq: int, ops) -> sp.csr_array:
-    """The gate list multiplied into a CSR identity, one CSR gate at a time."""
-    op = sp.eye_array(2**nq, dtype=complex, format="csr")
-    for gate, targets, controls in ops:
-        op = _sparse_gate(gate, targets, controls, nq) @ op
-    return op
-
-
 def realize_dense(spec: CircuitSpec) -> np.ndarray:
-    """Multiply the gate list into a dense unitary.
-
-    Below ``_SPARSE_QUBITS`` wires every gate is applied to the whole
-    identity by ``_apply``; from there the CSR product of
-    ``_realize_sparse`` is densified.
-    """
-    nq, ops = _stage_ops(spec)
-    if nq >= _SPARSE_QUBITS:
-        return _realize_sparse(nq, ops).toarray()
-    op = np.eye(2**nq, dtype=complex)
-    for gate, targets, controls in ops:
+    """Multiply the gate list of a valid spec within the qubit budget into
+    the columns of U whose input has every ancilla wire at |0>: the first
+    2^(qubits - ancillas) columns, all of U for a spec without ancillas."""
+    spec.validate()
+    nq = spec.total_qubits
+    _check_budget(nq)
+    op = np.eye(2**nq, 2 ** (nq - spec.ancilla_qubits), dtype=complex)
+    for gate, targets, controls in _dense_ops(spec):
         op = _apply(op, gate, targets, nq, controls)
     return op
 
 
 # --------------------------------------------------------- block encodings ---
 
-def _sparse_gram_square(u: sp.csr_array, rows: int) -> float:
-    """||U^H U - I||_F^2 of a CSR U, summed over its upper row panels of
-    ``rows`` rows.  E = U^H U - I is Hermitian, so each panel's diagonal
-    block counts once and the blocks right of it twice, for their mirror
-    images.
+def _gram_defect(u: np.ndarray) -> float:
+    """Certified upper bound on ||U^H U - I||_2 of a square U, exact whenever
+    it exceeds UNITARITY_TOL.
 
-    The identity is subtracted entry by entry: each term of ||G||_F^2 and
-    of the diagonal is about dim, so their difference would cancel to noise.
-    A diagonal entry the panel lacks contributes |0 - 1|^2.
+    The Frobenius norm bounds the 2-norm from above, so a Frobenius norm at or
+    below the gate already proves the gate and is returned as is; otherwise
+    the exact 2-norm of the same E = U^H U - I is computed by SVD.  Either way
+    ``defect <= UNITARITY_TOL`` gives the verdict of the exact 2-norm.
     """
-    adjoint = u.conj().T.tocsr()
-    square = 0.0
-    for i0 in range(0, u.shape[0], rows):
-        panel = adjoint[i0:i0 + rows] @ u[:, i0:]
-        width = panel.shape[0]
-        on_diag = np.repeat(np.arange(width), np.diff(panel.indptr)) == panel.indices
-        vals = np.where(on_diag, panel.data - 1.0, panel.data)
-        weight = np.where(panel.indices < width, 1.0, 2.0)
-        square += float(weight @ (vals.real**2 + vals.imag**2))
-        square += width - np.count_nonzero(on_diag)
-    return square
+    defect = u.conj().T @ u
+    defect[np.diag_indices_from(defect)] -= 1.0
+    frobenius = math.sqrt(np.vdot(defect, defect).real)
+    if frobenius <= UNITARITY_TOL:
+        return frobenius
+    return float(np.linalg.norm(defect, 2))
 
 
 @dataclass(frozen=True)
 class BlockEncodingUnitary:
-    """A unitary, dense or CSR, declared to hold target/alpha in its top-left block."""
+    """A unitary U declared to hold target/alpha in its top-left block.
 
-    unitary: np.ndarray | sp.csr_array
+    A realized stage holds the ``_dense_ops`` (matrix, targets, controls) of
+    its circuit in ``gates``, U being their product, and in ``unitary`` only
+    the columns of U whose ancilla wires are |0> (all of U without
+    ancillas).  An explicit U has ``gates`` None and is held whole.
+    """
+
+    unitary: np.ndarray
     alpha: float
     ancillas: int
     target_dim: int
+    gates: tuple | None = None
 
     def __post_init__(self):
         dim = self.unitary.shape[0]
-        if self.unitary.shape != (dim, dim) or dim & (dim - 1):
-            raise ShapeError("unitary must be square with power-of-two dimension")
+        cols = dim if self.gates is None else self.target_dim
+        if self.unitary.shape != (dim, cols) or dim & (dim - 1):
+            raise ShapeError("unitary must have power-of-two dimension and be square, "
+                             "or hold a stage's target columns")
         if self.alpha <= 0:
             raise CompositionError("normalization must be positive")
         if self.target_dim * 2**self.ancillas != dim:
@@ -274,39 +228,31 @@ class BlockEncodingUnitary:
 
     @property
     def projection(self) -> np.ndarray:
-        block = self.unitary[: self.target_dim, : self.target_dim]
-        return block if isinstance(block, np.ndarray) else block.toarray()
+        return self.unitary[: self.target_dim, : self.target_dim]
 
     @property
     def encoded(self) -> np.ndarray:
         return self.alpha * self.projection
 
     def unitarity_defect(self) -> float:
-        """Certified upper bound on ||U^H U - I||_2, exact whenever it exceeds
-        UNITARITY_TOL.
+        """Certified upper bound on ||U^H U - I||_2 of the exact product U of
+        the gate matrices, exact whenever an explicit U exceeds UNITARITY_TOL.
 
-        The Frobenius norm bounds the 2-norm from above, so a Frobenius norm
-        at or below the gate already proves the gate and is returned as is;
-        otherwise the exact 2-norm is computed by SVD.  Either way
-        ``defect <= UNITARITY_TOL`` gives the verdict of the exact 2-norm.
-
-        A CSR unitary sums ||E||_F^2, E = U^H U - I, over sparse row panels
-        of ``_PANEL_ENTRIES`` entries and is densified only when that misses
-        the gate.  A dense unitary (at most 8 qubits in a stage) forms E
-        once, for both norms.
+        Gate i gets the ``_gram_defect`` delta_i of its matrix G_i; under
+        controls it acts as G_i (+) I, with the same defect.  With
+        U_j = G_j U_{j-1},
+        U_j^H U_j - I = U_{j-1}^H (G_j^H G_j - I) U_{j-1} + (U_{j-1}^H U_{j-1} - I),
+        and ||U_{j-1}||^2 <= 1 + eps_{j-1}, so
+        eps_j <= delta_j (1 + eps_{j-1}) + eps_{j-1}.  The sum is accumulated
+        in that form, which keeps every digit of a single factor's delta; an
+        explicit U is its own single factor.
         """
-        u = self.unitary
-        if not isinstance(u, np.ndarray):
-            frobenius = math.sqrt(_sparse_gram_square(u, _PANEL_ENTRIES // u.shape[0]))
-            if frobenius <= UNITARITY_TOL:
-                return frobenius
-            u = u.toarray()
-        defect = u.conj().T @ u
-        defect[np.diag_indices_from(defect)] -= 1.0
-        frobenius = math.sqrt(np.vdot(defect, defect).real)
-        if frobenius <= UNITARITY_TOL:
-            return frobenius
-        return float(np.linalg.norm(defect, 2))
+        factors = [self.unitary] if self.gates is None else [g for g, _, _ in self.gates]
+        eps = 0.0
+        for gate in factors:
+            delta = _gram_defect(gate)
+            eps = eps + delta + eps * delta
+        return eps
 
 
 def verify_block_encoding(enc: BlockEncodingUnitary, target, tol: float = 1e-10) -> tuple[float, bool]:
@@ -326,19 +272,14 @@ def _qubits_for(value: int, what: str) -> int:
 
 
 def _encode(spec: CircuitSpec, alpha: float, target_dim: int) -> BlockEncodingUnitary:
-    """The realized stage: dense below ``_SPARSE_QUBITS`` wires, else held as CSR."""
-    if spec.total_qubits < _SPARSE_QUBITS:
-        unitary = realize_dense(spec)
-    else:
-        unitary = _realize_sparse(*_stage_ops(spec))
-    return BlockEncodingUnitary(unitary, alpha, spec.ancilla_qubits, target_dim)
+    """The realized stage: its target columns and the gates of its product."""
+    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim,
+                                tuple(_dense_ops(spec)))
 
 
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:
     """(1,1)-encoding of the zero matrix: an X on the ancilla moves everything out."""
-    spec = CircuitSpec(registers=(Register("a", 1, True), Register("n", n_qubits, False)),
-                       gates=[GateOp("X", (0,))])
-    return _encode(spec, 1.0, 2**n_qubits)
+    return BlockEncodingUnitary(np.kron(_X, np.eye(2**n_qubits)), 1.0, 1, 2**n_qubits)
 
 
 def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUnitary:
@@ -497,10 +438,14 @@ def _a_stage(a_encoding: BlockEncodingUnitary, step_h: float, **widths) -> _Stag
     Below alpha*h = 1 a rotation wire joins U_A and raises the normalization
     to 1/h; above it the surrounding stages carry the residual factor
     ``scale``.  That rotation makes U_A a kron as large as the stage, so it
-    is formed only once the stage is within the qubit budget.
+    is formed only once the stage is within the qubit budget.  U_A must be
+    held whole; a stage's target columns raise ``CompositionError``.
     """
+    ua = a_encoding.unitary
+    if ua.shape[0] != ua.shape[1]:
+        raise CompositionError("U_A must be a whole unitary, not a stage's target columns")
     alpha_h = a_encoding.alpha * step_h
-    ua, rotate = a_encoding.unitary, alpha_h < 1.0 - 1e-12
+    rotate = alpha_h < 1.0 - 1e-12
     scale = alpha_h if alpha_h > 1.0 + 1e-12 else 1.0
     st = _Stage(scale, d=a_encoding.ancillas + rotate, **widths)
     if rotate:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateTargetError, SingularBlockError, SolveResidualError
+from .errors import DegenerateTargetError, MagnitudeError, SingularBlockError, SolveResidualError
 from .error_bounds import SolverParams
 from .pade_core import OdeProblem
 from .system_builder import (
@@ -24,6 +24,7 @@ from .system_builder import (
     BlockLayout,
     BlockSystem,
     Scheme,
+    b_term,
     block_layout,
     build_rhs,
     scaled_by_step,
@@ -82,13 +83,18 @@ def _norm(vec: np.ndarray) -> float:
 
 
 def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[float, float]:
+    """(C, p_succ); a C beyond the double range raises ``MagnitudeError``."""
     scale = _pow2_scale(z_blocks, terminal)
     total_z = float(np.sum(np.abs(z_blocks * scale) ** 2))
     term = float(np.sum(np.abs(terminal * scale) ** 2))
     c2 = total_z + padding * term
     if c2 <= 0.0:
         raise DegenerateTargetError("solution vector has zero norm")
-    return np.sqrt(c2) / scale, padding * term / c2
+    with np.errstate(over="ignore"):
+        norm_c = np.sqrt(c2) / scale
+    if not np.isfinite(norm_c):
+        raise MagnitudeError("the normalization C of the solution overflows")
+    return norm_c, padding * term / c2
 
 
 def _bundle(scheme: str, rec: Scheme, stacks: np.ndarray, terminal: np.ndarray,
@@ -259,7 +265,7 @@ def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
 def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """The (n+1)x(n+1) matrix M = [[P, q], [0, 1]] of one step x -> P x + q
     of the scheme, so that m steps carry [x0; 1] to M^m [x0; 1]: P and q
-    from ``_step_rows`` at A h and b_coef h b.  A singular W raises
+    from ``_step_rows`` at A h and ``b_term``.  A singular W raises
     ``SingularBlockError`` at step 1.
     """
     lay = block_layout(problem, params)
@@ -267,7 +273,7 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     n = lay.n
     step = np.zeros((n + 1, n + 1), dtype=complex)
     step[:n] = _step_rows(rec, scaled_by_step(problem.matrix_a, lay.h),
-                          rec.b_coef * lay.h * problem.vec_b)
+                          b_term(rec, lay, problem))
     step[n, n] = 1.0
     return step
 

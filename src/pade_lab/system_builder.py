@@ -293,14 +293,23 @@ def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
                        p=params.padding, h=params.step_size)
 
 
+def b_term(rec: Scheme, lay: BlockLayout, problem: OdeProblem) -> np.ndarray:
+    """``b_coef * h * b``, the b entry of every step's rhs; an entry that
+    overflows raises ``MagnitudeError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bh = rec.b_coef * lay.h * problem.vec_b
+    if not np.isfinite(bh).all():
+        raise MagnitudeError(f"the b h term overflows at h = {lay.h:.6g}")
+    return bh
+
+
 def build_rhs(rec: Scheme, lay: BlockLayout, problem: OdeProblem) -> np.ndarray:
     """Right-hand side of L: ``row_scale * x0`` in the first row and
-    ``b_coef * h * b`` in row ``b_row`` of every step."""
+    ``b_term`` in row ``b_row`` of every step."""
     n = lay.n
     rhs = np.zeros(lay.dim, dtype=complex)
     rhs[:n] = rec.row_scale * problem.vec_x0
-    rhs.reshape(-1, n)[np.arange(lay.m) * lay.step_width + rec.b_row] = \
-        rec.b_coef * lay.h * problem.vec_b
+    rhs.reshape(-1, n)[np.arange(lay.m) * lay.step_width + rec.b_row] = b_term(rec, lay, problem)
     return rhs
 
 
@@ -343,10 +352,15 @@ class TrajectoryReference:
         return self.terminal_norm <= 1e-300
 
     def g(self, b_norm: float) -> float:
-        """max{max_t ||x(t)||, ||b||} / ||x(T)||."""
+        """max{max_t ||x(t)||, ||b||} / ||x(T)||; a g beyond the double range
+        raises ``MagnitudeError``."""
         if self.degenerate:
             raise DegenerateTargetError("terminal norm is zero; g is undefined")
-        return max(self.max_norm, b_norm) / self.terminal_norm
+        with np.errstate(over="ignore"):
+            g = max(self.max_norm, b_norm) / self.terminal_norm
+        if not np.isfinite(g):
+            raise MagnitudeError("g = max{max_t ||x(t)||, ||b||} / ||x(T)|| overflows")
+        return g
 
 
 def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) -> TrajectoryReference:

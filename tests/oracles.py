@@ -6,9 +6,11 @@ unreduced two-half step system (``build_unreduced_pair``), the closed-form
 one-step inverse (``explicit_w_inverse``), the first block column of the
 truncated-series inverse (``taylor_inverse_growth``), the raw solution
 vector read back into a bundle (``bundle_from_vector``, ``step_iterates``),
-or the one-step propagator R_kk(A h) = D^-1 N from Horner polynomials of the
+the one-step propagator R_kk(A h) = D^-1 N from Horner polynomials of the
 matrix (``eval_pade_parts``, ``pade_propagator``), where the package reads
-it off the one-step block W.
+it off the one-step block W, or the unitarity certificate of a circuit
+stage's whole U (``whole_unitary_defect``), where the package bounds it from
+the stage's gates.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from pade_lab import pade_core
+from pade_lab.circuit_sim import UNITARITY_TOL, BlockEncodingUnitary, _apply
 from pade_lab.classical_solver import SolutionBundle, _norm, _norms
 from pade_lab.error_bounds import SolverParams
 from pade_lab.errors import (
@@ -202,3 +205,19 @@ def pade_propagator(matrix_a, step: float, order: int) -> np.ndarray:
             f"denominator solve residual {residual:.3e} exceeds 1e-12*||D||*||R||; "
             f"cond(D)~{cond:.3e}")
     return prop
+
+
+def whole_unitary_defect(enc: BlockEncodingUnitary) -> float:
+    """Gram certificate of ||U^H U - I||_2 for the whole U of an encoding:
+    an explicit U as held, a realized stage's U with all 2^nq columns
+    multiplied out from its gates.  ||E||_F of E = U^H U - I when that meets
+    UNITARITY_TOL, else the exact 2-norm of E."""
+    u = enc.unitary
+    if enc.gates is not None:
+        nq = u.shape[0].bit_length() - 1
+        u = np.eye(2**nq, dtype=complex)
+        for gate, targets, controls in enc.gates:
+            u = _apply(u, gate, targets, nq, controls)
+    defect = u.conj().T @ u - np.eye(u.shape[0])
+    frobenius = float(np.linalg.norm(defect))
+    return frobenius if frobenius <= UNITARITY_TOL else float(np.linalg.norm(defect, 2))

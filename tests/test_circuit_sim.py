@@ -7,7 +7,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from pade_lab.circuit_sim import (
-    _SPARSE_QUBITS,
     QUBIT_BUDGET,
     THETA_1,
     THETA_2,
@@ -18,8 +17,7 @@ from pade_lab.circuit_sim import (
     GateOp,
     Register,
     _dense_ops,
-    _realize_sparse,
-    _stage_ops,
+    _encode,
     add_matrix,
     build_l_encoding,
     build_w_encoding,
@@ -37,6 +35,8 @@ from pade_lab.errors import CompositionError, LayoutError, ShapeError, SizeError
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients
 from pade_lab.system_builder import SCHEMES, build_pade_system, dense_patterns
+
+from oracles import whole_unitary_defect
 
 
 def random_hermitian_unit(seed, n=2, shrink=1.3):
@@ -76,6 +76,9 @@ class TestGateMachinery:
         spec = CircuitSpec(registers=(Register("a", 2, True),),
                            gates=[GateOp("UCRY", (0,), angles=(0.1,), selector=(1,))])
         with pytest.raises(LayoutError):
+            realize_dense(spec)
+        spec = CircuitSpec(registers=(Register("n", 1, False), Register("a", 1, True)))
+        with pytest.raises(LayoutError):  # the target columns are those of the top wires
             realize_dense(spec)
 
     def test_budget(self):
@@ -210,22 +213,23 @@ class TestRealizeBlocks:
     @pytest.mark.parametrize("seed", [pytest.param(seed, marks=pytest.mark.slow)
                                       for seed in (0, 1)])
     def test_column_blocks_match_kron_oracle(self, seed):
-        # nq = 10 is realized as a product of CSR gates
-        nq = 10
-        assert nq >= _SPARSE_QUBITS
-        spec = random_mixed_stage(seed, nq)
-        got = _realize_sparse(*_stage_ops(spec))
-        assert isinstance(got, sp.csr_array)
-        assert np.abs(got.toarray() - kron_product(spec)).max() <= 1e-13
-        assert np.array_equal(realize_dense(spec), got.toarray())
+        # nq = 10: a whole U of 2^10 columns, on the one dense path
+        spec = random_mixed_stage(seed, 10)
+        assert np.abs(realize_dense(spec) - kron_product(spec)).max() <= 1e-13
 
     def test_dense_path_matches_kron_oracle(self):
-        nq = 8
-        assert nq < _SPARSE_QUBITS
-        spec = random_mixed_stage(0, nq)
+        spec = random_mixed_stage(0, 8)
+        want = kron_product(spec)
         got = realize_dense(spec)
-        assert isinstance(got, np.ndarray)
-        assert np.abs(got - kron_product(spec)).max() <= 1e-13
+        assert got.shape == (2**8, 2**8)
+        assert np.abs(got - want).max() <= 1e-13
+        # the same gates with the top three wires as ancillas: only the 2^5
+        # columns whose input holds them at |0> are realized
+        split = CircuitSpec(registers=(Register("a", 3, True), Register("n", 5, False)),
+                            gates=spec.gates, opaques=spec.opaques)
+        got = realize_dense(split)
+        assert got.shape == (2**8, 2**5)
+        assert np.abs(got - want[:, :2**5]).max() <= 1e-13
 
     def test_l_encoding_memory(self):
         # the 11-qubit L of the C09 grid: n = 2, m = 2, k + 1 = 4, alpha h < 1
@@ -239,11 +243,9 @@ class TestRealizeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert full.unitary.shape == (2**11, 2**11)
-        assert peak - start <= 1.5 * dense_bytes
-        # held and checked as CSR: no dense U ever existed
-        assert isinstance(full.unitary, sp.csr_array)
-        assert peak - start <= 0.5 * dense_bytes
+        # held and checked as its 32 target columns and gates: no whole U ever existed
+        assert full.unitary.shape == (2**11, 2 * 2 * 4 * 2)
+        assert peak - start <= dense_bytes / 16
 
 
 class TestUnitarityCertificate:
@@ -288,31 +290,48 @@ class TestUnitarityCertificate:
         assert defect == pytest.approx(eps, rel=1e-3, abs=0.0)
         assert (defect <= UNITARITY_TOL) is passes
 
-    def test_sparse_panel_sum_is_frobenius_norm(self):
-        # a CSR U = I + N with N off the diagonal: E = N + N^H + N^H N has
-        # entries in every sparse Gram panel, and |N^H N| is below the last bit
-        # of the diagonal, which the identity must cancel exactly
-        dim = 2**10
-        rng = np.random.default_rng(7)
-        rows, cols = rng.integers(dim, size=(2, 4 * dim))
-        vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
-        vals[rows == cols] = 0.0
-        noise = sp.csr_array((vals, (rows, cols)), shape=(dim, dim))
-        u = sp.eye_array(dim, dtype=complex, format="csr") + 1e-13 * noise / sp.linalg.norm(noise)
-        dense = u.toarray()
-        frobenius = np.linalg.norm(dense.conj().T @ dense - np.eye(dim))
-        assert 1e-13 < frobenius <= UNITARITY_TOL
-        enc = BlockEncodingUnitary(u, 1.0, 0, dim)
-        assert enc.unitarity_defect() == pytest.approx(frobenius, rel=1e-9, abs=0.0)
-        assert isinstance(enc.unitary, sp.csr_array)
+    def test_target_columns_need_their_gates(self):
+        # without gates a held U is its own single factor, so it must be whole
+        with pytest.raises(ShapeError):
+            BlockEncodingUnitary(np.eye(16, 8, dtype=complex), 1.0, 1, 8)
 
     @pytest.mark.parametrize("eps,passes", [(0.9e-12, True), (2e-12, False)])
-    def test_sparse_frobenius_miss_falls_back_to_exact_norm(self, eps, passes):
-        u = sp.diags_array(np.full(16, math.sqrt(1.0 + eps)), dtype=complex, format="csr")
-        defect = BlockEncodingUnitary(u, 1.0, 0, 16).unitarity_defect()
-        assert defect == svd_defect(u.toarray())
-        assert defect == pytest.approx(eps, rel=1e-3, abs=0.0)
+    def test_one_opaque_gate_off_unitarity(self, eps, passes):
+        # H gates around one controlled OPAQUE gate sqrt(1 + eps) I: the gate
+        # bound is eps plus the rounding of the H gates
+        hs = [GateOp("H", (q,)) for q in range(4)]
+        spec = CircuitSpec(registers=(Register("a", 1, True), Register("n", 3, False)),
+                           gates=hs + [GateOp("OPAQUE", (1, 3), ((2, 1),), label="V")] + hs,
+                           opaques={"V": np.diag(np.full(4, math.sqrt(1.0 + eps))).astype(complex)})
+        stage = _encode(spec, 1.0, 8)
+        assert stage.unitary.shape == (16, 8)
+        defect = stage.unitarity_defect()
+        assert defect == pytest.approx(eps, rel=0.0, abs=1e-14)
         assert (defect <= UNITARITY_TOL) is passes
+        assert (whole_unitary_defect(stage) <= UNITARITY_TOL) is passes
+
+    def test_gate_bound_verdict_matches_whole_unitary_on_c09_grid(self):
+        # every stage of the C09 grid: each L and its primitives
+        cases = 0
+        for nq in (0, 1):
+            n = 2**nq
+            for m in (1, 2):
+                for k1 in (2, 4):
+                    for kind in ("zero", "hermitian"):
+                        if kind == "zero":
+                            enc = zero_matrix_encoding(nq)
+                        else:
+                            rng = np.random.default_rng(80_000 + cases)
+                            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                            a = (raw + raw.conj().T) / 2
+                            enc = hermitian_encoding(a / (1.4 * np.linalg.norm(a, 2)))
+                        stages = [build_l_encoding(enc, 1.0, m, k1 - 1),
+                                  *primitive_encodings(k1 - 1, m).values()]
+                        for stage in stages:
+                            bound, whole = stage.unitarity_defect(), whole_unitary_defect(stage)
+                            assert (bound <= UNITARITY_TOL) == (whole <= UNITARITY_TOL)
+                        cases += 1
+        assert cases == 16
 
 
 class TestPrimitives:
@@ -461,6 +480,14 @@ class TestFullEncoding:
         with pytest.raises(ShapeError):
             hermitian_encoding(np.zeros((0, 0)))  # no qubit register holds dimension 0
 
+    def test_stage_columns_refused_as_u_a(self):
+        stage = build_w_encoding(hermitian_encoding(random_hermitian_unit(2)), 1.0, 1)
+        assert stage.unitary.shape == (2**stage.ancillas * 4, 4)
+        with pytest.raises(CompositionError):
+            build_w_encoding(stage, 1.0, 1)
+        with pytest.raises(CompositionError):
+            build_l_encoding(stage, 1.0, 1, 1)
+
     def test_wrong_alpha_residual(self):
         enc = identity_encoding(2)
         wrong = BlockEncodingUnitary(enc.unitary, 2.0, 0, 4)
@@ -477,11 +504,19 @@ class TestFullEncoding:
         # n = 2, k + 1 = 4, alpha h < 1: m = 4 fills the budget, m = 8 exceeds it
         a = random_hermitian_unit(12)
         enc = hermitian_encoding(a)
-        full = build_l_encoding(enc, 1.0, 4, 3)
-        assert full.unitary.shape == (2**QUBIT_BUDGET, 2**QUBIT_BUDGET)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            full = build_l_encoding(enc, 1.0, 4, 3)
+            assert full.unitarity_defect() <= 1e-12
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # its 64 target columns, below 1/16 of a dense U of the budget
+        assert full.unitary.shape == (2**QUBIT_BUDGET, 2 * 4 * 4 * 2)
+        assert peak - start <= 4**QUBIT_BUDGET
         residual, ok = verify_block_encoding(full, build_target(a, 1.0, 4, 3), 1e-10)
         assert ok, residual
-        assert full.unitarity_defect() <= 1e-12
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -491,7 +526,7 @@ class TestFullEncoding:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2**20  # raised before anything of size 2^13 exists
-        # an A encoding held as CSR (9 qubits) leaves no room for a stage
+        # a 9-qubit A encoding leaves no room for a stage
         with pytest.raises(SizeError):
             build_w_encoding(zero_matrix_encoding(8), 1.0, 1)
 

@@ -1,12 +1,13 @@
 import io
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pade_lab import experiments
@@ -499,3 +500,77 @@ class TestArgvProperty:
         code, _ = run(argv)
         capsys.readouterr()
         assert code in (0, 1, 2), argv
+
+
+# Problem entries at the edges of the double range, and the horizons they
+# meet.  The first three files overflow the b h term, the normalization C and
+# (in the parent) ||b||; the fourth overflows g itself.
+_HOSTILE = [0.0, -0.0, 5e-324, 2.2e-308, -2.2e-308, 1e-160, -1e-160, 1e154, -1e154,
+            1e200, -1e300, 1.7e308, -1.7e308]
+_HORIZONS = [1e-300, 1e-10, 1.0, 3.0, 1e3, 1e300]
+_HOSTILE_ARGV = [["analyze", "--m", "2", "--k", "3"], ["solve", "--m", "2", "--k", "3"],
+                 ["solve", "--scheme", "taylor", "--m", "1", "--k", "3"],
+                 ["build", "--m", "2", "--k", "3"], ["sweep-k", "--eps", "1e-6"],
+                 ["sweep-m", "--k", "3", "--eps", "1e-6", "--m-max", "2"]]
+_HUGE_B_H = '{"n":2,"a":[[-1,0],[0,-2]],"b":[1,-1.7e308],"x0":[1,1],"T":1000}'
+_HUGE_C = '{"n":1,"a":[[-1]],"b":[0],"x0":[{"re":0,"im":1.7e308}],"T":1e-300}'
+_HUGE_B_NORM = '{"n":1,"a":[[-1]],"b":[1.7e308],"x0":[1e-160],"T":1e-300}'
+_HUGE_G = '{"n":1,"a":[[-1]],"b":[1.7e308],"x0":[1e-160],"T":1e-310}'
+
+
+@st.composite
+def hostile_docs(draw):
+    n = draw(st.integers(1, 3))
+    real = st.one_of(st.sampled_from(_HOSTILE), st.floats(-3.0, 3.0))
+    entry = st.one_of(real, st.builds(lambda re, im: {"re": re, "im": im}, real, real))
+    return json.dumps({"n": n, "a": [[draw(entry) for _ in range(n)] for _ in range(n)],
+                       "b": [draw(entry) for _ in range(n)],
+                       "x0": [draw(entry) for _ in range(n)],
+                       "T": draw(st.sampled_from(_HORIZONS))})
+
+
+class TestHostileNumbers:
+    @given(doc=hostile_docs(), argv=st.sampled_from(_HOSTILE_ARGV))
+    @example(doc=_HUGE_B_H, argv=_HOSTILE_ARGV[3])
+    @example(doc=_HUGE_C, argv=_HOSTILE_ARGV[2])
+    @example(doc=_HUGE_B_NORM, argv=_HOSTILE_ARGV[0])
+    @example(doc=_HUGE_G, argv=_HOSTILE_ARGV[0])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_hostile_problem_never_escapes(self, doc, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PADE_LAB_OUT", raising=False)
+        path = tmp_path / "problem.json"
+        path.write_text(doc)
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "build" else []
+        code, text = run([*out, argv[0], "--problem", str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (doc, argv)
+        if code == EXIT_USAGE:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (doc, argv, err)
+        assert not re.search(r"\b(Infinity|NaN)\b", text), (doc, argv, text)
+
+    @pytest.mark.parametrize("doc,argv,name", [
+        (_HUGE_B_H, ["build", "--m", "2", "--k", "3"], "the b h term"),
+        (_HUGE_B_H, ["solve", "--m", "2", "--k", "3"], "the b h term"),
+        (_HUGE_B_H, ["sweep-m", "--k", "3", "--eps", "1e-6", "--m-max", "2"], "the b h term"),
+        (_HUGE_C, ["solve", "--scheme", "taylor", "--m", "1", "--k", "3"], "normalization C"),
+        (_HUGE_G, ["analyze", "--m", "2", "--k", "3"], "g = "),
+    ], ids=["b-h-build", "b-h-solve", "b-h-sweep-m", "c-solve", "g-analyze"])
+    def test_overflow_names_the_value(self, doc, argv, name, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(doc)
+        code = run_cli(["--out", str(tmp_path / "out"), argv[0], "--problem", str(path),
+                        *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
+
+    def test_scaled_b_norm_keeps_g_finite(self, tmp_path):
+        # ||b|| = 1.7e308 squares past the double range, but g = ||b|| / ||x(T)||
+        # with x(T) = 1.7e8 is 1e300
+        path = tmp_path / "problem.json"
+        path.write_text(_HUGE_B_NORM)
+        code, text = run(["analyze", "--problem", str(path), "--m", "2", "--k", "3"])
+        assert code == EXIT_OK
+        report = json.loads(text, parse_constant=pytest.fail)
+        assert report["g_ratio"] == pytest.approx(1e300, rel=1e-12)

@@ -5,7 +5,7 @@ A name that moves out of a module can strand the imports it needed; this
 check reads each module's syntax tree with the standard library alone.
 ``__init__`` re-exports its imports and is exempt.  No name that
 ``tests/oracles.py`` defines is defined in or exported by the package, and
-``pade_core`` stays numpy-only.
+``pade_core`` and ``circuit_sim`` stay numpy-only.
 """
 
 import ast
@@ -57,20 +57,28 @@ def test_every_import_is_used(module):
 
 def test_oracles_stay_out_of_the_package():
     oracles = _defined_names(_tree(ORACLES))
-    assert {"pade_propagator", "solve_dense"} <= oracles
+    assert {"pade_propagator", "solve_dense", "whole_unitary_defect"} <= oracles
     for path in sorted(PACKAGE.glob("*.py")):
         shared = oracles & _defined_names(_tree(path), imports=path.name == "__init__.py")
         assert not shared, f"{path.name} defines or exports the oracles {sorted(shared)}"
 
 
-def test_pade_core_is_numpy_only():
+def _scipy_imports(module: str) -> set[str]:
     modules = set()
-    for node in ast.walk(_tree(PACKAGE / "pade_core.py")):
+    for node in ast.walk(_tree(PACKAGE / module)):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
-    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def test_pade_core_is_numpy_only():
+    assert not _scipy_imports("pade_core.py")
+
+
+def test_circuit_sim_imports_no_scipy():
+    assert not _scipy_imports("circuit_sim.py")
 
 
 def test_a_stranded_import_is_found():
