@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import error_bounds, pade_core
-from .classical_solver import _norm, _step_rows, substitution_pair
+from .classical_solver import _step_rows, substitution_pair
 from .errors import (
     ClassificationError,
     ConsistencyError,
@@ -42,6 +42,7 @@ from .pade_core import (
 from .system_builder import (
     SCHEMES,
     BlockLayout,
+    _norm,
     block_layout,
     classical_reference_trajectory,
     csr_systems,
@@ -58,8 +59,9 @@ NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
 #: blocks; above it sigma_max takes a certified bracket per scalar block (Lanczos
 #: on the one block of a non-normal A) and sigma_min one Lanczos over the direct
-#: sum of the blocks.
-SLICE_DENSE_CAP = 128
+#: sum of the blocks.  The two paths cost about the same at dimension 91
+#: (docs/DECISIONS.md "One block path for every A").
+SLICE_DENSE_CAP = 96
 #: Relative width hi - lo <= BRACKET_RTOL hi of the bracket on lambda_max(M^H M)
 #: whose upper end gives sigma_max (docs/DECISIONS.md "sigma_max from a
 #: certified bracket"), above the rounding (kd + 2) eps = 4.7e-15 of a band
@@ -180,8 +182,9 @@ def _largest_singular_value(mat, floor: float = 0.0) -> float:
 
 def _is_normal(a: np.ndarray) -> bool:
     """||A A^H - A^H A||_F <= NORMALITY_TOL ||A||_F^2, on A times the power of two
-    that puts max |a_ij| in [1/2, 1), so no product of its top entries under- or overflows."""
-    a = a * math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
+    that puts max |a_ij| in [1/2, 1) (at most 2^1000, which takes a subnormal max to a
+    normal one), so no product of its top entries under- or overflows."""
+    a = a * math.ldexp(1.0, -max(math.frexp(float(np.abs(a).max()))[1], -1000))
     adj = a.conj().T
     scale = float(np.linalg.norm(a)) ** 2
     return bool(np.linalg.norm(a @ adj - adj @ a) <= NORMALITY_TOL * scale)
@@ -215,8 +218,12 @@ def _inverse(stack: np.ndarray, what: str) -> np.ndarray:
 
 
 def _top(stack: np.ndarray) -> float:
-    """max_i ||M_i||_2 over a dense stack of blocks M_i."""
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+    """max_i ||M_i||_2 over a dense stack of blocks M_i; an SVD that does not
+    converge is typed."""
+    try:
+        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD of a block stack failed: {exc}") from exc
 
 
 def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
@@ -438,13 +445,18 @@ def _drift(a: np.ndarray, spectrum, step: float, order: int, steps: int) -> Drif
             raise SingularDenominatorError(
                 f"denominator of order {order} is singular at A h: {exc}") from exc
         back = reference_expm(a, -step)
-        gmat = back @ r  # exp(-Ah) and R commute, both functions of A
         eye = np.eye(a.shape[0])
         acc = np.eye(a.shape[0], dtype=complex)
-        vals = np.empty(steps)
-        for i in range(steps):
-            acc = acc @ gmat
-            vals[i] = np.linalg.norm(eye - acc, 2)
+        vals = np.full(steps, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gmat = back @ r  # exp(-Ah) and R commute, both functions of A
+            for i in range(steps):
+                acc = acc @ gmat
+                if not np.isfinite(acc).all():
+                    break
+                vals[i] = np.linalg.norm(eye - acc, 2)
+    if not np.isfinite(vals).all():
+        raise MagnitudeError(f"the drift ||I - exp(-i A h) R^i(A h)|| overflows at h = {step:.6g}")
     dmax = float(vals.max())
     return DriftReport(drift_max=dmax, per_step=vals, hypothesis_ok=bool(dmax <= 1.0))
 

@@ -24,6 +24,8 @@ from .system_builder import (
     BlockLayout,
     BlockSystem,
     Scheme,
+    _norm,
+    _pow2_scale,
     b_term,
     block_layout,
     build_rhs,
@@ -51,35 +53,6 @@ class SolutionBundle:
     norm_c: float
     p_succ: float
     residual: float
-
-
-def _pow2_scale(*arrays: np.ndarray) -> float:
-    """2**-e when the largest real or imaginary part in ``arrays`` has a
-    binary exponent e > 500, whose square could overflow; else 1.  Scaling by
-    a power of two is exact, so results that did not overflow are unchanged.
-
-    A NaN real part makes its array's largest part NaN (scale 1); a NaN only
-    among the imaginary parts is passed over, and so is an array after the
-    first whose largest part is NaN (Python's ``max`` keeps its first
-    argument against a NaN)."""
-    big = max(map(_largest_part, arrays))
-    exponent = math.frexp(big)[1]
-    return math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
-
-
-def _largest_part(x: np.ndarray) -> float:
-    """max |x.real| and |x.imag| over ``x`` in one reduction, over the real
-    view of the complex entries in memory order."""
-    if x.dtype.kind != "c":
-        return float(np.abs(x).max())
-    big = float(np.abs(x.ravel("K").view(x.real.dtype)).max())
-    return float(np.abs(x.real).max()) if math.isnan(big) else big
-
-
-def _norm(vec: np.ndarray) -> float:
-    """||vec||_2, squared only after ``_pow2_scale``."""
-    scale = _pow2_scale(vec)
-    return float(np.linalg.norm(vec * scale)) / scale
 
 
 def _norms(z_blocks: np.ndarray, terminal: np.ndarray, padding: int) -> tuple[float, float]:
@@ -170,16 +143,20 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     after another, each in L's own block-row order.
 
     Each W_i is factored once by ``_factor_step_block``, so a singular one
-    raises ``SingularBlockError``.  With E = e_0 (x) I_b, Sg = signs (x) I_b,
-    C = W^-1 E, D = W^-H Sg and R = Sg^T C, the rows y_s of step s give
+    raises ``SingularBlockError``, and its LU factors give the stack X of the
+    W_i^-1 once; an application of L^-1 or L^-H then makes no LAPACK call per
+    block, only batched products by X.  With E = e_0 (x) I_b,
+    Sg = signs (x) I_b, C = W^-1 E, D = W^-H Sg and R = Sg^T C, the rows y_s
+    of step s give
 
         z_s = W^-1 y_s - couple C sigma_{s-1},
         sigma_s = Sg^T z_s = D^H y_s - couple R sigma_{s-1},
 
-    one getrs over all steps and a recurrence on the b-wide step outputs,
-    which ``chain`` solves by doubling.  The terminal row reads sigma_{m-1}
-    and the padding chain is a cumulative sum.  L^-H runs backward: the
-    padding chain is a reversed cumulative sum whose first entry is tau_m, and
+    one product by X over all steps and a recurrence on the b-wide step
+    outputs, which ``chain`` solves by doubling.  The terminal row reads
+    sigma_{m-1} and the padding chain is a cumulative sum.  L^-H runs
+    backward: the padding chain is a reversed cumulative sum whose first
+    entry is tau_m, and
 
         u_s = W^-H v_s - couple D tau_{s+1},
         tau_s = E^T u_s = C^H v_s - couple R^H tau_{s+1}.
@@ -191,43 +168,44 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     """
     r, wb = step_blocks.shape[:2]
     b, rows = wb // len(rec.signs), m * len(rec.signs)
-    factors = [_factor_step_block(w) for w in step_blocks]
     getrs, = sla.get_lapack_funcs(("getrs",), (step_blocks,))
+    eye = np.eye(wb, dtype=step_blocks.dtype)
+    inverses = np.stack([getrs(lu, piv, eye)[0]
+                         for lu, piv in map(_factor_step_block, step_blocks)])
+    # the rows of a stack times X^T are W^-1 on them, times conj(X) W^-H
+    right = {False: np.swapaxes(inverses, 1, 2).copy(), True: inverses.conj()}
 
-    def solve(stacks, trans):  # W_i^-1 (trans 0) or W_i^-H (trans 2) on the rows of stacks[i]
-        out = np.empty_like(stacks)
-        for i, (lu, piv) in enumerate(factors):
-            out[i] = getrs(lu, piv, stacks[i].T, trans=trans)[0].T
-        return out
+    def solve(stacks, adjoint):  # W_i^-1 or W_i^-H on the rows of stacks[i]
+        return stacks @ right[adjoint]
 
-    def refined(thin, trans):
+    def refined(thin, adjoint):
         rhs = np.broadcast_to(thin.T.astype(step_blocks.dtype), (r, b, wb))
-        x = solve(rhs, trans)
+        x = solve(rhs, adjoint)
         # the rows of x times W^T, or times conj(W) = (W^H)^T
-        ops = np.swapaxes(step_blocks, 1, 2) if trans == 0 else step_blocks.conj()
-        return np.swapaxes(x + solve(rhs - x @ ops, trans), 1, 2)
+        ops = step_blocks.conj() if adjoint else np.swapaxes(step_blocks, 1, 2)
+        return np.swapaxes(x + solve(rhs - x @ ops, adjoint), 1, 2)
 
     signed = np.kron(rec.signs[:, None], np.eye(b))
-    col, dual = refined(np.eye(wb, b), 0), refined(signed, 2)  # C and D, (r, wb, b)
+    col, dual = refined(np.eye(wb, b), False), refined(signed, True)  # C and D, (r, wb, b)
     coupled = rec.couple * (signed.T @ col)  # couple R
 
     def chain(x, mat):
-        """x_j <- x_j - mat x_{j-1} for j = 1, 2, ... along axis 1 of the
-        (r, m, b, 1) stack x: the recurrence solved by doubling, in about
-        log2(m) batched products rather than m small ones."""
-        power, shift = -mat[:, None], 1
-        while shift < x.shape[1]:
-            x[:, shift:] += power @ x[:, :-shift]
+        """x_j <- x_j - mat x_{j-1} for j = 1, 2, ... along the last axis of
+        the (r, b, m) stack x: the recurrence solved by doubling, one
+        (r, b, b) @ (r, b, m - shift) product per shift."""
+        power, shift = -mat, 1
+        while shift < x.shape[-1]:
+            x[..., shift:] += power @ x[..., :-shift]
             shift *= 2
-            if shift < x.shape[1]:
+            if shift < x.shape[-1]:
                 power = power @ power
-        return x[..., 0]
+        return np.swapaxes(x, 1, 2)
 
     def inv(vec):
         vec = vec.reshape(r, -1, b)
         ys = vec[:, :rows].reshape(r, m, wb)
-        sig = chain((ys @ dual.conj())[..., None], coupled)
-        z = solve(ys, 0)
+        sig = chain(np.swapaxes(ys @ dual.conj(), 1, 2), coupled)
+        z = solve(ys, False)
         z[:, 1:] -= rec.couple * sig[:, :-1] @ np.swapaxes(col, 1, 2)
         tail = vec[:, rows:].copy()
         tail[:, 0] = (tail[:, 0] - rec.couple * sig[:, -1]) / rec.row_scale
@@ -240,8 +218,8 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         tail[:, 0] /= rec.row_scale
         # tau_m = the terminal entry, then tau_{m-1}, ..., tau_1, reversed
         tau = np.concatenate([tail[:, :1], (vs @ col.conj())[:, :0:-1]], axis=1)
-        tau = chain(tau[..., None], np.swapaxes(coupled, 1, 2).conj())[:, ::-1]
-        u = solve(vs, 2) - rec.couple * tau @ np.swapaxes(dual, 1, 2)
+        tau = chain(np.swapaxes(tau, 1, 2), np.swapaxes(coupled, 1, 2).conj())[:, ::-1]
+        u = solve(vs, True) - rec.couple * tau @ np.swapaxes(dual, 1, 2)
         return np.concatenate([u.reshape(r, rows, b), tail], axis=1).ravel()
 
     return inv, inv_h
@@ -354,10 +332,14 @@ def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> Sol
 
 
 def state_distance(u, v) -> float:
-    """L2 distance between the normalized versions of two vectors."""
-    u = np.asarray(u, dtype=complex).ravel()
-    v = np.asarray(v, dtype=complex).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise DegenerateTargetError("cannot normalize a zero vector")
-    return float(np.linalg.norm(u / nu - v / nv))
+    """L2 distance between the normalized versions of two vectors, each
+    scaled by its ``_pow2_scale`` before it is divided by its norm."""
+    units = []
+    for vec in (u, v):
+        vec = np.asarray(vec, dtype=complex).ravel()
+        vec = vec * _pow2_scale(vec)
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise DegenerateTargetError("cannot normalize a zero vector")
+        units.append(vec / norm)
+    return float(np.linalg.norm(units[0] - units[1]))

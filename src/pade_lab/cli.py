@@ -386,7 +386,10 @@ def _apply_config(argv: list[str]) -> list[str]:
     if known.config is None or not known.rest:
         return argv
     presets: list[str] = []
-    lines = Path(known.config).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(known.config).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{known.config}: not a UTF-8 text file: {exc}") from exc
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -410,7 +413,7 @@ def run_cli(argv=None, stdout=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (PadeLabError, OSError, ValueError) as exc:
+    except (PadeLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import extreme_singular_values
-from .classical_solver import _norm, march_solution, propagated_terminal
+from .classical_solver import march_solution, propagated_terminal
 from .errors import BoundsError, DegenerateTargetError, SearchError, SingularBlockError
 from .error_bounds import SolverParams, make_params
 from .pade_core import OdeProblem
-from .system_builder import SCHEMES, classical_reference_trajectory
+from .system_builder import SCHEMES, _norm, _pow2_scale, classical_reference_trajectory
 
 K_SEARCH_CAP = 64
 M_SEARCH_CAP = 1 << 14
@@ -78,9 +78,16 @@ def _target(problem: OdeProblem, params: SolverParams) -> tuple[np.ndarray, floa
 
 
 def _rel_error(terminal: np.ndarray, target: tuple[np.ndarray, float]) -> float:
-    """Relative distance of ``terminal`` from the exact state of ``target``."""
+    """Relative distance of ``terminal`` from the exact state of ``target``;
+    a difference beyond the double range is taken at the ``_pow2_scale`` of
+    both states."""
     state, norm = target
-    return _norm(terminal - state) / norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _norm(terminal - state) / norm
+    if not math.isfinite(err):
+        scale = _pow2_scale(terminal, state)
+        err = _norm(terminal * scale - state * scale) / (norm * scale)
+    return err
 
 
 def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRow:

@@ -13,6 +13,7 @@ which builds L, the sigma_max systems of ``analysis`` and the L circuit target.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -277,6 +278,37 @@ def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matr
     return matrices
 
 
+def _pow2_scale(*arrays: np.ndarray) -> float:
+    """2**-e when the largest real or imaginary part in ``arrays`` has a
+    binary exponent e > 500, whose square could overflow, or e < -500, whose
+    square could underflow (at most 2**1000, which takes a subnormal part to
+    a normal one); else 1.  Scaling by a power of two is exact, so results
+    that neither over- nor underflowed are unchanged.
+
+    A NaN real part makes its array's largest part NaN (scale 1); a NaN only
+    among the imaginary parts is passed over, and so is an array after the
+    first whose largest part is NaN (Python's ``max`` keeps its first
+    argument against a NaN)."""
+    big = max(map(_largest_part, arrays))
+    exponent = math.frexp(big)[1]
+    return math.ldexp(1.0, -max(exponent, -1000)) if abs(exponent) > 500 else 1.0
+
+
+def _largest_part(x: np.ndarray) -> float:
+    """max |x.real| and |x.imag| over ``x`` in one reduction, over the real
+    view of the complex entries in memory order."""
+    if x.dtype.kind != "c":
+        return float(np.abs(x).max())
+    big = float(np.abs(x.ravel("K").view(x.real.dtype)).max())
+    return float(np.abs(x.real).max()) if math.isnan(big) else big
+
+
+def _norm(vec: np.ndarray) -> float:
+    """||vec||_2, squared only after ``_pow2_scale``."""
+    scale = _pow2_scale(vec)
+    return float(np.linalg.norm(vec * scale)) / scale
+
+
 def scaled_by_step(x: np.ndarray, h: float) -> np.ndarray:
     """X h for a matrix or stack X, the A h part of every block of L; an entry
     that overflows raises ``MagnitudeError``."""
@@ -367,8 +399,9 @@ def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) ->
     """States x(0), x(h), ..., x(mh) without ever forming A^{-1}.
 
     One extra generator column carries b, so singular A is handled uniformly.
-    A state or state norm that overflows raises ``MagnitudeError``, as an
-    overflowing exp(A h) does.
+    A state whose squares over- or underflow takes its norm by ``_norm``, so
+    every finite state has its norm; a state or state norm that overflows
+    raises ``MagnitudeError``, as an overflowing exp(A h) does.
     """
     n, m, h = problem.dim, params.steps, params.step_size
     aug = np.zeros((n + 1, n + 1), dtype=complex)
@@ -383,6 +416,11 @@ def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) ->
             state = prop @ state
             states[i] = state[:n]
         norms = np.linalg.norm(states, axis=1)
+        # a norm outside [2^-500, inf) may have lost a square to under- or
+        # overflow; one check of the extremes spares the common case a scan
+        if not 2.0 ** -500 <= norms.min() <= norms.max() < np.inf:
+            for i in np.flatnonzero(~((norms >= 2.0 ** -500) & (norms < np.inf))):
+                norms[i] = _norm(states[i])
     finite = np.isfinite(norms)
     if not finite.all():
         step = int(np.argmin(finite))

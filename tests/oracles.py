@@ -21,7 +21,7 @@ import scipy.linalg as sla
 
 from pade_lab import pade_core
 from pade_lab.circuit_sim import UNITARITY_TOL, BlockEncodingUnitary, _apply
-from pade_lab.classical_solver import SolutionBundle, _norm, _norms
+from pade_lab.classical_solver import SolutionBundle, _norms
 from pade_lab.error_bounds import SolverParams
 from pade_lab.errors import (
     ClassificationError,
@@ -31,7 +31,7 @@ from pade_lab.errors import (
     SolveResidualError,
 )
 from pade_lab.pade_core import OdeProblem, PadeCoefficients, _as_square, pade_coefficients
-from pade_lab.system_builder import SCHEMES, BlockSystem, kron_sum
+from pade_lab.system_builder import SCHEMES, BlockSystem, _norm, kron_sum
 
 DENSE_DIM_CAP = 4096
 #: Residual gate of the dense oracle, relative to ||rhs||.

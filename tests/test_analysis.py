@@ -117,11 +117,11 @@ def _assert_dense_oracle(got, dense):
 
 class TestSpectralNorm:
     def test_extreme_singular_values_oracle(self):
-        # a non-normal A is one block, L itself; at m = 3 (dimension 124) it
+        # a non-normal A is one block, L itself; at m = 2 (dimension 84) it
         # is measured by dense LAPACK
         problem = _non_normal_problem()
         for scheme in ("pade", "taylor"):
-            params = make_params(3, 9, 1, 5.0, scheme)
+            params = make_params(2, 9, 1, 5.0, scheme)
             dense = _BUILD[scheme](problem, params).dense()
             assert dense.shape[0] <= SLICE_DENSE_CAP
             _assert_dense_oracle(extreme_singular_values(problem, params), dense)
@@ -168,11 +168,11 @@ class TestSpectralNorm:
         assert smax == pytest.approx(svals[0], rel=1e-10)
         assert smin == pytest.approx(svals[-1], rel=1e-8)
 
-    @pytest.mark.parametrize("m", [4, 16, pytest.param(40, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("m", [3, 4, 16, pytest.param(40, marks=pytest.mark.slow)])
     def test_non_normal_takes_the_operator_path(self, m):
         # the one block of a non-normal A is L itself, above the dense cap
         # measured by Lanczos on L^H L and on the block substitution of L^-1;
-        # m = 40 has dimension 1604
+        # m = 3 has dimension 124, m = 40 dimension 1604
         problem = _non_normal_problem()
         for scheme in ("pade", "taylor"):
             params = make_params(m, 9, 1, 5.0, scheme)
@@ -240,7 +240,7 @@ class TestSpectralNorm:
     @pytest.mark.parametrize("m", [5, 8, 11, 14, 18, 19])
     def test_one_block_matches_eigenvalue_blocks_on_c10(self, m):
         # the C10 A passed as its one block, L itself (Lanczos on the block
-        # substitution), against its eigenvalue blocks (dense up to m = 11);
+        # substitution), against its eigenvalue blocks (dense up to m = 9);
         # a sparse LU in COLAMD order was off by a factor 3.5e9 at m = 11
         a = _tridiag_problem().matrix_a
         lay = BlockLayout(5, m, 9, 1, 30.0 / m)

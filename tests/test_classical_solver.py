@@ -3,15 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pade_lab.classical_solver import (
     SolutionBundle,
-    _norm,
     _norms,
-    _pow2_scale,
     march_solution,
     march_terminal,
     propagated_terminal,
@@ -28,6 +27,8 @@ from pade_lab.system_builder import (
     SCHEMES,
     BlockLayout,
     BlockSystem,
+    _norm,
+    _pow2_scale,
     build_pade_system,
     build_taylor_system,
     classical_reference_trajectory,
@@ -237,6 +238,20 @@ class TestMarchTerminal:
         assert big.p_succ == small.p_succ
         assert 0.0 < big.p_succ <= 1.0
 
+    def test_tiny_finite_states_keep_their_norms(self):
+        # from x0 = 2^-600 every square underflows (C read as zero before
+        # _pow2_scale scaled up); scaling by a power of two is exact
+        def solve(x0):
+            problem = OdeProblem(matrix_a=np.array([[-1.0]]), vec_b=np.zeros(1),
+                                 vec_x0=np.array([x0]), horizon=2.0)
+            return march_solution(problem, make_params(2, 3, 1, 2.0, "pade"))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one, tiny = solve(1.0), solve(2.0 ** -600)
+        assert tiny.norm_c == one.norm_c * 2.0 ** -600
+        assert tiny.p_succ == one.p_succ
+
 
 class TestPropagatedTerminal:
     """M^m [x0; 1] by powering the step map against the march."""
@@ -296,16 +311,27 @@ class TestPropagatedTerminal:
 class TestSubstitutionPair:
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     @pytest.mark.parametrize("p", [1, 3])
-    @pytest.mark.parametrize("kind", ["diagonal", "non_normal"])
+    @pytest.mark.parametrize("kind", ["diagonal", "non_normal", "non_normal-m33", "c10-m5",
+                                      "c10-m8"])
     def test_matches_dense_solves(self, rng, scheme, p, kind):
         # a diagonal stack with lam = 0, where the Padé diagonal beta lam h of
         # W is zero and an unpivoted elimination divides by it, and the one
-        # block of a non-normal A; L_i^-1 y and L_i^-H y against dense solves
+        # block of a non-normal A, also at m = 33, where the doubling of the
+        # b = 4 recurrence runs six shifts; L_i^-1 y and L_i^-H y against
+        # dense solves.  The C10 tridiagonal A as one block over T = 30 gives
+        # the Taylor W the condition numbers 9.5e7 (m = 5) and 1.0e6 (m = 8)
+        # and ||L^-1|| beyond 1e14: the Taylor L is lower triangular, and
+        # forward substitution is the oracle
+        m, k, horizon = 6, 9, 3.0
         if kind == "diagonal":
             mats = [np.array([[lam]]) for lam in (0.0, -0.4, -2.5 + 1.0j, 0.8)]
+        elif kind.startswith("c10"):
+            mats = [np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)]
+            m, horizon = int(kind[5:]), 30.0
         else:
             mats = [random_stable_matrix(4, 7)]
-        m, k, horizon = 6, 9, 3.0
+            m = 33 if kind.endswith("m33") else m
+        triangular = kind.startswith("c10") and scheme == "taylor"
         params = make_params(m, k, p, horizon, scheme)
         rec = SCHEMES[scheme](k)
         step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
@@ -319,7 +345,11 @@ class TestSubstitutionPair:
         for apply, adjoint in ((inv, False), (inv_h, True)):
             ops = [d.conj().T if adjoint else d for d in dense]
             got = np.split(apply(y), cuts[:-1])
-            for op, part, x in zip(ops, np.split(y, cuts[:-1]), got):
+            for d, op, part, x in zip(dense, ops, np.split(y, cuts[:-1]), got):
+                if triangular:
+                    want = sla.solve_triangular(d, part, lower=True, trans="C" if adjoint else "N")
+                    assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+                    continue
                 want = np.linalg.solve(op, part)
                 assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
                 assert np.linalg.norm(op @ x - part) <= 1e-12 * np.linalg.norm(part)
@@ -409,7 +439,7 @@ def _reference_pow2_scale(*arrays):
     of max |real| and max |imag| per array, folded by Python's ``max``."""
     big = max(max(float(np.abs(x.real).max()), float(np.abs(x.imag).max())) for x in arrays)
     exponent = math.frexp(big)[1]
-    return math.ldexp(1.0, -exponent) if exponent > 500 else 1.0
+    return math.ldexp(1.0, -max(exponent, -1000)) if abs(exponent) > 500 else 1.0
 
 
 class TestPow2Scale:
@@ -423,7 +453,8 @@ class TestPow2Scale:
                   np.array([near, -1.0]), np.array([1.0 - 1j * near]), np.array([-near]),
                   np.array([2.0 ** 600 + 1j]), np.array([1e-320 + 0j, 0.0]),
                   np.zeros(3, dtype=complex), np.array([np.inf + 0j]), np.array([1j * np.inf]),
-                  np.array([-np.inf, 1.0])):
+                  np.array([-np.inf, 1.0]), np.array([2.0 ** -501, 1e-300j]),
+                  np.array([2.0 ** -501 * (1 - 2 ** -53)]), np.array([5e-324j, 0.0])):
             yield (x,)
         for real, imag in ((np.nan, 2.0 ** 600), (2.0 ** 600, np.nan), (np.nan, np.nan),
                            (np.inf, np.nan), (np.nan, np.inf), (1.0, np.nan)):
@@ -441,6 +472,12 @@ class TestPow2Scale:
         for arrays in self.inputs():
             assert _pow2_scale(*arrays) == _reference_pow2_scale(*arrays), arrays
 
+    def test_norm_of_subnormal_parts(self):
+        # a subnormal largest part scales by 2^1000, not 2^-e > 2^1023
+        tiny = 2.0 ** -1074
+        assert _pow2_scale(np.array([tiny])) == 2.0 ** 1000
+        assert _norm(np.array([3 * tiny, 4j * tiny])) == 5 * tiny
+
 
 class TestStateDistance:
     def test_equal(self, rng):
@@ -453,6 +490,15 @@ class TestStateDistance:
     def test_zero_vector(self):
         with pytest.raises(DegenerateTargetError):
             state_distance(np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("scale", [1.7e308, 5e-324])
+    def test_scale_free_at_both_ends(self, scale):
+        # the square of 1.7e308 overflows, and the reciprocal of a subnormal
+        # norm, through which numpy divides a complex vector, overflows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state_distance([scale, 0.0], [0.0, 1.0]) == math.sqrt(2)
+            assert state_distance([scale], [2.0]) == 0.0
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import shlex
 import warnings
@@ -276,6 +277,14 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert "expected key=value" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError, which run_cli does not catch
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_bytes(b"\xff\xfekmin=5\n")
+        code, _ = run(["--config", str(cfg), "theta-table"])
+        assert code == EXIT_USAGE
+        assert "not a UTF-8 text file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n", "a", "b", "x0", "T"])
     def test_problem_without_key(self, problem_file, key, capsys):
         doc = json.loads(problem_file.read_text())
@@ -516,6 +525,14 @@ _HUGE_B_H = '{"n":2,"a":[[-1,0],[0,-2]],"b":[1,-1.7e308],"x0":[1,1],"T":1000}'
 _HUGE_C = '{"n":1,"a":[[-1]],"b":[0],"x0":[{"re":0,"im":1.7e308}],"T":1e-300}'
 _HUGE_B_NORM = '{"n":1,"a":[[-1]],"b":[1.7e308],"x0":[1e-160],"T":1e-300}'
 _HUGE_G = '{"n":1,"a":[[-1]],"b":[1.7e308],"x0":[1e-160],"T":1e-310}'
+# States whose squares over- and underflow, with g = e^2; drifts that overflow
+# on the eigenvalue and the dense path; a block stack whose SVD stalls.
+_HUGE_X0 = '{"n":1,"a":[[-1]],"b":[0],"x0":[1.7e308],"T":2}'
+_TINY_X0 = '{"n":1,"a":[[-1]],"b":[0],"x0":[1e-170],"T":2}'
+_HUGE_DRIFT = '{"n":1,"a":[[-400]],"b":[0],"x0":[1],"T":2}'
+_HUGE_DENSE_DRIFT = '{"n":2,"a":[[-400,1],[0,-1]],"b":[0,0],"x0":[1,1],"T":2}'
+_SVD_STALL = ('{"n": 2, "a": [[{"re": 0.0, "im": 1e+154}, 1e+200], [0.0, 0.0]], '
+              '"b": [0.0, 0.0], "x0": [0.0, 0.0], "T": 1e-10}')
 
 
 @st.composite
@@ -535,6 +552,11 @@ class TestHostileNumbers:
     @example(doc=_HUGE_C, argv=_HOSTILE_ARGV[2])
     @example(doc=_HUGE_B_NORM, argv=_HOSTILE_ARGV[0])
     @example(doc=_HUGE_G, argv=_HOSTILE_ARGV[0])
+    @example(doc=_HUGE_X0, argv=_HOSTILE_ARGV[0])
+    @example(doc=_TINY_X0, argv=_HOSTILE_ARGV[0])
+    @example(doc=_HUGE_DRIFT, argv=_HOSTILE_ARGV[0])
+    @example(doc=_HUGE_DENSE_DRIFT, argv=_HOSTILE_ARGV[0])
+    @example(doc=_SVD_STALL, argv=_HOSTILE_ARGV[0])
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_hostile_problem_never_escapes(self, doc, argv, tmp_path, monkeypatch, capsys):
@@ -555,7 +577,10 @@ class TestHostileNumbers:
         (_HUGE_B_H, ["sweep-m", "--k", "3", "--eps", "1e-6", "--m-max", "2"], "the b h term"),
         (_HUGE_C, ["solve", "--scheme", "taylor", "--m", "1", "--k", "3"], "normalization C"),
         (_HUGE_G, ["analyze", "--m", "2", "--k", "3"], "g = "),
-    ], ids=["b-h-build", "b-h-solve", "b-h-sweep-m", "c-solve", "g-analyze"])
+        (_HUGE_DRIFT, ["analyze", "--m", "2", "--k", "3"], "the drift"),
+        (_HUGE_DENSE_DRIFT, ["analyze", "--m", "2", "--k", "3"], "the drift"),
+    ], ids=["b-h-build", "b-h-solve", "b-h-sweep-m", "c-solve", "g-analyze",
+            "drift-eigenvalues-analyze", "drift-dense-analyze"])
     def test_overflow_names_the_value(self, doc, argv, name, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(doc)
@@ -574,3 +599,23 @@ class TestHostileNumbers:
         assert code == EXIT_OK
         report = json.loads(text, parse_constant=pytest.fail)
         assert report["g_ratio"] == pytest.approx(1e300, rel=1e-12)
+
+    def test_stalled_svd_is_typed(self, tmp_path, capsys):
+        # numpy's LinAlgError is a ValueError, which run_cli no longer catches
+        path = tmp_path / "problem.json"
+        path.write_text(_SVD_STALL)
+        code = run_cli(["analyze", "--problem", str(path), "--m", "2", "--k", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "SVD" in err
+
+    @pytest.mark.parametrize("doc", [_HUGE_X0, _TINY_X0], ids=["huge-x0", "tiny-x0"])
+    def test_scaled_state_norms_give_g(self, doc, tmp_path):
+        # x(t) = x0 e^-t: the squares of x0 = 1.7e308 overflow and those of
+        # x0 = 1e-170 underflow, yet g = ||x0|| / ||x(2)|| = e^2
+        path = tmp_path / "problem.json"
+        path.write_text(doc)
+        code, text = run(["analyze", "--problem", str(path), "--m", "2", "--k", "3"])
+        assert code == EXIT_OK
+        report = json.loads(text, parse_constant=pytest.fail)
+        assert report["g_ratio"] == pytest.approx(math.e ** 2, rel=1e-14)

@@ -428,6 +428,25 @@ class TestTrajectory:
         # closed form: x(t) = [1 + 2t + t^2/2, 1 + t]
         assert np.allclose(traj.states[-1], [3.5, 2.0], atol=1e-12)
 
+    @pytest.mark.parametrize("power", [1023, -600])
+    def test_norms_at_both_ends_of_the_double_range(self, power):
+        # x0 = 1.5 * 2^power: every state is 2^power times the state from
+        # x0 = 1.5, bit for bit, and so is its norm, though its square over-
+        # or underflows; the in-range norms are numpy's
+        def trajectory(x0):
+            problem = OdeProblem(matrix_a=np.array([[-1.0]]), vec_b=np.zeros(1),
+                                 vec_x0=np.array([x0]), horizon=2.0)
+            return classical_reference_trajectory(problem, make_params(2, 3, 1, 2.0, "pade"))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one, far = trajectory(1.5), trajectory(1.5 * 2.0 ** power)
+        assert np.array_equal(far.states, one.states * 2.0 ** power)
+        assert far.terminal_norm == one.terminal_norm * 2.0 ** power
+        assert far.max_norm == one.max_norm * 2.0 ** power == 1.5 * 2.0 ** power
+        assert not far.degenerate and far.g(0.0) == one.g(0.0)
+        assert one.terminal_norm == np.linalg.norm(one.states[-1])
+
     def test_overflow_is_typed(self, capfd):
         # exp(30 * 3) is finite, its repeated products are not
         problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
