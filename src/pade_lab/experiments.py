@@ -79,14 +79,15 @@ def _target(problem: OdeProblem, params: SolverParams) -> tuple[np.ndarray, floa
 
 def _rel_error(terminal: np.ndarray, target: tuple[np.ndarray, float]) -> float:
     """Relative distance of ``terminal`` from the exact state of ``target``;
-    a difference beyond the double range is taken at the ``_pow2_scale`` of
-    both states."""
+    a difference beyond the double range is retaken at the ``_pow2_scale`` of
+    both states, and a distance beyond it is inf."""
     state, norm = target
     with np.errstate(over="ignore", invalid="ignore"):
         err = _norm(terminal - state) / norm
     if not math.isfinite(err):
+        # divided one factor at a time: norm * scale can round to 0
         scale = _pow2_scale(terminal, state)
-        err = _norm(terminal * scale - state * scale) / (norm * scale)
+        err = _norm(terminal * scale - state * scale) / scale / norm
     return err
 
 

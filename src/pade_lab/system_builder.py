@@ -417,10 +417,9 @@ def classical_reference_trajectory(problem: OdeProblem, params: SolverParams) ->
             states[i] = state[:n]
         norms = np.linalg.norm(states, axis=1)
         # a norm outside [2^-500, inf) may have lost a square to under- or
-        # overflow; one check of the extremes spares the common case a scan
-        if not 2.0 ** -500 <= norms.min() <= norms.max() < np.inf:
-            for i in np.flatnonzero(~((norms >= 2.0 ** -500) & (norms < np.inf))):
-                norms[i] = _norm(states[i])
+        # overflow
+        for i in np.flatnonzero(~((norms >= 2.0 ** -500) & (norms < np.inf))):
+            norms[i] = _norm(states[i])
     finite = np.isfinite(norms)
     if not finite.all():
         step = int(np.argmin(finite))

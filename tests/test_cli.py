@@ -531,6 +531,9 @@ _HUGE_X0 = '{"n":1,"a":[[-1]],"b":[0],"x0":[1.7e308],"T":2}'
 _TINY_X0 = '{"n":1,"a":[[-1]],"b":[0],"x0":[1e-170],"T":2}'
 _HUGE_DRIFT = '{"n":1,"a":[[-400]],"b":[0],"x0":[1],"T":2}'
 _HUGE_DENSE_DRIFT = '{"n":2,"a":[[-400,1],[0,-1]],"b":[0,0],"x0":[1,1],"T":2}'
+# Taylor terminals near 2e176 at m = 20 against x(1) = 1e100 e^-700: the
+# relative error of the sweep rows is beyond the double range.
+_HUGE_PROBE = '{"n":1,"a":[[-700]],"b":[0],"x0":[1e100],"T":1}'
 _SVD_STALL = ('{"n": 2, "a": [[{"re": 0.0, "im": 1e+154}, 1e+200], [0.0, 0.0]], '
               '"b": [0.0, 0.0], "x0": [0.0, 0.0], "T": 1e-10}')
 
@@ -557,6 +560,7 @@ class TestHostileNumbers:
     @example(doc=_HUGE_DRIFT, argv=_HOSTILE_ARGV[0])
     @example(doc=_HUGE_DENSE_DRIFT, argv=_HOSTILE_ARGV[0])
     @example(doc=_SVD_STALL, argv=_HOSTILE_ARGV[0])
+    @example(doc=_HUGE_PROBE, argv=["sweep-m", "--k", "3", "--eps", "1e-6", "--m-max", "20"])
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_hostile_problem_never_escapes(self, doc, argv, tmp_path, monkeypatch, capsys):

@@ -267,6 +267,12 @@ class TestSearchReadsTheError:
         assert (find_min_steps(problem, "taylor", 9, 1e-10)
                 == doubling_search(problem, "taylor", 9, 1e-10))
 
+    def test_error_beyond_the_double_range_is_inf(self):
+        # the retry scales the states by 2^-586, where norm * scale would
+        # round to 0; the distance 2e176 over the norm 9.9e-205 is inf
+        state = np.array([9.9e-205])
+        assert experiments._rel_error(np.array([2e176]), (state, 9.9e-205)) == np.inf
+
     def test_probe_count_guard(self, monkeypatch):
         # the every-7th pool subset of test_pool_m_star: 1213 probes against
         # the oracle's 2048
