@@ -43,6 +43,7 @@ from .system_builder import (
     SCHEMES,
     BlockLayout,
     _norm,
+    _pow2_scale,
     block_layout,
     classical_reference_trajectory,
     csr_systems,
@@ -276,7 +277,7 @@ class _Measure:
 
     spectrum: tuple[np.ndarray, bool] | None
     blocks: np.ndarray
-    norm_a: float
+    norm_ah: float
     cases: tuple[str, ...]
     sigma: tuple[float, float]
     w_inverse: np.ndarray | None
@@ -290,17 +291,23 @@ _CASES = {"hermitian_nsd": "matrix is not Hermitian negative semi-definite",
 
 def _measure(a: np.ndarray, params: SolverParams) -> _Measure:
     """One ``_normal_spectrum``, ``_diagonal_blocks``, sigma(L) and W^-1 (see
-    ``_block_singular_values``) of A on the system of ``params``, ||A||_2 (max
-    |lam_i| for a normal A, else the 2-norm) and the ``_CASES`` that A h falls
-    in: hermitian_nsd by its eigenvalues, unit_norm when h ||A||_2 <= 1 + 1e-12."""
+    ``_block_singular_values``) of A on the system of ``params``, h ||A||_2
+    (max |lam_i| for a normal A, else the 2-norm of A at its ``_pow2_scale``,
+    whose scale comes off only after the product with h) and the ``_CASES``
+    that A h falls in: hermitian_nsd by its eigenvalues, unit_norm when
+    h ||A||_2 <= 1 + 1e-12."""
     spectrum = _normal_spectrum(a)
     blocks, real = _diagonal_blocks(a, spectrum)
     lay = BlockLayout(a.shape[0], params.steps, params.order, params.padding, params.step_size)
     smax, smin, w_inverse = _block_singular_values(SCHEMES[params.scheme](lay.k), lay, blocks, real)
-    norm_a = float(np.linalg.norm(a, 2)) if spectrum is None else float(np.abs(spectrum[0]).max())
+    if spectrum is None:
+        scale = _pow2_scale(a)
+        norm_ah = lay.h * float(np.linalg.norm(a * scale, 2)) / scale
+    else:
+        norm_ah = lay.h * float(np.abs(spectrum[0]).max())
     holds = (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0]),
-             lay.h * norm_a <= 1.0 + 1e-12)
-    return _Measure(spectrum, blocks, norm_a,
+             norm_ah <= 1.0 + 1e-12)
+    return _Measure(spectrum, blocks, norm_ah,
                     tuple(case for case, ok in zip(_CASES, holds) if ok), (smax, smin),
                     w_inverse)
 
@@ -347,10 +354,10 @@ def kappa_bound(m: int, p: int, k: int, norm_ah: float) -> float:
     return 3.0 * (m + p) * math.sqrt(k * math.log(k)) * (6.0 + norm_ah)
 
 
-def l_norm_bound(k: int, h: float, norm_a: float) -> float:
-    """||L||_2 <= beta_1 h ||A|| + 3 with beta_1 = 1/2 for equal orders."""
+def l_norm_bound(k: int, norm_ah: float) -> float:
+    """||L||_2 <= beta_1 ||A h|| + 3 with beta_1 = 1/2 for equal orders."""
     beta1 = float(pade_coefficients(k, k).ratio_beta[0])
-    return beta1 * h * norm_a + 3.0
+    return beta1 * norm_ah + 3.0
 
 
 @dataclass(frozen=True)
@@ -511,16 +518,20 @@ def _report(meas: _Measure, params: SolverParams, case: str | None, rows: dict,
             **fields) -> AnalysisReport:
     """The report of ``meas`` in ``case`` from one bound table, name ->
     (measured, bound): the caller's ``rows``, then ``l_norm`` for the Padé
-    system and ``l_inv`` and ``kappa`` in the Hermitian NSD case with k >= 3."""
-    k, m, p, h = params.order, params.steps, params.padding, params.step_size
+    system and ``l_inv`` and ``kappa`` in the Hermitian NSD case with k >= 3.
+    An h ||A||_2 beyond the double range, which would make the Padé bounds
+    infinite, raises ``MagnitudeError``."""
+    k, m, p = params.order, params.steps, params.padding
     norm_l, norm_l_inv = meas.sigma[0], 1.0 / meas.sigma[1]
     kappa = norm_l * norm_l_inv
     table = dict(rows)
     if params.scheme == "pade":
+        if not math.isfinite(meas.norm_ah):
+            raise MagnitudeError(f"h ||A||_2 overflows at h = {params.step_size:.6g}")
         if case == "hermitian_nsd" and k >= 3:
             table["l_inv"] = (norm_l_inv, l_inverse_bound(m, p, k))
-            table["kappa"] = (kappa, kappa_bound(m, p, k, h * meas.norm_a))
-        table["l_norm"] = (norm_l, l_norm_bound(k, h, meas.norm_a))
+            table["kappa"] = (kappa, kappa_bound(m, p, k, meas.norm_ah))
+        table["l_norm"] = (norm_l, l_norm_bound(k, meas.norm_ah))
     bound = {name: b for name, (_, b) in table.items()}
     return AnalysisReport(
         norm_l=norm_l, norm_l_inv=norm_l_inv, kappa=kappa,

@@ -6,12 +6,17 @@ encoded matrix is the top-left block of the unitary).  A stage is realized by
 dense gate products on the columns whose ancilla wires are |0>, the only ones
 its block reads, and certified unitary from its gate matrices, whose exact
 product U is.  Everything is checkable: each stage's projection reproduces its
-target block up to the declared normalization.
+target block up to the declared normalization.  A gate list repeats a few
+distinct gates many times, so each distinct gate's certificate, matrix (an
+ADD's aside) and wire bookkeeping is computed once, in bounded caches keyed on
+its parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -119,46 +124,79 @@ class CircuitSpec:
                 raise LayoutError(f"opaque gate {g.label!r} has no attached unitary")
 
 
-def _apply(op: np.ndarray, gate: np.ndarray, targets, nq: int, controls=()):
-    """Left-multiply a gate (on `targets`, conditioned on `controls`) into op."""
-    cols = op.shape[1]
-    tensor = op.reshape((2,) * nq + (cols,))
+@functools.lru_cache(maxsize=1024)
+def _wire_plan(targets: tuple, controls: tuple, nq: int) -> tuple[tuple, tuple, tuple]:
+    """(index, order, inverse) of ``_apply``: the tensor index that fixes the
+    control wires, the axis order that moves the targets of the indexed
+    tensor first, and its inverse."""
     index = [slice(None)] * (nq + 1)
     for wire, val in controls:
         index[wire] = val
-    sub = tensor[tuple(index)]
     ctrl_wires = sorted(w for w, _ in controls)
 
     def local(w):
         return w - sum(1 for c in ctrl_wires if c < w)
 
     axes = [local(w) for w in targets]
-    rest = [a for a in range(sub.ndim) if a not in axes]
-    moved = np.transpose(sub, axes + rest)
-    shape = moved.shape
+    ndim = sum(isinstance(i, slice) for i in index)
+    order = axes + [a for a in range(ndim) if a not in axes]
+    return tuple(index), tuple(order), tuple(sorted(range(ndim), key=order.__getitem__))
+
+
+def _apply(op: np.ndarray, gate: np.ndarray, targets, nq: int, controls=()):
+    """Left-multiply a gate (on `targets`, conditioned on `controls`) into op."""
+    cols = op.shape[1]
+    index, order, inverse = _wire_plan(tuple(targets), tuple(controls), nq)
+    tensor = op.reshape((2,) * nq + (cols,))
+    moved = tensor[index].transpose(order)
     flat = gate @ moved.reshape(2 ** len(targets), -1)
-    tensor[tuple(index)] = np.transpose(flat.reshape(shape), np.argsort(axes + rest))
+    tensor[index] = flat.reshape(moved.shape).transpose(inverse)
     return tensor.reshape(2**nq, cols)
+
+
+def _gate_key(g: GateOp) -> tuple[str, int, bytes]:
+    """(kind, width, angle bits) of a gate other than OPAQUE: all that its
+    matrix reads.  The angles enter by their bits, so -0.0 and 0.0, whose
+    rotations differ in the sign of a zero, never share a matrix."""
+    angles = (g.angle,) if g.kind == "RY" else g.angles if g.kind == "UCRY" else ()
+    return g.kind, len(g.targets), struct.pack(f"{len(angles)}d", *angles)
+
+
+@functools.lru_cache(maxsize=256)
+def _gate(kind: str, width: int, angle_bits: bytes) -> tuple[np.ndarray | None, float]:
+    """(read-only matrix, ``_gram_defect`` delta) of a gate by its
+    ``_gate_key``.  An ADD keeps only its delta: its matrix has 4^width
+    entries, 64 MB at the 11 wires the qubit budget leaves it, and
+    ``_dense_ops`` rolls it anew for each use."""
+    angles = struct.unpack(f"{len(angle_bits) // 8}d", angle_bits)
+    if kind in _FIXED_GATES:
+        matrix = _FIXED_GATES[kind]
+    elif kind == "RY":
+        matrix = ry_matrix(*angles)
+    elif kind == "UCRY":
+        matrix = ucry_matrix(angles)
+    elif kind == "ADD":
+        return None, _gram_defect(add_matrix(width))
+    else:
+        raise LayoutError(f"unknown gate kind {kind!r}")
+    matrix.flags.writeable = False
+    return matrix, _gram_defect(matrix)
 
 
 def _dense_ops(spec: CircuitSpec) -> list[tuple[np.ndarray, tuple, tuple]]:
     """(gate matrix, targets, controls) of each gate of the list, one op per
-    gate.  A UCRY is the block diagonal of its rotations on the selector and
-    target wires, selector most significant."""
+    gate, the matrix of each gate but OPAQUE and ADD from ``_gate``.  A UCRY
+    is the block diagonal of its rotations on the selector and target wires,
+    selector most significant."""
     ops = []
     for g in spec.gates:
-        if g.kind in _FIXED_GATES:
-            ops.append((_FIXED_GATES[g.kind], g.targets, g.controls))
-        elif g.kind == "RY":
-            ops.append((ry_matrix(g.angle), g.targets, g.controls))
+        if g.kind == "OPAQUE":
+            ops.append((spec.opaques[g.label], g.targets, g.controls))
         elif g.kind == "ADD":
             ops.append((add_matrix(len(g.targets)), g.targets, g.controls))
-        elif g.kind == "UCRY":
-            ops.append((ucry_matrix(g.angles), g.selector + g.targets, g.controls))
-        elif g.kind == "OPAQUE":
-            ops.append((spec.opaques[g.label], g.targets, g.controls))
         else:
-            raise LayoutError(f"unknown gate kind {g.kind!r}")
+            wires = g.selector + g.targets if g.kind == "UCRY" else g.targets
+            ops.append((_gate(*_gate_key(g))[0], wires, g.controls))
     return ops
 
 
@@ -203,21 +241,21 @@ def _gram_defect(u: np.ndarray) -> float:
 class BlockEncodingUnitary:
     """A unitary U declared to hold target/alpha in its top-left block.
 
-    A realized stage holds the ``_dense_ops`` (matrix, targets, controls) of
-    its circuit in ``gates``, U being their product, and in ``unitary`` only
-    the columns of U whose ancilla wires are |0> (all of U without
-    ancillas).  An explicit U has ``gates`` None and is held whole.
+    A realized stage holds its circuit in ``circuit``, U being the
+    product of its gates, and in ``unitary`` only the columns of U whose
+    ancilla wires are |0> (all of U without ancillas).  An explicit U has
+    ``circuit`` None and is held whole.
     """
 
     unitary: np.ndarray
     alpha: float
     ancillas: int
     target_dim: int
-    gates: tuple | None = None
+    circuit: CircuitSpec | None = None
 
     def __post_init__(self):
         dim = self.unitary.shape[0]
-        cols = dim if self.gates is None else self.target_dim
+        cols = dim if self.circuit is None else self.target_dim
         if self.unitary.shape != (dim, cols) or dim & (dim - 1):
             raise ShapeError("unitary must have power-of-two dimension and be square, "
                              "or hold a stage's target columns")
@@ -245,12 +283,17 @@ class BlockEncodingUnitary:
         and ||U_{j-1}||^2 <= 1 + eps_{j-1}, so
         eps_j <= delta_j (1 + eps_{j-1}) + eps_{j-1}.  The sum is accumulated
         in that form, which keeps every digit of a single factor's delta; an
-        explicit U is its own single factor.
+        explicit U is its own single factor.  The delta of every gate but
+        OPAQUE comes from ``_gate``, once per distinct gate.
         """
-        factors = [self.unitary] if self.gates is None else [g for g, _, _ in self.gates]
+        if self.circuit is None:
+            deltas = [_gram_defect(self.unitary)]
+        else:
+            opaques = self.circuit.opaques
+            deltas = (_gram_defect(opaques[g.label]) if g.kind == "OPAQUE"
+                      else _gate(*_gate_key(g))[1] for g in self.circuit.gates)
         eps = 0.0
-        for gate in factors:
-            delta = _gram_defect(gate)
+        for delta in deltas:
             eps = eps + delta + eps * delta
         return eps
 
@@ -272,9 +315,8 @@ def _qubits_for(value: int, what: str) -> int:
 
 
 def _encode(spec: CircuitSpec, alpha: float, target_dim: int) -> BlockEncodingUnitary:
-    """The realized stage: its target columns and the gates of its product."""
-    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim,
-                                tuple(_dense_ops(spec)))
+    """The realized stage: its target columns and its circuit."""
+    return BlockEncodingUnitary(realize_dense(spec), alpha, spec.ancilla_qubits, target_dim, spec)
 
 
 def zero_matrix_encoding(n_qubits: int) -> BlockEncodingUnitary:

@@ -180,14 +180,17 @@ _SCALE_TARGET = 0.25
 def reference_expm(matrix_a, time: float) -> np.ndarray:
     """Trusted oracle for exp(A t), independent of the Pade code paths.
 
-    Hermitian inputs go through an eigendecomposition; everything else uses
-    scaling-and-squaring with a fixed order-30 Taylor evaluation, accurate to
-    near machine precision at the scaled norm <= 1/4.
+    Exactly Hermitian inputs go through an eigendecomposition, which reads
+    one triangle; a matrix only within ``HERMITIAN_TOL`` of Hermitian would
+    lose the other there, as the augmented generator [[A, b], [0, 0]] of a b
+    tiny next to A loses b.  Everything else uses scaling-and-squaring with a
+    fixed order-30 Taylor evaluation, accurate to near machine precision at
+    the scaled norm <= 1/4.
     """
     a = _as_square(matrix_a)
     if not np.isfinite(a).all():
         raise ShapeError("matrix entries must be finite")
-    if is_hermitian(a):
+    if np.array_equal(a, a.conj().T):
         w, v = np.linalg.eigh(a)
         with np.errstate(over="raise"):
             try:

@@ -10,7 +10,9 @@ the one-step propagator R_kk(A h) = D^-1 N from Horner polynomials of the
 matrix (``eval_pade_parts``, ``pade_propagator``), where the package reads
 it off the one-step block W, or the unitarity certificate of a circuit
 stage's whole U (``whole_unitary_defect``), where the package bounds it from
-the stage's gates.
+the stage's gates, or that bound and the stage's columns from gate matrices
+and wire bookkeeping built anew for every gate (``fresh_unitarity_defect``,
+``fresh_columns``), where the package computes them once per distinct gate.
 """
 
 import math
@@ -20,7 +22,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from pade_lab import pade_core
-from pade_lab.circuit_sim import UNITARITY_TOL, BlockEncodingUnitary, _apply
+from pade_lab.circuit_sim import (
+    _FIXED_GATES as FIXED_GATES,
+    UNITARITY_TOL,
+    BlockEncodingUnitary,
+    _gram_defect,
+    add_matrix,
+    ry_matrix,
+    ucry_matrix,
+)
 from pade_lab.classical_solver import SolutionBundle, _norms
 from pade_lab.error_bounds import SolverParams
 from pade_lab.errors import (
@@ -207,17 +217,73 @@ def pade_propagator(matrix_a, step: float, order: int) -> np.ndarray:
     return prop
 
 
+def fresh_gate_ops(spec) -> list:
+    """(matrix, wires, controls) of each gate of ``spec``, every matrix built
+    anew by the package's gate builders, never taken from a cache."""
+    ops = []
+    for g in spec.gates:
+        if g.kind in FIXED_GATES:
+            gate = FIXED_GATES[g.kind].copy()
+        elif g.kind == "RY":
+            gate = ry_matrix(g.angle)
+        elif g.kind == "ADD":
+            gate = add_matrix(len(g.targets))
+        elif g.kind == "UCRY":
+            gate = ucry_matrix(g.angles)
+        else:
+            gate = spec.opaques[g.label]
+        ops.append((gate, g.selector + g.targets if g.kind == "UCRY" else g.targets,
+                    g.controls))
+    return ops
+
+
+def apply_gate(op, gate, targets, nq, controls=()):
+    """Left-multiply a gate on ``targets`` under ``controls`` into the columns
+    ``op``, its wire bookkeeping worked out anew on every call."""
+    cols = op.shape[1]
+    tensor = op.reshape((2,) * nq + (cols,))
+    index = [slice(None)] * (nq + 1)
+    for wire, val in controls:
+        index[wire] = val
+    sub = tensor[tuple(index)]
+    ctrl_wires = sorted(w for w, _ in controls)
+    axes = [w - sum(1 for c in ctrl_wires if c < w) for w in targets]
+    rest = [a for a in range(sub.ndim) if a not in axes]
+    moved = np.transpose(sub, axes + rest)
+    flat = gate @ moved.reshape(2 ** len(targets), -1)
+    tensor[tuple(index)] = np.transpose(flat.reshape(moved.shape), np.argsort(axes + rest))
+    return tensor.reshape(2**nq, cols)
+
+
+def fresh_columns(spec, cols: int):
+    """The first ``cols`` columns of the product of the gates of ``spec``, from
+    ``fresh_gate_ops`` and ``apply_gate``."""
+    nq = spec.total_qubits
+    op = np.eye(2**nq, cols, dtype=complex)
+    for gate, targets, controls in fresh_gate_ops(spec):
+        op = apply_gate(op, gate, targets, nq, controls)
+    return op
+
+
+def fresh_unitarity_defect(enc: BlockEncodingUnitary) -> float:
+    """The gate bound of a realized stage's ``unitarity_defect`` folded
+    afresh: the ``_gram_defect`` of every gate matrix of ``fresh_gate_ops``,
+    eps <- eps + delta + eps delta in gate order."""
+    eps = 0.0
+    for gate, _, _ in fresh_gate_ops(enc.circuit):
+        delta = _gram_defect(gate)
+        eps = eps + delta + eps * delta
+    return eps
+
+
 def whole_unitary_defect(enc: BlockEncodingUnitary) -> float:
     """Gram certificate of ||U^H U - I||_2 for the whole U of an encoding:
     an explicit U as held, a realized stage's U with all 2^nq columns
-    multiplied out from its gates.  ||E||_F of E = U^H U - I when that meets
-    UNITARITY_TOL, else the exact 2-norm of E."""
+    multiplied out from its gates by ``fresh_columns``.  ||E||_F of
+    E = U^H U - I when that meets UNITARITY_TOL, else the exact 2-norm of E."""
     u = enc.unitary
-    if enc.gates is not None:
-        nq = u.shape[0].bit_length() - 1
-        u = np.eye(2**nq, dtype=complex)
-        for gate, targets, controls in enc.gates:
-            u = _apply(u, gate, targets, nq, controls)
+    if enc.circuit is not None:
+        u = fresh_columns(enc.circuit, u.shape[0])
     defect = u.conj().T @ u - np.eye(u.shape[0])
     frobenius = float(np.linalg.norm(defect))
     return frobenius if frobenius <= UNITARITY_TOL else float(np.linalg.norm(defect, 2))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -718,6 +719,19 @@ class TestLuIdentity:
 
 
 class TestConditionReport:
+    def test_norm_of_a_huge_non_normal_a(self):
+        # ||A||_2 = 1.7e308 sqrt(2) is past the double range, h ||A||_2 is not
+        a = np.array([[0.0, 1.7e308], [0.0, -1.7e308]], dtype=complex)
+        params = make_params(2, 3, 1, 1e-300, "pade")
+        meas = analysis._measure(a, params)
+        assert meas.spectrum is None
+        assert meas.norm_ah == pytest.approx(5e-301 * 1.7e308 * math.sqrt(2), rel=1e-14)
+        assert analysis._report(meas, params, None, {}).bound_l_norm == pytest.approx(
+            0.5 * meas.norm_ah + 3.0, rel=1e-15)
+        # an h ||A||_2 truly beyond the double range makes no infinite bound
+        with pytest.raises(MagnitudeError, match="overflows"):
+            analysis._report(replace(meas, norm_ah=math.inf), params, None, {})
+
     def test_trivial_instance_vs_svd(self):
         problem = OdeProblem(matrix_a=np.zeros((1, 1)), vec_b=np.ones(1),
                              vec_x0=np.ones(1), horizon=1.0)

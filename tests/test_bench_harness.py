@@ -2,6 +2,8 @@
 
 ``perfbench/tracer.py`` wraps program functions by name, so deleting or
 renaming one of them would otherwise surface only as a failed traced run.
+One traced circuit-verify op must record a span of each circuit counter: a
+restructure that calls around a wrapped name would leave it reading zero.
 """
 
 import os
@@ -15,9 +17,15 @@ SCRIPT = """
 import perfbench.workloads as workloads
 from perfbench.tracer import Tracer, instrument
 
-instrument(Tracer())
+tracer = Tracer()
+instrument(tracer)
 for name in workloads.WORKLOADS:
     assert workloads.make_ops(name, 0), name
+op = workloads.make_ops("circuit-verify", 0)[0]
+assert op.check(op.run()) is None
+names = [span[0] for span in tracer.spans]
+for traced in ("circuit_sim.realize_dense", "circuit_sim.unitarity_defect"):
+    assert names.count(traced) >= 1, (traced, sorted(set(names)))
 """
 
 

@@ -18,7 +18,10 @@ from pade_lab.circuit_sim import (
     Register,
     _dense_ops,
     _encode,
+    _gram_defect,
     add_matrix,
+    build_b_encoding,
+    build_coupling_encoding,
     build_l_encoding,
     build_w_encoding,
     coupling_target,
@@ -36,7 +39,7 @@ from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients
 from pade_lab.system_builder import SCHEMES, build_pade_system, dense_patterns
 
-from oracles import whole_unitary_defect
+from oracles import fresh_columns, fresh_unitarity_defect, whole_unitary_defect
 
 
 def random_hermitian_unit(seed, n=2, shrink=1.3):
@@ -311,27 +314,77 @@ class TestUnitarityCertificate:
         assert (whole_unitary_defect(stage) <= UNITARITY_TOL) is passes
 
     def test_gate_bound_verdict_matches_whole_unitary_on_c09_grid(self):
-        # every stage of the C09 grid: each L and its primitives
-        cases = 0
-        for nq in (0, 1):
-            n = 2**nq
-            for m in (1, 2):
-                for k1 in (2, 4):
-                    for kind in ("zero", "hermitian"):
-                        if kind == "zero":
-                            enc = zero_matrix_encoding(nq)
-                        else:
-                            rng = np.random.default_rng(80_000 + cases)
-                            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                            a = (raw + raw.conj().T) / 2
-                            enc = hermitian_encoding(a / (1.4 * np.linalg.norm(a, 2)))
-                        stages = [build_l_encoding(enc, 1.0, m, k1 - 1),
-                                  *primitive_encodings(k1 - 1, m).values()]
-                        for stage in stages:
-                            bound, whole = stage.unitarity_defect(), whole_unitary_defect(stage)
-                            assert (bound <= UNITARITY_TOL) == (whole <= UNITARITY_TOL)
-                        cases += 1
-        assert cases == 16
+        stages = c09_stages()
+        for stage in stages:
+            bound, whole = stage.unitarity_defect(), whole_unitary_defect(stage)
+            assert (bound <= UNITARITY_TOL) == (whole <= UNITARITY_TOL)
+        assert len(stages) == 16 * 11
+
+
+def c09_stages():
+    """Every stage of the C09 grid: for n = 1, 2, m = 1, 2, k + 1 = 2, 4 and A
+    zero or seeded Hermitian, L, the seven primitives, W, B and the coupling."""
+    stages = []
+    for nq in (0, 1):
+        n = 2**nq
+        for m in (1, 2):
+            for k1 in (2, 4):
+                for kind in ("zero", "hermitian"):
+                    if kind == "zero":
+                        enc = zero_matrix_encoding(nq)
+                    else:
+                        rng = np.random.default_rng(80_000 + len(stages) // 11)
+                        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                        a = (raw + raw.conj().T) / 2
+                        enc = hermitian_encoding(a / (1.4 * np.linalg.norm(a, 2)))
+                    k, scale = k1 - 1, max(enc.alpha, 1.0)
+                    stages += [build_l_encoding(enc, 1.0, m, k),
+                               *primitive_encodings(k, m).values(),
+                               build_w_encoding(enc, 1.0, k), build_b_encoding(k, m, scale),
+                               build_coupling_encoding(k, m, scale)]
+    return stages
+
+
+def bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+class TestGateCaches:
+    """Each distinct gate's matrix, certificate and wire bookkeeping is computed
+    once; every result must be what a fresh computation per gate gives."""
+
+    def test_certificate_is_the_fresh_fold_on_c09_grid(self):
+        for stage in c09_stages():
+            assert stage.unitarity_defect() == fresh_unitarity_defect(stage)
+
+    def test_columns_are_the_fresh_product_on_c09_grid(self):
+        for stage in c09_stages():
+            fresh = fresh_columns(stage.circuit, stage.target_dim)
+            assert np.array_equal(bits(stage.unitary), bits(fresh))
+            assert np.array_equal(bits(realize_dense(stage.circuit)), bits(fresh))
+
+    def test_rotations_of_different_angles_keep_their_own_defects(self):
+        angles = (0.3, 0.7, ZETA, THETA_1, 2.0 * math.acos(0.5), 0.0, -0.0)
+        fresh = [_gram_defect(ry_matrix(t)) for t in angles]
+        assert len(set(fresh[:5])) > 1
+        for _ in range(2):  # the second round reads every cache
+            for t, want in zip(angles, fresh):
+                spec = CircuitSpec(registers=(Register("n", 1, False),),
+                                   gates=[GateOp("RY", (0,), angle=t)])
+                stage = _encode(spec, 1.0, 2)
+                assert stage.unitarity_defect() == want
+                # -0.0 and 0.0 rotate alike but differ in the sign of a zero
+                assert np.array_equal(bits(_dense_ops(spec)[0][0]), bits(ry_matrix(t)))
+                assert np.array_equal(bits(stage.unitary), bits(fresh_columns(spec, 2)))
+
+    def test_cached_gate_matrix_is_read_only(self):
+        spec = random_mixed_stage(0, 8)
+        kinds = {g.kind for g in spec.gates}
+        assert {"H", "X", "Z", "NEGZ", "RY", "UCRY"} <= kinds
+        for g, (gate, _, _) in zip(spec.gates, _dense_ops(spec)):
+            if g.kind not in ("OPAQUE", "ADD"):  # an ADD's matrix is rolled anew
+                with pytest.raises(ValueError):
+                    gate[0, 0] = 2.0
 
 
 class TestPrimitives:

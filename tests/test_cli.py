@@ -534,6 +534,11 @@ _HUGE_DENSE_DRIFT = '{"n":2,"a":[[-400,1],[0,-1]],"b":[0,0],"x0":[1,1],"T":2}'
 # Taylor terminals near 2e176 at m = 20 against x(1) = 1e100 e^-700: the
 # relative error of the sweep rows is beyond the double range.
 _HUGE_PROBE = '{"n":1,"a":[[-700]],"b":[0],"x0":[1e100],"T":1}'
+# A non-normal A whose 2-norm is past the double range, while h ||A|| is 1.2e8
+_HUGE_NORM_A = ('{"n": 3, "a": [[2.2e-308, 1e-160, {"re": -1.7e+308, "im": 0.168}], '
+                '[0.0, 1.765, 1.7e+308], [-2.2e-308, 1.4397, -1.9305]], '
+                '"b": [{"re": -2.2e-308, "im": -1.78}, -1e-160, 0.0], '
+                '"x0": [2.1955, 2.6511, -2.6066], "T": 1e-300}')
 _SVD_STALL = ('{"n": 2, "a": [[{"re": 0.0, "im": 1e+154}, 1e+200], [0.0, 0.0]], '
               '"b": [0.0, 0.0], "x0": [0.0, 0.0], "T": 1e-10}')
 
@@ -561,6 +566,7 @@ class TestHostileNumbers:
     @example(doc=_HUGE_DENSE_DRIFT, argv=_HOSTILE_ARGV[0])
     @example(doc=_SVD_STALL, argv=_HOSTILE_ARGV[0])
     @example(doc=_HUGE_PROBE, argv=["sweep-m", "--k", "3", "--eps", "1e-6", "--m-max", "20"])
+    @example(doc=_HUGE_NORM_A, argv=_HOSTILE_ARGV[0])
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_hostile_problem_never_escapes(self, doc, argv, tmp_path, monkeypatch, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pade_lab.errors import MagnitudeError, OrderRangeError, ShapeError, SingularDenominatorError
 from pade_lab.pade_core import (
     OdeProblem,
+    is_hermitian,
     pade_coefficients,
     reference_expm,
 )
@@ -191,12 +192,27 @@ class TestReferenceExpm:
 
     def test_hermitian_branch_matches_series_branch(self, rng):
         a = random_hermitian_nsd(rng, 4, scale=3.0)
+        # (q w) q^H rounds its two triangles apart; only an exactly Hermitian
+        # matrix takes the eigendecomposition
+        a = (a + a.conj().T) / 2
+        assert np.array_equal(a, a.conj().T)
         got = reference_expm(a, 2.0)
         # force the series path by adding an invisible non-Hermitian epsilon
         skew = np.zeros((4, 4), dtype=complex)
         skew[0, 1] = 1e-9
         series = reference_expm(a + skew, 2.0)
         assert np.linalg.norm(got - series, 2) <= 1e-8
+
+    def test_tiny_b_column_is_kept(self):
+        # the augmented generator [[A, b], [0, 0]] of a trajectory, with b
+        # within HERMITIAN_TOL of the zero row below it: an eigendecomposition
+        # reads one triangle and would drop b, which carries all of x(T) once
+        # x0 has decayed
+        aug = np.array([[-2.905684, 1e-160], [0.0, 0.0]], dtype=complex)
+        assert is_hermitian(aug)
+        got, want = reference_expm(aug, 3.0), sla.expm(aug * 3.0)
+        assert want[0, 1].real == pytest.approx(3.441e-161, rel=1e-3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_overflow(self):
         with pytest.raises(MagnitudeError):

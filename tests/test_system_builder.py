@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,6 +413,17 @@ class TestTrajectory:
         for i in range(m):
             want = prop @ traj.states[i] + integral
             assert np.linalg.norm(traj.states[i + 1] - want) <= 1e-10
+
+    def test_tiny_b_reaches_the_terminal_state(self):
+        # x0 = 2.2e-308 decays to nothing; x(T) is the b = 1e-160 part,
+        # 3.40e-161 by expm of the augmented generator
+        problem = OdeProblem(matrix_a=np.array([[-2.905684]]), vec_b=np.array([1e-160]),
+                             vec_x0=np.array([2.2e-308]), horizon=3.0)
+        traj = classical_reference_trajectory(problem, make_params(2, 1, 1, 3.0, "pade"))
+        aug = np.array([[-2.905684, 1e-160], [0.0, 0.0]])
+        want = (sla.expm(aug * 3.0) @ [2.2e-308, 1.0])[0]
+        assert want == pytest.approx(3.40e-161, rel=1e-2)
+        assert traj.states[-1][0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_degenerate_flag(self):
         problem = OdeProblem(matrix_a=np.array([[-1.0]]), vec_b=np.zeros(1),
