@@ -9,7 +9,7 @@ product U is.  Everything is checkable: each stage's projection reproduces its
 target block up to the declared normalization.  A gate list repeats a few
 distinct gates many times, so each distinct gate's certificate, matrix (an
 ADD's aside) and wire bookkeeping is computed once, in bounded caches keyed on
-its parameters.
+its parameters; each stage that never reads A is held per (order, steps[, scale]).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompositionError, LayoutError, ShapeError, SizeError
+from .errors import CompositionError, LayoutError, MagnitudeError, ShapeError, SizeError
 from .pade_core import is_hermitian
 from .system_builder import SCHEMES
 
@@ -259,6 +259,8 @@ class BlockEncodingUnitary:
         if self.unitary.shape != (dim, cols) or dim & (dim - 1):
             raise ShapeError("unitary must have power-of-two dimension and be square, "
                              "or hold a stage's target columns")
+        if not math.isfinite(self.alpha):
+            raise MagnitudeError(f"stage normalization alpha={self.alpha} is not finite")
         if self.alpha <= 0:
             raise CompositionError("normalization must be positive")
         if self.target_dim * 2**self.ancillas != dim:
@@ -346,6 +348,38 @@ def hermitian_encoding(matrix_a, alpha: float | None = None) -> BlockEncodingUni
 
 # ----------------------------------------------- figure-level constructions ---
 
+#: Complex entries that the A-free stages and targets hold in all (16 MB).
+_HELD_ENTRIES = 2**20
+
+#: (builder name, order, steps[, scale]) -> (result, its entries), oldest use first.
+_held: OrderedDict = OrderedDict()
+
+
+def _held_by_value(fn):
+    """``fn(order, steps[, scale])`` built once per value of its arguments and
+    held read-only, least recent use evicted first while the held entries
+    exceed ``_HELD_ENTRIES``.  A larger result is returned but not held, an
+    exception holds nothing, and a dict comes back as a new dict."""
+    @functools.wraps(fn)
+    def held(order: int, steps: int, *scale: float):
+        key = (fn.__name__, int(order), int(steps), *map(float, scale or fn.__defaults__ or ()))
+        value, entries = _held.pop(key, (None, 0))
+        if value is None:
+            value = fn(*key[1:])
+            parts = value.values() if isinstance(value, dict) else (value,)
+            arrays = [getattr(part, "unitary", part) for part in parts]
+            for a in arrays:
+                a.flags.writeable = False
+            entries = sum(a.size for a in arrays)
+        if entries <= _HELD_ENTRIES:
+            _held[key] = value, entries  # (re)inserted as the latest use
+            while sum(size for _, size in _held.values()) > _HELD_ENTRIES:
+                _held.popitem(last=False)
+        return dict(value) if isinstance(value, dict) else value
+    return held
+
+
+@_held_by_value
 def primitive_targets(order: int, steps: int) -> dict[str, np.ndarray]:
     """Dense targets of the seven primitive encodings, for verification.
 
@@ -453,6 +487,7 @@ class _Stage:
             self.g(GateOp("RY", (self.wires["scale"][0],), tuple(controls), angle=phi))
 
 
+@_held_by_value
 def primitive_encodings(order: int, steps: int) -> dict[str, BlockEncodingUnitary]:
     """Standalone (1,1)-encodings of the seven primitive blocks (power-of-two sizes)."""
     k, m = int(order), int(steps)
@@ -549,6 +584,7 @@ def build_w_encoding(a_encoding: BlockEncodingUnitary, step_h: float,
     return _encode(st.spec, 3.0 * st.scale, (k + 1) * a_encoding.target_dim)
 
 
+@_held_by_value
 def build_b_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodingUnitary:
     """(3*scale, 3 or 4)-encoding of the p x p padding bidiagonal chain."""
     k, m = int(order), int(steps)
@@ -559,6 +595,7 @@ def build_b_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodin
     return _encode(st.spec, 3.0 * scale, m * (k + 1))
 
 
+@_held_by_value
 def build_coupling_encoding(order: int, steps: int, scale: float = 1.0) -> BlockEncodingUnitary:
     """(scale, 2 or 3)-encoding of the inter-step coupling term (n-factor dropped)."""
     k, m = int(order), int(steps)
@@ -569,6 +606,7 @@ def build_coupling_encoding(order: int, steps: int, scale: float = 1.0) -> Block
     return _encode(st.spec, scale, 2 * m * (k + 1))
 
 
+@_held_by_value
 def coupling_target(order: int, steps: int) -> np.ndarray:
     """Dense coupling term over the 2m(k+1) index space (without the n factor)."""
     k, m = int(order), int(steps)

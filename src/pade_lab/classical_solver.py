@@ -189,22 +189,29 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     col, dual = refined(np.eye(wb, b), False), refined(signed, True)  # C and D, (r, wb, b)
     coupled = rec.couple * (signed.T @ col)  # couple R
 
-    def chain(x, mat):
-        """x_j <- x_j - mat x_{j-1} for j = 1, 2, ... along the last axis of
-        the (r, b, m) stack x: the recurrence solved by doubling, one
-        (r, b, b) @ (r, b, m - shift) product per shift."""
-        power, shift = -mat, 1
-        while shift < x.shape[-1]:
-            x[..., shift:] += power @ x[..., :-shift]
-            shift *= 2
-            if shift < x.shape[-1]:
-                power = power @ power
+    # the operands that no application changes, formed once and read-only:
+    # -mat, (-mat)^2, (-mat)^4, ... for mat = couple R and its adjoint, one
+    # power per doubling shift below m, and the conjugates of D and C
+    powers, powers_h = [-coupled][:m - 1], [-np.swapaxes(coupled, 1, 2).conj()][:m - 1]
+    while 2 ** len(powers) < m:
+        powers.append(powers[-1] @ powers[-1])
+        powers_h.append(powers_h[-1] @ powers_h[-1])
+    dual_c, col_c = dual.conj(), col.conj()
+    for held in (*powers, *powers_h, dual_c, col_c):
+        held.flags.writeable = False
+
+    def chain(x, powers):
+        """x_j <- x_j - mat x_{j-1} for j = 1, 2, ... along the last axis of the
+        (r, b, m) stack x, from the doubling powers of mat: one (r, b, b)
+        @ (r, b, m - shift) product per shift."""
+        for j, power in enumerate(powers):
+            x[..., 2**j:] += power @ x[..., :-2**j]
         return np.swapaxes(x, 1, 2)
 
     def inv(vec):
         vec = vec.reshape(r, -1, b)
         ys = vec[:, :rows].reshape(r, m, wb)
-        sig = chain(np.swapaxes(ys @ dual.conj(), 1, 2), coupled)
+        sig = chain(np.swapaxes(ys @ dual_c, 1, 2), powers)
         z = solve(ys, False)
         z[:, 1:] -= rec.couple * sig[:, :-1] @ np.swapaxes(col, 1, 2)
         tail = vec[:, rows:].copy()
@@ -217,8 +224,8 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         tail = np.cumsum(vec[:, :rows - 1:-1], axis=1)[:, ::-1]
         tail[:, 0] /= rec.row_scale
         # tau_m = the terminal entry, then tau_{m-1}, ..., tau_1, reversed
-        tau = np.concatenate([tail[:, :1], (vs @ col.conj())[:, :0:-1]], axis=1)
-        tau = chain(np.swapaxes(tau, 1, 2), np.swapaxes(coupled, 1, 2).conj())[:, ::-1]
+        tau = np.concatenate([tail[:, :1], (vs @ col_c)[:, :0:-1]], axis=1)
+        tau = chain(np.swapaxes(tau, 1, 2), powers_h)[:, ::-1]
         u = solve(vs, True) - rec.couple * tau @ np.swapaxes(dual, 1, 2)
         return np.concatenate([u.reshape(r, rows, b), tail], axis=1).ravel()
 

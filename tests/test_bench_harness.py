@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` wraps program functions by name, so deleting or
 renaming one of them would otherwise surface only as a failed traced run.
 One traced circuit-verify op must record a span of each circuit counter: a
-restructure that calls around a wrapped name would leave it reading zero.
+restructure that calls around a wrapped name would leave it reading zero.  A
+second op of the same (k, m) still records ``primitive_encodings`` through the
+stage cache, and ``realize_dense`` for the two stages that read A.
 """
 
 import os
@@ -21,11 +23,16 @@ tracer = Tracer()
 instrument(tracer)
 for name in workloads.WORKLOADS:
     assert workloads.make_ops(name, 0), name
-op = workloads.make_ops("circuit-verify", 0)[0]
-assert op.check(op.run()) is None
-names = [span[0] for span in tracer.spans]
-for traced in ("circuit_sim.realize_dense", "circuit_sim.unitarity_defect"):
-    assert names.count(traced) >= 1, (traced, sorted(set(names)))
+# ops 0 and 1 share (k, m) and scale: the second finds every A-free stage held
+for i, op in enumerate(workloads.make_ops("circuit-verify", 0)[:2]):
+    tracer.op = str(i)
+    assert op.check(op.run()) is None
+names = {op: [span[0] for span in tracer.spans if span[1] == op] for op in ("0", "1")}
+for traced in ("circuit_sim.realize_dense", "circuit_sim.unitarity_defect",
+               "circuit_sim.primitive_encodings"):
+    assert names["0"].count(traced) >= 1, (traced, sorted(set(names["0"])))
+assert names["1"].count("circuit_sim.primitive_encodings") == 1, names["1"]
+assert names["1"].count("circuit_sim.realize_dense") == 2, names["1"]  # W and L
 """
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from pade_lab.circuit_sim import (
     verify_block_encoding,
     zero_matrix_encoding,
 )
-from pade_lab.errors import CompositionError, LayoutError, ShapeError, SizeError
+from pade_lab import circuit_sim
+from pade_lab.errors import (CompositionError, LayoutError, MagnitudeError, ShapeError,
+                             SizeError)
 from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients
 from pade_lab.system_builder import SCHEMES, build_pade_system, dense_patterns
@@ -385,6 +388,98 @@ class TestGateCaches:
             if g.kind not in ("OPAQUE", "ADD"):  # an ADD's matrix is rolled anew
                 with pytest.raises(ValueError):
                     gate[0, 0] = 2.0
+
+
+def same_stage(got, want):
+    """The same realized stage: columns, normalization, layout and certificate."""
+    assert np.array_equal(bits(got.unitary), bits(want.unitary))
+    assert (got.alpha, got.ancillas, got.target_dim) == (want.alpha, want.ancillas,
+                                                         want.target_dim)
+    assert got.unitarity_defect() == want.unitarity_defect()
+
+
+class TestHeldStages:
+    """Each stage that never reads A, and each target, is built once per
+    (order, steps[, scale]) and held read-only; every call must return what
+    a fresh build through the uncached builder gives."""
+
+    @pytest.mark.parametrize("k1", [2, 4])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])  # the C09 grid's, and one with a scale wire
+    def test_held_results_are_fresh_builds_on_c09_grid(self, k1, m, scale):
+        k = k1 - 1
+        for _ in range(2):  # the second round reads every held entry
+            fresh = primitive_encodings.__wrapped__(k, m)
+            for name, stage in primitive_encodings(k, m).items():
+                same_stage(stage, fresh[name])
+            fresh = primitive_targets.__wrapped__(k, m)
+            for name, target in primitive_targets(k, m).items():
+                assert np.array_equal(bits(target), bits(fresh[name]))
+            assert np.array_equal(bits(coupling_target(k, m)),
+                                  bits(coupling_target.__wrapped__(k, m)))
+            for build in (build_b_encoding, build_coupling_encoding):
+                same_stage(build(k, m, scale), build.__wrapped__(k, m, scale))
+
+    def test_held_arrays_are_read_only_and_dicts_are_new(self):
+        stages, targets = primitive_encodings(3, 2), primitive_targets(3, 2)
+        held = [*(s.unitary for s in stages.values()), *targets.values(), coupling_target(3, 2),
+                build_b_encoding(3, 2).unitary, build_coupling_encoding(3, 2, 2.5).unitary]
+        for a in held:
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
+        want_stages, want_targets = dict(stages), dict(targets)
+        stages.clear()
+        targets["m1"] = None
+        for got, want in ((primitive_encodings(3, 2), want_stages),
+                          (primitive_targets(3, 2), want_targets)):
+            assert got.keys() == want.keys()
+            assert all(got[name] is want[name] for name in want)
+        # a default scale and an explicit 1.0 are one key
+        assert build_b_encoding(3, 2) is build_b_encoding(3, 2, 1.0)
+
+    def test_held_entries_stay_within_the_bound(self, monkeypatch):
+        held = OrderedDict()
+        monkeypatch.setattr(circuit_sim, "_held", held)
+        monkeypatch.setattr(circuit_sim, "_HELD_ENTRIES", 100)
+
+        def check(keys):
+            assert list(held) == keys
+            assert sum(size for _, size in held.values()) <= 100
+
+        enc, targets, b = (("primitive_encodings", 1, 1), ("primitive_targets", 1, 1),
+                           ("build_b_encoding", 1, 1, 1.0))
+        primitive_encodings(1, 1)  # seven 4 x 2 stages: 56 entries
+        primitive_targets(1, 1)  # seven 2 x 2 targets: 28
+        check([enc, targets])
+        primitive_encodings(1, 1)  # a use makes the key the latest
+        check([targets, enc])
+        build_b_encoding(1, 1)  # 16 x 2: 32, past the bound, so the targets go
+        check([enc, b])
+        # 32 x 8 = 256 entries: built and returned, never held, nothing evicted
+        stage = build_coupling_encoding(1, 2)
+        assert stage.unitary.size > 100
+        same_stage(stage, build_coupling_encoding.__wrapped__(1, 2))
+        check([enc, b])
+        assert build_coupling_encoding(1, 2) is not stage
+
+    def test_errors_are_raised_again_and_hold_nothing(self):
+        for _ in range(2):
+            with pytest.raises(LayoutError):
+                primitive_encodings(2, 2)  # k+1 = 3
+            with pytest.raises(SizeError):
+                build_coupling_encoding(7, 128)  # 13 qubits
+            with pytest.raises(MagnitudeError, match="stage normalization"):
+                build_b_encoding(3, 2, 1e308)  # 3 * scale overflows
+        assert not [key for key in circuit_sim._held
+                    if key[1:3] in ((2, 2), (7, 128)) or key[3:] == (1e308,)]
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_normalization_is_typed(self, alpha):
+        with pytest.raises(MagnitudeError, match="stage normalization"):
+            BlockEncodingUnitary(np.eye(2, dtype=complex), alpha, 0, 2)
+        # W's normalization 3 alpha h overflows at alpha h = 1e308
+        with pytest.raises(MagnitudeError, match="stage normalization"):
+            build_w_encoding(zero_matrix_encoding(1), 1e308, 3)
 
 
 class TestPrimitives:

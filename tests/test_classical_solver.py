@@ -354,6 +354,30 @@ class TestSubstitutionPair:
                 assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
                 assert np.linalg.norm(op @ x - part) <= 1e-12 * np.linalg.norm(part)
 
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_applications_keep_the_held_operands(self, rng, scheme):
+        # the doubling powers of couple R and its adjoint and the conjugated
+        # C and D are formed once per pair: m = 11 runs four shifts
+        m, k, p, n = 11, 3, 2, 3
+        rec = SCHEMES[scheme](k)
+        step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
+                                             * 0.2) for s in (5, 6)])
+        inv, inv_h = substitution_pair(step_blocks, rec, m, p)
+        cells = [c.cell_contents for f in (inv, inv_h) for c in f.__closure__]
+        powers = [v for v in cells if isinstance(v, list)]
+        assert len(powers) == 2 and all(len(held) == 4 for held in powers)
+        held = [a for v in cells for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in held]
+        size = 2 * (m * (k + 1) + p) * n
+        y = rng.normal(size=size) + 1j * rng.normal(size=size)
+        first, second = inv(inv_h(y)), inv(inv_h(y))
+        assert first.tobytes() == second.tobytes()
+        for a, copy in zip(held, before):
+            assert a.tobytes() == copy.tobytes()
+        for a in (a for v in powers for a in v):
+            assert not a.flags.writeable
+
 
 class TestDenseOracle:
     def test_identity_system(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pade_lab import experiments
+from pade_lab import circuit_sim, experiments
 from pade_lab.cli import EXIT_OK, EXIT_USAGE, _apply_config, build_parser, run_cli
 from pade_lab.errors import SingularBlockError
 from pade_lab.pade_core import OdeProblem
@@ -312,6 +312,19 @@ class TestBadInput:
         code, _ = run(["circuit-verify", "--n", "1", "--m", "1", "--k1", "2", flag, value])
         assert code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("random_a", [[], ["--random-a", "7"]], ids=["zero", "hermitian"])
+    def test_overflowing_stage_normalization_is_typed(self, random_a, capfd):
+        # a finite --h whose stage normalization 3 alpha h overflows: inf times
+        # the projection made the residual's SVD fail on NaN
+        argv = ["circuit-verify", "--n", "2", "--m", "2", "--k1", "4", "--h", "1e308", *random_a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(argv)
+        assert code == EXIT_USAGE
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: stage normalization")
+        assert not [key for key in circuit_sim._held if key[3:] and key[3] > 1e300]
 
     @pytest.mark.parametrize("argv,flag", [
         (["random-suite", "--seeds", "1", "--dims", "-1", "--t-grid", "1"], "--dims"),
