@@ -210,12 +210,12 @@ def _diagonal_blocks(a: np.ndarray, spectrum) -> tuple[np.ndarray, bool]:
     return np.unique(spectrum[0])[:, None, None], spectrum[1]
 
 
-def _inverse(stack: np.ndarray, what: str) -> np.ndarray:
-    """Inverses of a dense stack of square blocks; a singular one is typed."""
+def _inverse(stack: np.ndarray) -> np.ndarray:
+    """Inverses of a dense stack of block systems; a singular one is typed."""
     try:
         return np.linalg.inv(stack)
     except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"{what} is singular: {exc}") from exc
+        raise SingularBlockError(f"a block system of L is singular: {exc}") from exc
 
 
 def _top(stack: np.ndarray) -> float:
@@ -228,7 +228,7 @@ def _top(stack: np.ndarray) -> float:
 
 
 def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
-                           real: bool) -> tuple[float, float, np.ndarray | None]:
+                           real: bool) -> tuple[float, float, np.ndarray]:
     """(sigma_max, sigma_min, W^-1) over the block systems M_i = S (x) I_b + B (x) (X_i h)
     of the scheme ``rec`` on ``lay``, one per diagonal block X_i of ``blocks``.
 
@@ -242,8 +242,8 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     direct sum of the M_i, applied by the block substitution of
     ``classical_solver.substitution_pair``.  M_i is block lower triangular with
     the one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense
-    path returns a copy of the leading (k+1) b square of each M_i^-1, the stack
-    of the W_i^-1; the Lanczos path returns None.
+    path returns the stack of the W_i^-1 as a copy of the leading (k+1) b
+    square of each M_i^-1, the Lanczos path as the substitution forms it.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = scaled_by_step(blocks, lay.h)
@@ -252,7 +252,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         # the stack is rebound to the inverses, freed before their SVD; the
         # W_i^-1 are copied out, so no view keeps the inverses alive
         stack = kron_sum(*dense_patterns(rec, lay.m, lay.p), xh)
-        smax, stack = _top(stack[ends]), _inverse(stack, "a block system of L")
+        smax, stack = _top(stack[ends]), _inverse(stack)
         lead = len(rec.s1) * w
         return smax, 1.0 / _top(stack), stack[:, :lead, :lead].copy()
     systems = csr_systems(rec, lay.m, lay.p, xh[ends])
@@ -263,12 +263,12 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     else:
         v0 = _lanczos_start(d * w, complex_=not real)
         smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV) for csr in systems)))
-    inv, inv_h = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
+    inv, inv_h, w_inverse = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)
     inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
     inv_sq = _largest_eigenvalue(inv_op, v0)
-    return smax, float(1.0 / np.sqrt(inv_sq)), None
+    return smax, float(1.0 / np.sqrt(inv_sq)), w_inverse
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,10 @@ class _Measure:
     """What both reports read of one A on one system L (see ``_measure``)."""
 
     spectrum: tuple[np.ndarray, bool] | None
-    blocks: np.ndarray
     norm_ah: float
     cases: tuple[str, ...]
     sigma: tuple[float, float]
-    w_inverse: np.ndarray | None
+    w_inverse: np.ndarray
 
 
 #: The cases the bounds are stated for, in the order ``condition_report``
@@ -307,9 +306,8 @@ def _measure(a: np.ndarray, params: SolverParams) -> _Measure:
         norm_ah = lay.h * float(np.abs(spectrum[0]).max())
     holds = (spectrum is not None and spectrum[1] and is_nsd_spectrum(spectrum[0]),
              norm_ah <= 1.0 + 1e-12)
-    return _Measure(spectrum, blocks, norm_ah,
-                    tuple(case for case, ok in zip(_CASES, holds) if ok), (smax, smin),
-                    w_inverse)
+    return _Measure(spectrum, norm_ah, tuple(case for case, ok in zip(_CASES, holds) if ok),
+                    (smax, smin), w_inverse)
 
 
 def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[float, float]:
@@ -497,18 +495,17 @@ class AnalysisReport:
     satisfied: dict = field(default_factory=dict)
 
 
-def _one_step_norms(rec, xh: np.ndarray, winv: np.ndarray | None = None) -> tuple[float, float]:
-    """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block of ``rec``.
+def _one_step_norms(rec, winv: np.ndarray) -> tuple[float, float]:
+    """(||W^-1||_2, ||(signs (x) I_n) W^-1||_2) of the one-step block of ``rec``
+    from the (r, (k+1)b, (k+1)b) stack ``winv`` of the W_i^-1.
 
     The similarity of ``_diagonal_blocks`` takes W to the direct sum of the
-    W_i = S1 (x) I_b + B1 (x) xh_i and the signed row to the block diagonal of
-    (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
-    ``winv`` is the stack of the W_i^-1 where the caller has it; a scalar block
-    (b = 1) has a 1 x (k+1) signed row, whose 2-norm is its Euclidean norm.
+    W_i = S1 (x) I_b + B1 (x) (X_i h) and the signed row to the block diagonal
+    of (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
+    A scalar block (b = 1) has a 1 x (k+1) signed row, whose 2-norm is its
+    Euclidean norm.
     """
-    r, w = xh.shape[:2]
-    if winv is None:
-        winv = _inverse(rec.one_step(xh), "a one-step block")
+    r, w = len(winv), winv.shape[1] // len(rec.signs)
     rows = rec.signs @ winv.reshape(r, len(rec.signs), -1)  # (signs (x) I_b) W_i^-1
     row = np.linalg.norm(rows, axis=-1).max() if w == 1 else _top(rows.reshape(r, w, -1))
     return _top(winv), float(row)
@@ -552,7 +549,7 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     if case not in meas.cases:
         raise ClassificationError(_CASES.get(case, f"unknown case {case!r}"))
     k = params.order
-    w, row = _one_step_norms(SCHEMES["pade"](k), meas.blocks * params.step_size, meas.w_inverse)
+    w, row = _one_step_norms(SCHEMES["pade"](k), meas.w_inverse)
     b_w, b_row = w_inverse_bound(k, case), signed_row_contraction_bound(k)
     rows = {"w_inv": (w, b_w)}
     if case == "hermitian_nsd":

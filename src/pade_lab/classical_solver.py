@@ -5,7 +5,7 @@ a time, factoring the (identical) diagonal block once; ``march_solution`` and
 ``march_terminal`` run the same march without assembling L,
 ``propagated_terminal`` reaches the terminal state by powering the one-step
 map of ``step_map``, and ``substitution_pair`` applies L^-1 and L^-H by the
-same elimination.
+same elimination and hands out the W_i^-1 it forms.
 """
 
 from __future__ import annotations
@@ -114,12 +114,14 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
     blocks = rhs[:m * width * n].reshape(m, width * n)
     stacks = np.empty((m, width * n), dtype=complex)
     getrs, = sla.get_lapack_funcs(("getrs",), (lu, blocks))
+    # two columns: OpenBLAS's one-column getrs rounds differently at 1 and 2 threads
+    pair = np.zeros((width * n, 2), dtype=complex, order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(m):
-            block = blocks[step].copy()
+            pair[:, 0] = blocks[step]
             if step > 0:
-                block[:n] -= rec.couple * rec.signed_sum(stacks[step - 1].reshape(width, n))
-            stacks[step] = getrs(lu, piv, block, overwrite_b=True)[0]
+                pair[:n, 0] -= rec.couple * rec.signed_sum(stacks[step - 1].reshape(width, n))
+            stacks[step] = getrs(lu, piv, pair, overwrite_b=True)[0][:, 0]
         finite = np.isfinite(stacks).all(axis=1)
         bad = m if finite.all() else int(np.argmin(finite))
         # a non-finite readout makes the next step's rhs, hence its solution,
@@ -136,16 +138,16 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
 
 
 def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
-    """(apply L^-1, apply L^-H) by block substitution, for the direct sum of
+    """(apply L^-1, apply L^-H, X) by block substitution, for the direct sum of
     the systems L_i of m steps and p padding rows of the scheme ``rec`` whose
     diagonal blocks are the one-step blocks W_i of the (r, (k+1)b, (k+1)b)
     stack ``step_blocks``.  A vector, of the stack's dtype, holds the L_i one
     after another, each in L's own block-row order.
 
     Each W_i is factored once by ``_factor_step_block``, so a singular one
-    raises ``SingularBlockError``, and its LU factors give the stack X of the
-    W_i^-1 once; an application of L^-1 or L^-H then makes no LAPACK call per
-    block, only batched products by X.  With E = e_0 (x) I_b,
+    raises ``SingularBlockError``, and its LU factors give the read-only
+    stack X of the W_i^-1 once; an application of L^-1 or L^-H then makes no
+    LAPACK call per block, only batched products by X.  With E = e_0 (x) I_b,
     Sg = signs (x) I_b, C = W^-1 E, D = W^-H Sg and R = Sg^T C, the rows y_s
     of step s give
 
@@ -172,18 +174,16 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     eye = np.eye(wb, dtype=step_blocks.dtype)
     inverses = np.stack([getrs(lu, piv, eye)[0]
                          for lu, piv in map(_factor_step_block, step_blocks)])
-    # the rows of a stack times X^T are W^-1 on them, times conj(X) W^-H
+    inverses.flags.writeable = False
+    # the rows of a stack times right[False] = X^T are W^-1 on them, times conj(X) W^-H
     right = {False: np.swapaxes(inverses, 1, 2).copy(), True: inverses.conj()}
-
-    def solve(stacks, adjoint):  # W_i^-1 or W_i^-H on the rows of stacks[i]
-        return stacks @ right[adjoint]
 
     def refined(thin, adjoint):
         rhs = np.broadcast_to(thin.T.astype(step_blocks.dtype), (r, b, wb))
-        x = solve(rhs, adjoint)
+        x = rhs @ right[adjoint]
         # the rows of x times W^T, or times conj(W) = (W^H)^T
         ops = step_blocks.conj() if adjoint else np.swapaxes(step_blocks, 1, 2)
-        return np.swapaxes(x + solve(rhs - x @ ops, adjoint), 1, 2)
+        return np.swapaxes(x + (rhs - x @ ops) @ right[adjoint], 1, 2)
 
     signed = np.kron(rec.signs[:, None], np.eye(b))
     col, dual = refined(np.eye(wb, b), False), refined(signed, True)  # C and D, (r, wb, b)
@@ -212,7 +212,7 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         vec = vec.reshape(r, -1, b)
         ys = vec[:, :rows].reshape(r, m, wb)
         sig = chain(np.swapaxes(ys @ dual_c, 1, 2), powers)
-        z = solve(ys, False)
+        z = ys @ right[False]
         z[:, 1:] -= rec.couple * sig[:, :-1] @ np.swapaxes(col, 1, 2)
         tail = vec[:, rows:].copy()
         tail[:, 0] = (tail[:, 0] - rec.couple * sig[:, -1]) / rec.row_scale
@@ -226,10 +226,10 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         # tau_m = the terminal entry, then tau_{m-1}, ..., tau_1, reversed
         tau = np.concatenate([tail[:, :1], (vs @ col_c)[:, :0:-1]], axis=1)
         tau = chain(np.swapaxes(tau, 1, 2), powers_h)[:, ::-1]
-        u = solve(vs, True) - rec.couple * tau @ np.swapaxes(dual, 1, 2)
+        u = vs @ right[True] - rec.couple * tau @ np.swapaxes(dual, 1, 2)
         return np.concatenate([u.reshape(r, rows, b), tail], axis=1).ravel()
 
-    return inv, inv_h
+    return inv, inv_h, inverses
 
 
 def _march_problem(problem: OdeProblem, params: SolverParams):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pade_lab import analysis, system_builder
+from pade_lab import analysis, classical_solver, system_builder
 from pade_lab.analysis import (
     NORMALITY_TOL,
     SLICE_DENSE_CAP,
@@ -202,8 +202,8 @@ class TestSpectralNorm:
             assert smax / smin < 1e8
             assert _block_singular_values(rec, lay, blocks, real)[:2] == pytest.approx(
                 (smax, smin), rel=1e-10, abs=0.0)
-            assert _one_step_norms(rec, blocks * h) == pytest.approx(
-                _one_step_norms(rec, a[None] * h), rel=1e-10, abs=0.0)
+            assert _one_step_norms(rec, np.linalg.inv(rec.one_step(blocks * h))) == pytest.approx(
+                _one_step_norms(rec, np.linalg.inv(rec.one_step(a[None] * h))), rel=1e-10, abs=0.0)
 
     def test_taylor_floor_at_m5(self):
         # dim 255: a dense SVD of L, whose last singular value floors at
@@ -481,11 +481,13 @@ class TestInverseNormBounds:
             np.linalg.norm(np.kron(rec.signs, np.eye(4)) @ winv, 2), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("path", ["dense-slices", "dense-one-block", "lanczos"])
-    def test_one_step_norms_match_explicit_inverse(self, path):
+    def test_one_step_norms_match_explicit_inverse(self, path, monkeypatch):
         # ||W^-1|| and the signed row against inv(W_i) of the same diagonal
         # blocks: read off the inverses of the block systems on the dense
         # paths (a normal A's scalar slices; a non-normal A's one block, as
-        # verify-bounds --suite unit has it), inverted anew on the Lanczos path
+        # verify-bounds --suite unit has it), and on the Lanczos path off the
+        # W_i^-1 stack that substitution_pair forms from the one
+        # _factor_step_block LU of each block; no path inverts a one-step stack
         rng = np.random.default_rng(31)
         k, m = 7, (20 if path == "lanczos" else 2)
         if path == "dense-one-block":
@@ -498,7 +500,22 @@ class TestInverseNormBounds:
         assert w == (4 if path == "dense-one-block" else 1)
         lay = BlockLayout(a.shape[0], m, k, 1, h)
         assert (lay.block_rows * w > SLICE_DENSE_CAP) == (path == "lanczos")
-        rep = inverse_norm_bounds(make_params(m, k, 1, m * h, "pade"), a, case)
+        factored, inverted = [], []
+
+        def factor(block, fn=classical_solver._factor_step_block):
+            factored.append(block.shape)
+            return fn(block)
+
+        def inv(stack, fn=np.linalg.inv):
+            inverted.append(np.shape(stack)[-1])
+            return fn(stack)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classical_solver, "_factor_step_block", factor)
+            patch.setattr(np.linalg, "inv", inv)
+            rep = inverse_norm_bounds(make_params(m, k, 1, m * h, "pade"), a, case)
+        assert factored == ([(k + 1, k + 1)] * 5 if path == "lanczos" else [])
+        assert (k + 1) * w not in inverted
         rec = SCHEMES["pade"](k)
         winv = np.linalg.inv(rec.one_step(blocks * h))
         rows = np.kron(rec.signs, np.eye(w)) @ winv
@@ -526,6 +543,19 @@ class TestInverseNormBounds:
         a = (q * np.array([-0.6 + 0.5j, -0.2 - 0.7j, 0.3j])) @ q.conj().T
         inverse_norm_bounds(make_params(1, 5, 1, 1.0, "pade"), a, "unit_norm")
         assert calls == ["_is_normal", "_inverse"]
+
+    def test_singular_block_above_the_cap_is_typed(self):
+        # the [1/1] Padé step 1 - x/2 vanishes at the eigenvalue lam h = 2 of
+        # a Hermitian A: its scalar block system (dimension 129) takes the
+        # Lanczos branch, where the substitution's LU of W_i types it
+        m = 64
+        problem = OdeProblem(matrix_a=np.diag([2.0 * m, -1.0]), vec_b=np.ones(2),
+                             vec_x0=np.ones(2), horizon=1.0)
+        params = make_params(m, 1, 1, 1.0, "pade")
+        assert BlockLayout(2, m, 1, 1, params.step_size).block_rows > SLICE_DENSE_CAP
+        with pytest.raises(SingularBlockError) as info:
+            extreme_singular_values(problem, params)
+        assert info.value.step_index == 1
 
     def test_reports_agree(self):
         """The bound suites and ``analyze`` read one ||A||_2, so for the same

@@ -336,7 +336,7 @@ class TestSubstitutionPair:
         rec = SCHEMES[scheme](k)
         step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
                                 for a in mats])
-        inv, inv_h = substitution_pair(step_blocks, rec, m, p)
+        inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
         dense = [BUILDERS[scheme](OdeProblem(matrix_a=a, vec_b=np.ones(len(a)),
                                              vec_x0=np.ones(len(a)), horizon=horizon),
                                   params).dense() for a in mats]
@@ -362,7 +362,7 @@ class TestSubstitutionPair:
         rec = SCHEMES[scheme](k)
         step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
                                              * 0.2) for s in (5, 6)])
-        inv, inv_h = substitution_pair(step_blocks, rec, m, p)
+        inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
         cells = [c.cell_contents for f in (inv, inv_h) for c in f.__closure__]
         powers = [v for v in cells if isinstance(v, list)]
         assert len(powers) == 2 and all(len(held) == 4 for held in powers)
@@ -377,6 +377,19 @@ class TestSubstitutionPair:
             assert a.tobytes() == copy.tobytes()
         for a in (a for v in powers for a in v):
             assert not a.flags.writeable
+
+    def test_inverse_stack_is_read_only(self):
+        # the third result is the (r, (k+1) n, (k+1) n) stack of the W_i^-1
+        # from the LU factors, which analysis reads for the one-step norms
+        k, n = 3, 2
+        rec = SCHEMES["pade"](k)
+        step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
+                                             * 0.2) for s in (5, 6)])
+        _, _, inverses = substitution_pair(step_blocks, rec, 4, 1)
+        assert inverses.shape == step_blocks.shape and not inverses.flags.writeable
+        with pytest.raises(ValueError):
+            inverses[0, 0, 0] = 2.0
+        assert np.allclose(inverses @ step_blocks, np.eye((k + 1) * n), rtol=0.0, atol=1e-13)
 
 
 class TestDenseOracle:

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -77,7 +80,8 @@ class TestBasics:
         assert capfd.readouterr().err == ""
 
 
-GOLDEN = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data"
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -96,6 +100,20 @@ def test_output_matches_golden_bytes(argv, name):
     code, out = run(argv)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_random_suite_bytes_do_not_depend_on_blas_threads(threads):
+    # the march solves each step as two columns, the second zero: OpenBLAS's
+    # one-column getrs returns other bits at 1 and 2 threads
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["random-suite", "--seeds", "10", "--dims", "5", "--t-grid", "1,10,25,50"]
+    proc = subprocess.run([sys.executable, "-m", "pade_lab.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "random_suite_d5.csv").read_bytes()
 
 
 class TestSystemCommands:
