@@ -1,11 +1,12 @@
 """Exact solvers for the block systems and the solution-quality quantities.
 
-``solve_block_forward`` walks the block-lower-triangular structure one step at
-a time, factoring the (identical) diagonal block once; ``march_solution`` and
-``march_terminal`` run the same march without assembling L,
-``propagated_terminal`` reaches the terminal state by powering the one-step
-map of ``step_map``, and ``substitution_pair`` applies L^-1 and L^-H by the
-same elimination and hands out the W_i^-1 it forms.
+Every step of L after the first solves the one-step block W against the
+previous state x and b alone, so one LU of W and one getrs give the step
+solution z = C x + g.  ``solve_block_forward``, ``march_solution`` and
+``march_terminal`` march on it, the first step's rows being one more column;
+``step_map`` reads its readout [P | q] and ``propagated_terminal`` powers
+that; ``substitution_pair`` applies L^-1 and L^-H by the same elimination
+and hands out the W_i^-1 it forms.
 """
 
 from __future__ import annotations
@@ -98,43 +99,51 @@ def _factor_step_block(block: np.ndarray):
     return lu, piv
 
 
+def _step_solve(rec: Scheme, step_block: np.ndarray, b_rhs: np.ndarray,
+                first: np.ndarray | None = None) -> np.ndarray:
+    """W^-1 [row_scale e_0 (x) I_n | e_{b_row} (x) b_rhs | first] for the
+    one-step block W = ``step_block`` of the scheme ``rec``, ``first`` being
+    an optional last column: one ``_factor_step_block`` LU and one ``getrs``
+    over all columns.  A singular W raises ``SingularBlockError`` at step 1.
+    """
+    n, width = len(b_rhs), len(rec.signs)
+    lu, piv = _factor_step_block(step_block)
+    cols = np.zeros((width, n, n + 1 + (first is not None)), dtype=complex)
+    cols[0, :, :n] = rec.row_scale * np.eye(n)
+    cols[rec.b_row, :, n] = b_rhs
+    if first is not None:
+        cols[..., -1] = first.reshape(width, n)
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
+    return getrs(lu, piv, cols.reshape(width * n, -1), overwrite_b=True)[0]
+
+
 def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
            lay: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
     """Forward substitution over the m step rows of L: the (m, k+1, n) step
     stacks and the terminal state, the last step's readout.
 
-    ``step_block`` (the diagonal block of L) is factored once; each step
-    solves with it after its first row subtracts the coupling to the previous
-    stack's signed sum.  A singular block raises ``SingularBlockError`` at
-    step 1, and an overflow at the first step whose solution or readout
-    ``rec.output`` is not finite.
+    Rows 2..k+1 of every step read only the b entry of ``rhs``, and the first
+    row of step s+1 reads -couple sigma_s = row_scale x_{s+1}, so each later
+    stack is C x + g with [C | g] from ``_step_solve``, the first step's own
+    rows being its last column.  A singular block raises
+    ``SingularBlockError`` at step 1, and an overflow at the first step whose
+    solution or readout ``rec.output`` is not finite.
     """
-    lu, piv = _factor_step_block(step_block)
     n, m, width = lay.n, lay.m, lay.step_width
-    blocks = rhs[:m * width * n].reshape(m, width * n)
+    sol = _step_solve(rec, step_block, rhs[rec.b_row * n:(rec.b_row + 1) * n], rhs[:width * n])
     stacks = np.empty((m, width * n), dtype=complex)
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu, blocks))
-    # two columns: OpenBLAS's one-column getrs rounds differently at 1 and 2 threads
-    pair = np.zeros((width * n, 2), dtype=complex, order="F")
+    states = np.empty((m, n), dtype=complex)
+    stacks[0] = sol[:, n + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(m):
-            pair[:, 0] = blocks[step]
-            if step > 0:
-                pair[:n, 0] -= rec.couple * rec.signed_sum(stacks[step - 1].reshape(width, n))
-            stacks[step] = getrs(lu, piv, pair, overwrite_b=True)[0][:, 0]
-        finite = np.isfinite(stacks).all(axis=1)
-        bad = m if finite.all() else int(np.argmin(finite))
-        # a non-finite readout makes the next step's rhs, hence its solution,
-        # non-finite: only the step before the first non-finite solution (or
-        # the last step) can have a finite solution but a non-finite readout
-        if bad > 0:
-            readout = rec.output(stacks[bad - 1].reshape(width, n))
-            if not np.isfinite(readout).all():
-                bad -= 1
-    if bad < m:
-        raise SingularBlockError(f"non-finite solution at step {bad + 1} of {m}",
-                                 step_index=bad + 1)
-    return stacks.reshape(m, width, n), readout
+            if step:
+                stacks[step] = sol[:, :n] @ states[step - 1] + sol[:, n]
+            states[step] = rec.output(stacks[step].reshape(width, n))
+        finite = np.isfinite(stacks).all(axis=1) & np.isfinite(states).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise SingularBlockError(f"non-finite solution at step {step} of {m}", step_index=step)
+    return stacks.reshape(m, width, n), states[-1]
 
 
 def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
@@ -266,21 +275,12 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
 def _step_rows(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray) -> np.ndarray:
     """[P | q], the n x (n+1) map x -> P x + q of one step of the scheme
     ``rec`` at the step matrix ``ah`` = A h, with ``b_rhs`` the b entry of
-    every step's rhs.  For the Padé scheme P is R_kk(A h) = D(A h)^-1 N(A h).
-
-    A step solves W z = row_scale e_0 (x) x + e_{b_row} (x) b_rhs, as the
-    march does, and reads x' = ``rec.output(z)``: one factorization of
-    W = ``rec.one_step(ah)`` and one ``getrs`` over the n + 1 columns of
-    that rhs give P and q.  A singular W raises ``SingularBlockError``.
+    every step's rhs: ``rec.output`` of ``_step_solve`` at W = ``rec.one_step(ah)``,
+    as the march reads it.  For the Padé scheme P is R_kk(A h) = D(A h)^-1 N(A h).
+    A singular W raises ``SingularBlockError``.
     """
-    n, width = len(b_rhs), len(rec.signs)
-    lu, piv = _factor_step_block(rec.one_step(ah))
-    cols = np.zeros((width, n, n + 1), dtype=complex)
-    cols[0, :, :n] = rec.row_scale * np.eye(n)
-    cols[rec.b_row, :, n] = b_rhs
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
-    sol = getrs(lu, piv, cols.reshape(width * n, n + 1), overwrite_b=True)[0]
-    return rec.output(np.moveaxis(sol.reshape(width, n, n + 1), 2, 0)).T
+    sol = _step_solve(rec, rec.one_step(ah), b_rhs).reshape(len(rec.signs), len(b_rhs), -1)
+    return rec.output(np.moveaxis(sol, 2, 0)).T
 
 
 def propagated_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
@@ -317,7 +317,8 @@ def march_solution(problem: OdeProblem, params: SolverParams) -> SolutionBundle:
 
 
 def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
-    """Forward substitution over block rows with a single diagonal-block LU.
+    """The march of ``_march`` on the diagonal block and rhs of the assembled
+    ``system``: one LU of W and one solve for all steps.
 
     The residual against the assembled sparse operator is always computed
     and recorded; with ``check_residual`` it must stay within

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pade_lab import classical_solver
 from pade_lab.classical_solver import (
     SolutionBundle,
     _norms,
@@ -178,6 +179,34 @@ class TestMarchTerminal:
         assert probe == (assembled[1] if isinstance(assembled[0], bytes) else assembled)
         if kind == "singular":
             assert probe == (SingularBlockError, 1)
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_one_factorization_and_one_solve_at_any_m(self, scheme, monkeypatch):
+        # the march iterates the solved step map: the LAPACK work of W does
+        # not grow with the number of steps
+        calls = []
+
+        def factor(block, fn=classical_solver._factor_step_block):
+            calls.append("factor")
+            return fn(block)
+
+        def lapack(names, *args, fn=classical_solver.sla.get_lapack_funcs):
+            def counted(name, func):
+                def call(*a, **kw):
+                    calls.append(name)
+                    return func(*a, **kw)
+                return call
+            return [counted(name, func) if name == "getrs" else func
+                    for name, func in zip(names, fn(names, *args))]
+
+        monkeypatch.setattr(classical_solver, "_factor_step_block", factor)
+        monkeypatch.setattr(classical_solver.sla, "get_lapack_funcs", lapack)
+        problem = OdeProblem(matrix_a=random_stable_matrix(3, 0), vec_b=np.ones(3),
+                             vec_x0=np.ones(3), horizon=10.0)
+        for m in (1, 300):
+            calls.clear()
+            march_solution(problem, make_params(m, 9, 1, 10.0, scheme))
+            assert calls == ["factor", "getrs"], m
 
     def test_overflow_names_the_first_non_finite_step(self):
         problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),

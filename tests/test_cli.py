@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -102,18 +103,30 @@ def test_output_matches_golden_bytes(argv, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_random_suite_bytes_do_not_depend_on_blas_threads(threads):
-    # the march solves each step as two columns, the second zero: OpenBLAS's
-    # one-column getrs returns other bits at 1 and 2 threads
+@functools.lru_cache(maxsize=None)
+def _stdout_at_threads(argv: tuple, threads: str) -> bytes:
+    """Standard output of ``pade-lab argv`` in a fresh process with OpenBLAS
+    at ``threads`` threads, run once per (argv, threads)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    argv = ["random-suite", "--seeds", "10", "--dims", "5", "--t-grid", "1,10,25,50"]
     proc = subprocess.run([sys.executable, "-m", "pade_lab.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "random_suite_d5.csv").read_bytes()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_random_suite_bytes_do_not_depend_on_blas_threads(threads):
+    # the march solves W once, for all its steps, over n + 2 columns: OpenBLAS's
+    # one-column getrs returns other bits at 1 and 2 threads, its multi-column
+    # getrs does not.  The second suite's blocks are 80 wide, the largest at
+    # which zgetrf itself was measured thread-independent
+    golden = ("random-suite", "--seeds", "10", "--dims", "5", "--t-grid", "1,10,25,50")
+    assert _stdout_at_threads(golden, threads) == (GOLDEN / "random_suite_d5.csv").read_bytes()
+    wide = ("random-suite", "--seeds", "3", "--dims", "8", "--t-grid", "10,50")
+    other = "2" if threads == "1" else "1"
+    assert _stdout_at_threads(wide, threads) == _stdout_at_threads(wide, other)
 
 
 class TestSystemCommands:
