@@ -42,6 +42,7 @@ from .pade_core import (
 from .system_builder import (
     SCHEMES,
     BlockLayout,
+    _band_systems,
     _norm,
     _pow2_scale,
     block_layout,
@@ -60,8 +61,10 @@ NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
 #: blocks; above it sigma_max takes a certified bracket per scalar block (Lanczos
 #: on the one block of a non-normal A) and sigma_min one Lanczos over the direct
-#: sum of the blocks.  The two paths cost about the same at dimension 91
-#: (docs/DECISIONS.md "One block path for every A").
+#: sum of the blocks.  With the bracket on band storage and the substitution on
+#: its transfer stack, the two paths cost about the same at dimension 71 and the
+#: Lanczos path is faster from 81, by up to a factor 1.8 at 91 (docs/DECISIONS.md
+#: "One block path for every A").
 SLICE_DENSE_CAP = 96
 #: Relative width hi - lo <= BRACKET_RTOL hi of the bracket on lambda_max(M^H M)
 #: whose upper end gives sigma_max (docs/DECISIONS.md "sigma_max from a
@@ -104,27 +107,24 @@ def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
     return _largest_eigenvalue(op, v0, ncv)
 
 
-def _gram_band(mat) -> np.ndarray:
-    """G = M^H M of a sparse M in LAPACK lower band storage, band[i - j, j] = G_ij.
+def _gram_band(bands: np.ndarray, up: int) -> np.ndarray:
+    """G = M^H M in LAPACK lower band storage, band[i - j, j] = G_ij, of the M
+    whose general band is ``bands``, bands[up + i - j, j] = M_ij.
 
-    M is laid out as its general band, bands[u + i - j, j] = M_ij with u and l its
-    upper and lower bandwidths, so G has bandwidth min(u + l, d - 1) and band[o, j]
-    is the product of columns j + o and j over their u + l + 1 - o common band rows.
+    With u = ``up`` and l the upper and lower bandwidths of M, G has bandwidth
+    min(u + l, d - 1), and band[o, j] is the product of columns j + o and j over
+    their u + l + 1 - o common band rows.
     """
-    coo = mat.tocoo()
-    rows, cols = coo.row, coo.col
-    up, low = int(max(0, (cols - rows).max())), int(max(0, (rows - cols).max()))
-    width, d = up + low + 1, mat.shape[1]
-    bands = np.zeros((width, d), dtype=mat.dtype)
-    bands[up + rows - cols, cols] = coo.data
-    band = np.zeros((min(width, d), d), dtype=mat.dtype)
+    width, d = bands.shape
+    band = np.zeros((min(width, d), d), dtype=bands.dtype)
     for o in range(len(band)):
         band[o, :d - o] = np.einsum("tj,tj->j", bands[:width - o, o:].conj(), bands[o:, :d - o])
     return band
 
 
-def _largest_singular_value(mat, floor: float = 0.0) -> float:
-    """sigma_max of a sparse M, or ``floor`` once a factorization shows sigma_max <= floor.
+def _largest_singular_value(bands: np.ndarray, up: int, floor: float = 0.0) -> float:
+    """sigma_max of the M whose general band is ``bands`` (see ``_gram_band``), or
+    ``floor`` once a factorization shows sigma_max <= floor.
 
     M is scaled by the power of two 2^-e that puts max |m_ij| in [1/2, 1), so no
     entry of G = M^H M overflows and lambda_max(G) >= 1/4.  lambda_max(G) is
@@ -136,14 +136,20 @@ def _largest_singular_value(mat, floor: float = 0.0) -> float:
     rho + r (some eigenvalue lies within r of rho), kept in
     [lo (1 + BRACKET_RTOL), (lo + hi) / 2]; a shift without a factor is followed by
     the midpoint.  Once hi - lo <= BRACKET_RTOL hi, sigma_max is 2^e sqrt(hi).
+    M x and M^H y are BLAS ``?gbmv`` on the band, whose scipy wrapper wants at
+    least u + l + 1 rows: M is read as that many rows when the band is deeper
+    than M is wide, the rows past M being zero.
     """
-    top = float(np.abs(mat.data).max())
+    top = float(np.abs(bands).max())
     if not math.isfinite(top):
         raise MagnitudeError(f"a block system of L has the entry {top}")
     scale = math.frexp(top)[1]
-    mat = mat * math.ldexp(1.0, -scale)
-    band = _gram_band(mat)
+    bands = bands * math.ldexp(1.0, -scale)
+    band = _gram_band(bands, up)
     pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    gbmv, = sla.get_blas_funcs(("gbmv",), (bands,))
+    width, d = bands.shape
+    dims = (max(width, d), d, width - up - 1, up)  # rows, columns, l, u of ?gbmv
 
     def factor(shift):
         shifted = -band
@@ -160,8 +166,7 @@ def _largest_singular_value(mat, floor: float = 0.0) -> float:
     if bar >= hi or (bar > lo and factor(bar) is not None):
         return floor
     lo = max(lo, bar)
-    adj = mat.conj().T
-    x = _lanczos_start(mat.shape[1], complex_=mat.dtype.kind == "c")
+    x = _lanczos_start(d, complex_=bands.dtype.kind == "c")
     shift = hi
     while hi - lo > BRACKET_RTOL * hi:
         chol = factor(shift)
@@ -173,9 +178,9 @@ def _largest_singular_value(mat, floor: float = 0.0) -> float:
         for _ in range(INVERSE_STEPS):
             x = pbtrs(chol, x, lower=1)[0]
             x /= np.linalg.norm(x)
-            y = mat @ x
+            y = gbmv(*dims, 1.0, bands, x)
             rho = float(np.vdot(y, y).real)
-        resid = float(np.linalg.norm(adj @ y - rho * x))
+        resid = float(np.linalg.norm(gbmv(*dims, 1.0, bands, y, trans=2) - rho * x))
         lo = max(lo, rho)
         shift = min(max(rho + resid, lo * (1.0 + BRACKET_RTOL)), 0.5 * (lo + hi))
     return math.ldexp(math.sqrt(hi), scale)
@@ -234,7 +239,8 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
 
     sigma_max is convex in X, so for ``real`` scalar blocks only the two end
     blocks are measured.  Above ``SLICE_DENSE_CAP`` it is the certified bracket
-    of ``_largest_singular_value`` on each scalar block system; a b-wide block
+    of ``_largest_singular_value`` on the band of each scalar block system from
+    ``system_builder._band_systems``, so no sparse matrix is built; a b-wide block
     (b > 1) gives M^H M the bandwidth (2k + 2) b - 1, and one band factorization
     there costs more than a Lanczos run on M^H M, which it takes instead.
     sigma_min is 1/||M^-1||_2, never the last singular value of M, which floors
@@ -255,14 +261,15 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         smax, stack = _top(stack[ends]), _inverse(stack)
         lead = len(rec.s1) * w
         return smax, 1.0 / _top(stack), stack[:, :lead, :lead].copy()
-    systems = csr_systems(rec, lay.m, lay.p, xh[ends])
     if w == 1:
+        up, bands = _band_systems(rec, lay.m, lay.p, xh[ends])
         smax = 0.0
-        for csr in systems:
-            smax = _largest_singular_value(csr, smax)
+        for band in bands:
+            smax = _largest_singular_value(band, up, smax)
     else:
         v0 = _lanczos_start(d * w, complex_=not real)
-        smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV) for csr in systems)))
+        smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV)
+                                 for csr in csr_systems(rec, lay.m, lay.p, xh[ends]))))
     inv, inv_h, w_inverse = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)

@@ -35,6 +35,11 @@ from .system_builder import (
 
 #: Residual gate, relative to ||rhs||, of the structured solver.
 FORWARD_RESIDUAL_TOL = 1e-10
+#: Entries of the largest transfer stack that ``substitution_pair`` holds (1 MB
+#: real, 2 MB complex), about where one product by it costs as much as the
+#: doubling that serves larger stacks (docs/DECISIONS.md "sigma_min by
+#: step-block substitution").
+_TRANSFER_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,68 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
     return stacks.reshape(m, width, n), states[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _transfer(mat: np.ndarray, m: int) -> np.ndarray:
+    """The read-only (r, m b, m b) stack of the lower block-triangular Toeplitz
+    T_i with blocks mat_i^(s - j) at s >= j, for the (r, b, b) stack ``mat``:
+    sigma = T_i x solves sigma_s = x_s + mat_i sigma_{s-1}, s = 0..m-1.  The
+    powers I, mat, ..., mat^(m-1) take ceil(log2 m) rounds of one batched
+    product, each doubling the powers formed, and one squaring; powers past the
+    double range are not finite."""
+    r, b = mat.shape[:2]
+    # the power m stays zero: the blocks above the diagonal read it
+    powers = np.zeros((r, m + 1, b, b), dtype=mat.dtype)
+    powers[:, 0] = np.eye(b)
+    step, done = mat, 1  # step = mat^done
+    while done < m:
+        count = min(done, m - done)
+        powers[:, done:done + count] = step[:, None] @ powers[:, :count]
+        done += count
+        if done < m:
+            step = step @ step
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    lag[lag < 0] = m
+    out = np.ascontiguousarray(np.take(powers, lag, axis=1).transpose(0, 1, 3, 2, 4))
+    out = out.reshape(r, m * b, m * b)
+    out.flags.writeable = False
+    return out
+
+
+def _coupling_chains(mat: np.ndarray, m: int):
+    """(chain, chain_h) for the (r, b, b) stack ``mat``: chain maps an (r, m, b)
+    stack x to sigma with sigma_s = x_s + mat sigma_{s-1}, chain_h to tau with
+    tau_s = x_s + mat^H tau_{s+1}.
+
+    Up to ``_TRANSFER_ENTRIES`` both are one batched product by the
+    ``_transfer`` stack T, chain_h by T^H as conj(conj(x)^T T), so only T is
+    held.  A larger T is not formed: both chains then run by doubling, one
+    (r, b, b) @ (r, b, m - shift) product per shift 1, 2, 4, ... below m by
+    the held powers mat, mat^2, mat^4, ... and their adjoints.
+    """
+    r, b = mat.shape[:2]
+    if r * (m * b) ** 2 <= _TRANSFER_ENTRIES:
+        transfer = _transfer(mat, m)
+        return ((lambda x: (transfer @ x.reshape(r, -1, 1)).reshape(x.shape)),
+                (lambda x: (x.reshape(r, 1, -1).conj() @ transfer).conj().reshape(x.shape)))
+    powers, powers_h = [mat][:m - 1], [np.swapaxes(mat, 1, 2).conj()][:m - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 ** len(powers) < m:
+            powers.append(powers[-1] @ powers[-1])
+            powers_h.append(powers_h[-1] @ powers_h[-1])
+    for held in (*powers, *powers_h):
+        held.flags.writeable = False
+
+    def doubled(x, powers):
+        """x_j <- x_j + mat x_{j-1} for j = 1, 2, ... along the last axis of
+        the (r, b, m) stack x, in place, returned as (r, m, b)."""
+        for j, power in enumerate(powers):
+            x[..., 2**j:] += power @ x[..., :-2**j]
+        return np.swapaxes(x, 1, 2)
+
+    return ((lambda x: doubled(np.swapaxes(x, 1, 2), powers)),
+            (lambda x: doubled(np.swapaxes(x[:, ::-1], 1, 2), powers_h)[:, ::-1]))
+
+
 def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     """(apply L^-1, apply L^-H, X) by block substitution, for the direct sum of
     the systems L_i of m steps and p padding rows of the scheme ``rec`` whose
@@ -164,7 +231,8 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         sigma_s = Sg^T z_s = D^H y_s - couple R sigma_{s-1},
 
     one product by X over all steps and a recurrence on the b-wide step
-    outputs, which ``chain`` solves by doubling.  The terminal row reads
+    outputs, which ``_coupling_chains`` solves by one product by the transfer
+    stack of the powers of -couple R, formed once.  The terminal row reads
     sigma_{m-1} and the padding chain is a cumulative sum.  L^-H runs
     backward: the padding chain is a reversed cumulative sum whose first
     entry is tau_m, and
@@ -196,45 +264,33 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
 
     signed = np.kron(rec.signs[:, None], np.eye(b))
     col, dual = refined(np.eye(wb, b), False), refined(signed, True)  # C and D, (r, wb, b)
-    coupled = rec.couple * (signed.T @ col)  # couple R
+    chain, chain_h = _coupling_chains(-rec.couple * (signed.T @ col), m)  # -couple R
 
-    # the operands that no application changes, formed once and read-only:
-    # -mat, (-mat)^2, (-mat)^4, ... for mat = couple R and its adjoint, one
-    # power per doubling shift below m, and the conjugates of D and C
-    powers, powers_h = [-coupled][:m - 1], [-np.swapaxes(coupled, 1, 2).conj()][:m - 1]
-    while 2 ** len(powers) < m:
-        powers.append(powers[-1] @ powers[-1])
-        powers_h.append(powers_h[-1] @ powers_h[-1])
+    # the conjugates of D and C, formed once and read-only
     dual_c, col_c = dual.conj(), col.conj()
-    for held in (*powers, *powers_h, dual_c, col_c):
+    for held in (dual_c, col_c):
         held.flags.writeable = False
 
-    def chain(x, powers):
-        """x_j <- x_j - mat x_{j-1} for j = 1, 2, ... along the last axis of the
-        (r, b, m) stack x, from the doubling powers of mat: one (r, b, b)
-        @ (r, b, m - shift) product per shift."""
-        for j, power in enumerate(powers):
-            x[..., 2**j:] += power @ x[..., :-2**j]
-        return np.swapaxes(x, 1, 2)
-
+    # an L_i^-1 beyond the double range gives a non-finite vector, not a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def inv(vec):
         vec = vec.reshape(r, -1, b)
         ys = vec[:, :rows].reshape(r, m, wb)
-        sig = chain(np.swapaxes(ys @ dual_c, 1, 2), powers)
+        sig = chain(ys @ dual_c)
         z = ys @ right[False]
         z[:, 1:] -= rec.couple * sig[:, :-1] @ np.swapaxes(col, 1, 2)
         tail = vec[:, rows:].copy()
         tail[:, 0] = (tail[:, 0] - rec.couple * sig[:, -1]) / rec.row_scale
         return np.concatenate([z.reshape(r, rows, b), np.cumsum(tail, axis=1)], axis=1).ravel()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def inv_h(vec):
         vec = vec.reshape(r, -1, b)
         vs = vec[:, :rows].reshape(r, m, wb)
         tail = np.cumsum(vec[:, :rows - 1:-1], axis=1)[:, ::-1]
         tail[:, 0] /= rec.row_scale
-        # tau_m = the terminal entry, then tau_{m-1}, ..., tau_1, reversed
-        tau = np.concatenate([tail[:, :1], (vs @ col_c)[:, :0:-1]], axis=1)
-        tau = chain(np.swapaxes(tau, 1, 2), powers_h)[:, ::-1]
+        # tau_1, ..., tau_{m-1} from the rows of steps 2..m, then tau_m = the terminal entry
+        tau = chain_h(np.concatenate([(vs @ col_c)[:, 1:], tail[:, :1]], axis=1))
         u = vs @ right[True] - rec.couple * tau @ np.swapaxes(dual, 1, 2)
         return np.concatenate([u.reshape(r, rows, b), tail], axis=1).ravel()
 

@@ -408,6 +408,8 @@ def run_cli(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(argv))
+        if args.seed < 0:
+            raise UsageError("--seed must be a non-negative seed")
         return args.func(args, stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

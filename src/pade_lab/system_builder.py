@@ -7,7 +7,9 @@ bidiagonal block.  Both append p trailing copies of the terminal state behind
 an identity-bidiagonal chain.  Each scheme is a ``Scheme`` record in
 ``SCHEMES``, and only this module expands it: densely by ``Scheme.one_step``
 and ``kron_sum`` (also on ``dense_patterns``), sparsely by ``csr_systems``,
-which builds L, the sigma_max systems of ``analysis`` and the L circuit target.
+which builds L, the sigma_max systems of a non-normal A and the L circuit
+target, and in band storage by ``_band_systems``, the sigma_max systems of the
+scalar blocks of a normal A.
 """
 
 from __future__ import annotations
@@ -276,6 +278,26 @@ def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matr
     for matrix in matrices:
         matrix.eliminate_zeros()
     return matrices
+
+
+def _band_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(u, bands): M = S + x B over ``scalar_patterns(rec, m, p)`` in LAPACK general
+    band storage, band[u + i - j, j] = M_ij, one band per scalar block x of the
+    (r, 1, 1) stack ``xs``, of its dtype (at least float).
+
+    u and l are the upper and lower bandwidths of the two patterns, so the bands
+    are u + l + 1 rows deep, deeper than the block system is wide when m = 1;
+    a position outside the block system holds zero.
+    """
+    (sr, sc, sv), (br, bc, bv) = scalar_patterns(rec, m, p)
+    rows, cols = np.concatenate([sr, br]), np.concatenate([sc, bc])
+    up, low = int(max(0, (cols - rows).max())), int(max(0, (rows - cols).max()))
+    x = xs.reshape(-1, 1)
+    bands = np.zeros((len(x), up + low + 1, m * len(rec.s1) + p),
+                     dtype=np.result_type(xs.dtype, float))
+    bands[:, up + sr - sc, sc] = sv
+    bands[:, up + br - bc, bc] = bv * x
+    return up, bands
 
 
 def _pow2_scale(*arrays: np.ndarray) -> float:

@@ -264,6 +264,35 @@ class TestSpectralNorm:
                 extreme_singular_values(problem, make_params(m, 9, 1, 30.0, scheme))
             extreme_singular_values(_non_normal_problem(), make_params(16, 9, 1, 5.0, scheme))
 
+    def test_scalar_blocks_build_no_sparse_matrix(self, monkeypatch):
+        # a normal A above the dense cap: sigma_max reads the band of each
+        # scalar block system, sigma_min runs on the block substitution, so no
+        # CSR block system is built; the one block of a non-normal A still is
+        built = []
+        original = system_builder.csr_systems
+
+        def counted(*args, **kwargs):
+            built.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(system_builder, "csr_systems", counted)
+        monkeypatch.setattr(analysis, "csr_systems", counted)
+        lam = np.array([-2.0 + 1.0j, -0.5 - 0.3j, -1.0])
+        vecs, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        problems = [_tridiag_problem(), _tridiag_problem(seed=1),
+                    OdeProblem(matrix_a=vecs @ np.diag(lam) @ vecs.T, vec_b=np.ones(3),
+                               vec_x0=np.ones(3), horizon=5.0)]
+        for problem in problems:
+            assert _normal_spectrum(problem.matrix_a) is not None
+            for scheme in ("pade", "taylor"):
+                for m in (12, 117):
+                    params = make_params(m, 9, 1, problem.horizon, scheme)
+                    assert m * 10 + 1 > SLICE_DENSE_CAP
+                    extreme_singular_values(problem, params)
+        assert built == []
+        extreme_singular_values(_non_normal_problem(), make_params(16, 9, 1, 5.0, "pade"))
+        assert built == [(16, 1)]
+
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
     @pytest.mark.parametrize("a", [[[-1.0, 1.0], [0.0, -2.0]], [[-1.0, 0.0], [0.0, -2.0]],
                                    [[-1.0, 2.0], [-2.0, -1.0]]],
@@ -325,16 +354,24 @@ class TestSpectralNorm:
             extreme_singular_values(problem, make_params(19, 9, 1, 30.0, "pade"))
 
 
+def _general_band(csr):
+    """(u, bands): a sparse M in LAPACK general band storage, bands[u + i - j, j] = M_ij."""
+    coo = csr.tocoo()
+    up, low = int(max(0, (coo.col - coo.row).max())), int(max(0, (coo.row - coo.col).max()))
+    bands = np.zeros((up + low + 1, csr.shape[1]), dtype=csr.dtype)
+    bands[up + coo.row - coo.col, coo.col] = coo.data
+    return up, bands
+
+
 class TestCertifiedBracket:
     """sigma_max of one block system from the band Cholesky bracket on M^H M."""
 
     @staticmethod
-    def _assert_certified(csr, got):
+    def _assert_certified(dense, up, bands, got):
         # the dense SVD is the oracle; got^2 I - M^H M has a band Cholesky
         # factor, and (1 - 1e-12) got^2 I - M^H M has none
-        dense = csr.toarray()
         assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0], rel=1e-12, abs=0.0)
-        band = _gram_band(csr)
+        band = _gram_band(bands, up)
 
         def shifted(shift):
             out = -band
@@ -349,43 +386,50 @@ class TestCertifiedBracket:
     @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 12),
            m=st.integers(1, 30), re=st.floats(-20.0, 2.0), im=st.floats(-20.0, 20.0),
            complex_=st.booleans())
-    # one step: M^H M is banded wider than its dimension
+    # one step: M^H M is banded wider than its dimension, and the band is
+    # deeper than M is wide
     @example(scheme="pade", k=12, m=1, re=-3.0, im=1.0, complex_=True)
     def test_scalar_blocks_match_dense_svd(self, scheme, k, m, re, im, complex_):
         x = complex(re, im) if complex_ else re
-        csr, = csr_systems(SCHEMES[scheme](k), m, 2, np.array([[[x]]]))
-        assert csr.dtype.kind == ("c" if complex_ else "f")
-        self._assert_certified(csr, _largest_singular_value(csr))
+        xs = np.array([[[x]]])
+        up, (bands,) = system_builder._band_systems(SCHEMES[scheme](k), m, 2, xs)
+        assert bands.dtype.kind == ("c" if complex_ else "f")
+        csr, = csr_systems(SCHEMES[scheme](k), m, 2, xs)
+        self._assert_certified(csr.toarray(), up, bands, _largest_singular_value(bands, up))
 
     def test_non_normal_block_above_the_cap(self):
         a = _non_normal_problem().matrix_a
         for scheme in ("pade", "taylor"):
             csr, = csr_systems(SCHEMES[scheme](9), 16, 1, a[None] * (5.0 / 16))
             assert csr.shape[0] > SLICE_DENSE_CAP
-            self._assert_certified(csr, _largest_singular_value(csr))
+            up, bands = _general_band(csr)
+            self._assert_certified(csr.toarray(), up, bands, _largest_singular_value(bands, up))
 
     def test_floor(self):
-        csr, = csr_systems(SCHEMES["pade"](9), 40, 1, np.array([[[-3.0]]]))
-        smax = _largest_singular_value(csr)
+        up, (bands,) = system_builder._band_systems(SCHEMES["pade"](9), 40, 1,
+                                                    np.array([[[-3.0]]]))
+        smax = _largest_singular_value(bands, up)
         # a floor above sigma_max comes back as it is; one below it does not
-        assert _largest_singular_value(csr, 1.5 * smax) == 1.5 * smax
-        assert _largest_singular_value(csr, smax * (1 + 1e-9)) == smax * (1 + 1e-9)
-        assert _largest_singular_value(csr, 0.999 * smax) == pytest.approx(smax, rel=1e-13)
+        assert _largest_singular_value(bands, up, 1.5 * smax) == 1.5 * smax
+        assert _largest_singular_value(bands, up, smax * (1 + 1e-9)) == smax * (1 + 1e-9)
+        assert _largest_singular_value(bands, up, 0.999 * smax) == pytest.approx(smax, rel=1e-13)
 
     def test_huge_block_is_scaled_by_a_power_of_two(self):
         # ||A h|| = 1e200: the entries of M^H M would overflow unscaled
         xh = np.array([[-1.0, 1.0], [0.0, -2.0]]) * 1e200
         csr, = csr_systems(SCHEMES["pade"](5), 20, 1, xh[None])
-        got = _largest_singular_value(csr)
+        up, bands = _general_band(csr)
+        got = _largest_singular_value(bands, up)
         assert math.isfinite(got)
-        assert got == 2.0**600 * _largest_singular_value(csr * 2.0**-600)
-        self._assert_certified(csr * 2.0**-665, got * 2.0**-665)
+        assert got == 2.0**600 * _largest_singular_value(bands * 2.0**-600, up)
+        self._assert_certified(csr.toarray() * 2.0**-665, up, bands * 2.0**-665, got * 2.0**-665)
 
     def test_overflowing_block_is_typed(self):
         # an A h that overflowed to -inf (ARPACK raised an untyped ArpackError)
-        csr, = csr_systems(SCHEMES["pade"](9), 20, 1, np.array([[[-np.inf]]]))
+        up, (bands,) = system_builder._band_systems(SCHEMES["pade"](9), 20, 1,
+                                                    np.array([[[-np.inf]]]))
         with pytest.raises(MagnitudeError):
-            _largest_singular_value(csr)
+            _largest_singular_value(bands, up)
 
     def test_overflowing_step_is_typed(self):
         # A = [[-1e308]] at h = 50: A h overflows before any block system is formed

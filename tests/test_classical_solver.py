@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -20,7 +21,14 @@ from pade_lab.classical_solver import (
     step_map,
     substitution_pair,
 )
-from pade_lab.errors import DegenerateTargetError, PadeLabError, SingularBlockError, SizeError
+from pade_lab.analysis import extreme_singular_values
+from pade_lab.errors import (
+    ConvergenceError,
+    DegenerateTargetError,
+    PadeLabError,
+    SingularBlockError,
+    SizeError,
+)
 from pade_lab.error_bounds import make_params, padding_rule
 from pade_lab.experiments import random_stable_matrix
 from pade_lab.pade_core import OdeProblem
@@ -383,29 +391,106 @@ class TestSubstitutionPair:
                 assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
                 assert np.linalg.norm(op @ x - part) <= 1e-12 * np.linalg.norm(part)
 
+    @staticmethod
+    def _closure_operands(*fns):
+        """(arrays, lists): the arrays, each once, and the lists that the closures
+        of ``fns`` and of the functions they hold read."""
+        arrays, lists, seen, todo = {}, [], set(), list(fns)
+        while todo:
+            for value in (c.cell_contents for c in todo.pop().__closure__ or ()):
+                if isinstance(value, types.FunctionType) and id(value) not in seen:
+                    seen.add(id(value))
+                    todo.append(value)
+                elif isinstance(value, list):
+                    lists.append(value)
+                elif isinstance(value, np.ndarray):
+                    arrays[id(value)] = value
+        return list(arrays.values()), lists
+
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     def test_applications_keep_the_held_operands(self, rng, scheme):
-        # the doubling powers of couple R and its adjoint and the conjugated
-        # C and D are formed once per pair: m = 11 runs four shifts
-        m, k, p, n = 11, 3, 2, 3
+        # the transfer stack of -couple R (m = 11) or, for a stack past the
+        # held-entry bound (m = 86: 2 (3 m)^2 > 2^17), the doubling powers of
+        # -couple R and its adjoint, seven shifts, and the conjugated C and D
+        # are formed once per pair
+        k, p, n = 3, 2, 3
         rec = SCHEMES[scheme](k)
         step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
                                              * 0.2) for s in (5, 6)])
-        inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
-        cells = [c.cell_contents for f in (inv, inv_h) for c in f.__closure__]
-        powers = [v for v in cells if isinstance(v, list)]
-        assert len(powers) == 2 and all(len(held) == 4 for held in powers)
-        held = [a for v in cells for a in (v if isinstance(v, list) else [v])
-                if isinstance(a, np.ndarray)]
-        before = [a.copy() for a in held]
-        size = 2 * (m * (k + 1) + p) * n
-        y = rng.normal(size=size) + 1j * rng.normal(size=size)
-        first, second = inv(inv_h(y)), inv(inv_h(y))
-        assert first.tobytes() == second.tobytes()
-        for a, copy in zip(held, before):
-            assert a.tobytes() == copy.tobytes()
-        for a in (a for v in powers for a in v):
-            assert not a.flags.writeable
+        for m in (11, 86):
+            inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
+            arrays, powers = self._closure_operands(inv, inv_h)
+            transfer = [a for a in arrays if a.shape == (2, m * n, m * n)]
+            if m == 11:
+                assert 2 * (m * n) ** 2 <= classical_solver._TRANSFER_ENTRIES
+                assert len(transfer) == 1 and not powers
+                fixed = transfer
+            else:
+                assert 2 * (m * n) ** 2 > classical_solver._TRANSFER_ENTRIES
+                assert not transfer
+                assert len(powers) == 2 and all(len(held) == 7 for held in powers)
+                fixed = [a for v in powers for a in v]
+            held = arrays + fixed
+            before = [a.copy() for a in held]
+            size = 2 * (m * (k + 1) + p) * n
+            y = rng.normal(size=size) + 1j * rng.normal(size=size)
+            first, second = inv(inv_h(y)), inv(inv_h(y))
+            assert first.tobytes() == second.tobytes()
+            for a, copy in zip(held, before):
+                assert a.tobytes() == copy.tobytes()
+            for a in fixed:
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_transfer_and_doubling_match_dense_solves(self, monkeypatch, rng, scheme, b):
+        # L_i^-1 y and L_i^-H y against dense solves on both sides of the
+        # held-entry bound: one transfer stack at m = 1 and m = 2, doubling for
+        # the smallest m whose stack r (m b)^2 is past the bound
+        r, k, p, horizon = 2, 1, 2, 3.0
+        over = math.isqrt(classical_solver._TRANSFER_ENTRIES // r) // b + 1
+        assert r * ((over - 1) * b) ** 2 <= classical_solver._TRANSFER_ENTRIES
+        assert r * (over * b) ** 2 > classical_solver._TRANSFER_ENTRIES
+        if b == 1:
+            mats = [np.array([[-0.4]]), np.array([[-2.5 + 1.0j]])]
+        else:
+            mats = [random_stable_matrix(b, s) for s in (5, 6)]
+        transfers = []
+        build = classical_solver._transfer
+        monkeypatch.setattr(classical_solver, "_transfer",
+                            lambda *args: transfers.append(args) or build(*args))
+        rec = SCHEMES[scheme](k)
+        for m in (1, 2, over):
+            params = make_params(m, k, p, horizon, scheme)
+            step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
+                                    for a in mats])
+            del transfers[:]
+            inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
+            assert len(transfers) == (m < over)
+            dense = [BUILDERS[scheme](OdeProblem(matrix_a=a, vec_b=np.ones(b), vec_x0=np.ones(b),
+                                                 horizon=horizon), params).dense() for a in mats]
+            cuts = np.cumsum([len(d) for d in dense])
+            y = rng.normal(size=cuts[-1]) + 1j * rng.normal(size=cuts[-1])
+            for apply, adjoint in ((inv, False), (inv_h, True)):
+                got = np.split(apply(y), cuts[:-1])
+                for d, part, x in zip(dense, np.split(y, cuts[:-1]), got):
+                    op = d.conj().T if adjoint else d
+                    want = np.linalg.solve(op, part)
+                    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want), (m, adjoint)
+
+    @pytest.mark.parametrize("m", [200, 400])
+    def test_overflowing_powers_raise_no_warning(self, m):
+        # A = [[30]] over T = 30 (Taylor): the powers of the step pass the
+        # double range, on the transfer path (m = 200) and by doubling (m = 400),
+        # and the Lanczos on L^-1 L^-H fails as a typed ConvergenceError, not as
+        # an overflow warning
+        assert (m * m <= classical_solver._TRANSFER_ENTRIES) == (m == 200)
+        problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
+                             vec_x0=np.ones(1), horizon=30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                extreme_singular_values(problem, make_params(m, 9, 1, 30.0, "taylor"))
 
     def test_inverse_stack_is_read_only(self):
         # the third result is the (r, (k+1) n, (k+1) n) stack of the W_i^-1

@@ -386,6 +386,15 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert "empty seed" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's default_rng raised an untyped ValueError on the first seed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(["--seed", "-3", "random-suite", "--seeds", "1", "--dims", "2",
+                             "--t-grid", "1"])
+        assert code == EXIT_USAGE and out == ""
+        assert "--seed must be a non-negative seed" in capsys.readouterr().err
+
     def test_overflowing_steps_are_typed(self, tmp_path, capsys):
         path = tmp_path / "growth.json"
         path.write_text('{"n":1,"a":[[30]],"b":[0],"x0":[1],"T":300}')

@@ -21,6 +21,7 @@ from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 from pade_lab.system_builder import (
     SCHEMES,
+    _band_systems,
     build_pade_system,
     build_taylor_system,
     classical_reference_trajectory,
@@ -305,6 +306,36 @@ class TestExpansion:
             assert np.array_equal(one.indptr, block.indptr)
             assert np.array_equal(one.indices, block.indices)
             assert np.array_equal(_bits(one.data), _bits(block.data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 12),
+           m=st.integers(1, 6), p=st.integers(1, 4), r=st.integers(1, 3),
+           kind=st.sampled_from(["real", "complex", "zero"]), seed=st.integers(0, 2**32 - 1))
+    def test_band_expansion_is_the_scalar_block_system(self, scheme, k, m, p, r, kind, seed):
+        # each band against S + x B from the dense patterns: every entry of the
+        # block system at bands[u + i - j, j], zeros at the band positions
+        # outside it, and bandwidths that the pattern S reaches
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(r, 1, 1)) if kind != "zero" else np.zeros((r, 1, 1))
+        if kind == "complex":
+            xs = xs + 1j * rng.normal(size=(r, 1, 1))
+        rec = SCHEMES[scheme](k)
+        up, bands = _band_systems(rec, m, p, xs)
+        s, b = dense_patterns(rec, m, p)
+        d = len(s)
+        low = bands.shape[1] - up - 1
+        assert bands.shape == (r, up + low + 1, d) and bands.dtype == xs.dtype
+        i, j = np.indices((d, d))
+        assert s[j - i == up].any() and s[i - j == low].any()
+        inside = (j - i <= up) & (i - j <= low)
+        assert not (s[~inside].any() or b[~inside].any())
+        t, col = np.indices(bands.shape[1:])
+        outside = (t - up + col < 0) | (t - up + col >= d)
+        for x, band in zip(xs.ravel(), bands):
+            got = np.zeros((d, d), dtype=band.dtype)
+            got[inside] = band[up + i[inside] - j[inside], j[inside]]
+            assert np.array_equal(got, s + b * x)
+            assert not band[outside].any()
 
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     def test_sparse_expansion_keeps_a_real_block_real(self, scheme):
