@@ -61,16 +61,25 @@ NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
 #: blocks; above it sigma_max takes a certified bracket per scalar block (Lanczos
 #: on the one block of a non-normal A) and sigma_min one Lanczos over the direct
-#: sum of the blocks.  With the bracket on band storage and the substitution on
-#: its transfer stack, the two paths cost about the same at dimension 71 and the
-#: Lanczos path is faster from 81, by up to a factor 1.8 at 91 (docs/DECISIONS.md
-#: "One block path for every A").
+#: sum of the blocks.  With the end-block SVDs of ``_top_by_ends``, scalar blocks
+#: cost about the same on both paths at dimension 71 and up to 1.6 times less on
+#: the Lanczos path at 91, but the one block of a non-normal A costs 2 to 2.8
+#: times less on the dense path at 84 to 93, so the one cap stays above both
+#: (docs/DECISIONS.md "One block path for every A").
 SLICE_DENSE_CAP = 96
 #: Relative width hi - lo <= BRACKET_RTOL hi of the bracket on lambda_max(M^H M)
 #: whose upper end gives sigma_max (docs/DECISIONS.md "sigma_max from a
 #: certified bracket"), above the rounding (kd + 2) eps = 4.7e-15 of a band
 #: Cholesky factor at the bandwidth kd = 2k + 1 = 19 of a Padé scalar block at k = 9.
 BRACKET_RTOL = 1e-14
+#: Relative margin t^2 (1 - CERTIFICATE_RTOL) below the square of the end blocks'
+#: top SVD value t at which ``_top_by_ends`` certifies an interior block X by a
+#: Cholesky factor: 30 times the rounding n (2 gamma_(l+2) + gamma_(n+1)) +
+#: (2 p(n) + 3) u = 3.3e-12 of forming (complex) and factoring the n x n Gram
+#: matrix of inner products of length l and of the SVD value of X (unit roundoff u,
+#: gamma_j = j u / (1 - j u), p(n) = 10 n) at the largest blocks it meets,
+#: n = l = SLICE_DENSE_CAP = 96 (docs/DECISIONS.md "Inverse norms from the end blocks").
+CERTIFICATE_RTOL = 1e-10
 #: Inverse-iteration solves per band Cholesky factor of the bracket.
 INVERSE_STEPS = 2
 #: Lanczos basis size for sigma_max of the one block of a non-normal A, the top
@@ -83,8 +92,17 @@ LANCZOS_SEED = 0
 GROWTH_REFINE = 10
 
 
-def _largest_eigenvalue(op, v0, ncv=None) -> float:
-    """Top eigenvalue of a Hermitian operator by Lanczos, to relative 1e-12."""
+def _largest_eigenvalue(apply, v0, name: str, ncv=None) -> float:
+    """Top eigenvalue of the Hermitian operator x -> ``apply``(x) by Lanczos, to
+    relative 1e-12.  An application that is not finite raises ``MagnitudeError``,
+    naming the operator ``name``, before ARPACK reads it."""
+    def matvec(x):
+        y = apply(x)
+        if not np.isfinite(y).all():
+            raise MagnitudeError(f"{name} of a block system overflows the double range")
+        return y
+
+    op = spla.LinearOperator((len(v0), len(v0)), matvec=matvec, dtype=v0.dtype)
     try:
         return spla.eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, tol=1e-12,
                           return_eigenvectors=False)[0]
@@ -101,10 +119,8 @@ def _lanczos_start(dim: int, complex_: bool) -> np.ndarray:
 
 def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
     """Top eigenvalue of M^H M by Lanczos."""
-    dim = csr.shape[1]
     adj = csr.conj().T.tocsr()
-    op = spla.LinearOperator((dim, dim), matvec=lambda x: adj @ (csr @ x), dtype=v0.dtype)
-    return _largest_eigenvalue(op, v0, ncv)
+    return _largest_eigenvalue(lambda x: adj @ (csr @ x), v0, "M^H M", ncv)
 
 
 def _gram_band(bands: np.ndarray, up: int) -> np.ndarray:
@@ -225,11 +241,47 @@ def _inverse(stack: np.ndarray) -> np.ndarray:
 
 def _top(stack: np.ndarray) -> float:
     """max_i ||M_i||_2 over a dense stack of blocks M_i; an SVD that does not
-    converge is typed."""
+    converge (a NaN entry among them) is typed, and so is a norm that is not
+    finite (an infinite entry, or a norm past the double range)."""
     try:
-        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+        top = float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD of a block stack failed: {exc}") from exc
+    if not math.isfinite(top):
+        raise MagnitudeError(f"a block of a stack is not finite or past the double range: "
+                             f"its SVD reads {top}")
+    return top
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _top_by_ends(stack: np.ndarray) -> float:
+    """``_top(stack)`` bit for bit, with the SVD of the two end blocks only
+    wherever a Cholesky factor certifies that no interior block is larger.
+
+    With t the ends' ``_top`` and each block X scaled by the power of two
+    that puts t in [1/2, 1), X is certified when t^2 (1 - CERTIFICATE_RTOL) I
+    - G, G the Gram matrix of X on its smaller side, has a Cholesky factor:
+    then the SVD value of X is below t (docs/DECISIONS.md "Inverse norms from
+    the end blocks").  One batched factorization serves the interior; if it
+    fails, or G is not finite, the interior takes its SVD.  So the result is
+    always a per-block SVD value.  A stack of one or two blocks is ``_top``.
+    """
+    if len(stack) < 3:
+        return _top(stack)
+    top, inner = _top(stack[[0, -1]]), stack[1:-1]
+    mant, scale = math.frexp(top)
+    side = inner * math.ldexp(1.0, -scale)
+    if side.shape[1] < side.shape[2]:
+        side = side.swapaxes(1, 2)
+    gram = side.conj().swapaxes(1, 2) @ side
+    bar = mant * mant * (1.0 - CERTIFICATE_RTOL)
+    if np.isfinite(gram).all():
+        try:
+            np.linalg.cholesky(bar * np.eye(gram.shape[-1]) - gram)
+            return top
+        except np.linalg.LinAlgError:
+            pass
+    return max(top, _top(inner))
 
 
 def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
@@ -244,9 +296,13 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     (b > 1) gives M^H M the bandwidth (2k + 2) b - 1, and one band factorization
     there costs more than a Lanczos run on M^H M, which it takes instead.
     sigma_min is 1/||M^-1||_2, never the last singular value of M, which floors
-    at eps sigma_max; above ``SLICE_DENSE_CAP`` it comes from one Lanczos on the
+    at eps sigma_max: on the dense path ``_top_by_ends`` of the M_i^-1, which
+    takes the SVD of the two end blocks and certifies the others by one
+    Cholesky factorization; above ``SLICE_DENSE_CAP`` one Lanczos on the
     direct sum of the M_i, applied by the block substitution of
-    ``classical_solver.substitution_pair``.  M_i is block lower triangular with
+    ``classical_solver.substitution_pair``, whose first application of
+    L^-1 L^-H that is not finite raises ``MagnitudeError`` before ARPACK reads
+    it (see ``_largest_eigenvalue``).  M_i is block lower triangular with
     the one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense
     path returns the stack of the W_i^-1 as a copy of the leading (k+1) b
     square of each M_i^-1, the Lanczos path as the substitution forms it.
@@ -260,7 +316,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         stack = kron_sum(*dense_patterns(rec, lay.m, lay.p), xh)
         smax, stack = _top(stack[ends]), _inverse(stack)
         lead = len(rec.s1) * w
-        return smax, 1.0 / _top(stack), stack[:, :lead, :lead].copy()
+        return smax, 1.0 / _top_by_ends(stack), stack[:, :lead, :lead].copy()
     if w == 1:
         up, bands = _band_systems(rec, lay.m, lay.p, xh[ends])
         smax = 0.0
@@ -273,8 +329,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     inv, inv_h, w_inverse = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)
-    inv_op = spla.LinearOperator((dim, dim), matvec=lambda x: inv(inv_h(x)), dtype=v0.dtype)
-    inv_sq = _largest_eigenvalue(inv_op, v0)
+    inv_sq = _largest_eigenvalue(lambda x: inv(inv_h(x)), v0, "L^-1 L^-H")
     return smax, float(1.0 / np.sqrt(inv_sq)), w_inverse
 
 
@@ -508,14 +563,19 @@ def _one_step_norms(rec, winv: np.ndarray) -> tuple[float, float]:
 
     The similarity of ``_diagonal_blocks`` takes W to the direct sum of the
     W_i = S1 (x) I_b + B1 (x) (X_i h) and the signed row to the block diagonal
-    of (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks.
+    of (signs (x) I_b) W_i^-1, so both norms are the largest over the blocks,
+    each taken by ``_top_by_ends``: the SVD of the two end blocks, the others
+    certified below them by one Cholesky factorization, or else their SVD too.
     A scalar block (b = 1) has a 1 x (k+1) signed row, whose 2-norm is its
     Euclidean norm.
     """
     r, w = len(winv), winv.shape[1] // len(rec.signs)
     rows = rec.signs @ winv.reshape(r, len(rec.signs), -1)  # (signs (x) I_b) W_i^-1
-    row = np.linalg.norm(rows, axis=-1).max() if w == 1 else _top(rows.reshape(r, w, -1))
-    return _top(winv), float(row)
+    if w == 1:
+        row = np.linalg.norm(rows, axis=-1).max()
+    else:
+        row = _top_by_ends(rows.reshape(r, w, -1))
+    return _top_by_ends(winv), float(row)
 
 
 def _report(meas: _Measure, params: SolverParams, case: str | None, rows: dict,

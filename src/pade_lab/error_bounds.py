@@ -69,43 +69,61 @@ class RemainderModel:
             raise ConsistencyError("coefficients below 2k+1 must vanish")
 
 
-def _exact_remainder_series(k: int, max_j: int) -> list[Fraction]:
-    """Rational series of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j.
+def _exact_sum(terms) -> Fraction:
+    """The Fraction sum of integer ratios p/q, over their least common
+    denominator and reduced once: the same Fraction as a term-by-term sum,
+    without its gcd per operation."""
+    lcm = math.lcm(*(q for _, q in terms))
+    return Fraction(sum(p * (lcm // q) for p, q in terms), lcm)
 
-    N and D have k + 1 terms each, and D(0) = 1, so the quotient q obeys
-    q_j = sum_{i<=l} n_i e_{j-i} - sum_{1<=i<=l} (-1)^i d_i q_{j-i} with
-    l = min(j, k) and e_j = (-1)^j / j!.  The at most 2k + 1 terms of each q_j are summed in
-    integers over their least common denominator and reduced once: the same
-    Fractions as a term-by-term Fraction sum, without its gcd per operation.
+
+def _exact_remainder_series(k: int, max_j: int) -> list[Fraction]:
+    """Rational series c of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j.
+
+    c = F / D with F = exp(-x) N - D.  The Padé order conditions, F_j = 0 for
+    j <= 2k, are checked on the exact coefficients of ``pade_core`` and raise
+    ``ConsistencyError`` if one fails.  They make the remainder integral
+
+        F(x) = (-1)^(k+1) x^(2k+1) / (2k)! int_0^1 exp(-t x) t^k (1 - t)^k dt
+
+    hold, whose terms F_(2k+1+i) = (-1)^(k+1+i) k! (k+i)! / ((2k)! i! (2k+i+1)!)
+    follow one another by the ratio -(k+i+1) / ((i+1) (2k+i+2)).  D(0) = 1, so
+    c_j = F_j - sum_(1<=i<=min(j-2k-1, k)) D_i c_(j-i) from j = 2k+1 on, every
+    c_j below vanishing; each c_j is one ``_exact_sum``.
     """
     coeffs = pade_core.pade_coefficients(k, k)
     num = [(c.numerator, c.denominator) for c in coeffs.num_coeffs]
     den = [((-1) ** i * d.numerator, d.denominator) for i, d in enumerate(coeffs.den_coeffs)]
-    fact = list(itertools.accumulate(range(1, max_j + 1), operator.mul, initial=1))
-    quot: list[Fraction] = []
-    for j in range(max_j + 1):
-        low = min(j, k)
-        terms = [((-1) ** (j - i) * a, b * fact[j - i]) for i, (a, b) in enumerate(num[:low + 1])]
-        terms += [(-c * quot[j - i].numerator, d * quot[j - i].denominator)
-                  for i, (c, d) in enumerate(den[1:low + 1], start=1)]
-        lcm = math.lcm(*(q for _, q in terms))
-        quot.append(Fraction(sum(p * (lcm // q) for p, q in terms), lcm))
-    quot[0] -= 1
-    return quot
+    fact = list(itertools.accumulate(range(1, 2 * k + 1), operator.mul, initial=1))
+    for j in range(2 * k + 1):
+        terms = [((-1) ** (j - i) * a, b * fact[j - i]) for i, (a, b) in enumerate(num[:j + 1])]
+        if j <= k:
+            terms.append((-den[j][0], den[j][1]))
+        if _exact_sum(terms):
+            raise ConsistencyError(f"the order-{k} Padé coefficients miss the order "
+                                   f"condition at x^{j}")
+    series = [Fraction(0)] * (2 * k + 1)
+    pairs = []  # (numerator, denominator) of c_(2k+1), c_(2k+2), ...
+    lead = Fraction((-1) ** (k + 1) * fact[k] * fact[k], fact[2 * k] * fact[2 * k] * (2 * k + 1))
+    for i in range(max_j - 2 * k):
+        terms = [(lead.numerator, lead.denominator)]
+        terms += [(-c * a, d * b) for (c, d), (a, b) in zip(den[1:], reversed(pairs[-k:]))]
+        series.append(_exact_sum(terms))
+        pairs.append((series[-1].numerator, series[-1].denominator))
+        lead *= Fraction(-(k + i + 1), (i + 1) * (2 * k + i + 2))
+    return series[:max_j + 1]
 
 
 def remainder_coeffs(order: int, max_j: int) -> RemainderModel:
     """Power-series coefficients of the order-k remainder, exactly.
 
-    The vanishing of c_j for j <= 2k is verified on the exact rationals, not
-    in floating point.
+    The Padé order conditions behind the vanishing of c_j for j <= 2k are
+    verified on the exact rationals, not in floating point.
     """
     k = int(order)
     if max_j < 2 * k + 1 or max_j > MAX_TRUNCATION:
         raise BoundsError(f"max_j={max_j} outside [2k+1, {MAX_TRUNCATION}]")
     exact = _exact_remainder_series(k, max_j)
-    if any(exact[j] != 0 for j in range(min(2 * k + 1, max_j + 1))):
-        raise ConsistencyError("remainder series has a nonzero coefficient below 2k+1")
     series = pade_core.read_only([float(c) for c in exact])
     mags = pade_core.read_only(np.abs(series))
     anchor, ratio = _tail_envelope(mags)

@@ -13,10 +13,16 @@ stage's whole U (``whole_unitary_defect``), where the package bounds it from
 the stage's gates, or that bound and the stage's columns from gate matrices
 and wire bookkeeping built anew for every gate (``fresh_unitarity_defect``,
 ``fresh_columns``), where the package computes them once per distinct gate.
+The remainder series exp(-x) N(x) / D(x) - 1 comes from the quotient
+recurrence over all of its terms (``remainder_product_series``), where the
+package starts it from the Padé remainder integral at x^(2k+1).
 """
 
+import itertools
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,6 +67,27 @@ def solve_dense(system: BlockSystem) -> np.ndarray:
     if residual > DENSE_RESIDUAL_TOL * max(float(np.linalg.norm(system.rhs)), 1e-300):
         raise SolveResidualError(f"dense residual {residual:.3e} exceeds contract")
     return sol
+
+
+def remainder_product_series(k: int, max_j: int) -> list[Fraction]:
+    """Rational series of exp(-x) N_kk(x) / D_kk(x) - 1 through x**max_j from
+    the quotient recurrence q_j = sum_{i<=l} n_i e_{j-i} - sum_{1<=i<=l} (-1)^i d_i q_{j-i},
+    l = min(j, k), e_j = (-1)^j / j!: the at most 2k + 1 terms of each q_j summed
+    in integers over their least common denominator and reduced once."""
+    coeffs = pade_coefficients(k, k)
+    num = [(c.numerator, c.denominator) for c in coeffs.num_coeffs]
+    den = [((-1) ** i * d.numerator, d.denominator) for i, d in enumerate(coeffs.den_coeffs)]
+    fact = list(itertools.accumulate(range(1, max_j + 1), operator.mul, initial=1))
+    quot: list[Fraction] = []
+    for j in range(max_j + 1):
+        low = min(j, k)
+        terms = [((-1) ** (j - i) * a, b * fact[j - i]) for i, (a, b) in enumerate(num[:low + 1])]
+        terms += [(-c * quot[j - i].numerator, d * quot[j - i].denominator)
+                  for i, (c, d) in enumerate(den[1:low + 1], start=1)]
+        lcm = math.lcm(*(q for _, q in terms))
+        quot.append(Fraction(sum(p * (lcm // q) for p, q in terms), lcm))
+    quot[0] -= 1
+    return quot
 
 
 def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBundle:

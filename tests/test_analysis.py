@@ -438,6 +438,80 @@ class TestCertifiedBracket:
             extreme_singular_values(problem, make_params(20, 9, 1, 1000.0, "pade"))
 
 
+class TestTopByEnds:
+    """max_i ||X_i||_2 by the SVD of the end blocks and a Cholesky certificate
+    for the interior ones: ``_top`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(1, 9), rows=st.integers(1, 12), cols=st.integers(1, 12),
+           complex_=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           weights=st.lists(st.sampled_from([1.0, 1.0, 0.5, 2.0, 0.0, 1e-300, 1e300]),
+                            min_size=9, max_size=9),
+           copy=st.sampled_from([None, 1.0, 1.0 - 2.0**-40, 1.0 - 1e-6, 0.5]),
+           at=st.integers(1, 7), scale=st.sampled_from([1.0, 2.0**-1000, 2.0**600, 3e-200]))
+    # an interior maximum, which only the fallback SVD finds
+    @example(r=5, rows=6, cols=6, complex_=False, seed=1, weights=[1, 1, 4, 1, 1] + [1] * 4,
+             copy=None, at=1, scale=1.0)
+    # an exact tie with an end block, and a copy just under it
+    @example(r=4, rows=5, cols=3, complex_=True, seed=2, weights=[1.0] * 9, copy=1.0, at=2,
+             scale=1.0)
+    @example(r=4, rows=3, cols=5, complex_=True, seed=2, weights=[1.0] * 9,
+             copy=1.0 - 2.0**-40, at=1, scale=1.0)
+    # zero blocks, at the ends too
+    @example(r=6, rows=4, cols=4, complex_=False, seed=3, weights=[0, 1, 0, 0, 1, 0] + [1] * 3,
+             copy=None, at=1, scale=1.0)
+    @example(r=3, rows=2, cols=2, complex_=False, seed=3, weights=[0.0] * 9, copy=None, at=1,
+             scale=1.0)
+    def test_is_top_bit_for_bit(self, r, rows, cols, complex_, seed, weights, copy, at, scale):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(r, rows, cols))
+        if complex_:
+            stack = stack + 1j * rng.normal(size=(r, rows, cols))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack *= np.array(weights[:r])[:, None, None] * scale
+            if copy is not None and at < r - 1:
+                stack[at] = stack[-1] * copy  # a scaled copy of an end block
+        try:
+            want = analysis._top(stack)
+        except (ConvergenceError, MagnitudeError) as exc:
+            with pytest.raises(type(exc)):
+                analysis._top_by_ends(stack)
+        else:
+            assert analysis._top_by_ends(stack) == want
+
+    def test_non_finite_interior_block_is_typed(self):
+        # the Gram of the block is not finite, so the interior takes its SVD:
+        # a NaN fails it, an infinite entry reads a norm that is not finite
+        stack = np.random.default_rng(4).normal(size=(5, 4, 4))
+        for value, error in ((np.nan, ConvergenceError), (np.inf, MagnitudeError),
+                             (-np.inf, MagnitudeError)):
+            bad = stack.copy()
+            bad[2, 1, 3] = value
+            with pytest.raises(error):
+                analysis._top_by_ends(bad)
+
+    def test_end_blocks_are_the_only_svds(self, monkeypatch):
+        # a Hermitian NSD A with 8 distinct eigenvalues at k = 15, m = 2 (a
+        # thm36 sample of the bound suites): sigma_max, ||L^-1|| and ||W^-1||
+        # each take the SVD of the two end blocks of their stack, and the
+        # report is the one of every block's SVD
+        a = random_hermitian_nsd(np.random.default_rng(36), 8)
+        params = make_params(2, 15, 2, 2 * theta_max(15, 1e-8) / np.linalg.norm(a, 2), "pade")
+        shapes = []
+
+        def svd(stack, *args, fn=np.linalg.svd, **kwargs):
+            shapes.append(np.shape(stack))
+            return fn(stack, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", svd)
+            got = inverse_norm_bounds(params, a, "hermitian_nsd")
+        d = 2 * 16 + 2
+        assert shapes == [(2, d, d), (2, d, d), (2, 16, 16)]
+        monkeypatch.setattr(analysis, "_top_by_ends", analysis._top)
+        assert got == inverse_norm_bounds(params, a, "hermitian_nsd")
+
+
 class TestInverseNormBounds:
     def test_bound_values(self):
         assert w_inverse_bound(9, "hermitian_nsd") == pytest.approx(

@@ -23,8 +23,8 @@ from pade_lab.classical_solver import (
 )
 from pade_lab.analysis import extreme_singular_values
 from pade_lab.errors import (
-    ConvergenceError,
     DegenerateTargetError,
+    MagnitudeError,
     PadeLabError,
     SingularBlockError,
     SizeError,
@@ -482,14 +482,14 @@ class TestSubstitutionPair:
     def test_overflowing_powers_raise_no_warning(self, m):
         # A = [[30]] over T = 30 (Taylor): the powers of the step pass the
         # double range, on the transfer path (m = 200) and by doubling (m = 400),
-        # and the Lanczos on L^-1 L^-H fails as a typed ConvergenceError, not as
-        # an overflow warning
+        # and the first application of L^-1 L^-H raises a typed MagnitudeError,
+        # neither an overflow warning nor an ARPACK failure on non-finite vectors
         assert (m * m <= classical_solver._TRANSFER_ENTRIES) == (m == 200)
         problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
                              vec_x0=np.ones(1), horizon=30.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(MagnitudeError, match="L\\^-1 L\\^-H .* overflows"):
                 extreme_singular_values(problem, make_params(m, 9, 1, 30.0, "taylor"))
 
     def test_inverse_stack_is_read_only(self):

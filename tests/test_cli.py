@@ -103,15 +103,20 @@ def test_output_matches_golden_bytes(argv, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+def _fresh_process(argv, **env) -> subprocess.CompletedProcess:
+    """``pade-lab argv`` in a fresh process, with ``env`` added to the environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "pade_lab.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=300)
+
+
 @functools.lru_cache(maxsize=None)
 def _stdout_at_threads(argv: tuple, threads: str) -> bytes:
     """Standard output of ``pade-lab argv`` in a fresh process with OpenBLAS
     at ``threads`` threads, run once per (argv, threads)."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "pade_lab.cli", *argv], cwd=ROOT, env=env,
-                          capture_output=True, timeout=300)
+    proc = _fresh_process(argv, OPENBLAS_NUM_THREADS=threads)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -417,6 +422,19 @@ class TestBadInput:
         assert "error: reference trajectory overflows at step " in err
         assert "RuntimeWarning" not in err
 
+    def test_overflowing_inverse_never_reaches_arpack(self, tmp_path):
+        # the Taylor powers of A h = 4.5 pass the double range, so L^-1 L^-H is
+        # not finite at its first application; ARPACK read that vector, LAPACK's
+        # DLASCL printed its refusal on the Fortran streams and the run ended in
+        # an ARPACK workspace error
+        path = tmp_path / "growth.json"
+        path.write_text('{"n":1,"a":[[30]],"b":[0],"x0":[1],"T":30}')
+        proc = _fresh_process(["analyze", "--problem", str(path), "--scheme", "taylor",
+                               "--m", "200", "--k", "9"])
+        assert proc.returncode == EXIT_USAGE and proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "error: L^-1 L^-H of a block system overflows the double range"]
+
     def test_delta_nan(self, capsys):
         code, _ = run(["theta-table", "--delta", "nan", "--kmin", "5", "--kmax", "5"])
         assert code == EXIT_USAGE
@@ -459,8 +477,8 @@ class TestBadInput:
                "at T=1e+06, seed 0; no row" in err
 
     # A h = -1e308 * 50 overflows; the second A has a finite A t whose 2-norm
-    # overflows the scaling of the reference exponential, and at m = 20 its
-    # block systems drive the Lanczos run into an ARPACK error.  A - A^H of the
+    # overflows the scaling of the reference exponential, and at m = 20 the
+    # Gram of its block system overflows in the Lanczos run on it.  A - A^H of the
     # skew A overflows in the Hermitian test and its growth exp(max Re lam T)
     # overflows; N and D of the normal A overflow on its spectrum
     @pytest.mark.parametrize("doc,argv", [

@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 from math import factorial
 
@@ -11,6 +12,7 @@ from pade_lab import error_bounds
 from pade_lab.errors import (
     AssumptionViolationError,
     BoundsError,
+    ConsistencyError,
     DivergenceError,
     InfeasibilityError,
     StrategyError,
@@ -28,7 +30,7 @@ from pade_lab.error_bounds import (
 from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import pade_propagator, step_iterates
+from oracles import pade_propagator, remainder_product_series, step_iterates
 
 TABULATED_THETA = {5: 1.49, 6: 2.36, 7: 3.34, 8: 4.40, 9: 5.53, 10: 6.69, 11: 7.89,
                12: 9.11, 13: 10.35, 14: 11.61, 15: 12.88, 16: 14.16, 17: 15.45,
@@ -133,6 +135,23 @@ class TestRemainderCoeffs:
         oracle = remainder_recursion_oracle(k, MAX_TRUNCATION)
         for top in (2 * k + 1, 97, MAX_TRUNCATION):
             assert _exact_remainder_series(k, top) == oracle[:top + 1]
+
+    @pytest.mark.parametrize("k", range(0, 65))
+    def test_remainder_integral_matches_the_product_recurrence(self, k):
+        top = max(4 * k + 20, 2 * k + 60)
+        assert _exact_remainder_series(k, top) == remainder_product_series(k, top)
+
+    def test_missed_order_condition_is_typed(self, monkeypatch):
+        # the series starts from the remainder integral, which holds only for
+        # the Padé coefficients: a denominator one unit off in d_2 is caught
+        # by the exact order conditions, not passed on as a wrong series
+        coeffs = pade_coefficients(5, 5)
+        wrong = coeffs.den_coeffs[:2] + (coeffs.den_coeffs[2] + 1,) + coeffs.den_coeffs[3:]
+        monkeypatch.setattr(error_bounds.pade_core, "pade_coefficients",
+                            lambda p, q: types.SimpleNamespace(num_coeffs=coeffs.num_coeffs,
+                                                               den_coeffs=wrong))
+        with pytest.raises(ConsistencyError, match="order condition at x\\^2$"):
+            remainder_coeffs(5, 30)
 
     def test_bounds_errors(self):
         with pytest.raises(BoundsError):
