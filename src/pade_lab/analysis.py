@@ -4,11 +4,11 @@ Measured norms are ground truth, never estimates, because the point is to
 compare them against the closed-form bounds.  Every A is measured on the
 diagonal blocks X_i of a unitary similarity V^H A V = diag(X_i), the distinct
 eigenvalues of a normal A or else A itself: L has the singular values of the
-block systems S (x) I_b + B (x) (X_i h), and ||W^-1|| and the signed row come
-from the blocks S1 (x) I_b + B1 (x) (X_i h) of W, so L is never assembled.  Every
-block system and block of W is expanded by ``system_builder``.  The drift of
-a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of any other
-A from the R(A h) that ``classical_solver`` reads off W.
+block systems S (x) I_b + B (x) (X_i h) (one, L itself, for a non-normal A),
+and ||W^-1|| and the signed row come from the blocks S1 (x) I_b + B1 (x) (X_i h)
+of W.  ``system_builder`` expands them all, never through its assembler.  The
+drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of
+any other A from the R(A h) that ``classical_solver`` reads off W.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def _measure(a: np.ndarray, params: SolverParams) -> _Measure:
     h ||A||_2 <= 1 + 1e-12."""
     spectrum = _normal_spectrum(a)
     blocks, real = _diagonal_blocks(a, spectrum)
-    lay = BlockLayout(a.shape[0], params.steps, params.order, params.padding, params.step_size)
+    lay = block_layout(a.shape[0], params)
     smax, smin, w_inverse = _block_singular_values(SCHEMES[params.scheme](lay.k), lay, blocks, real)
     if spectrum is None:
         scale = _pow2_scale(a)
@@ -377,7 +377,7 @@ def extreme_singular_values(problem: OdeProblem, params: SolverParams) -> tuple[
 
     With V^H A V = diag(X_i) unitary, (I (x) V)^H L (I (x) V) is, up to a
     permutation, the direct sum of the block systems S (x) I_b + B (x) (X_i h),
-    so L has their singular values and is never assembled.
+    so L has their singular values (a non-normal A has one block system, L itself).
     """
     return _measure(problem.matrix_a, params).sigma
 
@@ -608,7 +608,7 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     """Bounds and measured norms for one step block and the full system.
 
     ``case`` must be one that the matrix falls in (see ``_measure``).  Both
-    are measured on the diagonal blocks of A; L is never assembled.
+    are measured on the diagonal blocks of A, without the assembler.
     """
     if params.scheme != "pade":
         raise ConsistencyError(f"the bounds are for the Padé system, got {params.scheme!r}")
@@ -648,10 +648,10 @@ def condition_report(problem: OdeProblem, params: SolverParams,
                      dim_cap: int = CONDITION_DIM_CAP) -> AnalysisReport:
     """Measured condition number of the system L and every bound that applies
     in the first of ``_CASES`` that A falls in.  ``dim_cap`` caps the dimension
-    of L, and so the block systems measured, though L is never formed; raise
+    of L, and so the block systems measured, though only a non-normal A forms L; raise
     it explicitly for larger sweeps.  sigma(L), the case, c(A) and the drift
     read one ``_normal_spectrum``."""
-    lay = block_layout(problem, params)
+    lay = block_layout(problem.dim, params)
     if lay.dim > dim_cap:
         raise SizeError(f"condition report capped at dimension {dim_cap}, got {lay.dim}")
     a = problem.matrix_a

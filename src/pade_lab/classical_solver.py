@@ -2,8 +2,9 @@
 
 Every step of L after the first solves the one-step block W against the
 previous state x and b alone, so one LU of W and one getrs give the step
-solution z = C x + g.  ``solve_block_forward``, ``march_solution`` and
-``march_terminal`` march on it, the first step's rows being one more column;
+solution z = C x + g.  ``march_solution`` and ``march_terminal`` march on it,
+the first step's rows being one more column, and ``solve_block_forward`` adds
+the residual ||L z - rhs|| from the scalar patterns, so no solve assembles L;
 ``step_map`` reads its readout [P | q] and ``propagated_terminal`` powers
 that; ``substitution_pair`` applies L^-1 and L^-H by the same elimination
 and hands out the W_i^-1 it forms.
@@ -22,8 +23,6 @@ from .error_bounds import SolverParams
 from .pade_core import OdeProblem
 from .system_builder import (
     SCHEMES,
-    BlockLayout,
-    BlockSystem,
     Scheme,
     _norm,
     _pow2_scale,
@@ -31,6 +30,7 @@ from .system_builder import (
     block_layout,
     build_rhs,
     scaled_by_step,
+    system_product,
 )
 
 #: Residual gate, relative to ||rhs||, of the structured solver.
@@ -49,7 +49,7 @@ class SolutionBundle:
     ``z_blocks[s, j]`` holds the auxiliary vector with subscript j of step
     s+1 (subscript order, not stack order).  ``norm_c`` is the global
     normalization C with C^2 = sum ||z||^2 + p ||terminal||^2.  ``residual``
-    is ||L z - rhs||_2, NaN when L was never assembled (``march_solution``).
+    is ||L z - rhs||_2 (``solve_block_forward``), NaN from ``march_solution``.
     """
 
     scheme: str
@@ -122,20 +122,26 @@ def _step_solve(rec: Scheme, step_block: np.ndarray, b_rhs: np.ndarray,
     return getrs(lu, piv, cols.reshape(width * n, -1), overwrite_b=True)[0]
 
 
-def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
-           lay: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Forward substitution over the m step rows of L: the (m, k+1, n) step
-    stacks and the terminal state, the last step's readout.
+def _march(problem: OdeProblem, params: SolverParams):
+    """(record, A h, rhs, step stacks, terminal state) of the scheme's m steps:
+    forward substitution over the m step rows of L through its diagonal block
+    W = S1 (x) I_n + B1 (x) (A h), giving the (m, k+1, n) step stacks and the
+    last step's readout.
 
-    Rows 2..k+1 of every step read only the b entry of ``rhs``, and the first
+    Rows 2..k+1 of every step read only the b entry of the rhs, and the first
     row of step s+1 reads -couple sigma_s = row_scale x_{s+1}, so each later
     stack is C x + g with [C | g] from ``_step_solve``, the first step's own
     rows being its last column.  A singular block raises
     ``SingularBlockError`` at step 1, and an overflow at the first step whose
     solution or readout ``rec.output`` is not finite.
     """
+    lay = block_layout(problem.dim, params)
     n, m, width = lay.n, lay.m, lay.step_width
-    sol = _step_solve(rec, step_block, rhs[rec.b_row * n:(rec.b_row + 1) * n], rhs[:width * n])
+    rec = SCHEMES[params.scheme](lay.k)
+    xh = scaled_by_step(problem.matrix_a, lay.h)
+    rhs = build_rhs(rec, lay, problem)
+    sol = _step_solve(rec, rec.one_step(xh), rhs[rec.b_row * n:(rec.b_row + 1) * n],
+                      rhs[:width * n])
     stacks = np.empty((m, width * n), dtype=complex)
     states = np.empty((m, n), dtype=complex)
     stacks[0] = sol[:, n + 1]
@@ -148,7 +154,7 @@ def _march(step_block: np.ndarray, rhs: np.ndarray, rec: Scheme,
     if not finite.all():
         step = int(np.argmin(finite)) + 1
         raise SingularBlockError(f"non-finite solution at step {step} of {m}", step_index=step)
-    return stacks.reshape(m, width, n), states[-1]
+    return rec, xh, rhs, stacks.reshape(m, width, n), states[-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -297,19 +303,9 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     return inv, inv_h, inverses
 
 
-def _march_problem(problem: OdeProblem, params: SolverParams):
-    """(record, step stacks, terminal state) of the scheme's m steps, marched
-    through W = S1 (x) I_n + B1 (x) (A h), the diagonal block of L: bit for
-    bit the stacks and terminal state of ``solve_block_forward``."""
-    lay = block_layout(problem, params)
-    rec = SCHEMES[params.scheme](lay.k)
-    step_block = rec.one_step(scaled_by_step(problem.matrix_a, lay.h))
-    return (rec, *_march(step_block, build_rhs(rec, lay, problem), rec, lay))
-
-
 def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """Terminal state of the scheme's m steps, without assembling L."""
-    return _march_problem(problem, params)[2]
+    return _march(problem, params)[-1]
 
 
 def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
@@ -318,7 +314,7 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     from ``_step_rows`` at A h and ``b_term``.  A singular W raises
     ``SingularBlockError`` at step 1.
     """
-    lay = block_layout(problem, params)
+    lay = block_layout(problem.dim, params)
     rec = SCHEMES[params.scheme](lay.k)
     n = lay.n
     step = np.zeros((n + 1, n + 1), dtype=complex)
@@ -366,31 +362,26 @@ def propagated_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray
 
 
 def march_solution(problem: OdeProblem, params: SolverParams) -> SolutionBundle:
-    """The ``solve_block_forward`` bundle without assembling L: the same bytes
-    in every field but ``residual``, which is NaN."""
-    rec, stacks, terminal = _march_problem(problem, params)
+    """The bundle of the scheme's m steps without assembling L, ``residual`` NaN."""
+    rec, _, _, stacks, terminal = _march(problem, params)
     return _bundle(params.scheme, rec, stacks, terminal, params.padding)
 
 
-def solve_block_forward(system: BlockSystem, check_residual: bool = True) -> SolutionBundle:
-    """The march of ``_march`` on the diagonal block and rhs of the assembled
-    ``system``: one LU of W and one solve for all steps.
-
-    The residual against the assembled sparse operator is always computed
-    and recorded; with ``check_residual`` it must stay within
-    ``FORWARD_RESIDUAL_TOL * ||rhs||`` (meaningful for reasonably conditioned
-    systems; sweeps over unstable regimes may disable the gate).
-    """
-    lay = system.layout
-    n, width = lay.n, lay.step_width
-    rec = SCHEMES[system.scheme](lay.k)
-    step_block = system.matrix[: n * width, : n * width].toarray()
-    stacks, terminal = _march(step_block, system.rhs, rec, lay)
-    solution = np.concatenate([stacks.ravel(), np.tile(terminal, lay.p)])
-    bundle = _bundle(system.scheme, rec, stacks, terminal, lay.p,
-                     _norm(system.matrix @ solution - system.rhs))
-    if check_residual and bundle.residual > FORWARD_RESIDUAL_TOL * max(_norm(system.rhs), 1e-300):
-        raise SolveResidualError(f"forward-substitution residual {bundle.residual:.3e} exceeds "
+def solve_block_forward(problem: OdeProblem, params: SolverParams,
+                        check_residual: bool = True) -> SolutionBundle:
+    """``march_solution`` with its residual ||L z - rhs||_2, L z from the scalar
+    patterns by ``system_builder.system_product``, so L is not assembled; with
+    ``check_residual`` it must stay within ``FORWARD_RESIDUAL_TOL * ||rhs||``
+    (meaningful for reasonably conditioned systems).  A product beyond the
+    double range gives a non-finite residual, not a warning."""
+    rec, xh, rhs, stacks, terminal = _march(problem, params)
+    p = params.padding
+    solution = np.concatenate([stacks.ravel(), np.tile(terminal, p)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _norm(system_product(rec, params.steps, p, xh, solution) - rhs)
+    bundle = _bundle(params.scheme, rec, stacks, terminal, p, residual)
+    if check_residual and not residual <= FORWARD_RESIDUAL_TOL * max(_norm(rhs), 1e-300):
+        raise SolveResidualError(f"forward-substitution residual {residual:.3e} exceeds "
                                  f"{FORWARD_RESIDUAL_TOL:.1e}*||rhs||")
     return bundle
 

@@ -40,8 +40,8 @@ from .error_bounds import make_params
 from .experiments import random_stable_matrix
 from .pade_core import SCHEME_NAMES, pade_coefficients
 from .system_builder import (
-    BUILDERS,
     SCHEMES,
+    assemble,
     classical_reference_trajectory,
     csr_systems,
     export_coordinate,
@@ -115,7 +115,7 @@ def _cmd_theta_table(args, stdout):
 
 
 def _cmd_build(args, stdout):
-    system = BUILDERS[args.scheme](*_problem_params(args))
+    system = assemble(*_problem_params(args))
     target = _out_dir(args) / (args.name or f"system_{args.scheme}.txt")
     export_coordinate(system, target)
     print(target, file=stdout)
@@ -124,7 +124,7 @@ def _cmd_build(args, stdout):
 
 def _cmd_solve(args, stdout):
     problem, params = _problem_params(args)
-    bundle = solve_block_forward(BUILDERS[args.scheme](problem, params), check_residual=False)
+    bundle = solve_block_forward(problem, params, check_residual=False)
     traj = classical_reference_trajectory(problem, params)
     doc = {
         "terminal": [[float(z.real), float(z.imag)] for z in bundle.terminal],

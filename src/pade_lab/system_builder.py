@@ -7,9 +7,9 @@ bidiagonal block.  Both append p trailing copies of the terminal state behind
 an identity-bidiagonal chain.  Each scheme is a ``Scheme`` record in
 ``SCHEMES``, and only this module expands it: densely by ``Scheme.one_step``
 and ``kron_sum`` (also on ``dense_patterns``), sparsely by ``csr_systems``,
-which builds L, the sigma_max systems of a non-normal A and the L circuit
-target, and in band storage by ``_band_systems``, the sigma_max systems of the
-scalar blocks of a normal A.
+which builds the L of ``assemble``, the sigma_max systems of a non-normal A
+and the L circuit target, in band storage by ``_band_systems`` (the scalar
+sigma_max systems of a normal A) and as L z by ``system_product``.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class BlockLayout:
         # a coupled summation row touches 2(k+1) identity-type blocks; interior
         # rows one identity block plus one dense n-wide block
         return self.dim * max(2 * (self.k + 1), self.n + 1) + self.dim
-
-    def terminal_row(self) -> int:
-        return self.m * (self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,18 @@ def dense_patterns(rec: Scheme, m: int, p: int) -> np.ndarray:
     return out
 
 
+def system_product(rec: Scheme, m: int, p: int, xh: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L z = vec(S Z + B Z X^T) for L = S (x) I_n + B (x) X over ``scalar_patterns(rec,
+    m, p)``, X = ``xh`` the n x n A h and Z the (d, n) reshape of z, straight from
+    the triplets: L is not formed."""
+    (sr, sc, sv), (br, bc, bv) = scalar_patterns(rec, m, p)
+    zs = z.reshape(-1, xh.shape[-1])
+    out = np.zeros(zs.shape, dtype=np.result_type(zs, xh))
+    np.add.at(out, sr, sv[:, None] * zs[sc])
+    np.add.at(out, br, bv[:, None] * (zs @ xh.T)[bc])
+    return out.ravel()
+
+
 def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matrix]:
     """The CSR matrices of S (x) I_w + B (x) X over ``scalar_patterns(rec, m, p)``, one per
     w x w block X of the (r, w, w) stack ``xs``, of its dtype (at least float).
@@ -341,10 +350,9 @@ def scaled_by_step(x: np.ndarray, h: float) -> np.ndarray:
     return xh
 
 
-def block_layout(problem: OdeProblem, params: SolverParams) -> BlockLayout:
-    """The block geometry of ``problem`` discretized by ``params``."""
-    return BlockLayout(n=problem.dim, m=params.steps, k=params.order,
-                       p=params.padding, h=params.step_size)
+def block_layout(n: int, params: SolverParams) -> BlockLayout:
+    """The block geometry of an n-dimensional problem discretized by ``params``."""
+    return BlockLayout(n, params.steps, params.order, params.padding, params.step_size)
 
 
 def b_term(rec: Scheme, lay: BlockLayout, problem: OdeProblem) -> np.ndarray:
@@ -367,29 +375,28 @@ def build_rhs(rec: Scheme, lay: BlockLayout, problem: OdeProblem) -> np.ndarray:
     return rhs
 
 
-def _assemble(problem: OdeProblem, params: SolverParams, scheme: str) -> BlockSystem:
-    """Expand the scheme record into L = S (x) I_n + B (x) (A h) and its rhs."""
+def assemble(problem: OdeProblem, params: SolverParams) -> BlockSystem:
+    """Expand the record of ``params.scheme`` into L = S (x) I_n + B (x) (A h) and its rhs."""
+    lay = block_layout(problem.dim, params)
+    rec = SCHEMES[params.scheme](lay.k)
+    matrix, = csr_systems(rec, lay.m, lay.p, scaled_by_step(problem.matrix_a, lay.h)[None])
+    return BlockSystem(params.scheme, matrix, build_rhs(rec, lay, problem), lay)
+
+
+def _scheme_of(params: SolverParams, scheme: str) -> SolverParams:
     if params.scheme != scheme:
         raise ConsistencyError(f"params.scheme={params.scheme!r}, builder wants {scheme!r}")
-    lay = block_layout(problem, params)
-    rec = SCHEMES[scheme](lay.k)
-    matrix, = csr_systems(rec, lay.m, lay.p, scaled_by_step(problem.matrix_a, lay.h)[None])
-    return BlockSystem(scheme, matrix, build_rhs(rec, lay, problem), lay)
+    return params
 
 
 def build_pade_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:
-    """Assemble the rational-scheme system and right-hand side (``SCHEMES["pade"]``)."""
-    return _assemble(problem, params, "pade")
+    """``assemble`` of a rational-scheme ``params`` (``SCHEMES["pade"]``)."""
+    return assemble(problem, _scheme_of(params, "pade"))
 
 
 def build_taylor_system(problem: OdeProblem, params: SolverParams) -> BlockSystem:
-    """Assemble the truncated-series system and right-hand side (``SCHEMES["taylor"]``)."""
-    return _assemble(problem, params, "taylor")
-
-
-#: Scheme name -> builder, for the callers that read the entries of L: the
-#: exported matrix and a reported residual.
-BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
+    """``assemble`` of a truncated-series ``params`` (``SCHEMES["taylor"]``)."""
+    return assemble(problem, _scheme_of(params, "taylor"))
 
 
 @dataclass(frozen=True)

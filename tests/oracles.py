@@ -47,7 +47,7 @@ from pade_lab.errors import (
     SolveResidualError,
 )
 from pade_lab.pade_core import OdeProblem, PadeCoefficients, _as_square, pade_coefficients
-from pade_lab.system_builder import SCHEMES, BlockSystem, _norm, kron_sum
+from pade_lab.system_builder import SCHEMES, BlockSystem, _norm, kron_sum, scalar_patterns
 
 DENSE_DIM_CAP = 4096
 #: Residual gate of the dense oracle, relative to ||rhs||.
@@ -96,9 +96,32 @@ def bundle_from_vector(system: BlockSystem, solution: np.ndarray) -> SolutionBun
     n, m, k, p = lay.n, lay.m, lay.k, lay.p
     rec = SCHEMES[system.scheme](k)
     z = rec.stacked(solution[:m * (k + 1) * n].reshape(m, k + 1, n)).astype(complex)
-    terminal = solution[lay.terminal_row() * n:(lay.terminal_row() + 1) * n]
+    terminal = solution[m * (k + 1) * n:(m * (k + 1) + 1) * n]
     residual = _norm(system.matrix @ solution - system.rhs)
     return SolutionBundle(system.scheme, z, terminal, p, *_norms(z, terminal, p), residual)
+
+
+def gamma(j: int) -> float:
+    """gamma_j = j u / (1 - j u) with u = 2^-53, the relative rounding of j
+    floating-point operations."""
+    return j * 2.0**-53 / (1 - j * 2.0**-53)
+
+
+def product_row_terms(rec, m: int, p: int, n: int) -> int:
+    """t, the most nonzeros in a row of S (x) I_n + B (x) ones(n, n) over
+    ``scalar_patterns(rec, m, p)``, so at least as many as in a row of L.
+
+    Every entry of L z computed from the CSR L (each entry a pattern value
+    times an entry of A h, rounded by u) or by ``system_product`` (which sums
+    the n terms of Z X^T in place of the t_B n of a row, and t_S + t_B + n - 1
+    <= t) is within gamma_{t+4} (|L| |z|) of the exact one, and so is an entry
+    of L z - rhs within gamma_{t+4} (|L| |z| + |rhs|): a complex product rounds
+    by at most sqrt(2) gamma_2 < gamma_3 and a sum of j terms by gamma_{j-1}
+    in any order.  Gradual underflow adds at most 2^-1070 (t + n + 4)(1 + max |z|).
+    """
+    (s_rows, _, _), (b_rows, _, _) = scalar_patterns(rec, m, p)
+    d = m * len(rec.s1) + p
+    return int((np.bincount(s_rows, minlength=d) + n * np.bincount(b_rows, minlength=d)).max())
 
 
 def step_iterates(bundle: SolutionBundle) -> np.ndarray:

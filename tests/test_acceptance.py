@@ -31,8 +31,8 @@ from pade_lab.circuit_sim import (
 from pade_lab.experiments import find_min_order, find_min_steps, random_stable_matrix
 from pade_lab.pade_core import OdeProblem
 from pade_lab.system_builder import (
+    assemble,
     build_pade_system,
-    build_taylor_system,
     classical_reference_trajectory,
 )
 
@@ -196,7 +196,6 @@ def test_c05_unreduced_sign_parity():
 
 
 def test_c06_solver_oracle_equivalence():
-    builders = {"pade": build_pade_system, "taylor": build_taylor_system}
     checked = 0
     worst = 0.0
     worst_rec = 0.0
@@ -221,8 +220,8 @@ def test_c06_solver_oracle_equivalence():
                             problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n),
                                                  vec_x0=rng.normal(size=n), horizon=m * h)
                             params = make_params(m, k, p, m * h, scheme)
-                            system = builders[scheme](problem, params)
-                            got = solve_block_forward(system)
+                            system = assemble(problem, params)
+                            got = solve_block_forward(problem, params)
                             want = bundle_from_vector(system, solve_dense(system))
                             scale = max(1.0, float(np.abs(want.z_blocks).max()))
                             worst = max(worst,
@@ -254,8 +253,7 @@ def test_c07_accuracy_chain():
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n),
                              vec_x0=rng.normal(size=n), horizon=horizon)
         params = select_parameters(problem, 1e-6, "unit-step")
-        system = build_pade_system(problem, params)
-        bundle = solve_block_forward(system)
+        bundle = solve_block_forward(problem, params)
         traj = classical_reference_trajectory(problem, params)
         iterates = step_iterates(bundle)
         norm_a = np.linalg.norm(a, 2)
@@ -283,7 +281,7 @@ def test_c08_success_probability_floor():
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n),
                              vec_x0=rng.normal(size=n), horizon=horizon)
         params = make_params(m, 9, p, horizon, "pade")
-        bundle = solve_block_forward(build_pade_system(problem, params))
+        bundle = solve_block_forward(problem, params)
         traj = classical_reference_trajectory(problem, params)
         g = traj.g(float(np.linalg.norm(problem.vec_b)))
         if bundle.p_succ >= 1.0 / (70.0 * g * g):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pade_lab import analysis, classical_solver, system_builder
+from pade_lab import analysis, classical_solver, cli, system_builder
 from pade_lab.analysis import (
     NORMALITY_TOL,
     SLICE_DENSE_CAP,
@@ -48,8 +48,8 @@ from pade_lab.system_builder import (
     SCHEMES,
     BlockLayout,
     alternating_signs,
-    build_pade_system,
-    build_taylor_system,
+    assemble,
+    block_layout,
     csr_systems,
     dense_patterns,
 )
@@ -79,8 +79,6 @@ def _taylor_floor(m):
     return max(abs(sum((lam * h) ** j / math.factorial(j) for j in range(10))) ** m
                for lam in (-2.0 + 2.0 * math.cos(j * math.pi / 6) for j in range(1, 6)))
 
-
-_BUILD = {"pade": build_pade_system, "taylor": build_taylor_system}
 
 #: kappa of the seed-0 condition-sweep systems by dense SVD, committed with the
 #: benchmark (read only)
@@ -123,7 +121,7 @@ class TestSpectralNorm:
         problem = _non_normal_problem()
         for scheme in ("pade", "taylor"):
             params = make_params(2, 9, 1, 5.0, scheme)
-            dense = _BUILD[scheme](problem, params).dense()
+            dense = assemble(problem, params).dense()
             assert dense.shape[0] <= SLICE_DENSE_CAP
             _assert_dense_oracle(extreme_singular_values(problem, params), dense)
 
@@ -131,7 +129,7 @@ class TestSpectralNorm:
         a = random_hermitian_nsd(rng, 2)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(2), vec_x0=np.ones(2), horizon=8.0)
         params = make_params(32, 9, 4, 8.0, "pade")
-        system = build_pade_system(problem, params)
+        system = assemble(problem, params)
         assert system.layout.block_rows > SLICE_DENSE_CAP
         smax, smin = extreme_singular_values(problem, params)
         svals = np.linalg.svd(system.dense(), compute_uv=False)
@@ -162,7 +160,7 @@ class TestSpectralNorm:
         a = (q * lam) @ q.conj().T
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=2.0)
         params = make_params(m, 9, 1, 2.0, scheme)
-        system = _BUILD[scheme](problem, params)
+        system = assemble(problem, params)
         assert (system.layout.block_rows > SLICE_DENSE_CAP) == (m == 14)
         smax, smin = extreme_singular_values(problem, params)
         svals = np.linalg.svd(system.dense(), compute_uv=False)
@@ -177,7 +175,7 @@ class TestSpectralNorm:
         problem = _non_normal_problem()
         for scheme in ("pade", "taylor"):
             params = make_params(m, 9, 1, 5.0, scheme)
-            dense = _BUILD[scheme](problem, params).dense()
+            dense = assemble(problem, params).dense()
             assert dense.shape[0] > SLICE_DENSE_CAP
             _assert_dense_oracle(extreme_singular_values(problem, params), dense)
 
@@ -210,7 +208,7 @@ class TestSpectralNorm:
         # eps sigma_max, gave 1/sigma_min = 1.07e17
         problem = _tridiag_problem()
         params = make_params(5, 9, 1, 30.0, "taylor")
-        assert build_taylor_system(problem, params).layout.dim == 255
+        assert block_layout(problem.dim, params).dim == 255
         _, smin = extreme_singular_values(problem, params)
         floor = _taylor_floor(5)
         assert floor > 1e32
@@ -233,7 +231,7 @@ class TestSpectralNorm:
                              vec_b=np.ones(2), vec_x0=np.ones(2), horizon=1.0)
         params = make_params(m, 1, 1, 1.0, "pade")
         assert _normal_spectrum(problem.matrix_a) is None
-        assert build_pade_system(problem, params).layout.dim > SLICE_DENSE_CAP
+        assert block_layout(problem.dim, params).dim > SLICE_DENSE_CAP
         with pytest.raises(SingularBlockError) as info:
             extreme_singular_values(problem, params)
         assert info.value.step_index == 1
@@ -583,8 +581,9 @@ class TestInverseNormBounds:
         def assembled(*args, **kwargs):
             raise AssertionError("L assembled")
 
-        # both builders assemble through _assemble
-        monkeypatch.setattr(system_builder, "_assemble", assembled)
+        # the one assembler, wherever the builders and the command line look it up
+        for module in (system_builder, cli):
+            monkeypatch.setattr(module, "assemble", assembled)
         a = random_hermitian_nsd(rng, 5)
         rep = inverse_norm_bounds(make_params(3, 7, 2, 1.5, "pade"), a, "hermitian_nsd")
         assert all(rep.satisfied.values())
@@ -885,7 +884,7 @@ class TestConditionReport:
                              vec_x0=np.ones(1), horizon=1.0)
         params = make_params(1, 1, 1, 1.0, "pade")
         report = condition_report(problem, params)
-        svals = np.linalg.svd(build_pade_system(problem, params).dense(), compute_uv=False)
+        svals = np.linalg.svd(assemble(problem, params).dense(), compute_uv=False)
         assert report.kappa == pytest.approx(svals[0] / svals[-1], rel=1e-8)
 
     def test_norm_bound_and_flags(self, rng):

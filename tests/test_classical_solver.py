@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pade_lab import classical_solver
 from pade_lab.classical_solver import (
+    FORWARD_RESIDUAL_TOL,
     SolutionBundle,
     _norms,
     march_solution,
@@ -28,6 +29,7 @@ from pade_lab.errors import (
     PadeLabError,
     SingularBlockError,
     SizeError,
+    SolveResidualError,
 )
 from pade_lab.error_bounds import make_params, padding_rule
 from pade_lab.experiments import random_stable_matrix
@@ -38,22 +40,26 @@ from pade_lab.system_builder import (
     BlockSystem,
     _norm,
     _pow2_scale,
-    build_pade_system,
-    build_taylor_system,
+    assemble,
     classical_reference_trajectory,
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import bundle_from_vector, pade_propagator, solve_dense, step_iterates
-
-BUILDERS = {"pade": build_pade_system, "taylor": build_taylor_system}
+from oracles import (
+    bundle_from_vector,
+    gamma,
+    pade_propagator,
+    product_row_terms,
+    solve_dense,
+    step_iterates,
+)
 
 
 class TestForwardSolve:
     def test_zero_matrix_basis_state(self):
         problem = OdeProblem(matrix_a=np.zeros((3, 3)), vec_b=np.zeros(3),
                              vec_x0=np.eye(3)[0], horizon=1.0)
-        bundle = solve_block_forward(build_pade_system(problem, make_params(1, 4, 2, 1.0, "pade")))
+        bundle = solve_block_forward(problem, make_params(1, 4, 2, 1.0, "pade"))
         assert np.allclose(bundle.terminal, problem.vec_x0, atol=1e-14)
         assert np.allclose(bundle.z_blocks[0, 0], problem.vec_x0, atol=1e-14)
         assert np.abs(bundle.z_blocks[0, 1:]).max() <= 1e-14
@@ -61,15 +67,16 @@ class TestForwardSolve:
     def test_taylor_zero_matrix(self):
         problem = OdeProblem(matrix_a=np.zeros((2, 2)), vec_b=np.zeros(2),
                              vec_x0=np.array([0.3, -0.7]), horizon=1.0)
-        bundle = solve_block_forward(build_taylor_system(problem, make_params(2, 3, 1, 1.0, "taylor")))
+        bundle = solve_block_forward(problem, make_params(2, 3, 1, 1.0, "taylor"))
         assert np.array_equal(bundle.terminal, problem.vec_x0)
 
     def test_matches_dense_oracle(self, rng):
         a = random_contraction(rng, 4, norm=0.9)
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=4),
                              vec_x0=rng.normal(size=4), horizon=1.5)
-        system = build_pade_system(problem, make_params(3, 5, 2, 1.5, "pade"))
-        bundle = solve_block_forward(system)
+        params = make_params(3, 5, 2, 1.5, "pade")
+        system = assemble(problem, params)
+        bundle = solve_block_forward(problem, params)
         oracle = bundle_from_vector(system, solve_dense(system))
         assert np.linalg.norm(bundle.terminal - oracle.terminal) <= 1e-10
         assert np.abs(bundle.z_blocks - oracle.z_blocks).max() <= 1e-10
@@ -92,8 +99,9 @@ class TestForwardSolve:
                             h = float(local.uniform(0.1, 1.0))
                         problem = OdeProblem(matrix_a=a, vec_b=local.normal(size=n),
                                              vec_x0=local.normal(size=n), horizon=m * h)
-                        system = BUILDERS[scheme](problem, make_params(m, k, p, m * h, scheme))
-                        got = solve_block_forward(system)
+                        params = make_params(m, k, p, m * h, scheme)
+                        system = assemble(problem, params)
+                        got = solve_block_forward(problem, params)
                         want = bundle_from_vector(system, solve_dense(system))
                         scale = max(1.0, float(np.abs(want.z_blocks).max()))
                         assert np.abs(got.z_blocks - want.z_blocks).max() <= 1e-10 * scale
@@ -106,7 +114,7 @@ class TestForwardSolve:
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=3),
                              vec_x0=rng.normal(size=3), horizon=2.0)
         m, k = 4, 5
-        bundle = solve_block_forward(build_pade_system(problem, make_params(m, k, 1, 2.0, "pade")))
+        bundle = solve_block_forward(problem, make_params(m, k, 1, 2.0, "pade"))
         iterates = step_iterates(bundle)
         prop = pade_propagator(a, 0.5, k)
         shift = np.linalg.solve(a, problem.vec_b)
@@ -119,15 +127,14 @@ class TestForwardSolve:
         # order-1 denominator vanishes at A h = 2, making the step block singular
         problem = OdeProblem(matrix_a=np.array([[2.0]]), vec_b=np.ones(1),
                              vec_x0=np.ones(1), horizon=1.0)
-        system = build_pade_system(problem, make_params(1, 1, 1, 1.0, "pade"))
         with pytest.raises(SingularBlockError) as info:
-            solve_block_forward(system)
+            solve_block_forward(problem, make_params(1, 1, 1, 1.0, "pade"))
         assert info.value.step_index == 1
 
     def test_residual_recorded(self, rng):
         a = random_hermitian_nsd(rng, 3)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=1.0)
-        bundle = solve_block_forward(build_pade_system(problem, make_params(2, 3, 2, 1.0, "pade")))
+        bundle = solve_block_forward(problem, make_params(2, 3, 2, 1.0, "pade"))
         assert bundle.residual <= 1e-12
 
 
@@ -179,14 +186,36 @@ class TestMarchTerminal:
     @example(**SINGULAR)
     def test_matches_assembled_solve(self, n, m, k, p, scheme, kind, scale, horizon, seed):
         problem, params = _grid_problem(n, m, k, p, scheme, kind, scale, horizon, seed)
-        assembled = _outcome(lambda: solve_block_forward(
-            BUILDERS[scheme](problem, params), check_residual=False))
-        marched = _outcome(lambda: march_solution(problem, params))
-        assert marched == assembled
+        solved = _outcome(lambda: solve_block_forward(problem, params, check_residual=False))
+        assert _outcome(lambda: march_solution(problem, params)) == solved
         probe = _outcome(lambda: march_terminal(problem, params))
-        assert probe == (assembled[1] if isinstance(assembled[0], bytes) else assembled)
+        assert probe == (solved[1] if isinstance(solved[0], bytes) else solved)
         if kind == "singular":
-            assert probe == (SingularBlockError, 1)
+            assert solved == probe == (SingularBlockError, 1)
+        if not isinstance(solved[0], bytes):
+            return
+        # the residual of the marched z against the assembled L, within twice
+        # the rounding of either (see product_row_terms), the computed
+        # || |L| |z| + |rhs| || being within gamma_{t+N+7} of the exact one, and
+        # each residual norm of N = dim entries rounding by gamma_{N+3}
+        bundle = solve_block_forward(problem, params, check_residual=False)
+        system = assemble(problem, params)
+        rec = SCHEMES[scheme](k)
+        z = np.concatenate([rec.stacked(bundle.z_blocks).ravel(), np.tile(bundle.terminal, p)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assembled = _norm(system.matrix @ z - system.rhs)
+            size = _norm(abs(system.matrix) @ abs(z) + abs(system.rhs))
+        t, dim = product_row_terms(rec, m, p, n), len(z)
+        under = 2.0**-1070 * (t + n + 4) * (1.0 + float(np.abs(z).max())) * math.sqrt(dim)
+        bound = (2 * gamma(t + 4) * (1 + gamma(t + dim + 7)) * size + 2 * under
+                 + gamma(dim + 3) * (bundle.residual + assembled))
+        assert bundle.residual == assembled or abs(bundle.residual - assembled) <= bound
+        # the gate passes wherever the assembled residual passed it, and only there
+        gate = FORWARD_RESIDUAL_TOL * max(_norm(system.rhs), 1e-300)
+        gated = _outcome(lambda: solve_block_forward(problem, params))
+        if not abs(assembled - gate) <= bound:
+            assert (gated == solved) == (assembled <= gate)
+            assert gated in (solved, (SolveResidualError, None))
 
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     def test_one_factorization_and_one_solve_at_any_m(self, scheme, monkeypatch):
@@ -223,7 +252,7 @@ class TestMarchTerminal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularBlockError) as info:
-                solve_block_forward(build_pade_system(problem, params), check_residual=False)
+                solve_block_forward(problem, params, check_residual=False)
             step = info.value.step_index
             with pytest.raises(SingularBlockError) as info:
                 march_terminal(problem, params)
@@ -248,7 +277,7 @@ class TestMarchTerminal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularBlockError) as info:
-                solve_block_forward(build_pade_system(problem, params), check_residual=False)
+                solve_block_forward(problem, params, check_residual=False)
             assert info.value.step_index == 122
             with pytest.raises(SingularBlockError) as info:
                 march_terminal(problem, params)
@@ -262,8 +291,8 @@ class TestMarchTerminal:
         def solve(x0):
             problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
                                  vec_x0=np.array([x0]), horizon=121.0)
-            system = build_pade_system(problem, make_params(121, 9, 1, 121.0, "pade"))
-            return solve_block_forward(system, check_residual=False)
+            return solve_block_forward(problem, make_params(121, 9, 1, 121.0, "pade"),
+                                       check_residual=False)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -374,9 +403,8 @@ class TestSubstitutionPair:
         step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
                                 for a in mats])
         inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
-        dense = [BUILDERS[scheme](OdeProblem(matrix_a=a, vec_b=np.ones(len(a)),
-                                             vec_x0=np.ones(len(a)), horizon=horizon),
-                                  params).dense() for a in mats]
+        dense = [assemble(OdeProblem(matrix_a=a, vec_b=np.ones(len(a)), vec_x0=np.ones(len(a)),
+                                     horizon=horizon), params).dense() for a in mats]
         cuts = np.cumsum([len(d) for d in dense])
         y = rng.normal(size=cuts[-1]) + 1j * rng.normal(size=cuts[-1])
         for apply, adjoint in ((inv, False), (inv_h, True)):
@@ -467,8 +495,8 @@ class TestSubstitutionPair:
             del transfers[:]
             inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
             assert len(transfers) == (m < over)
-            dense = [BUILDERS[scheme](OdeProblem(matrix_a=a, vec_b=np.ones(b), vec_x0=np.ones(b),
-                                                 horizon=horizon), params).dense() for a in mats]
+            dense = [assemble(OdeProblem(matrix_a=a, vec_b=np.ones(b), vec_x0=np.ones(b),
+                                         horizon=horizon), params).dense() for a in mats]
             cuts = np.cumsum([len(d) for d in dense])
             y = rng.normal(size=cuts[-1]) + 1j * rng.normal(size=cuts[-1])
             for apply, adjoint in ((inv, False), (inv_h, True)):
@@ -518,7 +546,7 @@ class TestDenseOracle:
         a = random_hermitian_nsd(rng, 4)
         problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=4),
                              vec_x0=rng.normal(size=4), horizon=2.0)
-        system = build_pade_system(problem, make_params(3, 4, 2, 2.0, "pade"))
+        system = assemble(problem, make_params(3, 4, 2, 2.0, "pade"))
         sol = solve_dense(system)
         res = np.linalg.norm(system.matrix @ sol - system.rhs)
         assert res <= 1e-12 * np.linalg.norm(system.rhs)
@@ -526,7 +554,7 @@ class TestDenseOracle:
     def test_size_cap(self):
         problem = OdeProblem(matrix_a=np.zeros((1, 1)), vec_b=np.ones(1),
                              vec_x0=np.ones(1), horizon=1.0)
-        system = build_taylor_system(problem, make_params(2048, 1, 3, 1.0, "taylor"))
+        system = assemble(problem, make_params(2048, 1, 3, 1.0, "taylor"))
         assert system.layout.dim == 4099
         with pytest.raises(SizeError):
             solve_dense(system)
@@ -553,14 +581,14 @@ class TestSuccessProbability:
     def test_definition_consistency(self, rng):
         a = random_hermitian_nsd(rng, 3)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(3), vec_x0=np.ones(3), horizon=1.0)
-        bundle = solve_block_forward(build_pade_system(problem, make_params(2, 3, 4, 1.0, "pade")))
+        bundle = solve_block_forward(problem, make_params(2, 3, 4, 1.0, "pade"))
         raw = bundle.padding_count * np.sum(np.abs(bundle.terminal) ** 2) / bundle.norm_c**2
         assert bundle.p_succ == pytest.approx(raw, abs=1e-14)
 
     def test_norm_invariant(self, rng):
         a = random_hermitian_nsd(rng, 4)
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(4), vec_x0=np.ones(4), horizon=2.0)
-        bundle = solve_block_forward(build_pade_system(problem, make_params(3, 2, 3, 2.0, "pade")))
+        bundle = solve_block_forward(problem, make_params(3, 2, 3, 2.0, "pade"))
         c2 = np.sum(np.abs(bundle.z_blocks) ** 2) + bundle.padding_count * np.sum(
             np.abs(bundle.terminal) ** 2)
         assert bundle.norm_c**2 == pytest.approx(c2, rel=1e-12)
@@ -578,7 +606,7 @@ class TestSuccessProbability:
             problem = OdeProblem(matrix_a=a, vec_b=local.normal(size=n),
                                  vec_x0=local.normal(size=n), horizon=horizon)
             params = make_params(m, 9, p, horizon, "pade")
-            bundle = solve_block_forward(build_pade_system(problem, params))
+            bundle = solve_block_forward(problem, params)
             traj = classical_reference_trajectory(problem, params)
             g = traj.g(float(np.linalg.norm(problem.vec_b)))
             floor = 0.5 * p / (6 * m * g**2 * (h**2 + 1) + p)

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pade_lab import circuit_sim, experiments
+from pade_lab import circuit_sim, classical_solver, cli, experiments, system_builder
+from pade_lab.classical_solver import march_solution, state_distance
 from pade_lab.cli import EXIT_OK, EXIT_USAGE, _apply_config, build_parser, run_cli
+from pade_lab.error_bounds import make_params
 from pade_lab.errors import SingularBlockError
 from pade_lab.pade_core import OdeProblem
-from pade_lab.system_builder import save_problem
+from pade_lab.system_builder import classical_reference_trajectory, load_problem, save_problem
 
 from conftest import random_hermitian_nsd
 
@@ -151,6 +153,31 @@ class TestSystemCommands:
         doc = json.loads(out)
         assert set(doc) == {"terminal", "p_succ", "residual", "distance_to_reference"}
         assert doc["distance_to_reference"] <= 1e-8
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_solve_assembles_nothing(self, problem_file, scheme, monkeypatch):
+        # solve marches the one-step block and forms its residual from the
+        # scalar patterns: neither the assembler nor the CSR expansion runs,
+        # and the march's bytes are what it prints
+        def refuse(*args, **kwargs):
+            raise AssertionError("L was assembled")
+
+        for module in (cli, classical_solver, system_builder):
+            for name in ("assemble", "csr_systems"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        code, out = run(["solve", "--problem", str(problem_file), "--scheme", scheme,
+                         "--m", "3", "--k", "5", "--p", "2"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        problem = load_problem(problem_file)
+        params = make_params(3, 5, 2, problem.horizon, scheme)
+        marched = march_solution(problem, params)
+        reference = classical_reference_trajectory(problem, params).states[-1]
+        terminal = [[z.real, z.imag] for z in marched.terminal]
+        assert np.array(doc["terminal"]).tobytes() == np.array(terminal).tobytes()
+        assert np.float64(doc["p_succ"]).tobytes() == np.float64(marched.p_succ).tobytes()
+        distance = state_distance(marched.terminal, reference)
+        assert np.float64(doc["distance_to_reference"]).tobytes() == np.float64(distance).tobytes()
 
     def test_analyze_consistent_with_sweep(self, problem_file, tmp_path):
         code, analyzed = run(["analyze", "--problem", str(problem_file), "--scheme",

@@ -365,7 +365,7 @@ class TestChains:
         # the per-step accuracy inequality also holds with the reduced
         # fixed-order step count on Hermitian negative semi-definite input
         from pade_lab.classical_solver import solve_block_forward
-        from pade_lab.system_builder import build_pade_system, classical_reference_trajectory
+        from pade_lab.system_builder import classical_reference_trajectory
 
         for seed in range(4):
             local = np.random.default_rng(80 + seed)
@@ -374,7 +374,7 @@ class TestChains:
                                  vec_x0=local.normal(size=5), horizon=12.0)
             params = select_parameters(problem, 1e-6, "fixed-order", order=9)
             assert params.steps <= math.ceil(np.linalg.norm(a, 2) * 12.0)
-            bundle = solve_block_forward(build_pade_system(problem, params))
+            bundle = solve_block_forward(problem, params)
             traj = classical_reference_trajectory(problem, params)
             iterates = step_iterates(bundle)
             norm_a = np.linalg.norm(a, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pade_lab import analysis, experiments, system_builder
+from pade_lab import analysis, cli, experiments, system_builder
 from pade_lab.classical_solver import march_terminal, propagated_terminal
 from pade_lab.errors import PadeLabError, SchemeError, SearchError, SingularBlockError
 from pade_lab.error_bounds import make_params
@@ -121,12 +121,16 @@ class TestSweeps:
 
     def test_searches_never_assemble(self, monkeypatch):
         # probes and rows march the one-step block, and kappa is measured on
-        # the diagonal blocks of A (eigenvalues or A itself): L is never built
+        # the block systems of the diagonal blocks of A (eigenvalues or A
+        # itself): no search, sweep row or kappa calls the assembler.  For the
+        # non-normal A of the skewed cases the one block system is L itself,
+        # formed densely by kron_sum up to SLICE_DENSE_CAP (m = 1) and as CSR by
+        # csr_systems above it (m = 3)
         def refuse(problem, params):
             raise AssertionError("L was assembled")
 
-        for scheme in ("pade", "taylor"):
-            monkeypatch.setitem(system_builder.BUILDERS, scheme, refuse)
+        for module in (system_builder, cli):
+            monkeypatch.setattr(module, "assemble", refuse)
         problem = stable_problem(seed=3, horizon=25.0)
         assert find_min_steps(problem, "pade", 9, 1e-10) == 7
         assert find_min_steps(problem, "taylor", 9, 1e-10) == 62

@@ -22,6 +22,7 @@ from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 from pade_lab.system_builder import (
     SCHEMES,
     _band_systems,
+    assemble,
     build_pade_system,
     build_taylor_system,
     classical_reference_trajectory,
@@ -33,10 +34,11 @@ from pade_lab.system_builder import (
     problem_from_json,
     save_problem,
     scalar_patterns,
+    system_product,
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import build_unreduced_pair, pade_propagator, solve_dense
+from oracles import build_unreduced_pair, gamma, pade_propagator, product_row_terms, solve_dense
 
 
 def small_problem(n=2, horizon=1.0, a=None, b=None, x0=None):
@@ -110,8 +112,7 @@ def test_assembler_matches_block_loop_reference(n, m, k, p, scheme, kind, seed, 
     problem = OdeProblem(matrix_a=a, vec_b=rng.normal(size=n) + 1j * rng.normal(size=n),
                          vec_x0=rng.normal(size=n), horizon=horizon)
     params = make_params(m, k, p, horizon, scheme)
-    builder = build_pade_system if scheme == "pade" else build_taylor_system
-    system = builder(problem, params)
+    system = assemble(problem, params)
     dense, rhs = reference_system(problem, params)
     want = sp.csr_matrix(dense)
     assert np.array_equal(system.matrix.indptr, want.indptr)
@@ -149,7 +150,7 @@ class TestPadeAssembly:
     def test_scale_row_factor(self):
         problem = small_problem()
         system = build_pade_system(problem, make_params(1, 3, 1, 1.0, "pade"))
-        term = system.layout.terminal_row() * problem.dim
+        term = (system.layout.block_rows - system.layout.p) * problem.dim
         assert SCHEMES["pade"](3).row_scale == pytest.approx(0.5)
         assert system.matrix[term, term] == SCHEMES["pade"](3).row_scale
 
@@ -290,7 +291,7 @@ class TestExpansion:
         params = make_params(m, k, p, 2.0, scheme)
         rec, xh = SCHEMES[scheme](k), problem.matrix_a * params.step_size
         got, = csr_systems(rec, m, p, xh[None])
-        want = (build_pade_system if scheme == "pade" else build_taylor_system)(problem, params)
+        want = assemble(problem, params)
         for name in ("indptr", "indices"):
             assert np.array_equal(getattr(got, name), getattr(want.matrix, name))
         assert np.array_equal(_bits(got.data), _bits(want.matrix.data))
@@ -306,6 +307,15 @@ class TestExpansion:
             assert np.array_equal(one.indptr, block.indptr)
             assert np.array_equal(one.indices, block.indices)
             assert np.array_equal(_bits(one.data), _bits(block.data))
+        # the product L z from the patterns against the CSR product, entry by
+        # entry within twice the rounding of either (see product_row_terms); the
+        # computed |L| |z| rounds by at most gamma_{t+3}
+        z = rng.normal(size=got.shape[0]) + 1j * rng.normal(size=got.shape[0])
+        t = product_row_terms(rec, m, p, n)
+        under = 2.0**-1070 * (t + n + 4) * (1.0 + np.abs(z).max())
+        err = np.abs(system_product(rec, m, p, xh, z) - got @ z)
+        assert (err <= 2 * gamma(t + 4) * (1 + gamma(t + 3)) * (abs(got) @ abs(z))
+                + 2 * under).all()
 
     @settings(max_examples=100, deadline=None)
     @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 12),
