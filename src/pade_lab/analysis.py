@@ -6,13 +6,17 @@ diagonal blocks X_i of a unitary similarity V^H A V = diag(X_i), the distinct
 eigenvalues of a normal A or else A itself: L has the singular values of the
 block systems S (x) I_b + B (x) (X_i h) (one, L itself, for a non-normal A),
 and ||W^-1|| and the signed row come from the blocks S1 (x) I_b + B1 (x) (X_i h)
-of W.  ``system_builder`` expands them all, never through its assembler.  The
-drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of
+of W.  Small block systems are measured by dense LAPACK; above that, the scalar
+blocks of a normal A take band Cholesky brackets on M^H M at both ends of the
+spectrum, and Lanczos serves the one block of a non-normal A and a sigma_min
+too close to the rounding of M^H M to certify.  ``system_builder`` expands
+them all, never through its assembler.  The drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of
 any other A from the R(A h) that ``classical_solver`` reads off W.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,7 +26,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import error_bounds, pade_core
-from .classical_solver import _step_rows, substitution_pair
+from .classical_solver import _step_rows, step_inverses, substitution_pair
 from .errors import (
     ClassificationError,
     ConsistencyError,
@@ -59,13 +63,14 @@ CONDITION_DIM_CAP = 4096
 #: (docs/DECISIONS.md bounds the error this admits).
 NORMALITY_TOL = 1e-12
 #: Largest block-system dimension measured by dense LAPACK on the stack of
-#: blocks; above it sigma_max takes a certified bracket per scalar block (Lanczos
-#: on the one block of a non-normal A) and sigma_min one Lanczos over the direct
-#: sum of the blocks.  With the end-block SVDs of ``_top_by_ends``, scalar blocks
-#: cost about the same on both paths at dimension 71 and up to 1.6 times less on
-#: the Lanczos path at 91, but the one block of a non-normal A costs 2 to 2.8
-#: times less on the dense path at 84 to 93, so the one cap stays above both
-#: (docs/DECISIONS.md "One block path for every A").
+#: blocks; above it sigma_max and sigma_min take a certified bracket per scalar
+#: block (Lanczos on the one block of a non-normal A, and over the direct sum of
+#: the blocks for a sigma_min the bracket cannot certify).  With the end-block
+#: SVDs of ``_top_by_ends``, scalar blocks cost about the same on both paths at
+#: dimension 71 and up to 1.6 times less on the operator path at 91, but the one
+#: block of a non-normal A costs 2 to 2.8 times less on the dense path at 84 to
+#: 93, so the one cap stays above both (docs/DECISIONS.md "One block path for
+#: every A"; measured before the sigma_min bracket, and not measured again).
 SLICE_DENSE_CAP = 96
 #: Relative width hi - lo <= BRACKET_RTOL hi of the bracket on lambda_max(M^H M)
 #: whose upper end gives sigma_max (docs/DECISIONS.md "sigma_max from a
@@ -80,6 +85,14 @@ BRACKET_RTOL = 1e-14
 #: gamma_j = j u / (1 - j u), p(n) = 10 n) at the largest blocks it meets,
 #: n = l = SLICE_DENSE_CAP = 96 (docs/DECISIONS.md "Inverse norms from the end blocks").
 CERTIFICATE_RTOL = 1e-10
+#: Largest rounding delta = (kd + 2) eps ||M^H M|| of the bracket, relative to
+#: lambda_min(M^H M), at which sigma_min takes the bracket rather than Lanczos:
+#: delta / lambda_min is (kd + 2) eps kappa^2, so kappa up to about 1.5e3 at the
+#: bandwidth kd = 19 (docs/DECISIONS.md "sigma_min from a certified bracket").
+BRACKET_MAX_DELTA = 1e-8
+#: Multiple of delta by which the sigma_min bracket's last shift stays below
+#: its Rayleigh quotient, so that the factorization there certifies it.
+SHIFT_GAP = 2.0
 #: Inverse-iteration solves per band Cholesky factor of the bracket.
 INVERSE_STEPS = 2
 #: Lanczos basis size for sigma_max of the one block of a non-normal A, the top
@@ -138,20 +151,38 @@ def _gram_band(bands: np.ndarray, up: int) -> np.ndarray:
     return band
 
 
-def _largest_singular_value(bands: np.ndarray, up: int, floor: float = 0.0) -> float:
-    """sigma_max of the M whose general band is ``bands`` (see ``_gram_band``), or
-    ``floor`` once a factorization shows sigma_max <= floor.
+def _singular_bracket(bands: np.ndarray, up: int, bound: float,
+                      sign: int) -> tuple[float, float] | None:
+    """(certified, value) of sigma_max (``sign`` 1) or sigma_min (``sign`` -1)
+    of the M whose general band is ``bands`` (see ``_gram_band``): ``value`` is
+    the singular value and ``certified`` the end of its bracket that a band
+    Cholesky factor shows.  ``bound`` is a floor on sigma_max or a ceiling on
+    sigma_min, returned as both once a factorization shows sigma_max <= floor or
+    sigma_min >= ceiling.  None when sigma_min is too close to the rounding of
+    M^H M to certify (``BRACKET_MAX_DELTA``).
 
     M is scaled by the power of two 2^-e that puts max |m_ij| in [1/2, 1), so no
-    entry of G = M^H M overflows and lambda_max(G) >= 1/4.  lambda_max(G) is
-    bracketed by lo <= lambda_max <= hi: lo is max diag G, a Rayleigh quotient or
-    a shift at which shift I - G has no band Cholesky factor; hi is Gershgorin's
-    max absolute row sum or a shift at which it has one (Sylvester's inertia).
-    Each factor drives INVERSE_STEPS steps of inverse iteration, whose Rayleigh
-    quotient rho raises lo and, with its residual r, proposes the next shift
-    rho + r (some eigenvalue lies within r of rho), kept in
-    [lo (1 + BRACKET_RTOL), (lo + hi) / 2]; a shift without a factor is followed by
-    the midpoint.  Once hi - lo <= BRACKET_RTOL hi, sigma_max is 2^e sqrt(hi).
+    entry of G = M^H M overflows and lambda_max(G) >= 1/4.  The bracket is on the
+    top eigenvalue of T = sign G, lo <= lambda_max(T) <= hi: hi is a shift at
+    which shift I - T has a band Cholesky factor (Sylvester's inertia), and at
+    the start Gershgorin's bound (sigma_max) or 0 (sigma_min); lo is a Rayleigh
+    quotient sign ||M x||^2, a diagonal entry of T at the start, or a shift
+    without a factor.  Each factor drives INVERSE_STEPS steps of inverse
+    iteration, whose Rayleigh quotient rho raises lo and, with its residual r,
+    proposes the next shift rho + r (some eigenvalue lies within r of rho), kept
+    in [lo (1 + sign BRACKET_RTOL) + gap, (lo + hi) / 2]; a shift without a
+    factor is followed by the midpoint.  The loop ends at hi - lo <=
+    BRACKET_RTOL max(|lo|, |hi|) + gap.  sigma_max is 2^e sqrt(hi), its
+    certified end.  sigma_min is 2^e sqrt(-rho) of the largest rho_T, the
+    Rayleigh quotient of M and not of G, and its certified end 2^e sqrt(-hi).
+
+    A factor of shift I - T shows the bracket up to the rounding delta =
+    (kd + 2) eps ||G|| of forming and factoring G of bandwidth kd, ||G|| taken
+    as the Gershgorin bound.  For sigma_max that is below BRACKET_RTOL hi, and
+    gap is 0; for sigma_min delta / lambda_min is (kd + 2) eps kappa^2, so gap
+    is SHIFT_GAP delta, and once delta exceeds BRACKET_MAX_DELTA |lo| (lambda_min
+    <= |lo| for sigma_min, lambda_max >= lo for sigma_max, which never fails)
+    the result is None (docs/DECISIONS.md "sigma_min from a certified bracket").
     M x and M^H y are BLAS ``?gbmv`` on the band, whose scipy wrapper wants at
     least u + l + 1 rows: M is read as that many rows when the band is deeper
     than M is wide, the rows past M being zero.
@@ -168,23 +199,32 @@ def _largest_singular_value(bands: np.ndarray, up: int, floor: float = 0.0) -> f
     dims = (max(width, d), d, width - up - 1, up)  # rows, columns, l, u of ?gbmv
 
     def factor(shift):
-        shifted = -band
+        shifted = band * -sign
         shifted[0] += shift
         chol, info = pbtrf(shifted, lower=1, overwrite_ab=1)
         return chol if info == 0 else None
 
+    diag = band[0].real
     row_sums = np.abs(band).sum(axis=0)
     for o in range(1, len(band)):
         row_sums[o:] += np.abs(band[o, :-o])
-    lo, hi = float(band[0].real.max()), float(row_sums.max())
-    bar = math.ldexp(floor, -scale)
-    bar *= bar
+    delta = (len(band) + 1) * np.finfo(float).eps * float(row_sums.max())
+    if sign > 0:
+        lo, hi, gap = float(diag.max()), float(row_sums.max()), 0.0
+    else:
+        lo, hi, gap = -float(diag.min()), 0.0, SHIFT_GAP * delta
+    bar = math.ldexp(bound, -scale)
+    bar *= sign * bar
     if bar >= hi or (bar > lo and factor(bar) is not None):
-        return floor
-    lo = max(lo, bar)
+        return bound, bound
+    rayleigh, lo = lo, max(lo, bar)
     x = _lanczos_start(d, complex_=bands.dtype.kind == "c")
     shift = hi
-    while hi - lo > BRACKET_RTOL * hi:
+    while True:
+        if delta > BRACKET_MAX_DELTA * abs(lo):
+            return None
+        if hi - lo <= BRACKET_RTOL * max(abs(lo), abs(hi)) + gap:
+            break
         chol = factor(shift)
         if chol is None:
             lo = shift
@@ -197,9 +237,30 @@ def _largest_singular_value(bands: np.ndarray, up: int, floor: float = 0.0) -> f
             y = gbmv(*dims, 1.0, bands, x)
             rho = float(np.vdot(y, y).real)
         resid = float(np.linalg.norm(gbmv(*dims, 1.0, bands, y, trans=2) - rho * x))
-        lo = max(lo, rho)
-        shift = min(max(rho + resid, lo * (1.0 + BRACKET_RTOL)), 0.5 * (lo + hi))
-    return math.ldexp(math.sqrt(hi), scale)
+        rayleigh = max(rayleigh, sign * rho)
+        lo = max(lo, sign * rho)
+        shift = min(max(sign * rho + resid, lo * (1.0 + sign * BRACKET_RTOL) + gap),
+                    0.5 * (lo + hi))
+    if sign > 0:
+        value = math.ldexp(math.sqrt(hi), scale)
+        return value, value
+    if rayleigh <= bar:
+        return bound, bound
+    return math.ldexp(math.sqrt(-hi), scale), math.ldexp(math.sqrt(-rayleigh), scale)
+
+
+def _largest_singular_value(bands: np.ndarray, up: int, floor: float = 0.0) -> float:
+    """sigma_max of the M whose general band is ``bands``, or ``floor`` once a
+    factorization shows sigma_max <= floor (see ``_singular_bracket``)."""
+    return _singular_bracket(bands, up, floor, 1)[1]
+
+
+def _smallest_singular_value(bands: np.ndarray, up: int,
+                             ceiling: float = math.inf) -> tuple[float, float] | None:
+    """(certified lower end, value) of sigma_min of the M whose general band is
+    ``bands``, (ceiling, ceiling) once a factorization shows sigma_min >= ceiling,
+    or None where the bracket cannot certify it (see ``_singular_bracket``)."""
+    return _singular_bracket(bands, up, ceiling, -1)
 
 
 def _is_normal(a: np.ndarray) -> bool:
@@ -290,22 +351,26 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     of the scheme ``rec`` on ``lay``, one per diagonal block X_i of ``blocks``.
 
     sigma_max is convex in X, so for ``real`` scalar blocks only the two end
-    blocks are measured.  Above ``SLICE_DENSE_CAP`` it is the certified bracket
-    of ``_largest_singular_value`` on the band of each scalar block system from
-    ``system_builder._band_systems``, so no sparse matrix is built; a b-wide block
-    (b > 1) gives M^H M the bandwidth (2k + 2) b - 1, and one band factorization
-    there costs more than a Lanczos run on M^H M, which it takes instead.
-    sigma_min is 1/||M^-1||_2, never the last singular value of M, which floors
-    at eps sigma_max: on the dense path ``_top_by_ends`` of the M_i^-1, which
-    takes the SVD of the two end blocks and certifies the others by one
-    Cholesky factorization; above ``SLICE_DENSE_CAP`` one Lanczos on the
+    blocks are measured.  sigma_min is 1/||M^-1||_2, never the last singular
+    value of M from an SVD, which floors at eps sigma_max.  On the dense path
+    sigma_min is ``_top_by_ends`` of the M_i^-1, which takes the SVD of the two
+    end blocks and certifies the others by one Cholesky factorization.  Above
+    ``SLICE_DENSE_CAP`` scalar blocks (b = 1) take the certified brackets of
+    ``_singular_bracket`` on their bands from ``system_builder._band_systems``,
+    built once, so no sparse matrix is built: sigma_max over the end blocks
+    with a running maximum, sigma_min over every block with a running
+    minimum, the end blocks of a real spectrum first.  A block whose sigma_min
+    the bracket cannot certify hands the whole sigma_min to one Lanczos on the
     direct sum of the M_i, applied by the block substitution of
     ``classical_solver.substitution_pair``, whose first application of
     L^-1 L^-H that is not finite raises ``MagnitudeError`` before ARPACK reads
-    it (see ``_largest_eigenvalue``).  M_i is block lower triangular with
-    the one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense
-    path returns the stack of the W_i^-1 as a copy of the leading (k+1) b
-    square of each M_i^-1, the Lanczos path as the substitution forms it.
+    it (see ``_largest_eigenvalue``).  A b-wide block (b > 1) gives M^H M the
+    bandwidth (2k + 2) b - 1, where one band factorization costs more than a
+    Lanczos run, so it takes Lanczos on M^H M for sigma_max and that Lanczos
+    for sigma_min.  M_i is block lower triangular with the one-step block
+    W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense path returns the
+    stack of the W_i^-1 as a copy of the leading (k+1) b square of each
+    M_i^-1, the others as ``classical_solver.step_inverses`` forms it.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = scaled_by_step(blocks, lay.h)
@@ -322,6 +387,17 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         smax = 0.0
         for band in bands:
             smax = _largest_singular_value(band, up, smax)
+        if real:  # the end blocks again, the last one first, then each interior band as built
+            bands = itertools.chain(bands[::-1], (_band_systems(rec, lay.m, lay.p, x[None])[1][0]
+                                                  for x in xh[1:-1]))
+        smin = math.inf
+        for band in bands:
+            bracket = _smallest_singular_value(band, up, smin)
+            if bracket is None:
+                break
+            smin = bracket[1]
+        else:
+            return smax, smin, step_inverses(rec.one_step(xh))
     else:
         v0 = _lanczos_start(d * w, complex_=not real)
         smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV)

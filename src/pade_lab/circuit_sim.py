@@ -252,6 +252,8 @@ class BlockEncodingUnitary:
     ancillas: int
     target_dim: int
     circuit: CircuitSpec | None = None
+    #: the folded eps of a realized stage, once ``unitarity_defect`` has run
+    _defect: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.unitary.shape[0]
@@ -286,8 +288,11 @@ class BlockEncodingUnitary:
         eps_j <= delta_j (1 + eps_{j-1}) + eps_{j-1}.  The sum is accumulated
         in that form, which keeps every digit of a single factor's delta; an
         explicit U is its own single factor.  The delta of every gate but
-        OPAQUE comes from ``_gate``, once per distinct gate.
+        OPAQUE comes from ``_gate``, once per distinct gate.  A realized
+        stage keeps its eps, so a held stage folds its deltas once.
         """
+        if self._defect is not None:
+            return self._defect
         if self.circuit is None:
             deltas = [_gram_defect(self.unitary)]
         else:
@@ -297,6 +302,8 @@ class BlockEncodingUnitary:
         eps = 0.0
         for delta in deltas:
             eps = eps + delta + eps * delta
+        if self.circuit is not None:
+            object.__setattr__(self, "_defect", eps)  # frozen: set once, here
         return eps
 
 

@@ -7,7 +7,7 @@ the first step's rows being one more column, and ``solve_block_forward`` adds
 the residual ||L z - rhs|| from the scalar patterns, so no solve assembles L;
 ``step_map`` reads its readout [P | q] and ``propagated_terminal`` powers
 that; ``substitution_pair`` applies L^-1 and L^-H by the same elimination
-and hands out the W_i^-1 it forms.
+on the W_i^-1 of ``step_inverses``, and hands them out.
 """
 
 from __future__ import annotations
@@ -219,6 +219,18 @@ def _coupling_chains(mat: np.ndarray, m: int):
             (lambda x: doubled(np.swapaxes(x[:, ::-1], 1, 2), powers_h)[:, ::-1]))
 
 
+def step_inverses(step_blocks: np.ndarray) -> np.ndarray:
+    """The read-only stack of the W_i^-1 of the (r, w, w) stack ``step_blocks``:
+    each W_i factored once by ``_factor_step_block``, so a singular one raises
+    ``SingularBlockError``, and its LU factors solved against I by one ``getrs``."""
+    getrs, = sla.get_lapack_funcs(("getrs",), (step_blocks,))
+    eye = np.eye(step_blocks.shape[1], dtype=step_blocks.dtype)
+    inverses = np.stack([getrs(lu, piv, eye)[0]
+                         for lu, piv in map(_factor_step_block, step_blocks)])
+    inverses.flags.writeable = False
+    return inverses
+
+
 def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     """(apply L^-1, apply L^-H, X) by block substitution, for the direct sum of
     the systems L_i of m steps and p padding rows of the scheme ``rec`` whose
@@ -226,10 +238,10 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     stack ``step_blocks``.  A vector, of the stack's dtype, holds the L_i one
     after another, each in L's own block-row order.
 
-    Each W_i is factored once by ``_factor_step_block``, so a singular one
-    raises ``SingularBlockError``, and its LU factors give the read-only
-    stack X of the W_i^-1 once; an application of L^-1 or L^-H then makes no
-    LAPACK call per block, only batched products by X.  With E = e_0 (x) I_b,
+    The read-only stack X of the W_i^-1 comes from ``step_inverses``, so a
+    singular W_i raises ``SingularBlockError``; an application of L^-1 or
+    L^-H then makes no LAPACK call per block, only batched products by X.
+    With E = e_0 (x) I_b,
     Sg = signs (x) I_b, C = W^-1 E, D = W^-H Sg and R = Sg^T C, the rows y_s
     of step s give
 
@@ -253,11 +265,7 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
     """
     r, wb = step_blocks.shape[:2]
     b, rows = wb // len(rec.signs), m * len(rec.signs)
-    getrs, = sla.get_lapack_funcs(("getrs",), (step_blocks,))
-    eye = np.eye(wb, dtype=step_blocks.dtype)
-    inverses = np.stack([getrs(lu, piv, eye)[0]
-                         for lu, piv in map(_factor_step_block, step_blocks)])
-    inverses.flags.writeable = False
+    inverses = step_inverses(step_blocks)
     # the rows of a stack times right[False] = X^T are W^-1 on them, times conj(X) W^-H
     right = {False: np.swapaxes(inverses, 1, 2).copy(), True: inverses.conj()}
 

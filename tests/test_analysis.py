@@ -20,6 +20,7 @@ from pade_lab.analysis import (
     _largest_singular_value,
     _normal_spectrum,
     _one_step_norms,
+    _smallest_singular_value,
     condition_report,
     extreme_singular_values,
     inverse_norm_bounds,
@@ -55,7 +56,13 @@ from pade_lab.system_builder import (
 )
 
 from conftest import random_contraction, random_hermitian_nsd
-from oracles import eval_pade_parts, explicit_w_inverse, pade_propagator, taylor_inverse_growth
+from oracles import (
+    eval_pade_parts,
+    explicit_w_inverse,
+    pade_propagator,
+    sigma_min_mp,
+    taylor_inverse_growth,
+)
 
 
 def _tridiag_problem(seed=0):
@@ -347,9 +354,10 @@ class TestSpectralNorm:
         monkeypatch.setattr(spla, "eigsh", stalled)
         with pytest.raises(ConvergenceError):
             extreme_singular_values(_non_normal_problem(), make_params(4, 9, 1, 5.0, "pade"))
+        # C10 Taylor m = 12 (kappa about 8e35): sigma_min is past the bracket
         problem = _tridiag_problem()
         with pytest.raises(ConvergenceError):
-            extreme_singular_values(problem, make_params(19, 9, 1, 30.0, "pade"))
+            extreme_singular_values(problem, make_params(12, 9, 1, 30.0, "taylor"))
 
 
 def _general_band(csr):
@@ -434,6 +442,151 @@ class TestCertifiedBracket:
         problem = OdeProblem(matrix_a=[[-1e308]], vec_b=[0.0], vec_x0=[1.0], horizon=1000.0)
         with pytest.raises(MagnitudeError, match="A h overflows"):
             extreme_singular_values(problem, make_params(20, 9, 1, 1000.0, "pade"))
+
+
+class TestSigmaMinBracket:
+    """sigma_min of one block system from the band Cholesky bracket on M^H M:
+    a shift s at which M^H M - s I factors below the Rayleigh quotient ||M x||^2
+    of the inverse iteration, the value."""
+
+    @staticmethod
+    def _gram_shifted(up, bands):
+        band = _gram_band(bands, up)
+
+        def shifted(shift):
+            out = band.copy()
+            out[0] -= shift
+            return out
+
+        # delta = (kd + 2) eps ||G||, by Gershgorin, for G of bandwidth kd
+        row_sums = np.abs(band).sum(axis=0)
+        for o in range(1, len(band)):
+            row_sums[o:] += np.abs(band[o, :-o])
+        return shifted, (len(band) + 1) * np.finfo(float).eps * row_sums.max()
+
+    def _assert_certified(self, dense, up, bands, got):
+        # 1 / ||M^-1||_2 of the dense inverse is the oracle; M^H M - lower^2 I
+        # has a band Cholesky factor.  The value is a Rayleigh quotient on M,
+        # and the computed M^H M holds lambda_min only to its rounding delta,
+        # so (1 + 1e-12) value^2 + delta is past it: that shift has no factor
+        lower, value = got
+        assert value == pytest.approx(1.0 / np.linalg.norm(np.linalg.inv(dense), 2),
+                                      rel=1e-12, abs=0.0)
+        assert lower <= value
+        shifted, delta = self._gram_shifted(up, bands)
+        sla.cholesky_banded(shifted(lower**2), lower=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cholesky_banded(shifted((1.0 + 1e-12) * value**2 + delta), lower=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 12),
+           m=st.integers(1, 30), re=st.floats(-20.0, 2.0), im=st.floats(-20.0, 20.0),
+           complex_=st.booleans())
+    # one step: the band is deeper than M is wide
+    @example(scheme="pade", k=12, m=1, re=-3.0, im=1.0, complex_=True)
+    @example(scheme="taylor", k=9, m=30, re=-2.0, im=0.0, complex_=False)
+    def test_scalar_blocks_match_dense_inverse(self, scheme, k, m, re, im, complex_):
+        x = complex(re, im) if complex_ else re
+        xs = np.array([[[x]]])
+        up, (bands,) = system_builder._band_systems(SCHEMES[scheme](k), m, 2, xs)
+        dense = csr_systems(SCHEMES[scheme](k), m, 2, xs)[0].toarray()
+        got = _smallest_singular_value(bands, up)
+        if got is None:
+            # handed to Lanczos only where (kd + 2) eps kappa^2 is not small
+            kd = len(bands) - 1
+            assert (kd + 2) * np.finfo(float).eps * np.linalg.cond(dense) ** 2 > 1e-10
+        else:
+            self._assert_certified(dense, up, bands, got)
+
+    def test_matches_extended_precision(self):
+        # Padé k = 3, m = 12 at x = -2.5: 50 rows, against inverse iteration in 40 digits
+        xs = np.array([[[-2.5]]])
+        up, (bands,) = system_builder._band_systems(SCHEMES["pade"](3), 12, 2, xs)
+        dense = csr_systems(SCHEMES["pade"](3), 12, 2, xs)[0].toarray()
+        _, value = _smallest_singular_value(bands, up)
+        assert value == pytest.approx(sigma_min_mp(dense), rel=1e-14, abs=0.0)
+
+    def test_ceiling(self):
+        up, (bands,) = system_builder._band_systems(SCHEMES["pade"](9), 40, 1,
+                                                    np.array([[[-3.0]]]))
+        _, smin = _smallest_singular_value(bands, up)
+        # a ceiling below sigma_min comes back as it is; one above it does not
+        assert _smallest_singular_value(bands, up, 0.5 * smin) == (0.5 * smin, 0.5 * smin)
+        ceiling = smin * (1 - 1e-9)
+        assert _smallest_singular_value(bands, up, ceiling) == (ceiling, ceiling)
+        lower, value = _smallest_singular_value(bands, up, 1.001 * smin)
+        assert value == pytest.approx(smin, rel=1e-13)
+        assert lower <= value
+
+    def test_hands_off_to_lanczos(self):
+        # a Taylor block of C10 at m = 20 (x = lam h, kappa 2.2e16): delta /
+        # lambda_min is past BRACKET_MAX_DELTA, and the row takes Lanczos
+        x = (-2.0 - math.sqrt(3.0)) * 30.0 / 20
+        up, bands = system_builder._band_systems(SCHEMES["taylor"](9), 20, 1,
+                                                 np.array([[[x]]]))
+        dense = csr_systems(SCHEMES["taylor"](9), 20, 1, np.array([[[x]]]))[0].toarray()
+        assert np.linalg.cond(dense) > 1e16
+        assert _smallest_singular_value(bands[0], up) is None
+        import scipy.sparse.linalg as spla
+
+        eigsh = []
+
+        def lanczos(*args, fn=spla.eigsh, **kwargs):
+            eigsh.append(1)
+            return fn(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spla, "eigsh", lanczos)
+            smax, smin = extreme_singular_values(_tridiag_problem(),
+                                                 make_params(20, 9, 1, 30.0, "taylor"))
+        assert eigsh == [1]  # one Lanczos over the direct sum of the five blocks
+        assert 0.0 < smin < smax < math.inf
+
+    def test_singular_step_block_is_typed(self):
+        # the [1/1] Padé step 1 - x/2 vanishes at x = a h = 2, m = 70: the
+        # bracket cannot certify the singular block, and the substitution's LU
+        # of its W_i raises the step-indexed error
+        m = 70
+        xs = np.array([[[2.0]]])
+        up, (bands,) = system_builder._band_systems(SCHEMES["pade"](1), m, 1, xs)
+        assert _smallest_singular_value(bands, up) is None
+        problem = OdeProblem(matrix_a=np.diag([-1.0, 2.0 * m]), vec_b=np.ones(2),
+                             vec_x0=np.ones(2), horizon=1.0)
+        with pytest.raises(SingularBlockError) as info:
+            extreme_singular_values(problem, make_params(m, 1, 1, 1.0, "pade"))
+        assert info.value.step_index == 1
+
+    @staticmethod
+    def _no_lanczos(monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def refused(*args, **kwargs):
+            raise AssertionError("sigma_min took Lanczos")
+
+        monkeypatch.setattr(spla, "eigsh", refused)
+
+    def test_sweep_rows_take_no_lanczos(self, monkeypatch):
+        # C10, Padé m = 12..117 and Taylor m = 33..117: every block system above
+        # the dense cap is bracketed, sigma_max and sigma_min alike
+        self._no_lanczos(monkeypatch)
+        problem = _tridiag_problem()
+        for scheme, first in (("pade", 12), ("taylor", 33)):
+            for m in range(first, 118):
+                smax, smin = extreme_singular_values(problem, make_params(m, 9, 1, 30.0, scheme))
+                assert 0.0 < smin < smax < math.inf, (scheme, m)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_refs_within_1e_12(self, seed, monkeypatch):
+        # every bracket row of the condition-sweep references above the dense
+        # cap, against the dense-SVD kappa of the seed-0 operator
+        self._no_lanczos(monkeypatch)
+        problem = _tridiag_problem(seed)
+        rows = [(scheme, int(m), ref) for scheme, refs in _SWEEP_REFS.items()
+                for m, ref in refs.items() if int(m) >= 12 and ref < 1e12]
+        assert len(rows) == 32
+        for scheme, m, ref in rows:
+            smax, smin = extreme_singular_values(problem, make_params(m, 9, 1, 30.0, scheme))
+            assert smax / smin == pytest.approx(ref, rel=1e-12, abs=0.0), (scheme, m)
 
 
 class TestTopByEnds:

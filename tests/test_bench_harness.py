@@ -6,9 +6,9 @@ One traced circuit-verify op must record a span of each circuit counter: a
 restructure that calls around a wrapped name would leave it reading zero.  A
 second op of the same (k, m) still records ``primitive_encodings`` through the
 stage cache, and ``realize_dense`` for the two stages that read A.  One
-condition-sweep op on the Lanczos path must record an ``analysis.lanczos``
-span with matvecs: a sigma_min that called around the wrapped ``eigsh`` would
-leave ``analysis.lanczos.matvecs`` reading zero.
+condition-sweep op whose sigma_min takes the Lanczos path must record an
+``analysis.lanczos`` span with matvecs: a sigma_min that called around the
+wrapped ``eigsh`` would leave ``analysis.lanczos.matvecs`` reading zero.
 """
 
 import os
@@ -36,8 +36,9 @@ for traced in ("circuit_sim.realize_dense", "circuit_sim.unitarity_defect",
     assert names["0"].count(traced) >= 1, (traced, sorted(set(names["0"])))
 assert names["1"].count("circuit_sim.primitive_encodings") == 1, names["1"]
 assert names["1"].count("circuit_sim.realize_dense") == 2, names["1"]  # W and L
-# m = 12: L is 121 block rows wide, above the dense cap
-op, = [op for op in workloads.make_ops("condition-sweep", 0) if op.key == "pade-m12"]
+# Taylor m = 12: L is 121 block rows wide, above the dense cap, and kappa is
+# about 8e35, too large for the sigma_min bracket, so sigma_min takes Lanczos
+op, = [op for op in workloads.make_ops("condition-sweep", 0) if op.key == "taylor-m12"]
 tracer.op = "sweep"
 assert op.check(op.run()) is None
 lanczos = [span for span in tracer.spans if span[OP] == "sweep" and span[NAME] == LANCZOS]

@@ -360,6 +360,24 @@ class TestGateCaches:
         for stage in c09_stages():
             assert stage.unitarity_defect() == fresh_unitarity_defect(stage)
 
+    def test_held_stage_keeps_its_certificate(self, monkeypatch):
+        # a second call on a realized stage returns the first's bits and
+        # folds no delta again: no gate is looked up anew
+        stage = c09_stages()[0]
+        want = stage.unitarity_defect()
+        looked_up = []
+
+        def gate(*key, fn=circuit_sim._gate):
+            looked_up.append(key)
+            return fn(*key)
+
+        monkeypatch.setattr(circuit_sim, "_gate", gate)
+        assert stage.circuit is not None
+        assert np.float64(stage.unitarity_defect()).tobytes() == np.float64(want).tobytes()
+        assert looked_up == []
+        monkeypatch.undo()
+        assert want == fresh_unitarity_defect(stage)
+
     def test_columns_are_the_fresh_product_on_c09_grid(self):
         for stage in c09_stages():
             fresh = fresh_columns(stage.circuit, stage.target_dim)
