@@ -151,6 +151,33 @@ def _gram_band(bands: np.ndarray, up: int) -> np.ndarray:
     return band
 
 
+def _gram_min_ceiling(bands: np.ndarray, frob: float, gbmv, dims) -> float:
+    """An upper bound on lambda_min(M^H M) of the lower triangular M whose band,
+    with no superdiagonal, is ``bands`` and whose Frobenius norm is at most
+    ``frob``: the Rayleigh quotient ||M v||^2 / ||v||^2 of v = M^-1 M^-H x, one
+    step of inverse iteration on M^H M from the seeded start x by two BLAS
+    ``?tbsv`` triangular band solves, so no factorization.  M v comes from
+    ``?gbmv`` on ``dims`` and is enlarged by its rounding gamma_w ||M||_F ||v||
+    (w the band's rows; ||M||_F >= || |M| ||_2), the norms and the quotient by
+    the relative 8 (d w + 4) eps; inf where v is not finite (past the double
+    range, or a zero on the diagonal).  M^-H x is divided by its norm, which
+    is at least ||x|| / ||M||_F: no entry of M exceeds 1, so it is not tiny."""
+    width, d = bands.shape
+    tbsv, nrm2 = sla.get_blas_funcs(("tbsv", "nrm2"), (bands,))
+    v = tbsv(width - 1, bands, _lanczos_start(d, complex_=bands.dtype.kind == "c"),
+             lower=1, trans=2)
+    norm_v = nrm2(v)
+    if not norm_v < math.inf:
+        return math.inf
+    v = tbsv(width - 1, bands, v / norm_v, lower=1, overwrite_x=1)
+    norm_v = nrm2(v)
+    if not 0.0 < norm_v < math.inf:
+        return math.inf
+    eps = float(np.finfo(float).eps)
+    quotient = nrm2(gbmv(*dims, 1.0, bands, v)) / norm_v + width * eps / (1.0 - width * eps) * frob
+    return quotient * quotient * (1.0 + 8 * (d * width + 4) * eps)
+
+
 def _singular_bracket(bands: np.ndarray, up: int, bound: float,
                       sign: int) -> tuple[float, float] | None:
     """(certified, value) of sigma_max (``sign`` 1) or sigma_min (``sign`` -1)
@@ -183,7 +210,11 @@ def _singular_bracket(bands: np.ndarray, up: int, bound: float,
     is SHIFT_GAP delta, and once delta exceeds BRACKET_MAX_DELTA |lo| (lambda_min
     <= |lo| for sigma_min, lambda_max >= lo for sigma_max, which never fails)
     the result is None (docs/DECISIONS.md "sigma_min from a certified bracket").
-    M x and M^H y are BLAS ``?gbmv`` on the band, whose scipy wrapper wants at
+    For sigma_min of a lower triangular M (``up`` 0) the result is None before
+    any factorization where the probe rho of ``_gram_min_ceiling`` is at most
+    delta / (2 BRACKET_MAX_DELTA) and rho + delta is below the squared
+    ceiling: the loop could then only return None (docs/DECISIONS.md
+    "Hand-off before factorizing").  M x and M^H y are BLAS ``?gbmv`` on the band, whose scipy wrapper wants at
     least u + l + 1 rows: M is read as that many rows when the band is deeper
     than M is wide, the rows past M being zero.
     """
@@ -215,6 +246,11 @@ def _singular_bracket(bands: np.ndarray, up: int, bound: float,
         lo, hi, gap = -float(diag.min()), 0.0, SHIFT_GAP * delta
     bar = math.ldexp(bound, -scale)
     bar *= sign * bar
+    if sign < 0 and up == 0 and bar < hi:
+        # ||M||_F^2 is the trace of G; doubled for the rounding of diag and its sum
+        probe = _gram_min_ceiling(bands, 2.0 * math.sqrt(float(diag.sum())), gbmv, dims)
+        if probe <= 0.5 * delta / BRACKET_MAX_DELTA and probe + delta < -bar:
+            return None
     if bar >= hi or (bar > lo and factor(bar) is not None):
         return bound, bound
     rayleigh, lo = lo, max(lo, bar)

@@ -1,13 +1,15 @@
 """Exact solvers for the block systems and the solution-quality quantities.
 
 Every step of L after the first solves the one-step block W against the
-previous state x and b alone, so one LU of W and one getrs give the step
-solution z = C x + g.  ``march_solution`` and ``march_terminal`` march on it,
-the first step's rows being one more column, and ``solve_block_forward`` adds
-the residual ||L z - rhs|| from the scalar patterns, so no solve assembles L;
-``step_map`` reads its readout [P | q] and ``propagated_terminal`` powers
-that; ``substitution_pair`` applies L^-1 and L^-H by the same elimination
-on the W_i^-1 of ``step_inverses``, and hands them out.
+previous state x and b alone, so one solve of W gives the step solution
+z = C x + g: a forward substitution on n x n blocks where W is unit block
+lower bidiagonal (the Taylor step), else one LU of W and one getrs.
+``march_solution`` and ``march_terminal`` march on it, the first step's rows
+being one more column, and ``solve_block_forward`` adds the residual
+||L z - rhs|| from the scalar patterns, so no solve assembles L; ``step_map``
+reads its readout [P | q] and ``propagated_terminal`` powers that;
+``substitution_pair`` applies L^-1 and L^-H by the same elimination on the
+W_i^-1 of ``step_inverses``, and hands them out.
 """
 
 from __future__ import annotations
@@ -104,20 +106,32 @@ def _factor_step_block(block: np.ndarray):
     return lu, piv
 
 
-def _step_solve(rec: Scheme, step_block: np.ndarray, b_rhs: np.ndarray,
+def _step_solve(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray,
                 first: np.ndarray | None = None) -> np.ndarray:
     """W^-1 [row_scale e_0 (x) I_n | e_{b_row} (x) b_rhs | first] for the
-    one-step block W = ``step_block`` of the scheme ``rec``, ``first`` being
-    an optional last column: one ``_factor_step_block`` LU and one ``getrs``
-    over all columns.  A singular W raises ``SingularBlockError`` at step 1.
+    one-step block W = S1 (x) I_n + B1 (x) ``ah`` of the scheme ``rec``,
+    ``first`` being an optional last column.
+
+    A ``rec.unit_bidiagonal`` W is never built: the columns R_0, ..., R_k of
+    its k+1 block rows give y_0 = R_0 and y_i = R_i - B1[i, i-1] (A h y_{i-1}),
+    a forward substitution, which is backward stable and needs no pivot.  Any
+    other W is built by ``rec.one_step`` and solved by one ``_factor_step_block``
+    LU and one ``getrs`` over all columns; a singular one raises
+    ``SingularBlockError`` at step 1.  Entries past the double range come out
+    non-finite, not as a warning.
     """
     n, width = len(b_rhs), len(rec.signs)
-    lu, piv = _factor_step_block(step_block)
     cols = np.zeros((width, n, n + 1 + (first is not None)), dtype=complex)
     cols[0, :, :n] = rec.row_scale * np.eye(n)
     cols[rec.b_row, :, n] = b_rhs
     if first is not None:
         cols[..., -1] = first.reshape(width, n)
+    if rec.unit_bidiagonal:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, width):
+                cols[i] -= rec.b1[i, i - 1] * (ah @ cols[i - 1])
+        return cols.reshape(width * n, -1)
+    lu, piv = _factor_step_block(rec.one_step(ah))
     getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
     return getrs(lu, piv, cols.reshape(width * n, -1), overwrite_b=True)[0]
 
@@ -131,7 +145,7 @@ def _march(problem: OdeProblem, params: SolverParams):
     Rows 2..k+1 of every step read only the b entry of the rhs, and the first
     row of step s+1 reads -couple sigma_s = row_scale x_{s+1}, so each later
     stack is C x + g with [C | g] from ``_step_solve``, the first step's own
-    rows being its last column.  A singular block raises
+    rows being its last column.  A singular block (on the LU path) raises
     ``SingularBlockError`` at step 1, and an overflow at the first step whose
     solution or readout ``rec.output`` is not finite.
     """
@@ -140,8 +154,7 @@ def _march(problem: OdeProblem, params: SolverParams):
     rec = SCHEMES[params.scheme](lay.k)
     xh = scaled_by_step(problem.matrix_a, lay.h)
     rhs = build_rhs(rec, lay, problem)
-    sol = _step_solve(rec, rec.one_step(xh), rhs[rec.b_row * n:(rec.b_row + 1) * n],
-                      rhs[:width * n])
+    sol = _step_solve(rec, xh, rhs[rec.b_row * n:(rec.b_row + 1) * n], rhs[:width * n])
     stacks = np.empty((m, width * n), dtype=complex)
     states = np.empty((m, n), dtype=complex)
     stacks[0] = sol[:, n + 1]
@@ -320,7 +333,8 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
     """The (n+1)x(n+1) matrix M = [[P, q], [0, 1]] of one step x -> P x + q
     of the scheme, so that m steps carry [x0; 1] to M^m [x0; 1]: P and q
     from ``_step_rows`` at A h and ``b_term``.  A singular W raises
-    ``SingularBlockError`` at step 1.
+    ``SingularBlockError`` at step 1; a unit lower bidiagonal W is never
+    singular, and its entries past the double range come out non-finite.
     """
     lay = block_layout(problem.dim, params)
     rec = SCHEMES[params.scheme](lay.k)
@@ -335,11 +349,12 @@ def step_map(problem: OdeProblem, params: SolverParams) -> np.ndarray:
 def _step_rows(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray) -> np.ndarray:
     """[P | q], the n x (n+1) map x -> P x + q of one step of the scheme
     ``rec`` at the step matrix ``ah`` = A h, with ``b_rhs`` the b entry of
-    every step's rhs: ``rec.output`` of ``_step_solve`` at W = ``rec.one_step(ah)``,
-    as the march reads it.  For the Padé scheme P is R_kk(A h) = D(A h)^-1 N(A h).
-    A singular W raises ``SingularBlockError``.
+    every step's rhs: ``rec.output`` of ``_step_solve`` at A h, as the march
+    reads it.  For the Padé scheme P is R_kk(A h) = D(A h)^-1 N(A h), for the
+    Taylor scheme the degree-k Taylor polynomial of exp(A h).  A singular W
+    raises ``SingularBlockError``.
     """
-    sol = _step_solve(rec, rec.one_step(ah), b_rhs).reshape(len(rec.signs), len(b_rhs), -1)
+    sol = _step_solve(rec, ah, b_rhs).reshape(len(rec.signs), len(b_rhs), -1)
     return rec.output(np.moveaxis(sol, 2, 0)).T
 
 

@@ -102,6 +102,9 @@ class Scheme:
     padding rows copy the terminal state.  x0 enters the first row times
     ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
     The global error of m steps falls like m^-``error_order``.
+    ``unit_bidiagonal`` says that S1 is the identity and B1 is nonzero only on
+    its subdiagonal, so that the one-step block is unit block lower bidiagonal
+    and W^-1 is a forward recurrence on b x b blocks.
     The record keeps read-only copies of the arrays: ``SCHEMES`` hands one
     shared record per order to every caller.  Records compare and hash by
     identity, so a cache keyed on the record is keyed on (scheme, order).
@@ -117,6 +120,7 @@ class Scheme:
     reverse: bool
     error_order: int
     plain_sum: bool = field(init=False, repr=False, compare=False)
+    unit_bidiagonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.couple) != abs(self.row_scale):
@@ -124,6 +128,10 @@ class Scheme:
         for name in ("s1", "b1", "signs"):
             object.__setattr__(self, name, pade_core.read_only(getattr(self, name)))
         object.__setattr__(self, "plain_sum", bool((self.signs > 0).all()))
+        width = len(self.s1)
+        object.__setattr__(self, "unit_bidiagonal", bool(
+            np.array_equal(self.s1, np.eye(width))
+            and np.array_equal(self.b1, np.diag(np.diag(self.b1, -1), -1))))
 
     @property
     def coupling(self) -> np.ndarray:

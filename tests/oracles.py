@@ -17,7 +17,9 @@ The remainder series exp(-x) N(x) / D(x) - 1 comes from the quotient
 recurrence over all of its terms (``remainder_product_series``), where the
 package starts it from the Padé remainder integral at x^(2k+1).  sigma_min of
 a banded block system comes from inverse iteration in extended precision
-(``sigma_min_mp``), where the package brackets it in double precision.
+(``sigma_min_mp``), where the package brackets it in double precision, and
+the terminal state of a march from the same step system solved in extended
+precision (``march_mp``), where the package marches in double precision.
 """
 
 import itertools
@@ -49,7 +51,16 @@ from pade_lab.errors import (
     SolveResidualError,
 )
 from pade_lab.pade_core import OdeProblem, PadeCoefficients, _as_square, pade_coefficients
-from pade_lab.system_builder import SCHEMES, BlockSystem, _norm, kron_sum, scalar_patterns
+from pade_lab.system_builder import (
+    SCHEMES,
+    BlockSystem,
+    _norm,
+    block_layout,
+    build_rhs,
+    kron_sum,
+    scalar_patterns,
+    scaled_by_step,
+)
 
 DENSE_DIM_CAP = 4096
 #: Residual gate of the dense oracle, relative to ||rhs||.
@@ -393,3 +404,40 @@ def sigma_min_mp(matrix, dps: int = 40, steps: int = 8, largest: bool = False) -
             for i, v in col[j].items():
                 image[i] += v * x[j]
         return float(mp.sqrt(mp.fsum(abs(v) ** 2 for v in image)))
+
+
+def march_mp(problem: OdeProblem, params: SolverParams, dps: int = 40) -> np.ndarray:
+    """Terminal state of the scheme's m steps marched in ``dps`` digits on the
+    float step system: W = S1 (x) I_n + B1 (x) (A h) and the rhs of L formed
+    exactly from the package's float patterns, A h and rhs entries, each step
+    solving W z = [row_scale x; ...; b entry; ...] (the first step the first
+    step's rows of the rhs) by mpmath's LU and reading x = readout sum_j signs_j z_j.
+    """
+    import mpmath as mp
+
+    lay = block_layout(problem.dim, params)
+    rec = SCHEMES[params.scheme](lay.k)
+    n, width = lay.n, lay.step_width
+    xh = scaled_by_step(problem.matrix_a, lay.h)
+    rhs = build_rhs(rec, lay, problem)
+    with mp.workdps(dps):
+        w = mp.matrix(width * n, width * n)
+        for i, j in zip(*np.nonzero(rec.s1)):
+            for r in range(n):
+                w[i * n + r, j * n + r] += mp.mpf(rec.s1[i, j])
+        for i, j in zip(*np.nonzero(rec.b1)):
+            for r, c in itertools.product(range(n), repeat=2):
+                w[i * n + r, j * n + c] += mp.mpf(rec.b1[i, j]) * mp.mpc(complex(xh[r, c]))
+        b_rhs = [mp.mpc(complex(v)) for v in rhs[rec.b_row * n:(rec.b_row + 1) * n]]
+        col = mp.matrix([mp.mpc(complex(v)) for v in rhs[:width * n]])
+        lu, piv = mp.mp.LU_decomp(w)
+        for step in range(lay.m):
+            if step:
+                col = mp.matrix(width * n, 1)
+                for r in range(n):
+                    col[r] = mp.mpf(rec.row_scale) * state[r]
+                    col[rec.b_row * n + r] += b_rhs[r]
+            z = mp.mp.U_solve(lu, mp.mp.L_solve(lu, col, piv))
+            state = [mp.mpf(rec.readout) * mp.fsum(mp.mpf(rec.signs[j]) * z[j * n + r]
+                                                   for j in range(width)) for r in range(n)]
+        return np.array([complex(v) for v in state])

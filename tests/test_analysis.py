@@ -542,6 +542,57 @@ class TestSigmaMinBracket:
         assert eigsh == [1]  # one Lanczos over the direct sum of the five blocks
         assert 0.0 < smin < smax < math.inf
 
+    @pytest.mark.parametrize("m", [12, 19])
+    def test_hands_off_before_factorizing(self, m):
+        # the C10 Taylor rows whose sigma_min takes Lanczos: the block of
+        # x = lam h at the largest |lam| hands off on the Rayleigh quotient of
+        # one inverse iteration by triangular solves, with no band Cholesky
+        # factorization at the ceiling of the other end block or at none
+        calls = []
+
+        def lapack(names, *args, fn=sla.get_lapack_funcs):
+            return [(lambda *a, f=f, **kw: calls.append(1) or f(*a, **kw))
+                    if name == "pbtrf" else f for name, f in zip(names, fn(names, *args))]
+
+        lam = np.array([-2.0 - math.sqrt(3.0), -2.0 + math.sqrt(3.0)])
+        up, bands = system_builder._band_systems(SCHEMES["taylor"](9), m, 1,
+                                                 (lam * 30.0 / m)[:, None, None])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sla, "get_lapack_funcs", lapack)
+            _, ceiling = _smallest_singular_value(bands[1], up)
+            assert calls  # the well-conditioned end block is bracketed
+            calls.clear()
+            assert _smallest_singular_value(bands[0], up, ceiling) is None
+            assert _smallest_singular_value(bands[0], up) is None
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 12), m=st.integers(1, 30), re=st.floats(-20.0, 2.0),
+           im=st.floats(-20.0, 20.0), complex_=st.booleans(),
+           ceiling=st.sampled_from([math.inf, 1.0, 1e-3, 1e-8]))
+    @example(k=9, m=12, re=(-2.0 - math.sqrt(3.0)) * 2.5, im=0.0, complex_=False,
+             ceiling=math.inf)
+    def test_early_hand_off_is_the_loops(self, k, m, re, im, complex_, ceiling):
+        # the probe bounds lambda_min(M^H M) of the scaled lower triangular
+        # Taylor band from above, and wherever it hands off the bracket's own
+        # loop, without it, returns None too
+        x = complex(re, im) if complex_ else re
+        up, (bands,) = system_builder._band_systems(SCHEMES["taylor"](k), m, 2,
+                                                    np.array([[[x]]]))
+        assert up == 0
+        dense = csr_systems(SCHEMES["taylor"](k), m, 2, np.array([[[x]]]))[0].toarray()
+        scale = 2.0 ** -math.frexp(float(np.abs(bands).max()))[1]
+        smin = np.linalg.svd(dense * scale, compute_uv=False)[-1]
+        gbmv, = sla.get_blas_funcs(("gbmv",), (bands,))
+        width, d = bands.shape
+        probe = analysis._gram_min_ceiling(bands * scale, np.linalg.norm(bands * scale), gbmv,
+                                           (max(width, d), d, width - 1, 0))
+        assert smin**2 <= probe * (1 + 1e-10)  # the dense SVD value's own rounding
+        got = _smallest_singular_value(bands, up, ceiling)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_gram_min_ceiling", lambda *args: math.inf)
+            assert _smallest_singular_value(bands, up, ceiling) == got
+
     def test_singular_step_block_is_typed(self):
         # the [1/1] Padé step 1 - x/2 vanishes at x = a h = 2, m = 70: the
         # bracket cannot certify the singular block, and the substitution's LU

@@ -48,6 +48,7 @@ from conftest import random_contraction, random_hermitian_nsd
 from oracles import (
     bundle_from_vector,
     gamma,
+    march_mp,
     pade_propagator,
     product_row_terms,
     solve_dense,
@@ -220,7 +221,8 @@ class TestMarchTerminal:
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     def test_one_factorization_and_one_solve_at_any_m(self, scheme, monkeypatch):
         # the march iterates the solved step map: the LAPACK work of W does
-        # not grow with the number of steps
+        # not grow with the number of steps, and the unit lower bidiagonal
+        # Taylor W is solved by forward substitution, with no LAPACK call
         calls = []
 
         def factor(block, fn=classical_solver._factor_step_block):
@@ -243,7 +245,7 @@ class TestMarchTerminal:
         for m in (1, 300):
             calls.clear()
             march_solution(problem, make_params(m, 9, 1, 10.0, scheme))
-            assert calls == ["factor", "getrs"], m
+            assert calls == ([] if scheme == "taylor" else ["factor", "getrs"]), m
 
     def test_overflow_names_the_first_non_finite_step(self):
         problem = OdeProblem(matrix_a=np.array([[30.0]]), vec_b=np.zeros(1),
@@ -372,6 +374,57 @@ class TestPropagatedTerminal:
                 propagated_terminal(problem, params)
         assert info.value.step_index == marched.value.step_index
         assert capfd.readouterr().err == ""
+
+
+class TestTaylorForwardSubstitution:
+    """The unit lower bidiagonal Taylor step block solved by its forward recurrence."""
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_tridiagonal_march_matches_the_40_digit_march(self, m):
+        # tridiag(1, -2, 1), b = 1, x0 = 0, T = 30 at k = 9: a pivoted LU of W
+        # was 5.7e-12 (m = 5) and 6.3e-11 (m = 8) off the extended march
+        a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
+        problem = OdeProblem(matrix_a=a, vec_b=np.ones(5), vec_x0=np.zeros(5), horizon=30.0)
+        params = make_params(m, 9, 1, 30.0, "taylor")
+        want = march_mp(problem, params)
+        got = march_terminal(problem, params)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), k=st.integers(1, 12), complex_=st.booleans(),
+           with_first=st.booleans(), log_scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_meets_the_triangular_solve_backward_error(self, n, k, complex_, with_first,
+                                                       log_scale, seed):
+        # every entry of the residual R - W Y of the computed Y = W^-1 R is
+        # within gamma_(2n+8) (|W| |Y|) of zero, W formed exactly in 40 digits:
+        # per entry one complex n-term product by A h, one scaling and one
+        # subtraction, as a triangular solve with n + 1 nonzeros per row
+        import mpmath as mp
+
+        rng = np.random.default_rng(seed)
+        ah = rng.normal(size=(n, n)) * 10.0 ** log_scale
+        if complex_:
+            ah = ah + 1j * rng.normal(size=(n, n)) * 10.0 ** log_scale
+        b_rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rec = SCHEMES["taylor"](k)
+        first = rng.normal(size=(k + 1) * n) if with_first else None
+        got = classical_solver._step_solve(rec, ah, b_rhs, first).reshape(k + 1, n, -1)
+        rhs = np.zeros(got.shape, dtype=complex)
+        rhs[0, :, :n] = rec.row_scale * np.eye(n)
+        rhs[rec.b_row, :, n] = b_rhs
+        if with_first:
+            rhs[..., -1] = first.reshape(k + 1, n)
+        assert np.array_equal(got[0], rhs[0])
+        bound = gamma(2 * n + 8)
+        with mp.workdps(40):
+            mpc = np.vectorize(lambda v: mp.mpc(complex(v)), otypes=[object])
+            y, r, x = mpc(got), mpc(rhs), mpc(ah)
+            for i in range(1, k + 1):
+                coef = mp.mpf(rec.b1[i, i - 1])
+                resid = r[i] - y[i] - coef * (x @ y[i - 1])
+                size = abs(y[i]) + abs(coef) * (abs(x) @ abs(y[i - 1]))
+                assert all(abs(e) <= bound * s for e, s in zip(resid.ravel(), size.ravel())), i
 
 
 class TestSubstitutionPair:

@@ -205,6 +205,12 @@ class TestSchemeRecords:
                 getattr(rec, name)[0] = 7.0
         assert rec.plain_sum == (scheme == "taylor")
 
+    def test_only_the_taylor_step_is_unit_lower_bidiagonal(self):
+        # read off the patterns: S1 = I and B1 nonzero only on its subdiagonal
+        for k in range(1, 65):
+            assert SCHEMES["taylor"](k).unit_bidiagonal, k
+            assert not SCHEMES["pade"](k).unit_bidiagonal, k
+
     @pytest.mark.parametrize("scheme", ["pade", "taylor"])
     def test_scalar_patterns_built_once_read_only(self, scheme):
         rec = SCHEMES[scheme](3)
