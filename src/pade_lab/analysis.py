@@ -8,10 +8,11 @@ block systems S (x) I_b + B (x) (X_i h) (one, L itself, for a non-normal A),
 and ||W^-1|| and the signed row come from the blocks S1 (x) I_b + B1 (x) (X_i h)
 of W.  Small block systems are measured by dense LAPACK; above that, the scalar
 blocks of a normal A take band Cholesky brackets on M^H M at both ends of the
-spectrum, and Lanczos serves the one block of a non-normal A and a sigma_min
-too close to the rounding of M^H M to certify.  ``system_builder`` expands
-them all, never through its assembler.  The drift of a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of
-any other A from the R(A h) that ``classical_solver`` reads off W.
+spectrum, and Lanczos serves the one block of a non-normal A (sigma_max on its
+one CSR matrix) and a sigma_min too close to the rounding of M^H M to certify.
+``system_builder`` expands them all, never through its assembler.  The drift
+of a normal A comes from the scalars exp(-lam_i h) R(lam_i h), that of any
+other A from the R(A h) that ``classical_solver`` reads off W.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .system_builder import (
     _pow2_scale,
     block_layout,
     classical_reference_trajectory,
-    csr_systems,
+    csr_system,
     dense_patterns,
     kron_sum,
     scaled_by_step,
@@ -128,12 +129,6 @@ def _lanczos_start(dim: int, complex_: bool) -> np.ndarray:
     rng = np.random.default_rng(LANCZOS_SEED)
     v0 = rng.normal(size=dim)
     return v0 + 1j * rng.normal(size=dim) if complex_ else v0
-
-
-def _largest_gram_eigenvalue(csr, v0, ncv=None) -> float:
-    """Top eigenvalue of M^H M by Lanczos."""
-    adj = csr.conj().T.tocsr()
-    return _largest_eigenvalue(lambda x: adj @ (csr @ x), v0, "M^H M", ncv)
 
 
 def _gram_band(bands: np.ndarray, up: int) -> np.ndarray:
@@ -400,13 +395,15 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     direct sum of the M_i, applied by the block substitution of
     ``classical_solver.substitution_pair``, whose first application of
     L^-1 L^-H that is not finite raises ``MagnitudeError`` before ARPACK reads
-    it (see ``_largest_eigenvalue``).  A b-wide block (b > 1) gives M^H M the
-    bandwidth (2k + 2) b - 1, where one band factorization costs more than a
-    Lanczos run, so it takes Lanczos on M^H M for sigma_max and that Lanczos
-    for sigma_min.  M_i is block lower triangular with the one-step block
-    W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense path returns the
-    stack of the W_i^-1 as a copy of the leading (k+1) b square of each
-    M_i^-1, the others as ``classical_solver.step_inverses`` forms it.
+    it (see ``_largest_eigenvalue``).  A b-wide block (b > 1) is the one block
+    of a non-normal A; it gives M^H M the bandwidth (2k + 2) b - 1, where one
+    band factorization costs more than a Lanczos run, so its sigma_max is
+    Lanczos on M^H M applied through the CSR matrix of
+    ``system_builder.csr_system`` and its adjoint, and its sigma_min that
+    Lanczos on the substitution.  M_i is block lower triangular with the
+    one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense path
+    returns the stack of the W_i^-1 as a copy of the leading (k+1) b square of
+    each M_i^-1, the others as ``classical_solver.step_inverses`` forms it.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = scaled_by_step(blocks, lay.h)
@@ -435,9 +432,12 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         else:
             return smax, smin, step_inverses(rec.one_step(xh))
     else:
+        block, = xh  # a b-wide block is the one block of a non-normal A
+        csr = csr_system(rec, lay.m, lay.p, block)
+        adj = csr.conj().T.tocsr()
         v0 = _lanczos_start(d * w, complex_=not real)
-        smax = float(np.sqrt(max(_largest_gram_eigenvalue(csr, v0, SLICE_NCV)
-                                 for csr in csr_systems(rec, lay.m, lay.p, xh[ends]))))
+        smax = float(np.sqrt(_largest_eigenvalue(lambda x: adj @ (csr @ x), v0, "M^H M",
+                                                 SLICE_NCV)))
     inv, inv_h, w_inverse = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)

@@ -43,8 +43,9 @@ from .system_builder import (
     SCHEMES,
     assemble,
     classical_reference_trajectory,
-    csr_systems,
+    dense_patterns,
     export_coordinate,
+    kron_sum,
     load_problem,
 )
 
@@ -245,7 +246,7 @@ def _cmd_circuit_verify(args, stdout):
     show("coupling", build_coupling_encoding(k, m, scale), coupling_target(k, m))
     full = build_l_encoding(enc, args.h, m, k)
     # L of m steps and p = m (k+1) padding rows, the padding the encoding holds
-    show("L", full, csr_systems(rec, m, m * args.k1, (a * args.h)[None])[0].toarray())
+    show("L", full, kron_sum(*dense_patterns(rec, m, m * args.k1), a * args.h))
     print(f"final alpha={full.alpha:.6g} ancillas={full.ancillas}", file=stdout)
     return EXIT_OK if (worst_res <= 1e-10 and worst_unit <= UNITARITY_TOL) else EXIT_VIOLATION
 

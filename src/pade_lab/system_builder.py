@@ -6,10 +6,11 @@ with a summation row, the polynomial (truncated-series) one through a lower
 bidiagonal block.  Both append p trailing copies of the terminal state behind
 an identity-bidiagonal chain.  Each scheme is a ``Scheme`` record in
 ``SCHEMES``, and only this module expands it: densely by ``Scheme.one_step``
-and ``kron_sum`` (also on ``dense_patterns``), sparsely by ``csr_systems``,
-which builds the L of ``assemble``, the sigma_max systems of a non-normal A
-and the L circuit target, in band storage by ``_band_systems`` (the scalar
-sigma_max systems of a normal A) and as L z by ``system_product``.
+and ``kron_sum`` (also on ``dense_patterns``, which gives the L circuit
+target), sparsely for one block by ``csr_system``, which builds the L of
+``assemble`` and the sigma_max system of a non-normal A, in band storage by
+``_band_systems`` (the scalar sigma_max systems of a normal A) and as L z by
+``system_product``.
 """
 
 from __future__ import annotations
@@ -268,33 +269,28 @@ def system_product(rec: Scheme, m: int, p: int, xh: np.ndarray, z: np.ndarray) -
     return out.ravel()
 
 
-def csr_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> list[sp.csr_matrix]:
-    """The CSR matrices of S (x) I_w + B (x) X over ``scalar_patterns(rec, m, p)``, one per
-    w x w block X of the (r, w, w) stack ``xs``, of its dtype (at least float).
+def csr_system(rec: Scheme, m: int, p: int, x: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of S (x) I_w + B (x) X over ``scalar_patterns(rec, m, p)`` for one
+    w x w block X, of its dtype (at least float).
 
-    One sorted pattern serves every block; zeros and products that underflow drop out.
+    Zeros and products that underflow drop out; patterns S and B that share a
+    position raise ``ConsistencyError``.
     """
     (sr, sc, sv), (br, bc, bv) = scalar_patterns(rec, m, p)
-    w = xs.shape[-1]
+    w = x.shape[-1]
     # S (x) I_w fills the positions i w + j with i = j of its w x w blocks, B (x) X
-    # those where some X is nonzero
-    at = (np.arange(w) * (w + 1), np.flatnonzero((xs != 0).any(axis=0)))
+    # those where X is nonzero
+    at = (np.arange(w) * (w + 1), np.flatnonzero(x))
     rows = np.concatenate([(r[:, None] * w + a // w).ravel() for r, a in zip((sr, br), at)])
     cols = np.concatenate([(c[:, None] * w + a % w).ravel() for c, a in zip((sc, bc), at)])
+    vals = np.concatenate([np.repeat(sv, w), (bv[:, None] * x.ravel()[at[1]]).ravel()])
     dim = (m * len(rec.s1) + p) * w
-    # entries labelled 1, 2, ... in that order, so the labels show the CSR order
-    labels = sp.csr_matrix((np.arange(1.0, len(rows) + 1), (rows, cols)), shape=(dim, dim))
-    if labels.nnz != len(rows):
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    # the conversion sums entries at one position
+    if matrix.nnz != len(rows):
         raise ConsistencyError("the patterns S and B overlap")
-    order = labels.data.astype(int) - 1
-    vals = np.concatenate([np.repeat(sv, w), np.repeat(bv, len(at[1]))])[order]
-    # each entry is vals times x_ij, read from (X.ravel(), 1): S reads the 1
-    reads = np.concatenate([np.full(len(sv) * w, w * w), np.tile(at[1], len(bv))])[order]
-    matrices = [sp.csr_matrix((vals * np.append(x.ravel(), 1.0)[reads], labels.indices.copy(),
-                               labels.indptr.copy()), shape=(dim, dim)) for x in xs]
-    for matrix in matrices:
-        matrix.eliminate_zeros()
-    return matrices
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _band_systems(rec: Scheme, m: int, p: int, xs: np.ndarray) -> tuple[int, np.ndarray]:
@@ -387,7 +383,7 @@ def assemble(problem: OdeProblem, params: SolverParams) -> BlockSystem:
     """Expand the record of ``params.scheme`` into L = S (x) I_n + B (x) (A h) and its rhs."""
     lay = block_layout(problem.dim, params)
     rec = SCHEMES[params.scheme](lay.k)
-    matrix, = csr_systems(rec, lay.m, lay.p, scaled_by_step(problem.matrix_a, lay.h)[None])
+    matrix = csr_system(rec, lay.m, lay.p, scaled_by_step(problem.matrix_a, lay.h))
     return BlockSystem(params.scheme, matrix, build_rhs(rec, lay, problem), lay)
 
 

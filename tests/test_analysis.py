@@ -51,7 +51,7 @@ from pade_lab.system_builder import (
     alternating_signs,
     assemble,
     block_layout,
-    csr_systems,
+    csr_system,
     dense_patterns,
 )
 
@@ -274,14 +274,14 @@ class TestSpectralNorm:
         # scalar block system, sigma_min runs on the block substitution, so no
         # CSR block system is built; the one block of a non-normal A still is
         built = []
-        original = system_builder.csr_systems
+        original = system_builder.csr_system
 
         def counted(*args, **kwargs):
             built.append(args[1:3])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(system_builder, "csr_systems", counted)
-        monkeypatch.setattr(analysis, "csr_systems", counted)
+        monkeypatch.setattr(system_builder, "csr_system", counted)
+        monkeypatch.setattr(analysis, "csr_system", counted)
         lam = np.array([-2.0 + 1.0j, -0.5 - 0.3j, -1.0])
         vecs, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
         problems = [_tridiag_problem(), _tridiag_problem(seed=1),
@@ -400,13 +400,13 @@ class TestCertifiedBracket:
         xs = np.array([[[x]]])
         up, (bands,) = system_builder._band_systems(SCHEMES[scheme](k), m, 2, xs)
         assert bands.dtype.kind == ("c" if complex_ else "f")
-        csr, = csr_systems(SCHEMES[scheme](k), m, 2, xs)
+        csr = csr_system(SCHEMES[scheme](k), m, 2, xs[0])
         self._assert_certified(csr.toarray(), up, bands, _largest_singular_value(bands, up))
 
     def test_non_normal_block_above_the_cap(self):
         a = _non_normal_problem().matrix_a
         for scheme in ("pade", "taylor"):
-            csr, = csr_systems(SCHEMES[scheme](9), 16, 1, a[None] * (5.0 / 16))
+            csr = csr_system(SCHEMES[scheme](9), 16, 1, a * (5.0 / 16))
             assert csr.shape[0] > SLICE_DENSE_CAP
             up, bands = _general_band(csr)
             self._assert_certified(csr.toarray(), up, bands, _largest_singular_value(bands, up))
@@ -423,7 +423,7 @@ class TestCertifiedBracket:
     def test_huge_block_is_scaled_by_a_power_of_two(self):
         # ||A h|| = 1e200: the entries of M^H M would overflow unscaled
         xh = np.array([[-1.0, 1.0], [0.0, -2.0]]) * 1e200
-        csr, = csr_systems(SCHEMES["pade"](5), 20, 1, xh[None])
+        csr = csr_system(SCHEMES["pade"](5), 20, 1, xh)
         up, bands = _general_band(csr)
         got = _largest_singular_value(bands, up)
         assert math.isfinite(got)
@@ -489,7 +489,7 @@ class TestSigmaMinBracket:
         x = complex(re, im) if complex_ else re
         xs = np.array([[[x]]])
         up, (bands,) = system_builder._band_systems(SCHEMES[scheme](k), m, 2, xs)
-        dense = csr_systems(SCHEMES[scheme](k), m, 2, xs)[0].toarray()
+        dense = csr_system(SCHEMES[scheme](k), m, 2, xs[0]).toarray()
         got = _smallest_singular_value(bands, up)
         if got is None:
             # handed to Lanczos only where (kd + 2) eps kappa^2 is not small
@@ -502,7 +502,7 @@ class TestSigmaMinBracket:
         # Padé k = 3, m = 12 at x = -2.5: 50 rows, against inverse iteration in 40 digits
         xs = np.array([[[-2.5]]])
         up, (bands,) = system_builder._band_systems(SCHEMES["pade"](3), 12, 2, xs)
-        dense = csr_systems(SCHEMES["pade"](3), 12, 2, xs)[0].toarray()
+        dense = csr_system(SCHEMES["pade"](3), 12, 2, xs[0]).toarray()
         _, value = _smallest_singular_value(bands, up)
         assert value == pytest.approx(sigma_min_mp(dense), rel=1e-14, abs=0.0)
 
@@ -524,7 +524,7 @@ class TestSigmaMinBracket:
         x = (-2.0 - math.sqrt(3.0)) * 30.0 / 20
         up, bands = system_builder._band_systems(SCHEMES["taylor"](9), 20, 1,
                                                  np.array([[[x]]]))
-        dense = csr_systems(SCHEMES["taylor"](9), 20, 1, np.array([[[x]]]))[0].toarray()
+        dense = csr_system(SCHEMES["taylor"](9), 20, 1, np.array([[x]])).toarray()
         assert np.linalg.cond(dense) > 1e16
         assert _smallest_singular_value(bands[0], up) is None
         import scipy.sparse.linalg as spla
@@ -580,7 +580,7 @@ class TestSigmaMinBracket:
         up, (bands,) = system_builder._band_systems(SCHEMES["taylor"](k), m, 2,
                                                     np.array([[[x]]]))
         assert up == 0
-        dense = csr_systems(SCHEMES["taylor"](k), m, 2, np.array([[[x]]]))[0].toarray()
+        dense = csr_system(SCHEMES["taylor"](k), m, 2, np.array([[x]])).toarray()
         scale = 2.0 ** -math.frexp(float(np.abs(bands).max()))[1]
         smin = np.linalg.svd(dense * scale, compute_uv=False)[-1]
         gbmv, = sla.get_blas_funcs(("gbmv",), (bands,))

@@ -125,7 +125,7 @@ class TestSweeps:
         # itself): no search, sweep row or kappa calls the assembler.  For the
         # non-normal A of the skewed cases the one block system is L itself,
         # formed densely by kron_sum up to SLICE_DENSE_CAP (m = 1) and as CSR by
-        # csr_systems above it (m = 3)
+        # csr_system above it (m = 3)
         def refuse(problem, params):
             raise AssertionError("L was assembled")
 

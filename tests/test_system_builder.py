@@ -21,12 +21,13 @@ from pade_lab.error_bounds import make_params
 from pade_lab.pade_core import OdeProblem, pade_coefficients, reference_expm
 from pade_lab.system_builder import (
     SCHEMES,
+    Scheme,
     _band_systems,
     assemble,
     build_pade_system,
     build_taylor_system,
     classical_reference_trajectory,
-    csr_systems,
+    csr_system,
     dense_patterns,
     export_coordinate,
     kron_sum,
@@ -119,6 +120,9 @@ def test_assembler_matches_block_loop_reference(n, m, k, p, scheme, kind, seed, 
     assert np.array_equal(system.matrix.indices, want.indices)
     assert np.array_equal(system.matrix.data, want.data)
     assert np.array_equal(system.rhs, rhs)
+    # the dense expansion that circuit-verify takes as its L target
+    xh = problem.matrix_a * params.step_size
+    assert np.array_equal(kron_sum(*dense_patterns(SCHEMES[scheme](k), m, p), xh), dense)
 
 
 class TestPadeAssembly:
@@ -246,7 +250,7 @@ def _x_stack(rng, r, w, kind):
 
 
 class TestExpansion:
-    """Both expansions of L = S (x) I + B (x) X against np.kron and the assembler."""
+    """Both expansions of L = S (x) I + B (x) X against np.kron and the block-loop oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(scheme=st.sampled_from(["pade", "taylor"]), k=st.integers(1, 6),
@@ -296,23 +300,12 @@ class TestExpansion:
         problem = OdeProblem(matrix_a=a, vec_b=np.ones(n), vec_x0=np.ones(n), horizon=2.0)
         params = make_params(m, k, p, 2.0, scheme)
         rec, xh = SCHEMES[scheme](k), problem.matrix_a * params.step_size
-        got, = csr_systems(rec, m, p, xh[None])
-        want = assemble(problem, params)
-        for name in ("indptr", "indices"):
-            assert np.array_equal(getattr(got, name), getattr(want.matrix, name))
-        assert np.array_equal(_bits(got.data), _bits(want.matrix.data))
+        got = csr_system(rec, m, p, xh)
         # the block-loop oracle, whose zeros (underflowed products too) drop out
         oracle = sp.csr_matrix(reference_system(problem, params)[0])
         assert np.array_equal(got.indptr, oracle.indptr)
         assert np.array_equal(got.indices, oracle.indices)
         assert np.array_equal(got.data, oracle.data)
-        # in a stack, a block with zeros where another has none keeps its own pattern
-        thinned = np.where(rng.random((n, n)) < 0.5, 0.0, xh)
-        for one, block in zip(csr_systems(rec, m, p, np.stack([thinned, xh, thinned])),
-                              (*csr_systems(rec, m, p, thinned[None]), got) * 2):
-            assert np.array_equal(one.indptr, block.indptr)
-            assert np.array_equal(one.indices, block.indices)
-            assert np.array_equal(_bits(one.data), _bits(block.data))
         # the product L z from the patterns against the CSR product, entry by
         # entry within twice the rounding of either (see product_row_terms); the
         # computed |L| |z| rounds by at most gamma_{t+3}
@@ -357,10 +350,21 @@ class TestExpansion:
     def test_sparse_expansion_keeps_a_real_block_real(self, scheme):
         x = np.array([[-0.5, 0.0], [0.25, -1.0]])
         rec = SCHEMES[scheme](3)
-        got, = csr_systems(rec, 2, 2, x[None])
+        got = csr_system(rec, 2, 2, x)
         assert got.dtype == np.float64
         s, b = dense_patterns(rec, 2, 2)
         assert np.array_equal(got.toarray(), np.kron(s, np.eye(2)) + np.kron(b, x))
+
+    def test_overlapping_patterns_raise(self, monkeypatch):
+        # S1 = B1 = I puts S and B on one diagonal, where the CSR conversion
+        # would sum them: the sparse expansion, and so the assembler, refuses
+        rec = Scheme(np.eye(3), np.eye(3), np.ones(3), couple=-1.0, row_scale=1.0,
+                     b_row=1, b_coef=1.0, reverse=False, error_order=2)
+        with pytest.raises(ConsistencyError, match="overlap"):
+            csr_system(rec, 2, 1, np.array([[-0.5]]))
+        monkeypatch.setitem(SCHEMES, "taylor", lambda k: rec)
+        with pytest.raises(ConsistencyError, match="overlap"):
+            assemble(small_problem(n=1, a=np.array([[-1.0]])), make_params(2, 2, 1, 1.0, "taylor"))
 
 
 class TestTaylorAssembly:
