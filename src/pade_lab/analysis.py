@@ -693,15 +693,15 @@ def _one_step_norms(rec, winv: np.ndarray) -> tuple[float, float]:
 def _report(meas: _Measure, params: SolverParams, case: str | None, rows: dict,
             **fields) -> AnalysisReport:
     """The report of ``meas`` in ``case`` from one bound table, name ->
-    (measured, bound): the caller's ``rows``, then ``l_norm`` for the Padé
-    system and ``l_inv`` and ``kappa`` in the Hermitian NSD case with k >= 3.
-    An h ||A||_2 beyond the double range, which would make the Padé bounds
-    infinite, raises ``MagnitudeError``."""
+    (measured, bound): the caller's ``rows``, then ``l_norm`` for a record with
+    ``paper_bounds`` and ``l_inv`` and ``kappa`` in the Hermitian NSD case with
+    k >= 3.  An h ||A||_2 beyond the double range, which would make the Padé
+    bounds infinite, raises ``MagnitudeError``."""
     k, m, p = params.order, params.steps, params.padding
     norm_l, norm_l_inv = meas.sigma[0], 1.0 / meas.sigma[1]
     kappa = norm_l * norm_l_inv
     table = dict(rows)
-    if params.scheme == "pade":
+    if SCHEMES[params.scheme](k).paper_bounds:
         if not math.isfinite(meas.norm_ah):
             raise MagnitudeError(f"h ||A||_2 overflows at h = {params.step_size:.6g}")
         if case == "hermitian_nsd" and k >= 3:
@@ -722,13 +722,14 @@ def inverse_norm_bounds(params: SolverParams, matrix_a, case: str) -> AnalysisRe
     ``case`` must be one that the matrix falls in (see ``_measure``).  Both
     are measured on the diagonal blocks of A, without the assembler.
     """
-    if params.scheme != "pade":
+    rec = SCHEMES[params.scheme](params.order)
+    if not rec.paper_bounds:
         raise ConsistencyError(f"the bounds are for the Padé system, got {params.scheme!r}")
     meas = _measure(np.asarray(matrix_a, dtype=complex), params)
     if case not in meas.cases:
         raise ClassificationError(_CASES.get(case, f"unknown case {case!r}"))
     k = params.order
-    w, row = _one_step_norms(SCHEMES["pade"](k), meas.w_inverse)
+    w, row = _one_step_norms(rec, meas.w_inverse)
     b_w, b_row = w_inverse_bound(k, case), signed_row_contraction_bound(k)
     rows = {"w_inv": (w, b_w)}
     if case == "hermitian_nsd":
@@ -772,6 +773,6 @@ def condition_report(problem: OdeProblem, params: SolverParams,
     g = traj.g(_norm(problem.vec_b)) if not traj.degenerate else None
     c_of_a = _transient_growth(a, meas.spectrum, params.horizon, lay.m)
     drift = (_drift(a, meas.spectrum, lay.h, lay.k, lay.m).drift_max
-             if params.scheme == "pade" else None)
+             if SCHEMES[params.scheme](lay.k).paper_bounds else None)
     return _report(meas, params, meas.cases[0] if meas.cases else None, {},
                    c_of_a=c_of_a, g_ratio=g, drift_max=drift)

@@ -404,7 +404,7 @@ def primitive_targets(order: int, steps: int) -> dict[str, np.ndarray]:
         "m2": np.triu(rec.s1),
         "m3": rec.b1,
         "m4": np.diag(-np.ones(p - 1), -1),
-        "m5": np.diag([1.0 / math.sqrt(k1)] + [1.0] * (p - 1)),
+        "m5": np.diag([rec.row_scale] + [1.0] * (p - 1)),
         "m6": signed_row,
         "m7": np.diag([1.0] * m + [0.0] * m),
     }

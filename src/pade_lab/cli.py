@@ -176,7 +176,7 @@ def _bound_suite_rows(suite: str, seeds: int):
             h = float(1.0 / np.linalg.norm(a, 2))
             case = "unit_norm"
             m, p = 1, 1
-        params = make_params(m, k, p, m * h, "pade")
+        params = make_params(m, k, p, m * h)
         rep = analysis.inverse_norm_bounds(params, a, case)
         if suite == "thm36":
             drift = analysis.propagator_drift(a, h, k, m)
@@ -283,8 +283,8 @@ def _cmd_random_suite(args, stdout):
         print(f"capped: {search}; no row", file=sys.stderr)
     means = report.aggregate["mean_m_star"]
     for horizon in horizons:
-        print(f"T={horizon:g} mean_m*: pade={means['pade'][horizon]:.2f} "
-              f"taylor={means['taylor'][horizon]:.2f}", file=stdout)
+        print(f"T={horizon:g} mean_m*: " + " ".join(
+            f"{scheme}={by_t[horizon]:.2f}" for scheme, by_t in means.items()), file=stdout)
     return EXIT_OK
 
 

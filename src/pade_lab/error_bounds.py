@@ -314,7 +314,7 @@ def select_parameters(problem, eps: float, strategy: str = "unit-step",
 
     m_unit = int(math.ceil(norm_at))
     traj = classical_reference_trajectory(
-        problem, make_params(m_unit, 1, 1, t_final, "pade"))
+        problem, make_params(m_unit, 1, 1, t_final))
     terminal = traj.terminal_norm
     if terminal <= 0.0:
         raise AssumptionViolationError("terminal state has zero norm; M undefined")

@@ -58,7 +58,7 @@ class SingularBlockError(PadeLabError):
 
 
 class SchemeError(PadeLabError):
-    """A discretization scheme other than "pade" and "taylor"."""
+    """A discretization scheme not in ``pade_core.SCHEME_NAMES``."""
 
 
 class SizeError(PadeLabError):

@@ -108,11 +108,11 @@ def _row(problem: OdeProblem, params: SolverParams, with_kappa: bool) -> SweepRo
                     params.padding, err, kappa, bundle.p_succ)
 
 
-def _search_target(problem: OdeProblem, scheme: str, order: int) -> tuple[np.ndarray, float]:
+def _search_target(problem: OdeProblem) -> tuple[np.ndarray, float]:
     """The one reference of a search: x(T) does not depend on the probe, so it
     is the reference trajectory's terminal state at m = 1.  That trajectory
-    reads only n, m and h, so the reference of either scheme serves both."""
-    return _target(problem, make_params(1, order, 1, problem.horizon, scheme))
+    reads only n, m and h, so one reference serves every scheme and order."""
+    return _target(problem, make_params(1, 1, 1, problem.horizon))
 
 
 def _probe_error(problem: OdeProblem, scheme: str, m: int, k: int,
@@ -163,19 +163,18 @@ def find_min_steps(problem: OdeProblem, scheme: str, order: int, eps: float) -> 
     is some passing m whose m - 1 fails.
     """
     _check_eps(eps)
-    return _min_steps(problem, scheme, order, eps, _search_target(problem, scheme, order))
+    return _min_steps(problem, scheme, order, eps, _search_target(problem))
 
 
 def _min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
                target: tuple[np.ndarray, float]) -> int:
     """``find_min_steps`` against the ``_search_target`` ``target`` of ``problem``."""
-    q = SCHEMES[scheme](order).error_order
-
     def error(m: int) -> float:
         return _probe_error(problem, scheme, m, order, target)
 
     lo, e_lo = 0, math.inf  # m = 0 stands for a failing probe below m = 1
     hi, e_hi = 1, error(1)
+    q = SCHEMES[scheme](order).error_order  # after a probe: its make_params types a bad name
     while not e_hi < eps:
         if hi >= M_SEARCH_CAP:
             raise SearchError(f"no m <= {M_SEARCH_CAP} reaches eps={eps} for {scheme}")
@@ -202,7 +201,7 @@ def _min_steps(problem: OdeProblem, scheme: str, order: int, eps: float,
 def find_min_order(problem: OdeProblem, scheme: str, eps: float) -> int:
     """Smallest k reaching rel_error < eps at m = p = 1."""
     _check_eps(eps)
-    target = _search_target(problem, scheme, 1)
+    target = _search_target(problem)
     for k in range(1, K_SEARCH_CAP + 1):
         if _probe_error(problem, scheme, 1, k, target) < eps:
             return k
@@ -262,7 +261,7 @@ def random_suite_m_star(dims: int, seeds, horizons, eps: float, order: int) -> S
         for seed in seeds:
             a = random_stable_matrix(dims, seed)
             problem = OdeProblem(matrix_a=a, vec_b=ones, vec_x0=ones, horizon=float(horizon))
-            target = _search_target(problem, "pade", order)  # for both schemes
+            target = _search_target(problem)
             for scheme in SCHEMES:
                 try:
                     m_star = _min_steps(problem, scheme, order, eps, target)

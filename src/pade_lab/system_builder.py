@@ -103,6 +103,8 @@ class Scheme:
     padding rows copy the terminal state.  x0 enters the first row times
     ``row_scale``; b enters row ``b_row`` of every step times ``b_coef * h``.
     The global error of m steps falls like m^-``error_order``.
+    ``paper_bounds`` says that the paper proves its W^-1, signed-row, L, L^-1
+    and kappa bounds, under its drift hypothesis, for this record (diagonal Padé).
     ``unit_bidiagonal`` says that S1 is the identity and B1 is nonzero only on
     its subdiagonal, so that the one-step block is unit block lower bidiagonal
     and W^-1 is a forward recurrence on b x b blocks.
@@ -120,6 +122,7 @@ class Scheme:
     b_coef: float
     reverse: bool
     error_order: int
+    paper_bounds: bool = False
     plain_sum: bool = field(init=False, repr=False, compare=False)
     unit_bidiagonal: bool = field(init=False, repr=False, compare=False)
 
@@ -194,7 +197,7 @@ def _pade_scheme(k: int) -> Scheme:
     b1 = np.diag(np.concatenate([[0.0], coeffs.beta_floats[::-1]]))
     return Scheme(s1, b1, alternating_signs(k), couple=s, row_scale=s,
                   b_row=k, b_coef=-float(coeffs.den_coeffs[1]), reverse=True,
-                  error_order=2 * k)
+                  error_order=2 * k, paper_bounds=True)
 
 
 @lru_cache(maxsize=128)

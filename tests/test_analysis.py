@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1100,6 +1100,24 @@ class TestConditionReport:
         assert report.satisfied["l_norm"]
         assert report.c_of_a == pytest.approx(1.0, abs=1e-12)
         assert report.g_ratio >= 1.0
+
+    def test_pade_report_carries_the_paper_rows_and_the_drift(self):
+        # Hermitian NSD with k >= 3: all three bound rows of the paper apply
+        problem = _tridiag_problem()
+        report = condition_report(problem, make_params(4, 3, 1, problem.horizon, "pade"))
+        assert report.case == "hermitian_nsd"
+        assert set(report.satisfied) == {"l_inv", "kappa", "l_norm"}
+        assert math.isfinite(report.drift_max)
+
+    def test_taylor_report_carries_no_bound_and_no_drift(self):
+        problem = _tridiag_problem()
+        report = condition_report(problem, make_params(4, 3, 1, problem.horizon, "taylor"))
+        assert report.case == "hermitian_nsd"
+        assert report.satisfied == {}
+        assert report.drift_max is None
+        bounds = [f.name for f in fields(report) if f.name.startswith("bound_")]
+        assert len(bounds) == 5
+        assert all(getattr(report, name) is None for name in bounds)
 
     def test_size_cap(self):
         problem = OdeProblem(matrix_a=np.zeros((1, 1)), vec_b=np.ones(1),

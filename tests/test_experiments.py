@@ -35,7 +35,7 @@ def stable_problem(seed=0, dim=5, horizon=5.0, unit_norm=False):
 def doubling_search(problem, scheme, order, eps):
     """The former m* search, kept as an oracle: double m from 1 until a probe
     passes, then bisect back."""
-    target = experiments._search_target(problem, scheme, order)
+    target = experiments._search_target(problem)
 
     def ok(m):
         return experiments._probe_error(problem, scheme, m, order, target) < eps
@@ -156,9 +156,16 @@ class TestSweeps:
         assert all(np.isfinite(r.kappa) for r in sweep_k(skewed, eps=1e-10).rows)
         assert analysis.condition_report(skewed, make_params(2, 5, 1, 3.0, "taylor")).kappa > 1
 
-    def test_unknown_scheme_is_typed(self):
+    @pytest.mark.parametrize("search", [
+        lambda problem: find_min_steps(problem, "rk4", 9, 1e-10),
+        lambda problem: find_min_order(problem, "rk4", 1e-10),
+        lambda problem: sweep_m(problem, 9, 1e-10, [1, 2], schemes=("rk4",)),
+    ], ids=["find_min_steps", "find_min_order", "sweep_m"])
+    def test_unknown_scheme_is_typed(self, search):
+        # find_min_steps reads the record's error order only after a probe has
+        # refused the name
         with pytest.raises(SchemeError, match="unknown scheme 'rk4'") as info:
-            find_min_steps(stable_problem(), "rk4", 9, 1e-10)
+            search(stable_problem())
         assert isinstance(info.value, PadeLabError)
 
     def test_overflowing_sweep_is_typed(self):
@@ -268,7 +275,7 @@ class TestSearchReadsTheError:
         # singular [1/1] Padé step at A h = 2
         singular = OdeProblem(matrix_a=np.eye(2), vec_b=np.ones(2), vec_x0=np.ones(2),
                               horizon=2.0)
-        target = experiments._search_target(singular, "pade", 1)
+        target = experiments._search_target(singular)
         assert experiments._probe_error(singular, "pade", 1, 1, target) == np.inf
         # the far-off early Taylor probes of long horizons: both searches agree
         problem = stable_problem(seed=2, dim=3, horizon=horizon)

@@ -5,7 +5,9 @@ A name that moves out of a module can strand the imports it needed; this
 check reads each module's syntax tree with the standard library alone.
 ``__init__`` re-exports its imports and is exempt.  No name that
 ``tests/oracles.py`` defines is defined in or exported by the package, and
-``pade_core`` and ``circuit_sim`` stay numpy-only.
+``pade_core`` and ``circuit_sim`` stay numpy-only.  Scheme names appear
+only at the sites of ``SCHEME_NAME_SITES``: everywhere else the code reads
+the scheme record.
 """
 
 import ast
@@ -85,3 +87,50 @@ def test_a_stranded_import_is_found():
     tree = ast.parse("from .errors import SizeError, SolveResidualError\n"
                      "raise SolveResidualError('x')\n")
     assert _unused_imports(tree) == ["SizeError (line 1)"]
+
+
+#: (module, function) -> the string constants "pade" and "taylor" there; None
+#: is module level.  Every other module and function reads the scheme record.
+SCHEME_NAME_SITES = {
+    ("pade_core", None): 2,  # SCHEME_NAMES itself
+    ("error_bounds", "make_params"): 1,  # the default scheme
+    ("error_bounds", "select_parameters"): 1,  # the paper's Padé parameter rule
+    ("system_builder", "build_pade_system"): 1,  # builder shims of the benchmark
+    ("system_builder", "build_taylor_system"): 1,
+    ("analysis", "_drift"): 1,  # the drift is built on the Padé table
+    ("circuit_sim", "primitive_targets"): 1,  # the circuits encode Padé alone
+    ("circuit_sim", "_emit_m3"): 1,
+    ("circuit_sim", "_emit_m5"): 1,
+    ("cli", "_add_system_flags"): 1,  # the --scheme default
+    ("cli", "_cmd_circuit_verify"): 1,
+}
+
+
+def _scheme_names(tree: ast.Module, module: str) -> dict:
+    """(module, qualified function name or None) -> count of the string
+    constants "pade" and "taylor" in it."""
+    counts = {}
+
+    def visit(node, scope):
+        if isinstance(node, ast.Constant) and node.value in ("pade", "taylor"):
+            counts[module, scope] = counts.get((module, scope), 0) + 1
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return counts
+
+
+def test_scheme_names_only_at_their_sites():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_scheme_names(_tree(path), path.stem))
+    assert found == SCHEME_NAME_SITES
+
+
+def test_a_scheme_name_test_is_found():
+    tree = ast.parse('class R:\n    def f(self, p):\n        return p.scheme == "pade"\n'
+                     'NAME = f"{SCHEMES[\'taylor\']}"\n')
+    assert _scheme_names(tree, "m") == {("m", "R.f"): 1, ("m", None): 1}
