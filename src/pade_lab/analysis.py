@@ -403,7 +403,8 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
     Lanczos on the substitution.  M_i is block lower triangular with the
     one-step block W_i = S1 (x) I_b + B1 (x) (X_i h) leading, so the dense path
     returns the stack of the W_i^-1 as a copy of the leading (k+1) b square of
-    each M_i^-1, the others as ``classical_solver.step_inverses`` forms it.
+    each M_i^-1, the others the one stack that ``classical_solver.step_inverses``
+    forms from the X_i h, which the substitution reads too.
     """
     d, w = lay.block_rows, blocks.shape[-1]
     xh = scaled_by_step(blocks, lay.h)
@@ -415,6 +416,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         smax, stack = _top(stack[ends]), _inverse(stack)
         lead = len(rec.s1) * w
         return smax, 1.0 / _top_by_ends(stack), stack[:, :lead, :lead].copy()
+    w_inverse = step_inverses(rec, xh)
     if w == 1:
         up, bands = _band_systems(rec, lay.m, lay.p, xh[ends])
         smax = 0.0
@@ -430,7 +432,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
                 break
             smin = bracket[1]
         else:
-            return smax, smin, step_inverses(rec.one_step(xh))
+            return smax, smin, w_inverse
     else:
         block, = xh  # a b-wide block is the one block of a non-normal A
         csr = csr_system(rec, lay.m, lay.p, block)
@@ -438,7 +440,7 @@ def _block_singular_values(rec, lay: BlockLayout, blocks: np.ndarray,
         v0 = _lanczos_start(d * w, complex_=not real)
         smax = float(np.sqrt(_largest_eigenvalue(lambda x: adj @ (csr @ x), v0, "M^H M",
                                                  SLICE_NCV)))
-    inv, inv_h, w_inverse = substitution_pair(rec.one_step(xh), rec, lay.m, lay.p)
+    inv, inv_h = substitution_pair(w_inverse, rec, lay.m, lay.p)
     dim = len(xh) * d * w
     v0 = _lanczos_start(dim, complex_=not real)
     inv_sq = _largest_eigenvalue(lambda x: inv(inv_h(x)), v0, "L^-1 L^-H")

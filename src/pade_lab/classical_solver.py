@@ -2,14 +2,15 @@
 
 Every step of L after the first solves the one-step block W against the
 previous state x and b alone, so one solve of W gives the step solution
-z = C x + g: a forward substitution on n x n blocks where W is unit block
-lower bidiagonal (the Taylor step), else one LU of W and one getrs.
-``march_solution`` and ``march_terminal`` march on it, the first step's rows
-being one more column, and ``solve_block_forward`` adds the residual
-||L z - rhs|| from the scalar patterns, so no solve assembles L; ``step_map``
-reads its readout [P | q] and ``propagated_terminal`` powers that;
-``substitution_pair`` applies L^-1 and L^-H by the same elimination on the
-W_i^-1 of ``step_inverses``, and hands them out.
+z = C x + g.  ``_eliminate`` is the one elimination of W: a forward
+substitution on b x b blocks where W is unit block lower bidiagonal (the
+Taylor step), else one LU of W and one getrs.  ``march_solution`` and
+``march_terminal`` march on it, the first step's rows being one more column,
+and ``solve_block_forward`` adds the residual ||L z - rhs|| from the scalar
+patterns, so no solve assembles L; ``step_map`` reads its readout [P | q] and
+``propagated_terminal`` powers that; ``step_inverses`` is the same elimination
+of a stack of blocks on the identity, and ``substitution_pair`` applies L^-1
+and L^-H by block substitution on those W_i^-1.
 """
 
 from __future__ import annotations
@@ -106,19 +107,37 @@ def _factor_step_block(block: np.ndarray):
     return lu, piv
 
 
+def _eliminate(rec: Scheme, ah: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """W^-1 cols for the one-step block W = S1 (x) I_b + B1 (x) ``ah`` of the
+    scheme ``rec``, ``ah`` one b x b block or an (r, b, b) stack and ``cols``
+    its (k+1, b, c) or (r, k+1, b, c) columns, returned as (k+1) b rows.
+
+    A ``rec.unit_bidiagonal`` W is never built: the columns R_0, ..., R_k of
+    its k+1 block rows give y_0 = R_0 and y_i = R_i - B1[i, i-1] (A h y_{i-1}),
+    a forward substitution in place, batched over the stack, which is backward
+    stable and needs no pivot.  Any other W is built by ``rec.one_step`` and
+    solved block by block by one ``_factor_step_block`` LU and one ``getrs``
+    over all columns; a singular one raises ``SingularBlockError`` at step 1.
+    Entries past the double range come out non-finite, not as a warning.
+    """
+    rows = cols.reshape(*cols.shape[:-3], -1, cols.shape[-1])  # a view of cols
+    if rec.unit_bidiagonal:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, len(rec.signs)):
+                cols[..., i, :, :] -= rec.b1[i, i - 1] * (ah @ cols[..., i - 1, :, :])
+        return rows
+    blocks = rec.one_step(ah)
+    getrs, = sla.get_lapack_funcs(("getrs",), (blocks, rows))
+    if blocks.ndim == 2:
+        return getrs(*_factor_step_block(blocks), rows)[0]
+    return np.stack([getrs(*_factor_step_block(w), y)[0] for w, y in zip(blocks, rows)])
+
+
 def _step_solve(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray,
                 first: np.ndarray | None = None) -> np.ndarray:
     """W^-1 [row_scale e_0 (x) I_n | e_{b_row} (x) b_rhs | first] for the
     one-step block W = S1 (x) I_n + B1 (x) ``ah`` of the scheme ``rec``,
-    ``first`` being an optional last column.
-
-    A ``rec.unit_bidiagonal`` W is never built: the columns R_0, ..., R_k of
-    its k+1 block rows give y_0 = R_0 and y_i = R_i - B1[i, i-1] (A h y_{i-1}),
-    a forward substitution, which is backward stable and needs no pivot.  Any
-    other W is built by ``rec.one_step`` and solved by one ``_factor_step_block``
-    LU and one ``getrs`` over all columns; a singular one raises
-    ``SingularBlockError`` at step 1.  Entries past the double range come out
-    non-finite, not as a warning.
+    ``first`` being an optional last column, by ``_eliminate``.
     """
     n, width = len(b_rhs), len(rec.signs)
     cols = np.zeros((width, n, n + 1 + (first is not None)), dtype=complex)
@@ -126,14 +145,7 @@ def _step_solve(rec: Scheme, ah: np.ndarray, b_rhs: np.ndarray,
     cols[rec.b_row, :, n] = b_rhs
     if first is not None:
         cols[..., -1] = first.reshape(width, n)
-    if rec.unit_bidiagonal:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, width):
-                cols[i] -= rec.b1[i, i - 1] * (ah @ cols[i - 1])
-        return cols.reshape(width * n, -1)
-    lu, piv = _factor_step_block(rec.one_step(ah))
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu, cols))
-    return getrs(lu, piv, cols.reshape(width * n, -1), overwrite_b=True)[0]
+    return _eliminate(rec, ah, cols)
 
 
 def _march(problem: OdeProblem, params: SolverParams):
@@ -232,30 +244,29 @@ def _coupling_chains(mat: np.ndarray, m: int):
             (lambda x: doubled(np.swapaxes(x[:, ::-1], 1, 2), powers_h)[:, ::-1]))
 
 
-def step_inverses(step_blocks: np.ndarray) -> np.ndarray:
-    """The read-only stack of the W_i^-1 of the (r, w, w) stack ``step_blocks``:
-    each W_i factored once by ``_factor_step_block``, so a singular one raises
-    ``SingularBlockError``, and its LU factors solved against I by one ``getrs``."""
-    getrs, = sla.get_lapack_funcs(("getrs",), (step_blocks,))
-    eye = np.eye(step_blocks.shape[1], dtype=step_blocks.dtype)
-    inverses = np.stack([getrs(lu, piv, eye)[0]
-                         for lu, piv in map(_factor_step_block, step_blocks)])
+def step_inverses(rec: Scheme, xh: np.ndarray) -> np.ndarray:
+    """The read-only (r, (k+1) b, (k+1) b) stack of the W_i^-1 of the one-step
+    blocks W_i = S1 (x) I_b + B1 (x) X_i of the scheme ``rec``, for the (r, b, b)
+    stack ``xh`` of the X_i = A_i h: ``_eliminate`` on the identity, in the
+    dtype of ``xh``, so a singular W_i raises ``SingularBlockError``."""
+    width, (r, b) = len(rec.signs), xh.shape[:2]
+    eye = np.tile(np.eye(width * b, dtype=xh.dtype), (r, 1, 1))
+    inverses = _eliminate(rec, xh, eye.reshape(r, width, b, -1))
     inverses.flags.writeable = False
     return inverses
 
 
-def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
-    """(apply L^-1, apply L^-H, X) by block substitution, for the direct sum of
+def substitution_pair(inverses: np.ndarray, rec: Scheme, m: int, p: int):
+    """(apply L^-1, apply L^-H) by block substitution, for the direct sum of
     the systems L_i of m steps and p padding rows of the scheme ``rec`` whose
-    diagonal blocks are the one-step blocks W_i of the (r, (k+1)b, (k+1)b)
-    stack ``step_blocks``.  A vector, of the stack's dtype, holds the L_i one
-    after another, each in L's own block-row order.
+    diagonal blocks are the one-step blocks W_i, from the read-only
+    (r, (k+1)b, (k+1)b) stack ``inverses`` of the W_i^-1 that ``step_inverses``
+    forms.  A vector, of the stack's dtype, holds the L_i one after another,
+    each in L's own block-row order.
 
-    The read-only stack X of the W_i^-1 comes from ``step_inverses``, so a
-    singular W_i raises ``SingularBlockError``; an application of L^-1 or
-    L^-H then makes no LAPACK call per block, only batched products by X.
-    With E = e_0 (x) I_b,
-    Sg = signs (x) I_b, C = W^-1 E, D = W^-H Sg and R = Sg^T C, the rows y_s
+    An application of L^-1 or L^-H makes no LAPACK call per block, only
+    batched products by X = ``inverses``.  With E = e_0 (x) I_b,
+    Sg = signs (x) I_b, C = X E, D = (Sg^T X)^H and R = Sg^T C, the rows y_s
     of step s give
 
         z_s = W^-1 y_s - couple C sigma_{s-1},
@@ -270,32 +281,18 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
 
         u_s = W^-H v_s - couple D tau_{s+1},
         tau_s = E^T u_s = C^H v_s - couple R^H tau_{s+1}.
-
-    The recurrences raise R to the m-th power, so C and D get one step of
-    iterative refinement: a pivoted LU of an ill-conditioned W loses digits
-    that a triangular W keeps (6e-11 relative in ||L^-1|| of the tridiagonal
-    C10 system, Taylor, m = 8, without it).
     """
-    r, wb = step_blocks.shape[:2]
+    r, wb = inverses.shape[:2]
     b, rows = wb // len(rec.signs), m * len(rec.signs)
-    inverses = step_inverses(step_blocks)
-    # the rows of a stack times right[False] = X^T are W^-1 on them, times conj(X) W^-H
-    right = {False: np.swapaxes(inverses, 1, 2).copy(), True: inverses.conj()}
+    # the rows of a stack times x_t = X^T are W^-1 on them, times x_c = conj(X) W^-H
+    x_t, x_c = np.swapaxes(inverses, 1, 2).copy(), inverses.conj()
+    col = inverses[..., :b]  # C = X E, (r, wb, b)
+    dual_h = np.kron(rec.signs, np.eye(b)) @ inverses  # D^H = Sg^T X, (r, b, wb)
+    chain, chain_h = _coupling_chains(-rec.couple * dual_h[..., :b], m)  # R = Sg^T C
 
-    def refined(thin, adjoint):
-        rhs = np.broadcast_to(thin.T.astype(step_blocks.dtype), (r, b, wb))
-        x = rhs @ right[adjoint]
-        # the rows of x times W^T, or times conj(W) = (W^H)^T
-        ops = step_blocks.conj() if adjoint else np.swapaxes(step_blocks, 1, 2)
-        return np.swapaxes(x + (rhs - x @ ops) @ right[adjoint], 1, 2)
-
-    signed = np.kron(rec.signs[:, None], np.eye(b))
-    col, dual = refined(np.eye(wb, b), False), refined(signed, True)  # C and D, (r, wb, b)
-    chain, chain_h = _coupling_chains(-rec.couple * (signed.T @ col), m)  # -couple R
-
-    # the conjugates of D and C, formed once and read-only
-    dual_c, col_c = dual.conj(), col.conj()
-    for held in (dual_c, col_c):
+    # conj(D) = (D^H)^T, D^T and conj(C), formed once; all held operands are read-only
+    dual_c, dual_t, col_c = np.swapaxes(dual_h, 1, 2), dual_h.conj(), col.conj()
+    for held in (x_t, x_c, dual_c, dual_t, col_c):
         held.flags.writeable = False
 
     # an L_i^-1 beyond the double range gives a non-finite vector, not a warning
@@ -304,7 +301,7 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         vec = vec.reshape(r, -1, b)
         ys = vec[:, :rows].reshape(r, m, wb)
         sig = chain(ys @ dual_c)
-        z = ys @ right[False]
+        z = ys @ x_t
         z[:, 1:] -= rec.couple * sig[:, :-1] @ np.swapaxes(col, 1, 2)
         tail = vec[:, rows:].copy()
         tail[:, 0] = (tail[:, 0] - rec.couple * sig[:, -1]) / rec.row_scale
@@ -318,10 +315,10 @@ def substitution_pair(step_blocks: np.ndarray, rec: Scheme, m: int, p: int):
         tail[:, 0] /= rec.row_scale
         # tau_1, ..., tau_{m-1} from the rows of steps 2..m, then tau_m = the terminal entry
         tau = chain_h(np.concatenate([(vs @ col_c)[:, 1:], tail[:, :1]], axis=1))
-        u = vs @ right[True] - rec.couple * tau @ np.swapaxes(dual, 1, 2)
+        u = vs @ x_c - rec.couple * tau @ dual_t
         return np.concatenate([u.reshape(r, rows, b), tail], axis=1).ravel()
 
-    return inv, inv_h, inverses
+    return inv, inv_h
 
 
 def march_terminal(problem: OdeProblem, params: SolverParams) -> np.ndarray:

@@ -416,7 +416,7 @@ def run_cli(argv=None, stdout=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (PadeLabError, OSError) as exc:
+    except (PadeLabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -500,7 +500,7 @@ def problem_from_json(doc: dict) -> OdeProblem:
         horizon = float(doc["T"])
     except KeyError as exc:
         raise ProblemFormatError(f"problem document lacks the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"malformed problem document: {exc}") from exc
     if a.shape != (n, n):
         raise ShapeError(f"matrix shape {a.shape} disagrees with n={n}")

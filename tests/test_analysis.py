@@ -807,8 +807,8 @@ class TestInverseNormBounds:
         # blocks: read off the inverses of the block systems on the dense
         # paths (a normal A's scalar slices; a non-normal A's one block, as
         # verify-bounds --suite unit has it), and on the Lanczos path off the
-        # W_i^-1 stack that substitution_pair forms from the one
-        # _factor_step_block LU of each block; no path inverts a one-step stack
+        # W_i^-1 stack that step_inverses forms from the one _factor_step_block
+        # LU of each block; no path inverts a one-step stack
         rng = np.random.default_rng(31)
         k, m = 7, (20 if path == "lanczos" else 2)
         if path == "dense-one-block":

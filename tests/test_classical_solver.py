@@ -19,6 +19,7 @@ from pade_lab.classical_solver import (
     propagated_terminal,
     solve_block_forward,
     state_distance,
+    step_inverses,
     step_map,
     substitution_pair,
 )
@@ -453,9 +454,8 @@ class TestSubstitutionPair:
         triangular = kind.startswith("c10") and scheme == "taylor"
         params = make_params(m, k, p, horizon, scheme)
         rec = SCHEMES[scheme](k)
-        step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
-                                for a in mats])
-        inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
+        xh = np.stack([np.asarray(a, dtype=complex) * params.step_size for a in mats])
+        inv, inv_h = substitution_pair(step_inverses(rec, xh), rec, m, p)
         dense = [assemble(OdeProblem(matrix_a=a, vec_b=np.ones(len(a)), vec_x0=np.ones(len(a)),
                                      horizon=horizon), params).dense() for a in mats]
         cuts = np.cumsum([len(d) for d in dense])
@@ -496,10 +496,10 @@ class TestSubstitutionPair:
         # are formed once per pair
         k, p, n = 3, 2, 3
         rec = SCHEMES[scheme](k)
-        step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
-                                             * 0.2) for s in (5, 6)])
+        xh = np.stack([np.asarray(random_stable_matrix(n, s), dtype=complex) * 0.2
+                       for s in (5, 6)])
         for m in (11, 86):
-            inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
+            inv, inv_h = substitution_pair(step_inverses(rec, xh), rec, m, p)
             arrays, powers = self._closure_operands(inv, inv_h)
             transfer = [a for a in arrays if a.shape == (2, m * n, m * n)]
             if m == 11:
@@ -543,10 +543,9 @@ class TestSubstitutionPair:
         rec = SCHEMES[scheme](k)
         for m in (1, 2, over):
             params = make_params(m, k, p, horizon, scheme)
-            step_blocks = np.stack([rec.one_step(np.asarray(a, dtype=complex) * params.step_size)
-                                    for a in mats])
+            xh = np.stack([np.asarray(a, dtype=complex) * params.step_size for a in mats])
             del transfers[:]
-            inv, inv_h, _ = substitution_pair(step_blocks, rec, m, p)
+            inv, inv_h = substitution_pair(step_inverses(rec, xh), rec, m, p)
             assert len(transfers) == (m < over)
             dense = [assemble(OdeProblem(matrix_a=a, vec_b=np.ones(b), vec_x0=np.ones(b),
                                          horizon=horizon), params).dense() for a in mats]
@@ -573,18 +572,49 @@ class TestSubstitutionPair:
             with pytest.raises(MagnitudeError, match="L\\^-1 L\\^-H .* overflows"):
                 extreme_singular_values(problem, make_params(m, 9, 1, 30.0, "taylor"))
 
-    def test_inverse_stack_is_read_only(self):
-        # the third result is the (r, (k+1) n, (k+1) n) stack of the W_i^-1
-        # from the LU factors, which analysis reads for the one-step norms
+
+class TestStepInverses:
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    def test_inverse_stack_is_read_only(self, scheme):
+        # the (r, (k+1) n, (k+1) n) stack of the W_i^-1, which substitution_pair
+        # and the one-step norms of analysis read
         k, n = 3, 2
-        rec = SCHEMES["pade"](k)
-        step_blocks = np.stack([rec.one_step(np.asarray(random_stable_matrix(n, s), dtype=complex)
-                                             * 0.2) for s in (5, 6)])
-        _, _, inverses = substitution_pair(step_blocks, rec, 4, 1)
-        assert inverses.shape == step_blocks.shape and not inverses.flags.writeable
+        rec = SCHEMES[scheme](k)
+        xh = np.stack([np.asarray(random_stable_matrix(n, s), dtype=complex) * 0.2
+                       for s in (5, 6)])
+        inverses = step_inverses(rec, xh)
+        assert inverses.shape == (2, (k + 1) * n, (k + 1) * n) and not inverses.flags.writeable
         with pytest.raises(ValueError):
             inverses[0, 0, 0] = 2.0
-        assert np.allclose(inverses @ step_blocks, np.eye((k + 1) * n), rtol=0.0, atol=1e-13)
+        assert np.allclose(inverses @ rec.one_step(xh), np.eye((k + 1) * n), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_taylor_stack_is_forward_substitution(self, m, monkeypatch):
+        # the C10 tridiagonal A over T = 30 gives the Taylor W the condition
+        # numbers 9.5e7 (m = 5) and 1.0e6 (m = 8); stacked with -A h, its
+        # inverse takes no LU and keeps the digits of a triangular solve
+        def refuse(block):
+            raise AssertionError("a unit lower bidiagonal W was factored")
+
+        monkeypatch.setattr(classical_solver, "_factor_step_block", refuse)
+        a = np.diag([-2.0] * 5) + np.diag([1.0] * 4, 1) + np.diag([1.0] * 4, -1)
+        rec = SCHEMES["taylor"](9)
+        xh = np.stack([a * (30.0 / m), -a * (30.0 / m)])
+        inverses = step_inverses(rec, xh)
+        for x, w in zip(inverses, rec.one_step(xh)):
+            want = sla.solve_triangular(w, np.eye(len(w)), lower=True)
+            assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scheme", ["pade", "taylor"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_keeps_the_stack_dtype(self, scheme, dtype):
+        # a real stack gives real inverses, which ARPACK reads without a
+        # ComplexWarning, and a complex stack complex ones
+        rec = SCHEMES[scheme](4)
+        xh = np.array([[[-0.3]], [[0.0]], [[-2.5]]], dtype=dtype)
+        inverses = step_inverses(rec, xh)
+        assert inverses.dtype == np.dtype(dtype)
+        assert np.allclose(inverses @ rec.one_step(xh), np.eye(5), rtol=0.0, atol=1e-13)
 
 
 class TestDenseOracle:

@@ -110,13 +110,14 @@ def test_output_matches_golden_bytes(argv, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-def _fresh_process(argv, **env) -> subprocess.CompletedProcess:
-    """``pade-lab argv`` in a fresh process, with ``env`` added to the environment."""
+def _fresh_process(argv, preexec_fn=None, **env) -> subprocess.CompletedProcess:
+    """``pade-lab argv`` in a fresh process, with ``env`` added to the environment
+    and ``preexec_fn`` run in the child before it starts."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "pade_lab.cli", *argv], cwd=ROOT, env=env,
-                          capture_output=True, timeout=300)
+                          capture_output=True, timeout=300, preexec_fn=preexec_fn)
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,6 +386,35 @@ class TestBadInput:
         code, _ = run(["solve", "--problem", str(problem_file), "--m", "1", "--k", "3"])
         assert code == EXIT_USAGE
         assert "not a JSON problem document" in capsys.readouterr().err
+
+    def test_problem_order_past_the_integers(self, problem_file, capsys):
+        # "n": 1e400 reads as inf, whose int() raises OverflowError
+        doc = json.loads(problem_file.read_text())
+        problem_file.write_text(json.dumps(doc).replace(f'"n": {doc["n"]}', '"n": 1e400'))
+        code, _ = run(["solve", "--problem", str(problem_file), "--m", "1", "--k", "3"])
+        assert code == EXIT_USAGE
+        assert "error: malformed problem document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["circuit-verify", "--n", "1048576"],  # the 16 TiB zero A
+        ["circuit-verify", "--m", "1048576"],  # a 128 TiB primitive target
+        ["solve", "--scheme", "taylor", "--m", "1", "--k", "100000"],  # a 74.5 GiB pattern
+        ["solve", "--m", "100000000", "--k", "9"],  # a 44.7 GiB rhs
+    ], ids=["circuit-n", "circuit-m", "taylor-order", "steps"])
+    def test_allocation_past_memory_is_one_error_line(self, problem_file, argv):
+        # the child's address space is capped at 4 GiB, so each allocation is
+        # refused whatever the host's overcommit mode
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))
+
+        if argv[0] == "solve":
+            argv = [*argv, "--problem", str(problem_file)]
+        proc = _fresh_process(argv, preexec_fn=cap, OPENBLAS_NUM_THREADS="1")
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_USAGE and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
 
     def test_zero_steps(self, problem_file, capsys):
         code, _ = run(["solve", "--problem", str(problem_file), "--m", "0", "--k", "3"])

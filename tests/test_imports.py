@@ -7,7 +7,8 @@ check reads each module's syntax tree with the standard library alone.
 ``tests/oracles.py`` defines is defined in or exported by the package, and
 ``pade_core`` and ``circuit_sim`` stay numpy-only.  Scheme names appear
 only at the sites of ``SCHEME_NAME_SITES``: everywhere else the code reads
-the scheme record.
+the scheme record.  The dense one-step block is formed only at the sites of
+``ONE_STEP_SITES``, so W has one elimination.
 """
 
 import ast
@@ -106,13 +107,21 @@ SCHEME_NAME_SITES = {
 }
 
 
-def _scheme_names(tree: ast.Module, module: str) -> dict:
-    """(module, qualified function name or None) -> count of the string
-    constants "pade" and "taylor" in it."""
+#: (module, function) -> the calls ``.one_step(...)`` there: the one
+#: elimination of W, and the W target of ``circuit-verify``.
+ONE_STEP_SITES = {
+    ("classical_solver", "_eliminate"): 1,
+    ("cli", "_cmd_circuit_verify"): 1,
+}
+
+
+def _count_by_scope(tree: ast.Module, module: str, hit) -> dict:
+    """(module, qualified function name or None) -> count of the nodes for
+    which ``hit`` holds."""
     counts = {}
 
     def visit(node, scope):
-        if isinstance(node, ast.Constant) and node.value in ("pade", "taylor"):
+        if hit(node):
             counts[module, scope] = counts.get((module, scope), 0) + 1
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name if scope is None else f"{scope}.{node.name}"
@@ -123,14 +132,42 @@ def _scheme_names(tree: ast.Module, module: str) -> dict:
     return counts
 
 
-def test_scheme_names_only_at_their_sites():
+def _scheme_names(tree: ast.Module, module: str) -> dict:
+    """The string constants "pade" and "taylor" by scope."""
+    return _count_by_scope(tree, module, lambda node: isinstance(node, ast.Constant)
+                           and node.value in ("pade", "taylor"))
+
+
+def _one_step_calls(tree: ast.Module, module: str) -> dict:
+    """The calls of an attribute ``one_step`` by scope."""
+    return _count_by_scope(tree, module, lambda node: isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "one_step")
+
+
+def _package_counts(counter) -> dict:
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        found.update(_scheme_names(_tree(path), path.stem))
-    assert found == SCHEME_NAME_SITES
+        found.update(counter(_tree(path), path.stem))
+    return found
+
+
+def test_scheme_names_only_at_their_sites():
+    assert _package_counts(_scheme_names) == SCHEME_NAME_SITES
+
+
+def test_one_step_calls_only_at_their_sites():
+    assert _package_counts(_one_step_calls) == ONE_STEP_SITES
 
 
 def test_a_scheme_name_test_is_found():
     tree = ast.parse('class R:\n    def f(self, p):\n        return p.scheme == "pade"\n'
                      'NAME = f"{SCHEMES[\'taylor\']}"\n')
     assert _scheme_names(tree, "m") == {("m", "R.f"): 1, ("m", None): 1}
+
+
+def test_a_one_step_call_is_found():
+    tree = ast.parse("def f(rec, xh):\n    return step_inverses(rec, xh), rec.one_step(xh)\n"
+                     "def one_step(x):\n    return x\n"
+                     "W = SCHEMES['pade'](3).one_step(A)\n")
+    assert _one_step_calls(tree, "m") == {("m", "f"): 1, ("m", None): 1}
